@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .golden import CycloPoint, PHI_FLOAT
 from .tiling import (
@@ -40,9 +40,6 @@ SOURCE_NAMES = {HALF_KITE: "kite", HALF_DART: "dart"}
 
 # max distance from the in-point to a vertex, over both prototile shapes
 COVERING_RADIUS_BOUND = math.sqrt(3.0 - PHI_FLOAT)
-
-C2_GRID_STEP = 0.05
-C2_ERROR_BOUND = C2_GRID_STEP * math.sqrt(2.0)
 
 
 def full_tile_incenter(kind: int, apex: CycloPoint, axis_end: CycloPoint) -> CycloPoint:
@@ -63,11 +60,11 @@ class NetPoint(NamedTuple):
 class Net:
     """Point set with provenance, a window square, and Delone statistics.
 
-    ``c1`` (minimum pairwise distance) and ``c2`` (sampled covering radius
-    over the analysis region) are computed lazily on first access; the big
-    counting pipelines never need them.  ``c2`` is a grid-sampled lower
-    estimate of the true covering radius with one-sided error at most
-    ``C2_ERROR_BOUND``.
+    ``c1`` (minimum pairwise distance) and ``c2`` (covering radius over the
+    analysis region) are computed lazily on first access; the big counting
+    pipelines never need them.  ``c2`` comes from one window-pruned
+    Delaunay pass and is exact up to ``c2_error_bound`` (1e-9) of float
+    rounding.
     """
 
     def __init__(
@@ -88,7 +85,11 @@ class Net:
             raise ValueError("parallel arrays must have equal length")
         if len(self.xy) == 0:
             raise ValueError("empty net")
+        if not np.isfinite(self.xy).all():
+            raise ValueError("net coordinates must be finite")
         self.window = Square(*window)
+        if not (np.isfinite(self.window).all() and self.window.side > 0):
+            raise ValueError("net window must be finite with a positive side")
         self.ring = None if ring is None else np.ascontiguousarray(ring, dtype=np.int64)
         self.outline = None if outline is None else np.asarray(outline, dtype=np.float64)
         for arr in (self.xy, self.source_kinds, self.tile_ids, self.ring):
@@ -120,47 +121,115 @@ class Net:
         d, _ = self._tree.query(self.xy, k=2)
         return float(d[:, 1].min())
 
-    def _c2_region_mask(self, pts: np.ndarray) -> np.ndarray:
+    def _c2_region(self) -> np.ndarray:
+        """Counter-clockwise vertices of the window, clipped to the outline."""
+        x0, y0, side = self.window
+        region = np.array([[x0, y0], [x0 + side, y0], [x0 + side, y0 + side], [x0, y0 + side]])
         if self.outline is None:
-            return np.ones(len(pts), dtype=bool)
+            return region
         tri = self.outline
-        keep = np.ones(len(pts), dtype=bool)
-        for i in range(3):
-            a = tri[i]
-            b = tri[(i + 1) % 3]
-            cross = (b[0] - a[0]) * (pts[:, 1] - a[1]) - (b[1] - a[1]) * (pts[:, 0] - a[0])
-            orient = (b[0] - a[0]) * (tri[(i + 2) % 3][1] - a[1]) - (b[1] - a[1]) * (tri[(i + 2) % 3][0] - a[0])
-            keep &= cross * np.sign(orient) >= -1e-9
-        return keep
+        if _cross(tri[1] - tri[0], tri[2] - tri[0]) < 0:
+            tri = tri[::-1]
+        return _clip_convex(region, tri)
 
     @cached_property
     def c2(self) -> float:
-        """Sampled covering radius over the window, grid step C2_GRID_STEP.
+        """Covering radius over the region R: max over x in R of d(x, net).
 
-        For nets extracted from non-covering patches the sampling region is
-        the patch outline triangle intersected with the window's bounding
-        grid, since locations outside the patch union are not covered.
+        R is the window, clipped to the patch outline triangle when the net
+        has one, since locations outside the patch union are not covered.
+        The points within ``pad`` of R's bounding box are triangulated and
+        the largest empty circle centred in R is found among its classical
+        candidates (``_largest_gap``).  If that radius is below ``pad``,
+        every location of R has its nearest net point among them, so it is
+        the covering radius of the whole net; otherwise ``pad`` doubles.
+        Exact up to the float rounding of the candidate positions, see
+        ``c2_error_bound``.  An empty R gives 0.
         """
-        x0, y0, side = self.window
-        xs = np.arange(x0, x0 + side + C2_GRID_STEP / 2, C2_GRID_STEP)
-        ys = np.arange(y0, y0 + side + C2_GRID_STEP / 2, C2_GRID_STEP)
-        worst = 0.0
-        tree = self._tree
-        chunk = max(1, int(2_000_000 // max(len(xs), 1)))
-        for start in range(0, len(ys), chunk):
-            yy = ys[start:start + chunk]
-            gx, gy = np.meshgrid(xs, yy, indexing="ij")
-            pts = np.column_stack([gx.ravel(), gy.ravel()])
-            mask = self._c2_region_mask(pts)
-            if not mask.any():
-                continue
-            d, _ = tree.query(pts[mask], k=1)
-            worst = max(worst, float(d.max()))
-        return worst
+        region = self._c2_region()
+        if len(region) == 0:
+            return 0.0
+        lo, hi = region.min(axis=0), region.max(axis=0)
+        pad = 2.0
+        while True:
+            near = np.all((self.xy >= lo - pad) & (self.xy <= hi + pad), axis=1)
+            if near.any():
+                radius = _largest_gap(self.xy[near], region)
+                if radius < pad or near.all():
+                    return radius
+            pad *= 2.0
 
     @property
     def c2_error_bound(self) -> float:
-        return C2_ERROR_BOUND
+        """Bound on |c2 - covering radius|, from the float rounding of c2's candidates."""
+        return 1e-9
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+def _clip_convex(poly: np.ndarray, clip: np.ndarray) -> np.ndarray:
+    """Sutherland-Hodgman: ``poly`` cut to the counter-clockwise convex ``clip``."""
+    out = list(poly)
+    for a, b in zip(clip, np.roll(clip, -1, axis=0)):
+        pts, out = out, []
+        sides = [float(_cross(b - a, p - a)) for p in pts]
+        for k in range(len(pts)):
+            p, q, sp, sq = pts[k - 1], pts[k], sides[k - 1], sides[k]
+            if (sp < 0) != (sq < 0):
+                out.append(p + (q - p) * (sp / (sp - sq)))
+            if sq >= 0:
+                out.append(q)
+    return np.array(out, dtype=np.float64).reshape(-1, 2)
+
+
+def _largest_gap(pts: np.ndarray, region: np.ndarray) -> float:
+    """max over x in the convex polygon ``region`` of the distance from x to ``pts``.
+
+    On each Voronoi cell clipped to the region the distance to the cell's
+    site is convex, so the maximum sits at a vertex of some clipped cell:
+    a Voronoi vertex inside the region, a crossing of a Voronoi edge with
+    the region's boundary, or a region vertex (Toussaint 1983, largest
+    empty circle with location constraints).  Voronoi vertices are the
+    Delaunay circumcenters; every Voronoi edge lies on the perpendicular
+    bisector of a Delaunay edge, and all crossings of those bisectors with
+    the boundary are taken, a superset that stays inside the region.
+    """
+    try:
+        simplices = Delaunay(pts).simplices
+    except QhullError:  # fewer than three points, or all on one line
+        order = np.lexsort(pts.T[::-1])
+        edges = np.column_stack([order[:-1], order[1:]])
+        centers = np.empty((0, 2))
+    else:
+        # int64 keys: the simplices are int32, where i * n + j wraps once n > 46,340
+        pairs = np.sort(simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1).astype(np.int64)
+        keys = np.unique(pairs[:, 0] * len(pts) + pairs[:, 1])
+        edges = np.column_stack([keys // len(pts), keys % len(pts)])
+        a = pts[simplices[:, 0]]
+        b = pts[simplices[:, 1]] - a
+        c = pts[simplices[:, 2]] - a
+        w = (b * b).sum(axis=1)[:, None] * c - (c * c).sum(axis=1)[:, None] * b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            centers = a + np.column_stack([w[:, 1], -w[:, 0]]) / (2.0 * _cross(b, c))[:, None]
+
+    # signed distance to each side line is at least -1e-10; NaN centers fail
+    sides = np.roll(region, -1, axis=0) - region
+    lengths = np.hypot(sides[:, 0], sides[:, 1])
+    inside = (_cross(sides, centers[:, None, :] - region) >= -1e-10 * lengths).all(axis=1)
+
+    # where the bisector {x : (x - m).d = 0} of each edge crosses each side
+    p, q = pts[edges[:, 0]], pts[edges[:, 1]]
+    d = q - p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (((p + q) / 2.0 * d).sum(axis=1)[:, None] - d @ region.T) / (d @ sides.T)
+    e, k = np.nonzero((t >= 0.0) & (t <= 1.0))
+    crossings = region[k] + t[e, k, None] * sides[k]
+
+    candidates = np.concatenate([centers[inside], crossings, region])
+    dist, _ = cKDTree(pts).query(candidates, k=1)
+    return float(dist.max())
 
 
 def extract_net(p: Patch, window: Square | tuple | None = None) -> Net:
@@ -264,11 +333,11 @@ def export_net(net: Net, path: str) -> None:
         fh.write(
             f"# window {net.window.x:.12g} {net.window.y:.12g} {net.window.side:.12g}\n"
         )
-        for i in range(len(net)):
-            fh.write(
-                f"{net.xy[i, 0]:.12g} {net.xy[i, 1]:.12g} "
-                f"{SOURCE_NAMES[int(net.source_kinds[i])]} {int(net.tile_ids[i])}\n"
-            )
+        names = [SOURCE_NAMES[k] for k in net.source_kinds.tolist()]
+        fh.write("".join(
+            f"{x:.12g} {y:.12g} {name} {tid}\n"
+            for (x, y), name, tid in zip(net.xy.tolist(), names, net.tile_ids.tolist())
+        ))
 
 
 def load_net(path: str) -> Net:

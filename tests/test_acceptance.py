@@ -173,7 +173,7 @@ def test_criterion_08_net_separation_and_covering():
     assert cover.c2 <= COVERING_RADIUS_BOUND + 0.08
     print(f"criterion 8 (c1 = {c1_values[0]:.9f} > 0, spread "
           f"{max(c1_values) - min(c1_values):.2e} <= 1e-9 over generations 6-8; "
-          f"sampled c2 = {cover.c2:.4f} <= {COVERING_RADIUS_BOUND:.4f} + 0.08): PASS")
+          f"c2 = {cover.c2:.4f} <= {COVERING_RADIUS_BOUND:.4f} + 0.08): PASS")
 
 
 def test_criterion_09_substitution_eigendata():

@@ -49,6 +49,15 @@ class TestGenerate:
         assert code == 2
         assert "cap" in stderr
 
+    def test_census_mismatch_exit_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("penrosenet.cli.substitution_counts",
+                            lambda base, rounds: TileCensus(0, 0))
+        out = tmp_path / "p.txt"
+        code, stdout, _ = run(capsys, "generate", "--rounds", "2", "--out", str(out))
+        assert code == 1
+        assert "FAILED: census 5 half-kites + 3 half-darts" in stdout
+        assert not out.exists()
+
     def test_env_var_output_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PENROSENET_OUT", str(tmp_path))
         code, stdout, _ = run(capsys, "generate", "--rounds", "1")

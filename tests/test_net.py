@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from penrosenet.golden import CycloPoint, PHI_FLOAT, SIN36, embed
 from penrosenet.net import (
     COVERING_RADIUS_BOUND,
+    SOURCE_NAMES,
     Net,
     count_in_square,
     export_net,
@@ -25,6 +27,8 @@ from penrosenet.tiling import (
     census,
     deflate_patch,
     generate_patch_covering,
+    load_patch,
+    save_patch,
 )
 
 
@@ -33,6 +37,35 @@ def line_distance(pt, a, b):
     bx, by = b
     ex, ey = bx - ax, by - ay
     return abs(ex * (pt[1] - ay) - ey * (pt[0] - ax)) / math.hypot(ex, ey)
+
+
+def sampled_c2(net, h):
+    """Grid-sampled covering radius: a lower estimate within h*sqrt(2).
+
+    Samples the window on a grid of step h, keeping the samples inside the
+    outline triangle when the net has one.
+    """
+    x0, y0, side = net.window
+    xs = np.arange(x0, x0 + side + h / 2, h)
+    ys = np.arange(y0, y0 + side + h / 2, h)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    pts = np.column_stack([gx.ravel(), gy.ravel()])
+    if net.outline is not None:
+        tri = net.outline
+        keep = np.ones(len(pts), dtype=bool)
+        for i in range(3):
+            a, b, c = tri[i], tri[(i + 1) % 3], tri[(i + 2) % 3]
+            cross = (b[0] - a[0]) * (pts[:, 1] - a[1]) - (b[1] - a[1]) * (pts[:, 0] - a[0])
+            orient = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+            keep &= cross * np.sign(orient) >= -1e-9
+        pts = pts[keep]
+    d, _ = cKDTree(net.xy).query(pts, k=1)
+    return float(d.max())
+
+
+def assert_c2_matches_sampler(net, h=0.02):
+    oracle = sampled_c2(net, h)
+    assert oracle - 1e-9 <= net.c2 <= oracle + h * math.sqrt(2.0)
 
 
 def full_tile_outline(kind):
@@ -162,6 +195,101 @@ class TestDeloneStatistics:
         assert net.c2 <= COVERING_RADIUS_BOUND + net.c2_error_bound
         assert net.c2 > 0.9  # kite apex corners keep it near 1
 
+    def test_c2_exact_value_on_covering_patch(self):
+        net = extract_net(generate_patch_covering(Square(3.0, -17.0, 32.0)))
+        assert abs(net.c2 - 1.0) <= net.c2_error_bound
+        assert net.c2_error_bound == 1e-9
+
+    def test_c2_against_sampler_covering_patch(self):
+        assert_c2_matches_sampler(extract_net(generate_patch_covering(Square(0.0, 0.0, 16.0))))
+
+    @pytest.mark.parametrize("kind", [HALF_KITE, HALF_DART])
+    def test_c2_against_sampler_window_clipped_to_outline(self, kind):
+        # default window: padded bounding box, which reaches past the triangle
+        net = extract_net(deflate_patch(Patch.single_tile(kind, scale_exp=-5), 5))
+        assert net.outline is not None
+        assert_c2_matches_sampler(net)
+
+    def test_c2_against_sampler_loaded_net(self, tmp_path):
+        path = str(tmp_path / "net.txt")
+        export_net(extract_net(generate_patch_covering(Square(-5.0, 2.0, 16.0))), path)
+        net = load_net(path)
+        assert net.outline is None
+        assert_c2_matches_sampler(net)
+
+    def test_c2_against_sampler_window_past_patch_edge(self, tmp_path):
+        # a loaded patch has no outline, so the region is the whole window;
+        # its far corners are more than the first pad (2) from any point,
+        # so the pad has to double before the answer is accepted
+        path = str(tmp_path / "patch.txt")
+        save_patch(deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-5), 5), path)
+        net = extract_net(load_patch(path), window=Square(-2.0, -2.0, 12.0))
+        assert net.outline is None
+        assert net.c2 > 2.0
+        assert_c2_matches_sampler(net)
+
+    @pytest.mark.parametrize("xy", [
+        [[0.3, 0.4]],
+        [[0.3, 0.4], [1.5, 1.1]],
+        [[0.0, 0.0], [0.5, 0.5], [1.0, 1.0], [2.0, 2.0]],
+    ])
+    def test_c2_degenerate_nets(self, xy):
+        # too few or collinear points for a triangulation
+        xy = np.array(xy)
+        net = Net(xy, np.full(len(xy), HALF_KITE), np.arange(len(xy)), Square(0.0, 0.0, 2.0))
+        assert_c2_matches_sampler(net)
+
+    @pytest.mark.parametrize("xy, window, expected", [
+        # the farthest location is where the bisector x = 1 crosses the top side
+        ([[0.0, 0.0], [2.0, 0.0], [1.0, -5.0]], Square(0.0, 0.0, 2.0), math.sqrt(5.0)),
+        # the right point lies beyond the first pad, yet it is the nearest
+        # point of the window's right half
+        ([[-1.5, 0.5], [3.2, 0.5]], Square(0.0, 0.0, 1.0), math.hypot(2.35, 0.5)),
+        # the circumcenter (0, 0) of the four points lies 1e-4 below the
+        # window, so its empty circle of radius 1 does not count
+        ([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], Square(-0.5, 1e-4, 1.0),
+         math.hypot(1e-4, 1.0 - 1e-4)),
+    ])
+    def test_c2_exact_on_small_nets(self, xy, window, expected):
+        xy = np.array(xy)
+        net = Net(xy, np.full(len(xy), HALF_KITE), np.arange(len(xy)), window)
+        assert abs(net.c2 - expected) <= net.c2_error_bound
+
+    def test_c2_on_net_past_int32_edge_keys(self):
+        # 51,304 points lie near the window, more than the 46,341 at which
+        # i * n + j over int32 indices wraps.  A jittered unit lattice has
+        # a hole centred 0.5 above the top side, so the farthest location
+        # of the window is a bisector crossing of that side between two
+        # points of the top rows, which have the highest indices.
+        gy, gx = np.mgrid[0:230, 0:230]
+        jitter = np.random.default_rng(1).uniform(-0.1, 0.1, (230 * 230, 2))
+        xy = np.column_stack([gx.ravel(), gy.ravel()]) + jitter
+        xy = xy[np.hypot(xy[:, 0] - 115.0, xy[:, 1] - 224.5) > 1.8]
+        kinds, ids = np.full(len(xy), HALF_KITE), np.arange(len(xy))
+        net = Net(xy, kinds, ids, Square(0.0, 0.0, 224.0))
+        # away from the hole every location is within 0.86 of a lattice
+        # point, so the oracle need only sample the window's top centre
+        oracle = sampled_c2(Net(xy, kinds, ids, Square(105.0, 204.0, 20.0)), 0.02)
+        assert oracle - 1e-9 <= net.c2 <= oracle + 0.02 * math.sqrt(2.0)
+
+    def test_c2_of_window_off_the_outline_is_zero(self):
+        net = extract_net(deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-3), 3),
+                          window=Square(100.0, 100.0, 4.0))
+        assert net.c2 == 0.0
+
+    def test_non_finite_points_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            Net(np.array([[0.0, np.nan]]), np.array([HALF_KITE]), np.array([0]),
+                Square(0.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize("window", [
+        Square(np.nan, 0.0, 8.0), Square(0.0, np.inf, 8.0), Square(0.0, 0.0, 0.0),
+        Square(0.0, 0.0, -1.0),
+    ])
+    def test_bad_window_rejected(self, window):
+        with pytest.raises(ValueError, match="window"):
+            Net(np.array([[0.5, 0.5]]), np.array([HALF_KITE]), np.array([0]), window)
+
     def test_single_point_c1_raises(self):
         net = extract_net(Patch.single_tile(HALF_KITE))
         with pytest.raises(ValueError):
@@ -231,6 +359,26 @@ class TestSerialization:
         assert head[1].startswith("# points ")
         assert head[2].startswith("# c1 ")
         assert head[3].startswith("# c2 ")
+
+    def test_point_lines_match_per_line_writer(self, tmp_path):
+        net = extract_net(generate_patch_covering(Square(-3.0, 5.0, 8.0)))
+        path = str(tmp_path / "net.txt")
+        export_net(net, path)
+        expected = "".join(
+            f"{net.xy[i, 0]:.12g} {net.xy[i, 1]:.12g} "
+            f"{SOURCE_NAMES[int(net.source_kinds[i])]} {int(net.tile_ids[i])}\n"
+            for i in range(len(net))
+        )
+        with open(path, encoding="ascii") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        assert "".join(lines[5:]) == expected
+
+    def test_nan_window_rejected(self, tmp_path):
+        path = str(tmp_path / "broken.txt")
+        with open(path, "w") as fh:
+            fh.write("# window nan 0 8\n0.0 0.0 kite 0\n")
+        with pytest.raises(ValueError, match="window"):
+            load_net(path)
 
     def test_missing_window_rejected(self, tmp_path):
         path = str(tmp_path / "broken.txt")
