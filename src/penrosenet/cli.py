@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -59,26 +58,7 @@ from .tiling import (
     substitution_counts,
 )
 
-__all__ = ["RunConfig", "main"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs shared by the subcommands."""
-
-    command: str
-    i_min: int = 4
-    i_max: int = 6
-    seed_kind: int = HALF_KITE
-    cap: int = DEFAULT_TILE_CAP
-    out: str | None = None
-    report_format: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.i_min > self.i_max:
-            raise ValueError("--i-min must be <= --i-max")
-        if self.cap < 1:
-            raise ValueError("--cap must be >= 1")
+__all__ = ["main"]
 
 
 def _out_dir(explicit: str | None) -> str:
@@ -196,19 +176,15 @@ def _hard_exact_suite() -> list[tuple[str, bool, str]]:
 
 
 def cmd_analyze(args) -> int:
-    config = RunConfig("analyze", i_min=args.i_min, i_max=args.i_max,
-                       seed_kind=KIND_CODES[args.seed], cap=args.cap,
-                       out=args.out, report_format=args.format)
-
     if args.patch:
         if args.window is None:
             raise ValueError("--window X Y SIDE is required with --patch")
         patch = load_patch(args.patch)
         window = Square(*args.window)
     else:
-        side = float(2 ** (config.i_max + 1))
+        side = float(2 ** (args.i_max + 1))
         window = Square(0.0, 0.0, side)
-        patch = generate_patch_covering(window, seed_kind=config.seed_kind, cap=config.cap)
+        patch = generate_patch_covering(window, seed_kind=KIND_CODES[args.seed], cap=args.cap)
     counts = census(patch)
     print(f"patch: {counts.total()} half-tiles ({counts.kites} kites, {counts.darts} darts), "
           f"generation {patch.generation}")
@@ -221,7 +197,7 @@ def cmd_analyze(args) -> int:
     print(f"net: {len(net)} points in window "
           f"[{window.x:g}, {window.x + window.side:g}) x [{window.y:g}, {window.y + window.side:g})")
 
-    report = build_report(net, config.i_min, config.i_max)
+    report = build_report(net, args.i_min, args.i_max)
     for row in report.rows:
         print(f"i={row.i} side={row.side}: E_rho={row.E_rho:.12g} "
               f"(E-1<=10*phi^(-i/3): {'yes' if row.decay_holds else 'NO (empirical)'}), "
@@ -231,14 +207,14 @@ def cmd_analyze(args) -> int:
     print(f"partial product: {report.product:.12g}  sum(E-1): {report.log_sum:.12g}"
           f"  (sum < 1: {'yes' if report.log_sum < 1 else 'NO (empirical)'})")
 
-    out_dir = _out_dir(config.out)
+    out_dir = _out_dir(args.out)
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    if config.report_format in (None, "csv"):
+    if args.format in (None, "csv"):
         path = os.path.join(out_dir, "report.csv")
         report_to_csv(report, path)
         written.append(path)
-    if config.report_format in (None, "json"):
+    if args.format in (None, "json"):
         path = os.path.join(out_dir, "report.json")
         report_to_json(report, path)
         written.append(path)
@@ -266,13 +242,12 @@ def cmd_render(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = RunConfig("verify", i_min=args.i_min, i_max=args.i_max, cap=args.cap)
     hard = _hard_exact_suite()
     for name, ok, detail in hard:
         print(f"exact: {name}: {'PASS' if ok else 'FAIL'} ({detail})")
 
-    side = float(2 ** (config.i_max + 1))
-    patch = generate_patch_covering(Square(0.0, 0.0, side), cap=config.cap)
+    side = float(2 ** (args.i_max + 1))
+    patch = generate_patch_covering(Square(0.0, 0.0, side), cap=args.cap)
     net = extract_net(patch)
     c1 = net.c1
     print(f"net: {len(net)} points, c1 = {c1:.9f} "
@@ -284,7 +259,7 @@ def cmd_verify(args) -> int:
     hard.append(("net separation", c1 > 0, ""))
     hard.append(("net covering radius", c2 <= bound, ""))
 
-    report = build_report(net, config.i_min, config.i_max)
+    report = build_report(net, args.i_min, args.i_max)
     for row in report.rows:
         print(f"empirical: i={row.i}: E-1={row.E_rho - 1:.6g} "
               f"(bound {row.decay_bound:.6g}: {'holds' if row.decay_holds else 'violates'}), "
@@ -303,6 +278,8 @@ def cmd_verify(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if getattr(args, "i_min", 0) > getattr(args, "i_max", 0):
+            raise ValueError("--i-min must be <= --i-max")
         if args.command == "generate":
             return cmd_generate(args)
         if args.command == "analyze":

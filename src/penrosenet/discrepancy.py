@@ -5,12 +5,16 @@ K' = 2K + D, D' = K + D, whose normalized form is the contraction
 f(x) = (2x+1)/(x+1) with fixed point phi.  For a net of density rho, the
 discrepancy of a square U is e_rho(U) = max(rho|U|/count, count/(rho|U|)),
 and E_rho(2^i) is the sup of e_rho over integer-corner squares of side 2^i.
-This module computes exact ratio traces, enumerates every integer-corner
-square inside a net's window through prefix sums (an explicit lower bound
-for the true sup), checks the phi^(-i/3) ratio and 10*phi^(-i/3) decay
-bounds, analyses the supertile frame areas behind those bounds, and folds
-E values into partial products whose convergence is the biLipschitz
-criterion for the net.
+This module computes exact ratio traces and analyses the supertile frame
+areas behind the phi^(-i/3) ratio and 10*phi^(-i/3) decay bounds.
+
+``build_report`` is the single square-count engine: one prefix-sum pass
+enumerates every integer-corner square inside a net's window (an explicit
+lower bound for the true sup) and gives, per side 2^i, E_rho, the worst
+kite/dart ratio gap, both bound checks, and the running partial products
+whose convergence is the biLipschitz criterion for the net.
+``region_analysis`` decides which supertiles meet a square by a float
+separating-axis test with a 1e-9 tolerance.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +39,6 @@ from .tiling import (
     TileCensus,
     deflate_patch,
     embedded_outline,
-    point_in_triangle,
     square_in_triangle,
     substitution_counts,
 )
@@ -45,22 +48,17 @@ __all__ = [
     "DiscrepancyReport",
     "RatioEntry",
     "RatioTrace",
-    "RatioBoundCheck",
     "RegionCounts",
     "ReportRow",
     "build_report",
     "check_prop21",
-    "check_prop22",
-    "check_prop23",
     "compute_rho",
     "dart_area",
     "decay_bound",
     "default_density",
     "e_rho",
-    "estimate_E_rho",
     "iterate_ratio_map",
     "kite_area",
-    "partial_product",
     "ratio_bound",
     "ratio_map",
     "region_analysis",
@@ -191,14 +189,11 @@ class DensityModel:
         if abs(self.rho * self.psi * (1.0 + phi_sq) - phi_sq) > 1e-12 * phi_sq:
             raise ValueError("rho, psi violate rho*psi*(1+phi^2) = phi^2")
 
-    @classmethod
-    def measured(cls) -> "DensityModel":
-        psi = dart_area()
-        return cls(psi, compute_rho(psi))
-
 
 def default_density() -> DensityModel:
-    return DensityModel.measured()
+    """The density model measured from the exact unit dart."""
+    psi = dart_area()
+    return DensityModel(psi, compute_rho(psi))
 
 
 def e_rho(count: int, area: float, rho: float) -> float:
@@ -219,13 +214,6 @@ def ratio_bound(i: int) -> float:
 def decay_bound(i: int) -> float:
     """10 * phi**(-i/3), the E_rho - 1 decay bound."""
     return 10.0 * PHI_FLOAT ** (-i / 3.0)
-
-
-def check_prop23(E: float, i: int) -> bool:
-    """Whether E - 1 <= 10 * phi**(-i/3)."""
-    if E < 1:
-        raise ValueError("E must be >= 1")
-    return E - 1.0 <= decay_bound(i)
 
 
 class _CountGrid:
@@ -278,95 +266,6 @@ class _CountGrid:
         return out[0], out[1]
 
 
-def estimate_E_rho(net: Net, i: int, rho: float | None = None) -> float:
-    """Max e_rho over all integer-corner squares of side 2**i in the window.
-
-    A finite-window enumeration, hence a lower bound for the supremum over
-    the infinite family of squares in the full plane.
-    """
-    if rho is None:
-        rho = default_density().rho
-    grid = _CountGrid(net)
-    side = 2**i
-    kites, darts = grid.square_counts(side)
-    total = kites + darts
-    if int(total.min()) == 0:
-        raise ValueError("empty square")
-    expected = rho * float(side) * float(side)
-    e = np.maximum(expected / total, total / expected)
-    return float(e.max())
-
-
-@dataclass(frozen=True)
-class RatioBoundCheck:
-    """Worst kite/dart ratio gap over all side-2**i squares in a window."""
-
-    i: int
-    gap: float
-    bound: float
-    holds: bool
-    squares_total: int
-    squares_dart_free: int
-    worst_square: Square
-    worst_counts: TileCensus
-
-
-def check_prop22(net: Net, i: int) -> RatioBoundCheck:
-    """Empirical |K/D - phi| <= phi**(-i/3) over enumerated squares.
-
-    The underlying guarantee is asymptotic (very large i); at desk scale
-    this records hold/violate rather than asserting.  Dart-free squares are
-    skipped and counted.
-    """
-    grid = _CountGrid(net)
-    side = 2**i
-    kites, darts = grid.square_counts(side)
-    ok = darts > 0
-    skipped = int(darts.size - ok.sum())
-    if not ok.any():
-        raise ValueError("every enumerated square is dart-free")
-    gaps = np.full(kites.shape, -1.0)
-    gaps[ok] = np.abs(kites[ok] / darts[ok] - PHI_FLOAT)
-    flat_arg = int(np.argmax(gaps))
-    a, b = divmod(flat_arg, gaps.shape[1])
-    gap = float(gaps[a, b])
-    bound = ratio_bound(i)
-    return RatioBoundCheck(
-        i=i,
-        gap=gap,
-        bound=bound,
-        holds=gap <= bound,
-        squares_total=int(gaps.size),
-        squares_dart_free=skipped,
-        worst_square=Square(float(grid.x0 + a), float(grid.y0 + b), float(side)),
-        worst_counts=TileCensus(int(kites[a, b]), int(darts[a, b])),
-    )
-
-
-def partial_product(E: Sequence) -> tuple[float, float]:
-    """Product of E values and the sum of (E - 1); checks ln(prod) <= sum.
-
-    Accepts (i, E_i) pairs or plain values.  Any E < 1 is rejected since
-    e_rho is >= 1 by construction.
-    """
-    values = []
-    for item in E:
-        if isinstance(item, (tuple, list)):
-            values.append(float(item[1]))
-        else:
-            values.append(float(item))
-    if any(v < 1.0 for v in values):
-        raise ValueError("all E values must be >= 1")
-    product = 1.0
-    log_sum = 0.0
-    for v in values:
-        product *= v
-        log_sum += v - 1.0
-    if product > 0 and math.log(product) > log_sum + 1e-12:
-        raise ArithmeticError("ln(product) exceeded sum of (E - 1)")
-    return product, log_sum
-
-
 @dataclass(frozen=True)
 class RegionCounts:
     """Supertile census and area bookkeeping behind the ratio bound.
@@ -391,36 +290,6 @@ class RegionCounts:
     ratio_gap: float | None
     ratio_gap_bound: float
     checks: dict
-
-
-def _segment_intersect(p1, p2, q1, q2, eps: float = 1e-9) -> bool:
-    def orient(a, b, c):
-        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if v > eps:
-            return 1
-        if v < -eps:
-            return -1
-        return 0
-
-    def on_seg(a, b, c):
-        return (
-            min(a[0], b[0]) - eps <= c[0] <= max(a[0], b[0]) + eps
-            and min(a[1], b[1]) - eps <= c[1] <= max(a[1], b[1]) + eps
-        )
-
-    o1, o2 = orient(p1, p2, q1), orient(p1, p2, q2)
-    o3, o4 = orient(q1, q2, p1), orient(q1, q2, p2)
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and on_seg(p1, p2, q1):
-        return True
-    if o2 == 0 and on_seg(p1, p2, q2):
-        return True
-    if o3 == 0 and on_seg(q1, q2, p1):
-        return True
-    if o4 == 0 and on_seg(q1, q2, p2):
-        return True
-    return False
 
 
 def region_analysis(patch: Patch, square: Square | tuple) -> RegionCounts:
@@ -460,37 +329,26 @@ def region_analysis(patch: Patch, square: Square | tuple) -> RegionCounts:
     tau2 = deflate_patch(seed, rounds - half)
     emb = tau2.embedded()
 
+    # Separating-axis test of each closed supertile against the closed
+    # square, both grown by eps.  The square's own axes are the bounding-box
+    # tests; a triangle edge separates when all four corners lie more than
+    # eps outside it.  Chirality +1 means a counterclockwise vertex loop, so
+    # the inside of each edge is on the side of sign chirality.
     eps = 1e-9
-    x1, y1 = square.x, square.y
-    x2, y2 = square.x + l, square.y + l
-    inside = (
-        (emb[:, :, 0] >= x1 - eps) & (emb[:, :, 0] <= x2 + eps)
-        & (emb[:, :, 1] >= y1 - eps) & (emb[:, :, 1] <= y2 + eps)
-    )
-    contained_mask = inside.all(axis=1)
-
+    lo = np.array([square.x, square.y])
+    hi = lo + l
     bb_lo = emb.min(axis=1)
     bb_hi = emb.max(axis=1)
-    candidate = (
-        (bb_lo[:, 0] <= x2 + eps) & (bb_hi[:, 0] >= x1 - eps)
-        & (bb_lo[:, 1] <= y2 + eps) & (bb_hi[:, 1] >= y1 - eps)
-    )
-    corners = square.corners()
-    sq_edges = [(corners[k], corners[(k + 1) % 4]) for k in range(4)]
+    contained_mask = ((bb_lo >= lo - eps) & (bb_hi <= hi + eps)).all(axis=1)
+    candidate = np.flatnonzero(((bb_lo <= hi + eps) & (bb_hi >= lo - eps)).all(axis=1))
+    tris = emb[candidate]
+    edges = np.roll(tris, -1, axis=1) - tris
+    rel = np.array(square.corners())[None, None] - tris[:, :, None]
+    cross = edges[:, :, None, 0] * rel[..., 1] - edges[:, :, None, 1] * rel[..., 0]
+    inward = tau2.chiralities[candidate, None] / np.hypot(edges[..., 0], edges[..., 1])
+    separated = (cross * inward[..., None] < -eps).all(axis=2).any(axis=1)
     intersect_mask = contained_mask.copy()
-    for idx in np.flatnonzero(candidate & ~contained_mask):
-        tri_pts = emb[idx]
-        hit = inside[idx].any()
-        if not hit:
-            hit = any(point_in_triangle(c, tri_pts, eps) for c in corners)
-        if not hit:
-            tri_edges = [(tri_pts[k], tri_pts[(k + 1) % 3]) for k in range(3)]
-            hit = any(
-                _segment_intersect(e1[0], e1[1], e2[0], e2[1])
-                for e1 in tri_edges
-                for e2 in sq_edges
-            )
-        intersect_mask[idx] = hit
+    intersect_mask[candidate[~separated]] = True
 
     def mask_census(mask: np.ndarray) -> TileCensus:
         kites = int(np.count_nonzero(mask & (tau2.kinds == HALF_KITE)))
@@ -588,12 +446,16 @@ class DiscrepancyReport:
         return self.rows[-1].partial_log_sum if self.rows else 0.0
 
 
-def build_report(net: Net, i_min: int, i_max: int, model: DensityModel | None = None) -> DiscrepancyReport:
-    """Enumerate all integer-corner squares of sides 2**i_min .. 2**i_max."""
+def build_report(net: Net, i_min: int, i_max: int) -> DiscrepancyReport:
+    """Enumerate all integer-corner squares of sides 2**i_min .. 2**i_max.
+
+    Squares with no dart point are skipped by the ratio gap; when every
+    square of a side is dart-free its ``ratio_gap_max`` is NaN and
+    ``ratio_holds`` is False.
+    """
     if i_min > i_max:
         raise ValueError("i_min must be <= i_max")
-    if model is None:
-        model = default_density()
+    model = default_density()
     grid = _CountGrid(net)
     if 2**i_max > grid.side:
         raise ValueError(

@@ -22,6 +22,8 @@ KITE_FILL = "#8ecae6"
 DART_FILL = "#ffb703"
 KITE_POINT_FILL = "#1d5a7a"
 DART_POINT_FILL = "#9a5a00"
+GRID_STEP = 1.0  # grid overlay spacing, one counting cell
+MARGIN = 0.5  # blank border around the drawing
 
 
 def _fmt(v: float) -> str:
@@ -36,14 +38,12 @@ def render_svg(
     stroke_width: float = 0.03,
     kite_fill: str = KITE_FILL,
     dart_fill: str = DART_FILL,
-    grid_step: float = 1.0,
-    margin: float = 0.5,
 ) -> str:
     """Render the patch (and overlay) to an SVG document string.
 
     ``overlay`` is one of ``"none"``, ``"net"`` (incenter markers; requires
-    ``net``), or ``"grid"`` (integer-multiple grid lines over the drawing,
-    plus net markers when a net is supplied).
+    ``net``), or ``"grid"`` (unit grid lines over the drawing, plus net
+    markers when a net is supplied).
     """
     if overlay not in ("none", "net", "grid"):
         raise ValueError(f"unknown overlay {overlay!r}")
@@ -51,8 +51,8 @@ def render_svg(
         raise ValueError("net overlay requires a net")
 
     emb = patch.embedded()
-    lo = emb.reshape(-1, 2).min(axis=0) - margin
-    hi = emb.reshape(-1, 2).max(axis=0) + margin
+    lo = emb.reshape(-1, 2).min(axis=0) - MARGIN
+    hi = emb.reshape(-1, 2).max(axis=0) + MARGIN
     width, height = hi - lo
 
     # SVG y grows downward; flip so the tiling's y grows upward
@@ -77,8 +77,8 @@ def render_svg(
     parts.append("</g>")
 
     if overlay == "grid":
-        x0 = math.floor(lo[0] / grid_step) * grid_step
-        y0 = math.floor(lo[1] / grid_step) * grid_step
+        x0 = math.floor(lo[0] / GRID_STEP) * GRID_STEP
+        y0 = math.floor(lo[1] / GRID_STEP) * GRID_STEP
         parts.append('<g stroke="#666" stroke-width="0.012" opacity="0.7">')
         x = x0
         while x <= hi[0]:
@@ -86,14 +86,14 @@ def render_svg(
             ax, ay = a.split(",")
             bx, by = b.split(",")
             parts.append(f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}"/>')
-            x += grid_step
+            x += GRID_STEP
         y = y0
         while y <= hi[1]:
             a, b = pt(lo[0], y), pt(hi[0], y)
             ax, ay = a.split(",")
             bx, by = b.split(",")
             parts.append(f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}"/>')
-            y += grid_step
+            y += GRID_STEP
         parts.append("</g>")
 
     if net is not None and overlay in ("net", "grid"):

@@ -66,6 +66,7 @@ KIND_NAMES = {HALF_KITE: "half-kite", HALF_DART: "half-dart"}
 KIND_CODES = {"half-kite": HALF_KITE, "half-dart": HALF_DART}
 
 DEFAULT_TILE_CAP = 50_000_000
+COVER_SLACK = 2.0  # radius a covering seed's incircle adds beyond the square's circumcircle
 
 _MPHI = np.array(MUL_BY_PHI, dtype=np.int64)
 _MINV = np.array(MUL_BY_INV_PHI, dtype=np.int64)
@@ -446,26 +447,6 @@ def _triangle_geometry(kind: int) -> tuple[np.ndarray, tuple[float, float], floa
 _SEED_GEOMETRY = {k: _triangle_geometry(k) for k in (HALF_KITE, HALF_DART)}
 
 
-def point_in_triangle(point: Sequence[float], tri: np.ndarray, eps: float = 1e-9) -> bool:
-    """Float half-plane test; tri is a (3, 2) array in either orientation."""
-    px, py = float(point[0]), float(point[1])
-    sign = 0.0
-    for i in range(3):
-        ax, ay = tri[i]
-        bx, by = tri[(i + 1) % 3]
-        ex, ey = bx - ax, by - ay
-        cross = ex * (py - ay) - ey * (px - ax)
-        norm = math.hypot(ex, ey)
-        d = cross / norm if norm else 0.0
-        if abs(d) <= eps:
-            continue
-        if sign == 0.0:
-            sign = math.copysign(1.0, d)
-        elif math.copysign(1.0, d) != sign:
-            return False
-    return True
-
-
 def square_in_triangle(square: Square, tri: np.ndarray, margin: float = 0.0) -> bool:
     """Whether the closed square sits inside the triangle with a safety margin."""
     ax = np.asarray(tri, dtype=np.float64)
@@ -502,13 +483,12 @@ def generate_patch_covering(
     seed_kind: int = HALF_KITE,
     seed_chirality: int = RIGHT,
     cap: int = DEFAULT_TILE_CAP,
-    slack: float = 2.0,
 ) -> Patch:
     """Deterministic patch whose union contains the given square.
 
     Scales a single seed half-tile by phi**n with n minimal such that the
     seed's inscribed circle covers the square's circumscribed circle plus
-    ``slack``, centers it on the square through an exact ring translation
+    COVER_SLACK, centers it on the square through an exact ring translation
     (rounding error < 1 tile edge, absorbed by the slack), and deflates n
     rounds, so final tiles have edge lengths 1 and phi (scale_exp == 0).
     """
@@ -518,7 +498,7 @@ def generate_patch_covering(
     _, incenter, inradius = _SEED_GEOMETRY[seed_kind]
     if seed_chirality == LEFT:
         incenter = (incenter[0], -incenter[1])
-    need = square.side * math.sqrt(2.0) / 2.0 + slack
+    need = square.side * math.sqrt(2.0) / 2.0 + COVER_SLACK
     n = 0
     while inradius * PHI_FLOAT**n < need:
         n += 1
@@ -544,7 +524,7 @@ def generate_patch_covering(
                   result.generation, result.scale_exp, prov)
     tri = embedded_outline(patch)
     if not square_in_triangle(square, tri, margin=0.25):
-        raise RuntimeError("seed placement failed to cover the square; increase slack")
+        raise RuntimeError(f"seed placement failed to cover the square with {COVER_SLACK} units of slack")
     return patch
 
 

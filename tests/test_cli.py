@@ -134,6 +134,13 @@ class TestAnalyze:
         assert code == 2
         assert "i-min" in stderr
 
+    def test_zero_cap_rejected(self, tmp_path, capsys):
+        code, _, stderr = run(capsys, "analyze", "--cap", "0", "--i-min", "1", "--i-max", "2",
+                              "--out", str(tmp_path / "rep"))
+        assert code == 2
+        assert "cap" in stderr
+        assert not (tmp_path / "rep").exists()
+
 
 class TestRender:
     def test_polygon_count_equals_tiles(self, tmp_path, capsys):
@@ -186,3 +193,9 @@ class TestVerify:
         assert "all exact checks passed" in stdout
         assert stdout.count("PASS") >= 8
         assert "empirical" in stdout
+
+    def test_bad_range_rejected_before_any_work(self, capsys):
+        code, stdout, stderr = run(capsys, "verify", "--i-min", "5", "--i-max", "3")
+        assert code == 2
+        assert "i-min" in stderr
+        assert stdout == ""

@@ -11,34 +11,32 @@ from penrosenet.discrepancy import (
     DensityModel,
     build_report,
     check_prop21,
-    check_prop22,
-    check_prop23,
     compute_rho,
     dart_area,
     decay_bound,
     default_density,
     e_rho,
-    estimate_E_rho,
     iterate_ratio_map,
     kite_area,
-    partial_product,
     ratio_bound,
     ratio_map,
     region_analysis,
     report_to_csv,
     report_to_json,
 )
-from penrosenet.golden import GoldenNum, PHI, PHI_FLOAT, golden_compare
+from penrosenet.golden import CycloPoint, GoldenNum, PHI, PHI_FLOAT, golden_compare
 from penrosenet.net import Net, count_in_square, extract_net
 from penrosenet.tiling import (
     HALF_DART,
     HALF_KITE,
+    KIND_CODES,
     Patch,
     Square,
     TileCensus,
     deflate_patch,
     generate_patch_covering,
 )
+from test_tiling import point_in_triangle
 
 # regression anchors measured on this 64-sided window by the enumeration
 # pipeline itself (46368 half-tiles, 23321 net points, 11 rounds)
@@ -208,21 +206,22 @@ class TestEstimateERho:
         patch, net = net64
         k, d = count_in_square(net, Square(0.0, 0.0, 64.0))
         direct = e_rho(k + d, 64.0 * 64.0, default_density().rho)
-        assert estimate_E_rho(net, 6) == direct
+        assert build_report(net, 6, 6).rows[0].E_rho == direct
 
     def test_regression_values(self, net64):
         _, net = net64
         for i, expected in WINDOW64_E.items():
-            assert estimate_E_rho(net, i) == pytest.approx(expected, rel=1e-12)
+            assert build_report(net, i, i).rows[0].E_rho == pytest.approx(expected, rel=1e-12)
 
     def test_at_least_one(self, net64):
         _, net = net64
-        assert estimate_E_rho(net, 3) >= 1.0
+        row = build_report(net, 3, 3).rows[0]
+        assert row.E_rho >= row.e_mean >= row.e_min >= 1.0
 
     def test_dominates_subsamples(self, net64):
         _, net = net64
         rho = default_density().rho
-        E = estimate_E_rho(net, 3)
+        E = build_report(net, 3, 3).rows[0].E_rho
         rng = np.random.default_rng(5)
         for _ in range(25):
             a, b = (int(v) for v in rng.integers(0, 64 - 8 + 1, size=2))
@@ -232,7 +231,7 @@ class TestEstimateERho:
     def test_window_too_small(self, net64):
         _, net = net64
         with pytest.raises(ValueError, match="side"):
-            estimate_E_rho(net, 7)
+            build_report(net, 7, 7)
 
     def test_empty_square_detected(self):
         lone = Net(
@@ -240,7 +239,7 @@ class TestEstimateERho:
             Square(0.0, 0.0, 4.0),
         )
         with pytest.raises(ValueError, match="empty square"):
-            estimate_E_rho(lone, 0)
+            build_report(lone, 0, 0)
 
     def test_non_integer_window_rejected(self):
         skew = Net(
@@ -248,7 +247,7 @@ class TestEstimateERho:
             Square(0.25, 0.0, 4.0),
         )
         with pytest.raises(ValueError, match="integer"):
-            estimate_E_rho(skew, 1)
+            build_report(skew, 1, 1)
 
 
 class TestProp22:
@@ -259,52 +258,141 @@ class TestProp22:
 
     def test_check_on_window(self, net64):
         _, net = net64
-        result = check_prop22(net, 4)
-        assert result.bound == pytest.approx(PHI_FLOAT ** (-4 / 3), abs=1e-15)
-        assert result.gap == pytest.approx(0.4626111725404276, rel=1e-12)
-        assert result.holds
-        assert result.squares_total == (64 - 16 + 1) ** 2
-        assert result.squares_dart_free == 0
-        k, d = count_in_square(net, result.worst_square)
-        assert (k, d) == tuple(result.worst_counts)
+        row = build_report(net, 4, 4).rows[0]
+        assert row.ratio_bound == pytest.approx(PHI_FLOAT ** (-4 / 3), abs=1e-15)
+        assert row.ratio_gap_max == pytest.approx(0.4626111725404276, rel=1e-12)
+        assert row.ratio_holds
+        assert row.squares_total == (64 - 16 + 1) ** 2
+        assert row.squares_dart_free == 0
+        worst = Square(float(row.E_argmax_x), float(row.E_argmax_y), float(row.side))
+        k, d = count_in_square(net, worst)
+        assert (k, d) == (row.E_argmax_kites, row.E_argmax_darts)
 
     def test_small_side_violates(self, net64):
         _, net = net64
-        result = check_prop22(net, 2)
-        assert not result.holds  # desk-scale: bound is asymptotic
+        assert not build_report(net, 2, 2).rows[0].ratio_holds  # desk-scale: bound is asymptotic
 
     def test_fibonacci_square_gap(self):
         assert abs(13 / 8 - PHI_FLOAT) == pytest.approx(0.006966011250105, abs=1e-12)
 
     def test_dart_free_squares_skipped(self):
-        xy = np.array([[0.5, 0.5], [2.5, 0.5], [2.6, 0.6]])
-        kinds = np.array([HALF_DART, HALF_KITE, HALF_KITE])
-        net = Net(xy, kinds, np.arange(3), Square(0.0, 0.0, 3.0))
-        result = check_prop22(net, 1)
-        assert result.squares_total == 4
-        assert result.squares_dart_free > 0
+        xy = np.array([[0.5, 0.5], [2.5, 0.5], [2.6, 0.6], [1.5, 1.5]])
+        kinds = np.array([HALF_DART, HALF_KITE, HALF_KITE, HALF_KITE])
+        net = Net(xy, kinds, np.arange(4), Square(0.0, 0.0, 3.0))
+        row = build_report(net, 1, 1).rows[0]
+        assert row.squares_total == 4
+        assert row.squares_dart_free == 3
+        # only [0, 2)^2 holds a dart: one kite, one dart
+        assert row.ratio_gap_max == pytest.approx(PHI_FLOAT - 1.0, abs=1e-15)
 
-    def test_all_dart_free_rejected(self):
-        xy = np.array([[0.5, 0.5]])
-        net = Net(xy, np.array([HALF_KITE]), np.array([0]), Square(0.0, 0.0, 2.0))
-        with pytest.raises(ValueError, match="dart-free"):
-            check_prop22(net, 1)
+    def test_all_dart_free_gap_is_nan(self):
+        xy = np.array([[0.5, 0.5], [1.5, 0.5], [0.5, 1.5], [1.5, 1.5]])
+        net = Net(xy, np.full(4, HALF_KITE), np.arange(4), Square(0.0, 0.0, 2.0))
+        row = build_report(net, 0, 0).rows[0]
+        assert row.squares_dart_free == row.squares_total == 4
+        assert math.isnan(row.ratio_gap_max)
+        assert row.ratio_holds is False
 
 
 class TestProp23:
-    def test_boundary_cases(self):
-        assert check_prop23(1.0, 4)
-        assert check_prop23(1.0, 100)
-        assert check_prop23(1.5, 9)
-        assert not check_prop23(1.5, 51)
+    def test_boundary_cases(self, net64):
+        assert decay_bound(100) > 0.0
+        assert 0.5 <= decay_bound(9)
+        assert 0.5 > decay_bound(51)
+        _, net = net64
+        for row in build_report(net, 4, 5).rows:
+            assert row.decay_bound == decay_bound(row.i)
+            assert row.decay_holds
 
     def test_bound_formula(self):
         assert decay_bound(9) == pytest.approx(10 * PHI_FLOAT**-3, abs=1e-12)
         assert decay_bound(9) == pytest.approx(2.3606797749978967, abs=1e-12)
 
-    def test_invalid_E(self):
-        with pytest.raises(ValueError):
-            check_prop23(0.99, 4)
+
+ORACLE_WINDOW = Square(-37.0, 21.0, 256.0)
+
+
+@pytest.fixture(scope="module")
+def patch256():
+    return generate_patch_covering(ORACLE_WINDOW)
+
+
+def supertiles(patch, half):
+    """The supertile layer region_analysis rebuilds, half rounds above the tiles."""
+    prov = patch.provenance
+    rounds = int(prov["rounds"])
+    seed = Patch.single_tile(
+        KIND_CODES[prov["seed_kind"]],
+        prov["seed_chirality"],
+        scale_exp=-rounds,
+        translation=CycloPoint(*(int(c) for c in prov["translation"])),
+    )
+    return deflate_patch(seed, rounds - half)
+
+
+def _segment_intersect(p1, p2, q1, q2, eps=1e-9):
+    def orient(a, b, c):
+        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        if v > eps:
+            return 1
+        if v < -eps:
+            return -1
+        return 0
+
+    def on_seg(a, b, c):
+        return (
+            min(a[0], b[0]) - eps <= c[0] <= max(a[0], b[0]) + eps
+            and min(a[1], b[1]) - eps <= c[1] <= max(a[1], b[1]) + eps
+        )
+
+    o1, o2 = orient(p1, p2, q1), orient(p1, p2, q2)
+    o3, o4 = orient(q1, q2, p1), orient(q1, q2, p2)
+    if o1 != o2 and o3 != o4:
+        return True
+    return (
+        (o1 == 0 and on_seg(p1, p2, q1))
+        or (o2 == 0 and on_seg(p1, p2, q2))
+        or (o3 == 0 and on_seg(q1, q2, p1))
+        or (o4 == 0 and on_seg(q1, q2, p2))
+    )
+
+
+def scalar_censuses(tiles, square, eps=1e-9):
+    """Contained and intersecting censuses by per-tile scalar geometry.
+
+    A tile meets the square when a vertex lies in it, a square corner lies
+    in the tile, or two edges cross, each test closed with tolerance eps.
+    """
+    emb = tiles.embedded()
+    x1, y1, l = square
+    x2, y2 = x1 + l, y1 + l
+    inside = (
+        (emb[:, :, 0] >= x1 - eps) & (emb[:, :, 0] <= x2 + eps)
+        & (emb[:, :, 1] >= y1 - eps) & (emb[:, :, 1] <= y2 + eps)
+    )
+    contained = inside.all(axis=1)
+    bb_lo, bb_hi = emb.min(axis=1), emb.max(axis=1)
+    candidate = (
+        (bb_lo[:, 0] <= x2 + eps) & (bb_hi[:, 0] >= x1 - eps)
+        & (bb_lo[:, 1] <= y2 + eps) & (bb_hi[:, 1] >= y1 - eps)
+    )
+    corners = square.corners()
+    sq_edges = [(corners[k], corners[(k + 1) % 4]) for k in range(4)]
+    meets = contained.copy()
+    for idx in np.flatnonzero(candidate & ~contained):
+        tri = emb[idx]
+        tri_edges = [(tri[k], tri[(k + 1) % 3]) for k in range(3)]
+        meets[idx] = (
+            inside[idx].any()
+            or any(point_in_triangle(c, tri, eps) for c in corners)
+            or any(_segment_intersect(*e1, *e2) for e1 in tri_edges for e2 in sq_edges)
+        )
+
+    def mask_census(mask):
+        kites = int(np.count_nonzero(mask & (tiles.kinds == HALF_KITE)))
+        return TileCensus(kites, int(np.count_nonzero(mask)) - kites)
+
+    return mask_census(contained), mask_census(meets)
 
 
 class TestRegionAnalysis:
@@ -352,23 +440,66 @@ class TestRegionAnalysis:
         with pytest.raises(ValueError, match="side"):
             region_analysis(patch, Square(8.0, 8.0, 0.5))
 
+    @pytest.mark.parametrize("half", [1, 2, 3, 4, 5])
+    def test_chirality_is_embedded_orientation(self, patch256, half):
+        # the separating-axis test takes each edge's inside from the chirality
+        tiles = supertiles(patch256, half)
+        emb = tiles.embedded()
+        u, v = emb[:, 1] - emb[:, 0], emb[:, 2] - emb[:, 0]
+        assert np.array_equal(np.sign(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]), tiles.chiralities)
+
+    @pytest.mark.parametrize("half", [1, 2, 3, 4, 5])
+    def test_censuses_match_scalar_oracle(self, patch256, half):
+        wx, wy, w = ORACLE_WINDOW
+        sides = [l for l in range(1, int(w) + 1) if PHI_FLOAT ** (2 * half) <= l < PHI_FLOAT ** (2 * half + 2)]
+        rng = np.random.default_rng(100 + half)
+        squares = []
+        for _ in range(40):
+            l = int(rng.choice(sides))
+            x, y = (int(v) for v in rng.integers(0, int(w) - l + 1, size=2))
+            squares.append(Square(wx + x, wy + y, float(l)))
+        # squares whose edges lie on the window's edges
+        l = float(sides[-1])
+        for x, y in ((0, 0), (w - l, 0), (0, w - l), (w - l, w - l)):
+            squares.append(Square(wx + x, wy + y, l))
+        # squares with a corner on a supertile vertex or edge, or 1e-7
+        # beyond it, where the 1e-9 tolerance decides
+        tiles = supertiles(patch256, half)
+        emb = tiles.embedded()
+        inside = np.flatnonzero(((emb > (wx, wy)) & (emb < (wx + w, wy + w))).all(axis=(1, 2)))
+        t = rng.choice(inside, 4, replace=False)
+        k = rng.integers(0, 3, 4)
+        points = np.concatenate([emb[t[:2], k[:2]], (emb[t[2:], k[2:]] + emb[t[2:], (k[2:] + 1) % 3]) / 2])
+        l = float(sides[0])
+        n_plain = len(squares)
+        for vx, vy in points:
+            for sx, sy in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+                for shift in (0.0, 1e-7):
+                    x = vx + sx * shift - (l if sx < 0 else 0.0)
+                    y = vy + sy * shift - (l if sy < 0 else 0.0)
+                    if wx <= x <= wx + w - l and wy <= y <= wy + w - l:
+                        squares.append(Square(float(x), float(y), l))
+        # l <= w/2, so every point fits at least one orientation
+        assert len(squares) - n_plain >= 8
+        for square in squares:
+            result = region_analysis(patch256, square)
+            assert result.supertile_rounds == half
+            assert (result.contained, result.intersecting) == scalar_censuses(tiles, square), square
+
 
 class TestPartialProduct:
-    def test_all_ones(self):
-        assert partial_product([1.0, 1.0, 1.0]) == (1.0, 0.0)
+    def test_first_row_is_its_own_product(self, net64):
+        _, net = net64
+        row = build_report(net, 4, 5).rows[0]
+        assert row.partial_product == row.E_rho
+        assert row.partial_log_sum == row.E_rho - 1.0
 
-    def test_worked_example(self):
-        product, log_sum = partial_product([(4, 1.1), (5, 1.01)])
-        assert product == pytest.approx(1.111, abs=1e-12)
-        assert log_sum == pytest.approx(0.11, abs=1e-12)
-        assert math.log(product) <= log_sum
-
-    def test_accepts_plain_values(self):
-        assert partial_product([1.5])[0] == 1.5
-
-    def test_rejects_below_one(self):
-        with pytest.raises(ValueError):
-            partial_product([1.1, 0.999])
+    def test_worked_example(self, net64):
+        _, net = net64
+        report = build_report(net, 2, 5)
+        assert report.product == pytest.approx(math.prod(r.E_rho for r in report.rows), rel=1e-15)
+        assert report.log_sum == pytest.approx(sum(r.E_rho - 1.0 for r in report.rows), rel=1e-15)
+        assert math.log(report.product) <= report.log_sum
 
 
 class TestReport:

@@ -27,7 +27,6 @@ from penrosenet.tiling import (
     generate_patch_covering,
     generic_substitution_counts,
     load_patch,
-    point_in_triangle,
     save_patch,
     substitution_counts,
 )
@@ -45,6 +44,26 @@ def fib(n: int) -> int:
 def triangle_area(tri: np.ndarray) -> float:
     u, v = tri[1] - tri[0], tri[2] - tri[0]
     return abs(float(u[0] * v[1] - u[1] * v[0])) / 2.0
+
+
+def point_in_triangle(point, tri: np.ndarray, eps: float = 1e-9) -> bool:
+    """Float half-plane test; tri is a (3, 2) array in either orientation."""
+    px, py = float(point[0]), float(point[1])
+    sign = 0.0
+    for i in range(3):
+        ax, ay = tri[i]
+        bx, by = tri[(i + 1) % 3]
+        ex, ey = bx - ax, by - ay
+        cross = ex * (py - ay) - ey * (px - ax)
+        norm = math.hypot(ex, ey)
+        d = cross / norm if norm else 0.0
+        if abs(d) <= eps:
+            continue
+        if sign == 0.0:
+            sign = math.copysign(1.0, d)
+        elif math.copysign(1.0, d) != sign:
+            return False
+    return True
 
 
 class TestHalfTile:
