@@ -34,9 +34,12 @@ from .tiling import (
     Patch,
     Square,
     _MINV,
+    _decode,
+    _read_table,
 )
 
 SOURCE_NAMES = {HALF_KITE: "kite", HALF_DART: "dart"}
+_NET_ROW = np.dtype([("xy", np.float64, (2,)), ("kind", "U5"), ("tile_id", np.int64)])
 
 # max distance from the in-point to a vertex, over both prototile shapes
 COVERING_RADIUS_BOUND = math.sqrt(3.0 - PHI_FLOAT)
@@ -342,27 +345,12 @@ def export_net(net: Net, path: str) -> None:
 
 def load_net(path: str) -> Net:
     """Read the export_net format (positions are the rounded floats)."""
+    headers, rows = _read_table(path, _NET_ROW)
+    kinds = _decode(rows["kind"], {name: code for code, name in SOURCE_NAMES.items()})
     window = None
-    xs: list[float] = []
-    ys: list[float] = []
-    kinds: list[int] = []
-    ids: list[int] = []
-    name_codes = {v: k for k, v in SOURCE_NAMES.items()}
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if parts and parts[0] == "window":
-                    window = Square(float(parts[1]), float(parts[2]), float(parts[3]))
-                continue
-            px, py, kind, tid = line.split()
-            xs.append(float(px))
-            ys.append(float(py))
-            kinds.append(name_codes[kind])
-            ids.append(int(tid))
+    for parts in headers:
+        if parts and parts[0] == "window":
+            window = Square(float(parts[1]), float(parts[2]), float(parts[3]))
     if window is None:
         raise ValueError("net file missing window header")
-    return Net(np.column_stack([xs, ys]), np.array(kinds), np.array(ids), window)
+    return Net(rows["xy"], kinds, rows["tile_id"], window)

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .net import Net
-from .tiling import HALF_KITE, Patch
+from .tiling import HALF_KITE, Patch, _format_rows
 
 __all__ = ["render_svg"]
 
@@ -60,51 +60,51 @@ def render_svg(
         return f"{_fmt(x - lo[0])},{_fmt(hi[1] - y)}"
 
     parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<?xml version="1.0" encoding="UTF-8"?>\n',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_fmt(width * 40)}" height="{_fmt(height * 40)}" '
-        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
+        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">\n',
         f'<g stroke="#30343a" stroke-width="{_fmt(stroke_width)}" '
-        'stroke-linejoin="round">',
+        'stroke-linejoin="round">\n',
     ]
-    fills = {True: kite_fill, False: dart_fill}
-    for i in range(len(patch)):
-        tri = emb[i]
-        points = " ".join(pt(float(v[0]), float(v[1])) for v in tri)
-        parts.append(
-            f'<polygon points="{points}" fill="{fills[bool(patch.kinds[i] == HALF_KITE)]}"/>'
-        )
-    parts.append("</g>")
+    # "+ 0.0" turns an exact -0.0 into 0.0, as _fmt does
+    corners = np.stack([emb[:, :, 0] - lo[0], hi[1] - emb[:, :, 1]], axis=2) + 0.0
+    parts += _format_rows(
+        '<polygon points="%.6g,%.6g %.6g,%.6g %.6g,%.6g" fill="%s"/>\n',
+        corners.reshape(len(patch), 6),
+        np.where(patch.kinds == HALF_KITE, kite_fill, dart_fill),
+    )
+    parts.append("</g>\n")
 
     if overlay == "grid":
         x0 = math.floor(lo[0] / GRID_STEP) * GRID_STEP
         y0 = math.floor(lo[1] / GRID_STEP) * GRID_STEP
-        parts.append('<g stroke="#666" stroke-width="0.012" opacity="0.7">')
+        parts.append('<g stroke="#666" stroke-width="0.012" opacity="0.7">\n')
         x = x0
         while x <= hi[0]:
             a, b = pt(x, lo[1]), pt(x, hi[1])
             ax, ay = a.split(",")
             bx, by = b.split(",")
-            parts.append(f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}"/>')
+            parts.append(f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}"/>\n')
             x += GRID_STEP
         y = y0
         while y <= hi[1]:
             a, b = pt(lo[0], y), pt(hi[0], y)
             ax, ay = a.split(",")
             bx, by = b.split(",")
-            parts.append(f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}"/>')
+            parts.append(f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}"/>\n')
             y += GRID_STEP
-        parts.append("</g>")
+        parts.append("</g>\n")
 
     if net is not None and overlay in ("net", "grid"):
-        parts.append('<g stroke="none">')
-        point_fills = {True: KITE_POINT_FILL, False: DART_POINT_FILL}
-        for j in range(len(net)):
-            x, y = float(net.xy[j, 0]), float(net.xy[j, 1])
-            cx, cy = pt(x, y).split(",")
-            fill = point_fills[bool(net.source_kinds[j] == HALF_KITE)]
-            parts.append(f'<circle cx="{cx}" cy="{cy}" r="0.09" fill="{fill}"/>')
-        parts.append("</g>")
+        parts.append('<g stroke="none">\n')
+        centers = np.column_stack([net.xy[:, 0] - lo[0], hi[1] - net.xy[:, 1]]) + 0.0
+        parts += _format_rows(
+            '<circle cx="%.6g" cy="%.6g" r="0.09" fill="%s"/>\n',
+            centers,
+            np.where(net.source_kinds == HALF_KITE, KITE_POINT_FILL, DART_POINT_FILL),
+        )
+        parts.append("</g>\n")
 
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    return "".join(parts)

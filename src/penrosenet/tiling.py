@@ -39,6 +39,8 @@ one of its two mirror conventions.
 from __future__ import annotations
 
 import math
+import re
+import warnings
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -528,10 +530,75 @@ def generate_patch_covering(
     return patch
 
 
-_KIND_LETTER = {HALF_KITE: "K", HALF_DART: "D"}
 _LETTER_KIND = {"K": HALF_KITE, "D": HALF_DART}
-_CHIR_LETTER = {RIGHT: "R", LEFT: "L"}
 _LETTER_CHIR = {"R": RIGHT, "L": LEFT}
+_PATCH_ROW = np.dtype([
+    ("kind", "U2"), ("chirality", "U2"), ("generation", np.int64), ("coords", np.int64, (12,)),
+])
+_FORMAT_BLOCK = 4096  # rows per % call; bounds the per-block object temporaries
+_DATA_LINE = re.compile(r"^[^\S\n]*[^\s#]", re.M)  # a line that is neither blank nor a comment
+
+
+def _format_rows(template: str, *columns: np.ndarray) -> Iterator[str]:
+    """Yield ``template % row`` for every row, joined into one string per block.
+
+    Each column is an (N,) or (N, m) array and a row is their values side by
+    side, so ``template`` holds one conversion per value.  Values are passed
+    as arguments, never spliced into the template.
+    """
+    cols = [c[:, None] if c.ndim == 1 else c for c in columns]
+    bounds = np.cumsum([0] + [c.shape[1] for c in cols]).tolist()
+    n = len(cols[0])
+    for lo in range(0, n, _FORMAT_BLOCK):
+        hi = min(lo + _FORMAT_BLOCK, n)
+        block = np.empty((hi - lo, bounds[-1]), dtype=object)
+        for c, a, b in zip(cols, bounds, bounds[1:]):
+            block[:, a:b] = c[lo:hi]
+        yield (template * (hi - lo)) % tuple(block.ravel().tolist())
+
+
+def _read_table(path: str, row: np.dtype) -> tuple[list[list[str]], np.ndarray]:
+    """Read a whitespace-separated text file: its ``#`` lines and its rows.
+
+    A ``#`` starts a comment only as a line's first non-blank character, and
+    blank lines are skipped; a ``#`` anywhere else is a ValueError.  Every
+    other line must hold exactly the fields of ``row`` (ValueError otherwise),
+    and an integer field must be written as an integer.
+    """
+    with open(path, "r", encoding="ascii") as fh:
+        text = fh.read()
+        headers = []
+        pos = text.find("#")
+        while pos >= 0:
+            start = text.rfind("\n", 0, pos) + 1
+            end = text.find("\n", pos)
+            end = len(text) if end < 0 else end
+            if text[start:pos].strip():
+                raise ValueError(f"'#' inside a data line: {text[start:end]!r}")
+            headers.append(text[pos + 1:end].split())
+            pos = text.find("#", end)
+        if not _DATA_LINE.search(text):
+            return headers, np.empty(0, dtype=row)
+        del text
+        fh.seek(0)
+        with warnings.catch_warnings():
+            # older NumPy reads "2.7" into an integer field through a float,
+            # truncating it, and only warns; as an error it becomes ValueError
+            warnings.filterwarnings("error", message=".*integer via a float", category=DeprecationWarning)
+            return headers, np.loadtxt(fh, dtype=row, comments="#", ndmin=1)
+
+
+def _decode(tokens: np.ndarray, codes: dict[str, int]) -> np.ndarray:
+    """Map a column of tokens through ``codes``; an unknown token raises KeyError."""
+    out = np.zeros(len(tokens), dtype=np.int64)
+    known = np.zeros(len(tokens), dtype=bool)
+    for token, code in codes.items():
+        hit = tokens == token
+        out[hit] = code
+        known |= hit
+    if not known.all():
+        raise KeyError(str(tokens[np.argmin(known)]))
+    return out
 
 
 def save_patch(p: Patch, path: str) -> None:
@@ -547,60 +614,53 @@ def save_patch(p: Patch, path: str) -> None:
         fh.write(f"# scale_exp {p.scale_exp}\n")
         fh.write(f"# generation {p.generation}\n")
         fh.write(f"# census {c.kites} {c.darts}\n")
-        for i in range(len(p)):
-            coords = " ".join(str(int(x)) for x in p.coords[i].ravel())
-            fh.write(
-                f"{_KIND_LETTER[int(p.kinds[i])]} {_CHIR_LETTER[int(p.chiralities[i])]} "
-                f"{p.generation} {coords}\n"
-            )
+        fh.writelines(_format_rows(
+            "%s %s %d" + " %d" * 12 + "\n",
+            np.where(p.kinds == HALF_KITE, "K", "D"),
+            np.where(p.chiralities == RIGHT, "R", "L"),
+            np.full(len(p), p.generation),
+            p.coords.reshape(len(p), 12),
+        ))
 
 
 def load_patch(path: str) -> Patch:
-    """Read the format written by save_patch, validating exact round-trip fields."""
+    """Read the format written by save_patch, validating exact round-trip fields.
+
+    Header lines may repeat (the last one counts) and may sit anywhere; every
+    tile line must carry the header's generation, or the first tile's when
+    there is no generation header.
+    """
+    headers, rows = _read_table(path, _PATCH_ROW)
+    kinds = _decode(rows["kind"], _LETTER_KIND)
+    chirs = _decode(rows["chirality"], _LETTER_CHIR)
     scale_exp = None
     generation = None
     header_census = None
-    kinds: list[int] = []
-    chirs: list[int] = []
-    coords: list[list[int]] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) >= 2 and parts[0] == "scale_exp":
-                    scale_exp = int(parts[1])
-                elif len(parts) >= 2 and parts[0] == "generation":
-                    generation = int(parts[1])
-                elif len(parts) >= 3 and parts[0] == "census":
-                    header_census = (int(parts[1]), int(parts[2]))
-                continue
-            parts = line.split()
-            if len(parts) != 15:
-                raise ValueError(f"malformed patch line: {line!r}")
-            kinds.append(_LETTER_KIND[parts[0]])
-            chirs.append(_LETTER_CHIR[parts[1]])
-            gen = int(parts[2])
-            if generation is None:
-                generation = gen
-            elif gen != generation:
-                raise ValueError("mixed generations in patch file")
-            coords.append([int(x) for x in parts[3:]])
+    for parts in headers:
+        if len(parts) >= 2 and parts[0] == "scale_exp":
+            scale_exp = int(parts[1])
+        elif len(parts) >= 2 and parts[0] == "generation":
+            generation = int(parts[1])
+        elif len(parts) >= 3 and parts[0] == "census":
+            header_census = (int(parts[1]), int(parts[2]))
+    gens = rows["generation"]
+    if generation is None:
+        generation = int(gens[0]) if len(gens) else 0
+    if np.any(gens != generation):
+        raise ValueError("mixed generations in patch file")
     if scale_exp is None:
         raise ValueError("patch file missing scale_exp header")
-    if not kinds:
+    if not len(rows):
         raise ValueError("patch file contains no tiles")
     if header_census is not None:
-        actual = (kinds.count(HALF_KITE), kinds.count(HALF_DART))
+        kites = int(np.count_nonzero(kinds == HALF_KITE))
+        actual = (kites, len(kinds) - kites)
         if actual != header_census:
             raise ValueError(
                 f"census header {header_census} does not match tile lines {actual}"
             )
-    arr = np.array(coords, dtype=np.int64).reshape(len(kinds), 3, 4)
     return Patch(
-        np.array(kinds), np.array(chirs), arr,
-        generation=generation or 0, scale_exp=scale_exp,
+        kinds, chirs, rows["coords"].reshape(len(rows), 3, 4),
+        generation=generation, scale_exp=scale_exp,
         provenance={"source": path},
     )

@@ -1,6 +1,7 @@
 """Net extraction: pairing, reference points, Delone statistics, counting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -335,6 +336,53 @@ class TestCounting:
         assert (k + d) / 1024.0 == pytest.approx(0.7608, abs=0.02)
 
 
+def per_line_load_net(path: str) -> Net:
+    """The one-line-per-iteration reader load_net replaced."""
+    window = None
+    xs, ys, kinds, ids = [], [], [], []
+    name_codes = {v: k for k, v in SOURCE_NAMES.items()}
+    with open(path, "r", encoding="ascii") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                parts = line[1:].split()
+                if parts and parts[0] == "window":
+                    window = Square(float(parts[1]), float(parts[2]), float(parts[3]))
+                continue
+            px, py, kind, tid = line.split()
+            xs.append(float(px))
+            ys.append(float(py))
+            kinds.append(name_codes[kind])
+            ids.append(int(tid))
+    if window is None:
+        raise ValueError("net file missing window header")
+    return Net(np.column_stack([xs, ys]), np.array(kinds), np.array(ids), window)
+
+
+def assert_nets_identical(a: Net, b: Net) -> None:
+    for x, y in ((a.xy, b.xy), (a.source_kinds, b.source_kinds), (a.tile_ids, b.tile_ids)):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+    assert tuple(a.window) == tuple(b.window)
+
+
+NET_LINES = "# penrosenet net v1\n# window -1.5 2 8\n0.25 -3.125 kite 4\n1e-05 7 dart 9\n"
+
+MALFORMED_NETS = {
+    "missing_window": NET_LINES.replace("# window -1.5 2 8\n", ""),
+    "three_tokens": NET_LINES.replace(" dart 9", " dart"),
+    "five_tokens": NET_LINES.replace(" dart 9", " dart 9 1"),
+    "unknown_kind": NET_LINES.replace(" dart ", " darts "),
+    "short_kind": NET_LINES.replace(" kite ", " kit "),
+    "hash_in_kind": NET_LINES.replace(" kite ", " kite# "),
+    "letter_in_coordinate": NET_LINES.replace("0.25", "0.2x"),
+    "float_tile_id": NET_LINES.replace(" 9\n", " 9.0\n"),
+    "no_points": "# window 0 0 8\n",
+}
+
+
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
         patch = deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-4), 4)
@@ -372,6 +420,54 @@ class TestSerialization:
         with open(path, encoding="ascii") as fh:
             lines = fh.read().splitlines(keepends=True)
         assert "".join(lines[5:]) == expected
+
+    @pytest.mark.parametrize("make", [
+        lambda: extract_net(generate_patch_covering(Square(-5.0, 2.0, 16.0))),
+        lambda: extract_net(deflate_patch(Patch.single_tile(HALF_DART, LEFT, scale_exp=-5), 5)),
+    ], ids=["covering_16", "deflated_half_dart"])
+    def test_load_matches_per_line_reader(self, make, tmp_path):
+        path = str(tmp_path / "net.txt")
+        export_net(make(), path)
+        assert_nets_identical(load_net(path), per_line_load_net(path))
+
+    def test_full_precision_floats_match_per_line_reader(self, tmp_path):
+        rng = np.random.default_rng(5)
+        xy = rng.normal(scale=10.0 ** rng.integers(-8, 8, size=(400, 1)), size=(400, 2))
+        path = tmp_path / "net.txt"
+        path.write_text("# window 0 0 1\n" + "".join(
+            f"{x!r} {y!r} {'kite' if i % 3 else 'dart'} {i}\n" for i, (x, y) in enumerate(xy.tolist())
+        ), encoding="ascii")
+        back = load_net(str(path))
+        assert_nets_identical(back, per_line_load_net(str(path)))
+        assert back.xy.tobytes() == xy.tobytes()
+
+    def test_comments_blank_and_indented_lines_accepted(self, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_text(NET_LINES.replace("\n0.25", "\n\n   0.25").replace("\n1e-05", "\n# note\n\t1e-05"),
+                        encoding="ascii")
+        assert_nets_identical(load_net(str(path)), per_line_load_net(str(path)))
+
+    @pytest.mark.parametrize("case", list(MALFORMED_NETS))
+    def test_malformed_fails_as_before(self, case, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_text(MALFORMED_NETS[case], encoding="ascii")
+        with pytest.raises((ValueError, KeyError)) as old:
+            per_line_load_net(str(path))
+        with pytest.raises((ValueError, KeyError)) as new:
+            load_net(str(path))
+        if case == "hash_in_kind":  # the old reader failed on the token kite#
+            assert new.type is ValueError and "'#' inside a data line" in str(new.value)
+        else:
+            assert new.type is old.type
+
+    @pytest.mark.parametrize("tile_id", ["9.0", "2.7"])
+    def test_float_tile_id_rejected_with_warnings_ignored(self, tile_id, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_text(NET_LINES.replace(" 9\n", f" {tile_id}\n"), encoding="ascii")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ValueError, match="convert"):
+                load_net(str(path))
 
     def test_nan_window_rejected(self, tmp_path):
         path = str(tmp_path / "broken.txt")

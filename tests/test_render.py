@@ -1,0 +1,135 @@
+"""SVG rendering: byte identity with the per-polygon writer it replaced."""
+
+import math
+
+import numpy as np
+import pytest
+
+from penrosenet import tiling
+from penrosenet.golden import CycloPoint
+from penrosenet.net import Net, extract_net
+from penrosenet.render import (
+    DART_FILL,
+    DART_POINT_FILL,
+    GRID_STEP,
+    KITE_FILL,
+    KITE_POINT_FILL,
+    MARGIN,
+    render_svg,
+)
+from penrosenet.tiling import (
+    HALF_DART,
+    HALF_KITE,
+    LEFT,
+    RIGHT,
+    Patch,
+    Square,
+    deflate_patch,
+    generate_patch_covering,
+)
+
+
+def _fmt(v: float) -> str:
+    out = f"{v:.6g}"
+    return "0" if out == "-0" else out
+
+
+def per_polygon_render(patch, net=None, overlay="none", stroke_width=0.03,
+                       kite_fill=KITE_FILL, dart_fill=DART_FILL) -> str:
+    """The one-polygon-per-iteration render_svg that the block formatter replaced."""
+    emb = patch.embedded()
+    lo = emb.reshape(-1, 2).min(axis=0) - MARGIN
+    hi = emb.reshape(-1, 2).max(axis=0) + MARGIN
+    width, height = hi - lo
+
+    def pt(x, y):
+        return f"{_fmt(x - lo[0])},{_fmt(hi[1] - y)}"
+
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{_fmt(width * 40)}" height="{_fmt(height * 40)}" '
+        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
+        f'<g stroke="#30343a" stroke-width="{_fmt(stroke_width)}" '
+        'stroke-linejoin="round">',
+    ]
+    fills = {True: kite_fill, False: dart_fill}
+    for i in range(len(patch)):
+        points = " ".join(pt(float(v[0]), float(v[1])) for v in emb[i])
+        parts.append(
+            f'<polygon points="{points}" fill="{fills[bool(patch.kinds[i] == HALF_KITE)]}"/>'
+        )
+    parts.append("</g>")
+    if overlay == "grid":
+        parts.append('<g stroke="#666" stroke-width="0.012" opacity="0.7">')
+        x = math.floor(lo[0] / GRID_STEP) * GRID_STEP
+        while x <= hi[0]:
+            (ax, ay), (bx, by) = pt(x, lo[1]).split(","), pt(x, hi[1]).split(",")
+            parts.append(f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}"/>')
+            x += GRID_STEP
+        y = math.floor(lo[1] / GRID_STEP) * GRID_STEP
+        while y <= hi[1]:
+            (ax, ay), (bx, by) = pt(lo[0], y).split(","), pt(hi[0], y).split(",")
+            parts.append(f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}"/>')
+            y += GRID_STEP
+        parts.append("</g>")
+    if net is not None and overlay in ("net", "grid"):
+        parts.append('<g stroke="none">')
+        point_fills = {True: KITE_POINT_FILL, False: DART_POINT_FILL}
+        for j in range(len(net)):
+            cx, cy = pt(float(net.xy[j, 0]), float(net.xy[j, 1])).split(",")
+            fill = point_fills[bool(net.source_kinds[j] == HALF_KITE)]
+            parts.append(f'<circle cx="{cx}" cy="{cy}" r="0.09" fill="{fill}"/>')
+        parts.append("</g>")
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+PATCHES = {
+    "full_tile": lambda: Patch.full_tile(HALF_KITE),
+    "deflated_half_dart": lambda: deflate_patch(Patch.single_tile(HALF_DART, LEFT, scale_exp=-3), 3),
+    "covering_64": lambda: generate_patch_covering(Square(-20.0, 13.0, 64.0)),
+}
+
+
+@pytest.fixture(scope="module", params=list(PATCHES))
+def patch_and_net(request):
+    patch = PATCHES[request.param]()
+    return patch, extract_net(patch)
+
+
+@pytest.mark.parametrize("overlay", ["none", "net", "grid"])
+def test_matches_per_polygon_render(patch_and_net, overlay):
+    patch, net = patch_and_net
+    assert render_svg(patch, net=net, overlay=overlay) == per_polygon_render(patch, net, overlay)
+
+
+def test_custom_stroke_and_fills_with_format_characters(patch_and_net):
+    patch, net = patch_and_net
+    style = dict(stroke_width=0.125, kite_fill="rgb(10%,20%,30%)", dart_fill="url(#d) %s %d")
+    svg = render_svg(patch, net=net, overlay="grid", **style)
+    assert svg == per_polygon_render(patch, net, "grid", **style)
+    assert svg.count('fill="rgb(10%,20%,30%)"') == np.count_nonzero(patch.kinds == HALF_KITE)
+
+
+def test_exact_negative_zero_prints_as_zero():
+    # this translation puts the leftmost vertex at x = 0.5, so lo[0] is exactly +0.0
+    # and a net point at x = -0.0 gives -0.0 - 0.0 = -0.0 before formatting
+    patch = Patch.single_tile(HALF_KITE, RIGHT, translation=CycloPoint(-1, -3, -3, 0))
+    lo_x = patch.embedded()[:, :, 0].min() - 0.5
+    assert lo_x == 0.0
+    net = Net(np.array([[-0.0, -1.0], [1.0, -2.0]]), np.array([HALF_KITE, HALF_DART]),
+              np.array([0, 0]), Square(0.0, -5.0, 2.0))
+    assert math.copysign(1.0, net.xy[0, 0] - lo_x) < 0
+    svg = render_svg(patch, net=net, overlay="net")
+    assert svg == per_polygon_render(patch, net, "net")
+    assert '<circle cx="0" ' in svg and "-0" not in svg.replace("e-0", "")
+
+
+def test_format_blocks_cover_every_polygon(monkeypatch):
+    # blocks smaller than the patch, with a ragged last block
+    monkeypatch.setattr(tiling, "_FORMAT_BLOCK", 4)
+    patch = deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-3), 3)
+    net = extract_net(patch)
+    assert len(patch) % 4 and len(net) % 4
+    assert render_svg(patch, net=net, overlay="net") == per_polygon_render(patch, net, "net")

@@ -1,11 +1,14 @@
 """Half-tile geometry, deflation, patches, and serialization."""
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from penrosenet import tiling
+from penrosenet.cli import main as cli_main
 from penrosenet.golden import CycloPoint, GoldenNum, PHI_FLOAT, embed, squared_length
 from penrosenet.tiling import (
     DEFAULT_TILE_CAP,
@@ -337,6 +340,256 @@ class TestSerialization:
             fh.write("K R 0 1 2 3\n")
         with pytest.raises(ValueError):
             load_patch(path)
+
+    @pytest.mark.parametrize("token", ["2.7", "9.0", "1e3"])
+    def test_float_coordinate_rejected_with_warnings_ignored(self, token, tmp_path):
+        patch = deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-2), 2)
+        path = str(tmp_path / "patch.txt")
+        save_patch(patch, path)
+        lines = open(path).read().splitlines(keepends=True)
+        lines[5] = _set_token(lines[5], 7, token)
+        open(path, "w").write("".join(lines))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ValueError, match="convert"):
+                load_patch(path)
+
+    def test_integer_via_float_warning_is_an_error(self, tmp_path, monkeypatch):
+        # older NumPy parses "2.7" into an integer field through a float,
+        # truncating it, and only warns; the reader must not return that
+        path = str(tmp_path / "patch.txt")
+        save_patch(Patch.single_tile(HALF_KITE), path)
+        loadtxt = np.loadtxt
+
+        def warning_loadtxt(*args, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(DeprecationWarning):
+                load_patch(path)
+
+
+_KIND_LETTER = {HALF_KITE: "K", HALF_DART: "D"}
+_LETTER_KIND = {"K": HALF_KITE, "D": HALF_DART}
+_CHIR_LETTER = {RIGHT: "R", LEFT: "L"}
+_LETTER_CHIR = {"R": RIGHT, "L": LEFT}
+
+
+def per_line_save(p: Patch) -> str:
+    """The one-tile-per-iteration writer save_patch replaced; returns the file text."""
+    c = census(p)
+    out = [
+        "# penrosenet patch v1\n",
+        f"# scale_exp {p.scale_exp}\n",
+        f"# generation {p.generation}\n",
+        f"# census {c.kites} {c.darts}\n",
+    ]
+    for i in range(len(p)):
+        coords = " ".join(str(int(x)) for x in p.coords[i].ravel())
+        out.append(
+            f"{_KIND_LETTER[int(p.kinds[i])]} {_CHIR_LETTER[int(p.chiralities[i])]} "
+            f"{p.generation} {coords}\n"
+        )
+    return "".join(out)
+
+
+def per_line_load(path: str) -> Patch:
+    """The one-line-per-iteration reader load_patch replaced."""
+    scale_exp = None
+    generation = None
+    header_census = None
+    kinds, chirs, coords = [], [], []
+    with open(path, "r", encoding="ascii") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                parts = line[1:].split()
+                if len(parts) >= 2 and parts[0] == "scale_exp":
+                    scale_exp = int(parts[1])
+                elif len(parts) >= 2 and parts[0] == "generation":
+                    generation = int(parts[1])
+                elif len(parts) >= 3 and parts[0] == "census":
+                    header_census = (int(parts[1]), int(parts[2]))
+                continue
+            parts = line.split()
+            if len(parts) != 15:
+                raise ValueError(f"malformed patch line: {line!r}")
+            kinds.append(_LETTER_KIND[parts[0]])
+            chirs.append(_LETTER_CHIR[parts[1]])
+            gen = int(parts[2])
+            if generation is None:
+                generation = gen
+            elif gen != generation:
+                raise ValueError("mixed generations in patch file")
+            coords.append([int(x) for x in parts[3:]])
+    if scale_exp is None:
+        raise ValueError("patch file missing scale_exp header")
+    if not kinds:
+        raise ValueError("patch file contains no tiles")
+    if header_census is not None:
+        actual = (kinds.count(HALF_KITE), kinds.count(HALF_DART))
+        if actual != header_census:
+            raise ValueError(f"census header {header_census} does not match tile lines {actual}")
+    arr = np.array(coords, dtype=np.int64).reshape(len(kinds), 3, 4)
+    return Patch(np.array(kinds), np.array(chirs), arr,
+                 generation=generation or 0, scale_exp=scale_exp, provenance={"source": path})
+
+
+def assert_patches_identical(a: Patch, b: Patch) -> None:
+    for x, y in ((a.kinds, b.kinds), (a.chiralities, b.chiralities), (a.coords, b.coords)):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert np.array_equal(x, y)
+    assert (a.generation, a.scale_exp, a.provenance) == (b.generation, b.scale_exp, b.provenance)
+
+
+SERIAL_CASES = {
+    "full_tile": lambda: Patch.full_tile(HALF_KITE),
+    "deflated_half_dart": lambda: deflate_patch(Patch.single_tile(HALF_DART, LEFT, scale_exp=-3), 3),
+    "covering_64": lambda: generate_patch_covering(Square(-20.0, 13.0, 64.0)),
+}
+
+
+@pytest.fixture(scope="module", params=list(SERIAL_CASES))
+def serial_patch(request):
+    return SERIAL_CASES[request.param]()
+
+
+class TestSerializationOracle:
+    def test_save_bytes_match_per_line_writer(self, serial_patch, tmp_path):
+        path = tmp_path / "patch.txt"
+        save_patch(serial_patch, str(path))
+        assert path.read_bytes() == per_line_save(serial_patch).encode("ascii")
+
+    def test_load_matches_per_line_reader(self, serial_patch, tmp_path):
+        path = str(tmp_path / "patch.txt")
+        save_patch(serial_patch, path)
+        back = load_patch(path)
+        assert_patches_identical(back, per_line_load(path))
+        assert np.array_equal(back.coords, serial_patch.coords)
+        assert back.generation == serial_patch.generation
+
+    def test_format_blocks_cover_every_row(self, tmp_path, monkeypatch):
+        # blocks smaller than the patch, with a ragged last block
+        monkeypatch.setattr(tiling, "_FORMAT_BLOCK", 4)
+        patch = deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-3), 3)
+        path = tmp_path / "patch.txt"
+        save_patch(patch, str(path))
+        assert len(patch) % 4
+        assert path.read_bytes() == per_line_save(patch).encode("ascii")
+
+
+def _tile_lines(text: str) -> tuple[list[str], list[str]]:
+    lines = text.splitlines(keepends=True)
+    return lines[:4], lines[4:]
+
+
+def _drop_token(line: str) -> str:
+    return line.rsplit(" ", 1)[0] + "\n"
+
+
+def _extra_token(line: str) -> str:
+    return line[:-1] + " 7\n"
+
+
+def _set_token(line: str, index: int, value: str) -> str:
+    parts = line.split()
+    parts[index] = value
+    return " ".join(parts) + "\n"
+
+
+def _edit(head, tiles, edits=None, head_edit=None):
+    tiles = list(tiles)
+    for i, fn in (edits or {}).items():
+        tiles[i] = fn(tiles[i])
+    head = head_edit(head) if head_edit else head
+    return "".join(head + tiles)
+
+
+MALFORMED = {
+    "14_tokens": lambda h, t: _edit(h, t, {2: _drop_token}),
+    "16_tokens": lambda h, t: _edit(h, t, {2: _extra_token}),
+    "short_then_long": lambda h, t: _edit(h, t, {1: _drop_token, 2: _extra_token}),
+    "every_line_14_tokens": lambda h, t: _edit(h, t, {i: _drop_token for i in range(len(t))}),
+    "every_line_16_tokens": lambda h, t: _edit(h, t, {i: _extra_token for i in range(len(t))}),
+    "letter_in_coordinate": lambda h, t: _edit(h, t, {3: lambda l: _set_token(l, 7, "x")}),
+    "float_coordinate": lambda h, t: _edit(h, t, {3: lambda l: _set_token(l, 7, "1.0")}),
+    "unknown_kind": lambda h, t: _edit(h, t, {0: lambda l: _set_token(l, 0, "X")}),
+    "two_letter_kind": lambda h, t: _edit(h, t, {0: lambda l: _set_token(l, 0, "KK")}),
+    "unknown_chirality": lambda h, t: _edit(h, t, {5: lambda l: _set_token(l, 1, "Q")}),
+    "hash_in_kind": lambda h, t: _edit(h, t, {4: lambda l: _set_token(l, 0, "K#")}),
+    "trailing_comment": lambda h, t: _edit(h, t, {4: lambda l: l[:-1] + " # note\n"}),
+    "mixed_generations": lambda h, t: _edit(h, t, {6: lambda l: _set_token(l, 2, "1")}),
+    "census_mismatch": lambda h, t: _edit(h, t, head_edit=lambda hd: [
+        "# census 5 2\n" if l.startswith("# census") else l for l in hd]),
+    "missing_scale_exp": lambda h, t: _edit(h, t, head_edit=lambda hd: [
+        l for l in hd if not l.startswith("# scale_exp")]),
+    "no_tile_lines": lambda h, t: "".join(h),
+    "empty_file": lambda h, t: "",
+}
+
+ACCEPTED = {
+    "blank_lines": lambda h, t: "".join(h + t[:3] + ["\n", "   \n"] + t[3:] + ["\n"]),
+    "indented_lines": lambda h, t: "".join(h + ["  " + l for l in t[:4]] + ["\t" + l for l in t[4:]]),
+    "comment_lines_between_tiles": lambda h, t: "".join(
+        h[:2] + t[:2] + ["# note\n", "   # indented note\n", "#\n"] + h[2:] + t[2:]),
+    "tab_separated": lambda h, t: "".join(h + [l.replace(" ", "\t") for l in t]),
+    "crlf_line_ends": lambda h, t: "".join(h + t).replace("\n", "\r\n"),
+    "no_final_newline": lambda h, t: "".join(h + t)[:-1],
+}
+
+
+def _cli_commands(path, tmp_path) -> list[list[str]]:
+    return [
+        ["render", "--patch", str(path), "--out", str(tmp_path / "x.svg")],
+        ["analyze", "--patch", str(path), "--window", "0", "0", "1",
+         "--i-min", "0", "--i-max", "0", "--out", str(tmp_path / "rep")],
+    ]
+
+
+class TestPatchFileMatrix:
+    @pytest.fixture(scope="class")
+    def source(self):
+        patch = deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-2), 2)
+        return patch, _tile_lines(per_line_save(patch))
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_fails_as_before(self, case, source, tmp_path, capsys):
+        _, (head, tiles) = source
+        path = tmp_path / "bad.txt"
+        path.write_bytes(MALFORMED[case](head, tiles).encode("ascii"))
+        with pytest.raises((ValueError, KeyError)) as old:
+            per_line_load(str(path))
+        with pytest.raises((ValueError, KeyError)) as new:
+            load_patch(str(path))
+        if case == "hash_in_kind":  # the old reader failed on the token K#
+            assert new.type is ValueError and "'#' inside a data line" in str(new.value)
+        else:
+            assert new.type is old.type
+        for argv in _cli_commands(path, tmp_path):
+            assert cli_main(argv) == 2
+            assert "error" in capsys.readouterr().err
+
+    def test_cli_commands_pass_on_the_unedited_file(self, source, tmp_path, capsys):
+        _, (head, tiles) = source
+        path = tmp_path / "ok.txt"
+        path.write_text("".join(head + tiles), encoding="ascii")
+        for argv in _cli_commands(path, tmp_path):
+            assert cli_main(argv) == 0
+        assert "error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", list(ACCEPTED))
+    def test_accepted_as_before(self, case, source, tmp_path):
+        patch, (head, tiles) = source
+        path = tmp_path / "ok.txt"
+        path.write_bytes(ACCEPTED[case](head, tiles).encode("ascii"))
+        back = load_patch(str(path))
+        assert_patches_identical(back, per_line_load(str(path)))
+        assert np.array_equal(back.coords, patch.coords)
 
 
 class TestTransformAndTypes:
