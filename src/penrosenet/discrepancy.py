@@ -337,8 +337,9 @@ def region_analysis(patch: Patch, square: Square | tuple) -> RegionCounts:
     eps = 1e-9
     lo = np.array([square.x, square.y])
     hi = lo + l
-    bb_lo = emb.min(axis=1)
-    bb_hi = emb.max(axis=1)
+    v0, v1, v2 = emb[:, 0], emb[:, 1], emb[:, 2]
+    bb_lo = np.minimum(np.minimum(v0, v1), v2)
+    bb_hi = np.maximum(np.maximum(v0, v1), v2)
     contained_mask = ((bb_lo >= lo - eps) & (bb_hi <= hi + eps)).all(axis=1)
     candidate = np.flatnonzero(((bb_lo <= hi + eps) & (bb_hi >= lo - eps)).all(axis=1))
     tris = emb[candidate]

@@ -1,13 +1,15 @@
 """Separated nets: one reference point per tile of a final-scale patch.
 
-Mirror half-tiles are paired through their shared (apex, axis_end) edge and
-each full tile contributes the center of its inscribed circle.  Both centers
-are exact ring points:
+Each full tile contributes the center of its inscribed circle.  Both
+centers are exact ring points:
 
     kite:  apex + (axis_end - apex)/phi    (incircle radius sin 36)
     dart:  axis_end + (apex - axis_end)/phi (incircle radius sin 36 / phi)
 
-and both are equidistant from all four side lines of their tile.  Half-tiles
+and both are equidistant from all four side lines of their tile.  Each half
+computes the center of its full tile, so mirror halves, which share apex
+and axis_end, agree on it; halves pair on one int64 key packing the kind
+and that center, and a pair must also share its apex.  Half-tiles
 on the patch boundary whose mirror partner is missing contribute the same
 full-tile point (it lies on the half's closed axis edge), which keeps every
 net point an exact integer ring point; this affects only O(perimeter) points.
@@ -43,6 +45,10 @@ _NET_ROW = np.dtype([("xy", np.float64, (2,)), ("kind", "U5"), ("tile_id", np.in
 
 # max distance from the in-point to a vertex, over both prototile shapes
 COVERING_RADIUS_BOUND = math.sqrt(3.0 - PHI_FLOAT)
+
+# |coordinate| < 2**56 keeps extract_net's incenters (at most 21 times the
+# largest coordinate) and its grid-line tests on them inside int64
+_COORD_LIMIT = 1 << 56
 
 
 def full_tile_incenter(kind: int, apex: CycloPoint, axis_end: CycloPoint) -> CycloPoint:
@@ -216,8 +222,9 @@ def _largest_gap(pts: np.ndarray, region: np.ndarray) -> float:
         w = (b * b).sum(axis=1)[:, None] * c - (c * c).sum(axis=1)[:, None] * b
         with np.errstate(divide="ignore", invalid="ignore"):
             centers = a + np.column_stack([w[:, 1], -w[:, 0]]) / (2.0 * _cross(b, c))[:, None]
+        centers = centers[np.isfinite(centers).all(axis=1)]  # degenerate triangles
 
-    # signed distance to each side line is at least -1e-10; NaN centers fail
+    # signed distance to each side line is at least -1e-10
     sides = np.roll(region, -1, axis=0) - region
     lengths = np.hypot(sides[:, 0], sides[:, 1])
     inside = (_cross(sides, centers[:, None, :] - region) >= -1e-10 * lengths).all(axis=1)
@@ -238,10 +245,19 @@ def _largest_gap(pts: np.ndarray, region: np.ndarray) -> float:
 def extract_net(p: Patch, window: Square | tuple | None = None) -> Net:
     """Pair mirror halves of a final-scale patch and emit tile incenters.
 
-    Pre: ``p.scale_exp == 0`` (tile edge lengths 1 and phi).  Halves pair
-    exactly on (kind, apex, axis_end); a key shared by more than two halves
-    means the patch is not a legal tiling fragment.  Points are ordered by
-    the patch index of their first contributing half-tile.
+    Pre: ``p.scale_exp == 0`` (tile edge lengths 1 and phi).  Every half
+    computes the exact incenter of its full tile; mirror halves give the
+    same one.  Halves pair on one int64 key packing (kind, incenter), since
+    distinct tiles of a tiling have distinct incenters.  A key shared by
+    more than two halves, or a pair that does not have opposite chirality
+    and a shared apex, means the patch is not a legal tiling fragment
+    (ValueError).  So are coordinates large enough to wrap int64, or a key
+    that needs more than 63 bits.  Points are ordered by the patch index of
+    their first contributing half-tile.
+
+    Net coordinates that lie on a grid line are exact: x is the integer or
+    half-integer ``(2 c0 - c1) / 2`` when ``c1 - c2 - c3 == 0`` and y is 0
+    when ``c1 == 0`` and ``c2 == c3``; every other coordinate is irrational.
 
     ``window`` overrides the net's counting window; by default it is the
     covering square recorded by the patch generator, or a padded bounding
@@ -254,37 +270,60 @@ def extract_net(p: Patch, window: Square | tuple | None = None) -> Net:
             f"net extraction requires final-scale tiles (scale_exp 0), got {p.scale_exp}"
         )
     n = len(p)
-    keys = np.empty((n, 9), dtype=np.int64)
-    keys[:, 0] = p.kinds
-    keys[:, 1:5] = p.coords[:, 1]
-    keys[:, 5:9] = p.coords[:, 2]
-    order = np.lexsort(keys.T[::-1])
-    sk = keys[order]
+    coords = p.coords
+    if coords.max() >= _COORD_LIMIT or coords.min() <= -_COORD_LIMIT:
+        raise ValueError(f"tile coordinates must lie within +-2**{_COORD_LIMIT.bit_length() - 1}")
+
+    # incenter with axis = axis_end - apex and step = axis / phi:
+    # kite apex + step, dart axis_end - step = apex + step + (axis - 2 step)
+    apex = coords[:, 1]
+    ring = np.subtract(coords[:, 2], apex)
+    step = ring @ _MINV
+    ring -= step
+    ring -= step
+    ring *= p.kinds[:, None]
+    ring += step
+    ring += apex
+    del step
+
+    offset = [int(col.min()) for col in ring.T]
+    widths = [(int(col.max()) - low).bit_length() for col, low in zip(ring.T, offset)]
+    if 1 + sum(widths) > 63:
+        raise ValueError(f"tile key needs {1 + sum(widths)} bits, more than 63")
+    ring -= offset
+    key = p.kinds.astype(np.int64)
+    for col, width in zip(ring.T, widths):
+        key <<= width
+        key += col
+
+    order = np.argsort(key)
+    sk = key[order]
+    del key
     new_group = np.empty(n, dtype=bool)
     new_group[0] = True
-    new_group[1:] = (sk[1:] != sk[:-1]).any(axis=1)
+    np.not_equal(sk[1:], sk[:-1], out=new_group[1:])
+    del sk
     starts = np.flatnonzero(new_group)
-    sizes = np.diff(np.append(starts, n))
-    if sizes.max(initial=1) > 2:
-        raise ValueError("more than two half-tiles share a symmetry axis; invalid patch")
-    pair_chir = np.add.reduceat(p.chiralities[order].astype(np.int64), starts)
-    if np.any(pair_chir[sizes == 2] != 0):
+    sizes = np.diff(starts, append=n)
+    if sizes.max() > 2:
+        raise ValueError("more than two half-tiles share one tile incenter; invalid patch")
+    pairs = starts[sizes == 2]
+    a, b = order[pairs], order[pairs + 1]
+    if np.any(p.chiralities[a] == p.chiralities[b]):
         raise ValueError("paired half-tiles must have opposite chirality")
+    if any(np.any(col[a] != col[b]) for col in apex.T):
+        raise ValueError("paired half-tiles must share their apex; overlapping tiles")
+    first = np.ones(n, dtype=bool)
+    first[np.maximum(a, b)] = False
+    tile_ids = np.flatnonzero(first)
 
-    reps = order[starts]
-    kinds = p.kinds[reps]
-    apex = p.coords[reps, 1]
-    axis_end = p.coords[reps, 2]
-    ring = np.empty_like(apex)
-    kite_rows = kinds == HALF_KITE
-    ring[kite_rows] = apex[kite_rows] + (axis_end[kite_rows] - apex[kite_rows]) @ _MINV
-    dart_rows = ~kite_rows
-    ring[dart_rows] = axis_end[dart_rows] + (apex[dart_rows] - axis_end[dart_rows]) @ _MINV
+    ring = ring.take(tile_ids, axis=0)
+    ring += offset
+    xy = ring.astype(np.float64) @ EMBED_MATRIX
+    on_x = ring[:, 1] - ring[:, 2] == ring[:, 3]
+    xy[on_x, 0] = (2 * ring[on_x, 0] - ring[on_x, 1]) / 2.0
+    xy[(ring[:, 1] == 0) & (ring[:, 2] == ring[:, 3]), 1] = 0.0
 
-    tile_ids = np.minimum.reduceat(order, starts)
-    out = np.argsort(tile_ids, kind="stable")
-
-    xy = ring[out].astype(np.float64) @ EMBED_MATRIX
     prov = p.provenance
     outline = None
     if "outline" in prov:
@@ -297,14 +336,7 @@ def extract_net(p: Patch, window: Square | tuple | None = None) -> Net:
         lo = xy.min(axis=0)
         extent = float((xy.max(axis=0) - lo).max())
         window = Square(float(lo[0]) - 1.0, float(lo[1]) - 1.0, extent + 2.0)
-    return Net(
-        xy,
-        kinds[out],
-        tile_ids[out],
-        window,
-        ring=ring[out],
-        outline=outline,
-    )
+    return Net(xy, p.kinds[tile_ids], tile_ids, window, ring=ring, outline=outline)
 
 
 def count_in_square(net: Net, square: Square | tuple) -> tuple[int, int]:

@@ -2,12 +2,24 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from penrosenet.golden import CycloPoint, PHI_FLOAT, SIN36, embed
+from penrosenet.cli import main
+from penrosenet.discrepancy import _CountGrid
+from penrosenet.golden import (
+    CycloPoint,
+    GoldenNum,
+    PHI_FLOAT,
+    SIN36,
+    cross_s72,
+    dot,
+    embed,
+    golden_compare,
+)
 from penrosenet.net import (
     COVERING_RADIUS_BOUND,
     SOURCE_NAMES,
@@ -19,12 +31,14 @@ from penrosenet.net import (
     load_net,
 )
 from penrosenet.tiling import (
+    EMBED_MATRIX,
     HALF_DART,
     HALF_KITE,
     LEFT,
     RIGHT,
     Patch,
     Square,
+    _MINV,
     census,
     deflate_patch,
     generate_patch_covering,
@@ -74,6 +88,126 @@ def full_tile_outline(kind):
     patch = Patch.full_tile(kind)
     right, left = patch.tile(0), patch.tile(1)
     return [embed(v) for v in (right.wing, right.apex, left.wing, right.axis_end)]
+
+
+def lexsort_extract_net(p: Patch, window=None) -> Net:
+    """The 9-column (kind, apex, axis_end) lexsort extractor extract_net replaced."""
+    n = len(p)
+    keys = np.empty((n, 9), dtype=np.int64)
+    keys[:, 0] = p.kinds
+    keys[:, 1:5] = p.coords[:, 1]
+    keys[:, 5:9] = p.coords[:, 2]
+    order = np.lexsort(keys.T[::-1])
+    sk = keys[order]
+    new_group = np.empty(n, dtype=bool)
+    new_group[0] = True
+    new_group[1:] = (sk[1:] != sk[:-1]).any(axis=1)
+    starts = np.flatnonzero(new_group)
+    sizes = np.diff(np.append(starts, n))
+    if sizes.max(initial=1) > 2:
+        raise ValueError("more than two half-tiles share a symmetry axis; invalid patch")
+    pair_chir = np.add.reduceat(p.chiralities[order].astype(np.int64), starts)
+    if np.any(pair_chir[sizes == 2] != 0):
+        raise ValueError("paired half-tiles must have opposite chirality")
+
+    reps = order[starts]
+    kinds = p.kinds[reps]
+    apex = p.coords[reps, 1]
+    axis_end = p.coords[reps, 2]
+    ring = np.empty_like(apex)
+    kite_rows = kinds == HALF_KITE
+    ring[kite_rows] = apex[kite_rows] + (axis_end[kite_rows] - apex[kite_rows]) @ _MINV
+    dart_rows = ~kite_rows
+    ring[dart_rows] = axis_end[dart_rows] + (apex[dart_rows] - axis_end[dart_rows]) @ _MINV
+
+    tile_ids = np.minimum.reduceat(order, starts)
+    out = np.argsort(tile_ids, kind="stable")
+
+    xy = ring[out].astype(np.float64) @ EMBED_MATRIX
+    prov = p.provenance
+    outline = None
+    if "outline" in prov:
+        outline = np.asarray(prov["outline"], dtype=np.int64).astype(np.float64) @ EMBED_MATRIX
+    if window is not None:
+        window = Square(*window)
+    elif "square" in prov:
+        window = Square(*prov["square"])
+    else:
+        lo = xy.min(axis=0)
+        extent = float((xy.max(axis=0) - lo).max())
+        window = Square(float(lo[0]) - 1.0, float(lo[1]) - 1.0, extent + 2.0)
+    return Net(xy, kinds[out], tile_ids[out], window, ring=ring[out], outline=outline)
+
+
+def exact_x(origin: CycloPoint) -> GoldenNum:
+    return dot(origin, CycloPoint.one())
+
+
+def exact_y_over_sin72(origin: CycloPoint) -> GoldenNum:
+    return cross_s72(CycloPoint.one(), origin)
+
+
+SIN72_SQUARED = GoldenNum(Fraction(1, 2), Fraction(1, 4))  # (2 + phi) / 4
+
+
+def exact_floor(value, at_most) -> int:
+    """Largest integer k with at_most(k), searched from the float estimate."""
+    k = math.floor(value)
+    while not at_most(k):
+        k -= 1
+    while at_most(k + 1):
+        k += 1
+    return k
+
+
+def exact_cell(origin: CycloPoint, x: float, y: float) -> tuple[int, int]:
+    """(floor x, floor y) of a ring point, decided in exact golden arithmetic."""
+    ex = exact_x(origin)
+    h = exact_y_over_sin72(origin)  # y = sin72 h, so y**2 = (2 + phi)/4 h**2
+    y2 = SIN72_SQUARED * h * h
+
+    def y_at_least(k: int) -> bool:
+        if h.sign() >= 0:
+            return k <= 0 or golden_compare(GoldenNum(k * k), y2) <= 0
+        return k < 0 and golden_compare(GoldenNum(k * k), y2) >= 0
+
+    return (
+        exact_floor(x, lambda k: golden_compare(GoldenNum(k), ex) <= 0),
+        exact_floor(y, y_at_least),
+    )
+
+
+def assert_matches_lexsort(patch: Patch, window=None) -> Net:
+    """extract_net equals the lexsort extractor bit for bit, up to grid-line snapping.
+
+    A coordinate may differ only where it is exactly an integer or
+    half-integer x or y = 0: there the new value is the exact one and the
+    old float was within 1e-9 of it.
+    """
+    new, old = extract_net(patch, window), lexsort_extract_net(patch, window)
+    for attr in ("source_kinds", "tile_ids", "ring"):
+        x, y = getattr(new, attr), getattr(old, attr)
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes(), attr
+    assert new.xy.dtype == old.xy.dtype and new.xy.shape == old.xy.shape
+    if old.outline is None:
+        assert new.outline is None
+    else:
+        assert new.outline.tobytes() == old.outline.tobytes()
+    ring = new.ring
+    grid_x = ring[:, 1] - ring[:, 2] == ring[:, 3]
+    grid_y = (ring[:, 1] == 0) & (ring[:, 2] == ring[:, 3])
+    assert np.array_equal(new.xy[grid_x, 0] * 2.0, (2 * ring[grid_x, 0] - ring[grid_x, 1]))
+    assert np.all(new.xy[grid_y, 1] == 0.0)
+    for col, snapped in ((0, grid_x), (1, grid_y)):
+        same = new.xy[:, col].view(np.int64) == old.xy[:, col].view(np.int64)
+        assert np.all(same | snapped)
+        assert np.all(np.abs(new.xy[:, col] - old.xy[:, col]) <= 1e-9)
+    if np.array_equal(new.xy, old.xy):
+        assert tuple(new.window) == tuple(old.window)
+    else:
+        assert np.allclose(tuple(new.window), tuple(old.window), rtol=0, atol=1e-9)
+    return new
 
 
 class TestReferencePoints:
@@ -164,6 +298,177 @@ class TestExtraction:
         assert net.window == Square(-1.0, -1.0, 4.0)
 
 
+def tiles(*patches: Patch) -> Patch:
+    """The half-tiles of several final-scale patches as one patch."""
+    return Patch(
+        np.concatenate([p.kinds for p in patches]),
+        np.concatenate([p.chiralities for p in patches]),
+        np.concatenate([p.coords for p in patches]),
+    )
+
+
+def incenter_at_origin(kind: int, chirality: int) -> Patch:
+    """One half-tile translated so that its full tile's incenter is the origin."""
+    half = Patch.single_tile(kind, chirality)
+    t = half.tile(0)
+    return half.transformed(translation=-full_tile_incenter(kind, t.apex, t.axis_end))
+
+
+class TestExtractionOracle:
+    @pytest.mark.parametrize("square", [
+        Square(0.0, 0.0, 16.0),
+        Square(-3.0, 5.0, 16.0),
+        Square(-20.0, 13.0, 64.0),
+        Square(0.0, 0.0, 128.0),
+        Square(5.0, -40.0, 256.0),
+    ])
+    def test_covering_patches(self, square):
+        assert_matches_lexsort(generate_patch_covering(square))
+
+    @pytest.mark.parametrize("kind", [HALF_KITE, HALF_DART])
+    @pytest.mark.parametrize("chirality", [RIGHT, LEFT])
+    def test_single_tile_and_deflated_tile(self, kind, chirality):
+        assert_matches_lexsort(Patch.single_tile(kind, chirality))
+        assert_matches_lexsort(deflate_patch(Patch.single_tile(kind, chirality, scale_exp=-7), 7))
+
+    @pytest.mark.parametrize("kind", [HALF_KITE, HALF_DART])
+    def test_full_tile(self, kind):
+        assert_matches_lexsort(Patch.full_tile(kind))
+        assert_matches_lexsort(deflate_patch(Patch.full_tile(kind, scale_exp=-5), 5))
+
+    def test_rotated_and_translated_patch(self):
+        patch = deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-6), 6)
+        moved = patch.transformed(tenth_turns=3, translation=CycloPoint(10**6, -(10**6), 7, 2**40))
+        assert_matches_lexsort(moved)
+
+    def test_window_override(self):
+        patch = generate_patch_covering(Square(0.0, 0.0, 16.0))
+        assert_matches_lexsort(patch, Square(2.0, 3.0, 8.0))
+
+    def test_kite_and_dart_on_one_incenter_stay_apart(self):
+        patch = tiles(incenter_at_origin(HALF_KITE, RIGHT), incenter_at_origin(HALF_DART, LEFT))
+        net = assert_matches_lexsort(patch)
+        assert net.source_kinds.tolist() == [HALF_KITE, HALF_DART]
+
+    def test_loaded_patch(self, tmp_path):
+        path = str(tmp_path / "patch.txt")
+        save_patch(generate_patch_covering(Square(-3.0, 5.0, 16.0)), path)
+        assert_matches_lexsort(load_patch(path))
+
+    def test_permuted_rows(self):
+        patch = generate_patch_covering(Square(-20.0, 13.0, 64.0))
+        perm = np.random.default_rng(5).permutation(len(patch))
+        shuffled = Patch(
+            patch.kinds[perm], patch.chiralities[perm], patch.coords[perm],
+            patch.generation, patch.scale_exp, patch.provenance,
+        )
+        net = assert_matches_lexsort(shuffled)
+        # the same tiles, now numbered by their first half in the permuted order
+        unshuffled = extract_net(patch)
+        assert len(net) == len(unshuffled)
+        assert sorted(map(tuple, net.ring.tolist())) == sorted(map(tuple, unshuffled.ring.tolist()))
+
+
+class TestExtractionErrors:
+    def test_three_halves_on_one_tile(self):
+        full = Patch.full_tile(HALF_KITE)
+        with pytest.raises(ValueError, match="more than two"):
+            extract_net(tiles(full, Patch.single_tile(HALF_KITE, RIGHT)))
+
+    @pytest.mark.parametrize("kind", [HALF_KITE, HALF_DART])
+    def test_same_chirality_pair(self, kind):
+        full = Patch.full_tile(kind)
+        same = Patch(full.kinds, [RIGHT, RIGHT], full.coords)
+        with pytest.raises(ValueError, match="opposite chirality"):
+            extract_net(same)
+
+    @pytest.mark.parametrize("kind", [HALF_KITE, HALF_DART])
+    def test_pair_with_different_apexes(self, kind):
+        right = incenter_at_origin(kind, RIGHT)
+        turned = incenter_at_origin(kind, LEFT).transformed(tenth_turns=2)
+        patch = tiles(right, turned)
+        assert not np.array_equal(patch.coords[0, 1], patch.coords[1, 1])
+        # the lexsort extractor kept them apart: two points at one place
+        old = lexsort_extract_net(patch)
+        assert len(old) == 2 and np.array_equal(old.ring[0], old.ring[1])
+        with pytest.raises(ValueError, match="share their apex"):
+            extract_net(patch)
+
+    @pytest.mark.parametrize("coeff", [2**62, -(2**62), 2**56, -(2**56)])
+    def test_coordinates_that_could_wrap(self, coeff):
+        patch = Patch.single_tile(HALF_DART, translation=CycloPoint(0, coeff, 0, 0))
+        with pytest.raises(ValueError, match="coordinates must lie within"):
+            extract_net(patch)
+
+    def test_largest_accepted_coordinates(self):
+        big = 2**56 - 64
+        patch = Patch.single_tile(HALF_DART, translation=CycloPoint(big, -big, big, -big))
+        assert_matches_lexsort(patch)
+
+    def test_key_wider_than_63_bits(self):
+        far = Patch.single_tile(HALF_KITE, translation=CycloPoint(*([2**50] * 4)))
+        with pytest.raises(ValueError, match="more than 63"):
+            extract_net(tiles(Patch.single_tile(HALF_KITE), far))
+
+    def test_analyze_rejects_saved_patch_with_huge_coordinates(self, tmp_path, capsys):
+        path = str(tmp_path / "patch.txt")
+        save_patch(Patch.single_tile(HALF_KITE, translation=CycloPoint(2**62, 0, 0, 0)), path)
+        code = main(["analyze", "--patch", path, "--window", "0", "0", "1",
+                     "--i-min", "0", "--i-max", "0", "--out", str(tmp_path / "rep")])
+        assert code == 2
+        assert "coordinates must lie within" in capsys.readouterr().err
+
+
+class TestGridLines:
+    @pytest.mark.parametrize("kind", [HALF_KITE, HALF_DART])
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_rational_coordinates_are_exact(self, kind, moved):
+        patch = deflate_patch(Patch.single_tile(kind, scale_exp=-8), 8)
+        if moved:
+            patch = patch.transformed(tenth_turns=1, translation=CycloPoint(3, 1, -2, 5))
+        on_x = on_y = 0
+        for point in extract_net(patch).points():
+            x = exact_x(point.origin)
+            if x.b == 0:
+                on_x += 1
+                assert point.x == float(x.a) and 2 * x.a == int(2 * x.a)
+            if exact_y_over_sin72(point.origin) == 0:
+                on_y += 1
+                assert math.copysign(1.0, point.y) == 1.0 and point.y == 0.0
+        assert on_x > 0 and (moved or on_y > 0)
+
+    @pytest.mark.parametrize("window", [Square(-233.0, -51.0, 8.0), Square(-241.0, -51.0, 8.0)])
+    def test_cell_counts_on_window_edge_through_integer_x(self, window):
+        # points at exact x = -233 (and -232), whose float embedding is 3e-14 low
+        patch = generate_patch_covering(Square(0.0, 0.0, 128.0))
+        net = extract_net(patch, window=window)
+        x0, y0, side = (int(v) for v in window)
+        on_edge = np.flatnonzero(net.xy[:, 0] == -233.0)
+        assert len(on_edge) >= 3
+        assert np.any(lexsort_extract_net(patch).xy[on_edge, 0] < -233.0)
+
+        expected = np.zeros((2, side, side), dtype=np.int64)
+        near = np.flatnonzero(
+            (net.xy[:, 0] > x0 - 1) & (net.xy[:, 0] < x0 + side + 1)
+            & (net.xy[:, 1] > y0 - 1) & (net.xy[:, 1] < y0 + side + 1)
+        )
+        for i in near:
+            point = net.point(int(i))
+            cx, cy = exact_cell(point.origin, point.x, point.y)
+            if x0 <= cx < x0 + side and y0 <= cy < y0 + side:
+                expected[point.source_kind, cx - x0, cy - y0] += 1
+        assert expected.sum() > 0
+
+        kites, darts = _CountGrid(net).square_counts(1)
+        assert np.array_equal(kites, expected[HALF_KITE])
+        assert np.array_equal(darts, expected[HALF_DART])
+        for cx in (0, side - 1):
+            for cy in range(side):
+                cell = Square(float(x0 + cx), float(y0 + cy), 1.0)
+                assert count_in_square(net, cell) == (
+                    expected[HALF_KITE, cx, cy], expected[HALF_DART, cx, cy])
+
+
 class TestDeloneStatistics:
     def test_c1_matches_brute_force(self):
         patch = deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-5), 5)
@@ -200,6 +505,13 @@ class TestDeloneStatistics:
         net = extract_net(generate_patch_covering(Square(3.0, -17.0, 32.0)))
         assert abs(net.c2 - 1.0) <= net.c2_error_bound
         assert net.c2_error_bound == 1e-9
+
+    def test_c2_warns_nothing_on_degenerate_triangles(self):
+        # this net's Delaunay pass has collinear triangles, whose centers are not finite
+        net = extract_net(generate_patch_covering(Square(-20.0, 13.0, 64.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert abs(net.c2 - 1.0) <= net.c2_error_bound
 
     def test_c2_against_sampler_covering_patch(self):
         assert_c2_matches_sampler(extract_net(generate_patch_covering(Square(0.0, 0.0, 16.0))))
