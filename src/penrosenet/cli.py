@@ -11,7 +11,8 @@ Subcommands:
 ``render``
     Draw a saved patch (optionally with net or grid overlay) as SVG.
 ``verify``
-    Run the exact self-checks plus a small empirical smoke run.
+    Run ``analyze``'s certify path on the default covering patch, then
+    check the Delone constants c1 and c2; writes no files.
 
 Exit codes: 0 success; 1 a hard exact assertion failed (the ratio-bound
 suite or an arithmetic contract); 2 operational errors (bad paths, tile
@@ -30,6 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .discrepancy import (
+    DiscrepancyReport,
     build_report,
     check_prop21,
     default_density,
@@ -37,8 +39,8 @@ from .discrepancy import (
     report_to_csv,
     report_to_json,
 )
-from .golden import PHI, PHI_FLOAT
-from .net import COVERING_RADIUS_BOUND, extract_net
+from .golden import PHI, PHI_FLOAT, GoldenNum
+from .net import COVERING_RADIUS_BOUND, Net, extract_net
 from .render import render_svg
 from .tiling import (
     DEFAULT_TILE_CAP,
@@ -130,82 +132,83 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _hard_exact_suite() -> list[tuple[str, bool, str]]:
-    """The exact assertions behind the exit code: name, passed, detail."""
-    results = []
+Check = tuple[str, str, bool, str]  # label ("exact" or "float"), name, passed, detail
 
-    ok = ratio_map(PHI) == PHI
-    results.append(("ratio fixed point f(phi) = phi", ok, "exact"))
 
-    rng = np.random.default_rng(2718)
-    ok = True
-    for _ in range(200):
-        x = 1 + Fraction(int(rng.integers(0, 1000)), 1000)
-        y = 1 + Fraction(int(rng.integers(0, 1000)), 1000)
-        if abs(ratio_map(x) - ratio_map(y)) * 4 > abs(x - y):
-            ok = False
-            break
-    results.append(("contraction |f(x)-f(y)| <= |x-y|/4 on [1,2]", ok, "200 exact pairs"))
-
-    all_hold = True
-    for seed in (TileCensus(1, 1), TileCensus(2, 1), TileCensus(1, 2), TileCensus(5, 3)):
-        if not check_prop21(seed, 25).all_hold:
-            all_hold = False
-    results.append(
-        ("ratio gap |K_n/D_n - phi| <= 1/2^(n-1), n <= 25", all_hold, "4 seed censuses, exact")
+def _hard_exact_suite() -> list[Check]:
+    """The assertions behind the exit code."""
+    pairs = [(1 + Fraction(x, 1000), 1 + Fraction(y, 1000))
+             for x, y in np.random.default_rng(2718).integers(0, 1000, size=(200, 2)).tolist()]
+    contracts = all(abs(ratio_map(x) - ratio_map(y)) * 4 <= abs(x - y) for x, y in pairs)
+    seeds = (TileCensus(1, 1), TileCensus(2, 1), TileCensus(1, 2), TileCensus(5, 3))
+    gap_holds = all(check_prop21(seed, 25).all_hold for seed in seeds)
+    census_holds = all(
+        census(deflate_patch(Patch.single_tile(kind, scale_exp=-6), 6)) == substitution_counts(base, 6)
+        for kind, base in ((HALF_KITE, TileCensus(1, 0)), (HALF_DART, TileCensus(0, 1)))
     )
-
-    ok = True
-    for kind, base in ((HALF_KITE, TileCensus(1, 0)), (HALF_DART, TileCensus(0, 1))):
-        patch = Patch.single_tile(kind, scale_exp=-6)
-        patch = deflate_patch(patch, 6)
-        if census(patch) != substitution_counts(base, 6):
-            ok = False
-    results.append(("deflation census equals count recursion (n=6)", ok, "both seeds"))
-
     model = default_density()
-    phi_sq = PHI_FLOAT * PHI_FLOAT
-    gap = abs(model.rho * model.psi * (1 + phi_sq) - phi_sq)
-    results.append(("density identity rho*psi*(1+phi^2) = phi^2", gap <= 1e-12, f"gap {gap:.3g}"))
+    gap = abs(model.rho * model.psi * (1 + PHI_FLOAT * PHI_FLOAT) - PHI_FLOAT * PHI_FLOAT)
+    # M (phi, 1) = phi^2 (phi, 1) in Q(phi); det M = 1 makes the other eigenvalue phi^-2
+    (a, b), (c, d) = PENROSE_SUBSTITUTION.matrix
+    phi_sq = PHI * PHI
+    eigen = (a * PHI + b == phi_sq * PHI and c * PHI + d == phi_sq
+             and abs(GoldenNum(a * d - b * c) / phi_sq) < phi_sq)
+    return [
+        ("exact", "ratio fixed point f(phi) = phi", ratio_map(PHI) == PHI, "exact"),
+        ("exact", "contraction |f(x)-f(y)| <= |x-y|/4 on [1,2]", contracts, "200 exact pairs"),
+        ("exact", "ratio gap |K_n/D_n - phi| <= 1/2^(n-1), n <= 25", gap_holds,
+         "4 seed censuses, exact"),
+        ("exact", "deflation census equals count recursion (n=6)", census_holds, "both seeds"),
+        ("float", "density identity rho*psi*(1+phi^2) = phi^2", gap <= 1e-12,
+         f"gap {gap:.3g}, tolerance 1e-12"),
+        ("exact", "substitution eigenvalue phi^2, eigenvector ratio phi", eigen, "exact in Q(phi)"),
+    ]
 
-    value, vector = PENROSE_SUBSTITUTION.dominant_eigen()
-    ok = abs(value - phi_sq) <= 1e-10 and abs(vector[0] / vector[1] - PHI_FLOAT) <= 1e-10
-    results.append(("substitution eigenvalue phi^2, eigenvector ratio phi", ok, "1e-10"))
 
-    return results
+def _covering(i_max: int, seed: str, cap: int) -> tuple[Patch, Square]:
+    """The default patch: a ``seed`` cover of the window [0, 2^(i_max+1))^2."""
+    window = Square(0.0, 0.0, float(2 ** (i_max + 1)))
+    return generate_patch_covering(window, seed_kind=KIND_CODES[seed], cap=cap), window
+
+
+def _certify(patch: Patch, window: Square, i_min: int,
+             i_max: int) -> tuple[Net, DiscrepancyReport, list[Check]]:
+    """Print the census, the exact suite, the net and the report rows.
+
+    Returns the net, the report and the suite results; shared by
+    ``analyze`` and ``verify``.
+    """
+    counts = census(patch)
+    print(f"patch: {counts.total()} half-tiles ({counts.kites} kites, {counts.darts} darts), "
+          f"generation {patch.generation}")
+    suite = _hard_exact_suite()
+    for label, name, ok, detail in suite:
+        print(f"{label}: {name}: {'PASS' if ok else 'FAIL'} ({detail})")
+
+    net = extract_net(patch, window=window)
+    print(f"net: {len(net)} points, window "
+          f"[{window.x:g}, {window.x + window.side:g}) x [{window.y:g}, {window.y + window.side:g})")
+
+    report = build_report(net, i_min, i_max)
+    for row in report.rows:
+        print(f"empirical: i={row.i} side={row.side}: E_rho={row.E_rho:.12g} "
+              f"(E-1<=10*phi^(-i/3): {'yes' if row.decay_holds else 'NO'}), "
+              f"max|K/D-phi|={row.ratio_gap_max:.12g} "
+              f"(<=phi^(-i/3): {'yes' if row.ratio_holds else 'NO'}), "
+              f"{row.squares_total} squares, {row.squares_dart_free} dart-free")
+    print(f"empirical: partial product: {report.product:.12g}  sum(E-1): {report.log_sum:.12g}"
+          f"  (sum < 1: {'yes' if report.log_sum < 1 else 'NO'})")
+    return net, report, suite
 
 
 def cmd_analyze(args) -> int:
     if args.patch:
         if args.window is None:
             raise ValueError("--window X Y SIDE is required with --patch")
-        patch = load_patch(args.patch)
-        window = Square(*args.window)
+        patch, window = load_patch(args.patch), Square(*args.window)
     else:
-        side = float(2 ** (args.i_max + 1))
-        window = Square(0.0, 0.0, side)
-        patch = generate_patch_covering(window, seed_kind=KIND_CODES[args.seed], cap=args.cap)
-    counts = census(patch)
-    print(f"patch: {counts.total()} half-tiles ({counts.kites} kites, {counts.darts} darts), "
-          f"generation {patch.generation}")
-
-    hard = _hard_exact_suite()
-    for name, ok, detail in hard:
-        print(f"exact: {name}: {'PASS' if ok else 'FAIL'} ({detail})")
-
-    net = extract_net(patch, window=window)
-    print(f"net: {len(net)} points in window "
-          f"[{window.x:g}, {window.x + window.side:g}) x [{window.y:g}, {window.y + window.side:g})")
-
-    report = build_report(net, args.i_min, args.i_max)
-    for row in report.rows:
-        print(f"i={row.i} side={row.side}: E_rho={row.E_rho:.12g} "
-              f"(E-1<=10*phi^(-i/3): {'yes' if row.decay_holds else 'NO (empirical)'}), "
-              f"max|K/D-phi|={row.ratio_gap_max:.12g} "
-              f"(<=phi^(-i/3): {'yes' if row.ratio_holds else 'NO (empirical)'}), "
-              f"{row.squares_total} squares, {row.squares_dart_free} dart-free")
-    print(f"partial product: {report.product:.12g}  sum(E-1): {report.log_sum:.12g}"
-          f"  (sum < 1: {'yes' if report.log_sum < 1 else 'NO (empirical)'})")
+        patch, window = _covering(args.i_max, args.seed, args.cap)
+    _, report, suite = _certify(patch, window, args.i_min, args.i_max)
 
     out_dir = _out_dir(args.out)
     os.makedirs(out_dir, exist_ok=True)
@@ -220,7 +223,7 @@ def cmd_analyze(args) -> int:
         written.append(path)
     print("wrote " + "  ".join(written))
 
-    return 0 if all(ok for _, ok, _ in hard) else 1
+    return 0 if all(ok for _, _, ok, _ in suite) else 1
 
 
 def cmd_render(args) -> int:
@@ -242,32 +245,17 @@ def cmd_render(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    hard = _hard_exact_suite()
-    for name, ok, detail in hard:
-        print(f"exact: {name}: {'PASS' if ok else 'FAIL'} ({detail})")
-
-    side = float(2 ** (args.i_max + 1))
-    patch = generate_patch_covering(Square(0.0, 0.0, side), cap=args.cap)
-    net = extract_net(patch)
+    net, _, suite = _certify(*_covering(args.i_max, "half-kite", args.cap), args.i_min, args.i_max)
     c1 = net.c1
-    print(f"net: {len(net)} points, c1 = {c1:.9f} "
-          f"({'PASS' if c1 > 0 else 'FAIL'}: separation positive)")
+    print(f"net: c1 = {c1:.9f} ({'PASS' if c1 > 0 else 'FAIL'}: separation positive)")
     c2 = net.c2
     bound = COVERING_RADIUS_BOUND + net.c2_error_bound
     print(f"net: covering radius {c2:.9f} (exact within {net.c2_error_bound:.0e}) <= {bound:.9f}: "
           f"{'PASS' if c2 <= bound else 'FAIL'}")
-    hard.append(("net separation", c1 > 0, ""))
-    hard.append(("net covering radius", c2 <= bound, ""))
 
-    report = build_report(net, args.i_min, args.i_max)
-    for row in report.rows:
-        print(f"empirical: i={row.i}: E-1={row.E_rho - 1:.6g} "
-              f"(bound {row.decay_bound:.6g}: {'holds' if row.decay_holds else 'violates'}), "
-              f"ratio gap {row.ratio_gap_max:.6g} "
-              f"(bound {row.ratio_bound:.6g}: {'holds' if row.ratio_holds else 'violates'})")
-    print(f"empirical: partial product {report.product:.6g}, sum(E-1) {report.log_sum:.6g}")
-
-    failed = [name for name, ok, _ in hard if not ok]
+    checks = [(name, ok) for _, name, ok, _ in suite]
+    checks += [("net separation", c1 > 0), ("net covering radius", c2 <= bound)]
+    failed = [name for name, ok in checks if not ok]
     if failed:
         print(f"FAILED: {', '.join(failed)}")
         return 1

@@ -26,7 +26,6 @@ from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .golden import CycloPoint, PHI_FLOAT
 from .tiling import (
@@ -70,10 +69,10 @@ class Net:
     """Point set with provenance, a window square, and Delone statistics.
 
     ``c1`` (minimum pairwise distance) and ``c2`` (covering radius over the
-    analysis region) are computed lazily on first access; the big counting
-    pipelines never need them.  ``c2`` comes from one window-pruned
-    Delaunay pass and is exact up to ``c2_error_bound`` (1e-9) of float
-    rounding.
+    analysis region) are computed lazily on first access, and only they
+    import ``scipy.spatial``; the big counting pipelines never need them.
+    ``c2`` comes from one window-pruned Delaunay pass and is exact up to
+    ``c2_error_bound`` (1e-9) of float rounding.
     """
 
     def __init__(
@@ -119,15 +118,13 @@ class Net:
         return (self.point(i) for i in range(len(self)))
 
     @cached_property
-    def _tree(self) -> cKDTree:
-        return cKDTree(self.xy)
-
-    @cached_property
     def c1(self) -> float:
         """Exact minimum pairwise distance (nearest-neighbor query)."""
+        from scipy.spatial import cKDTree
+
         if len(self) < 2:
             raise ValueError("c1 needs at least two points")
-        d, _ = self._tree.query(self.xy, k=2)
+        d, _ = cKDTree(self.xy).query(self.xy, k=2)
         return float(d[:, 1].min())
 
     def _c2_region(self) -> np.ndarray:
@@ -205,6 +202,8 @@ def _largest_gap(pts: np.ndarray, region: np.ndarray) -> float:
     bisector of a Delaunay edge, and all crossings of those bisectors with
     the boundary are taken, a superset that stays inside the region.
     """
+    from scipy.spatial import Delaunay, QhullError, cKDTree
+
     try:
         simplices = Delaunay(pts).simplices
     except QhullError:  # fewer than three points, or all on one line
@@ -382,6 +381,8 @@ def load_net(path: str) -> Net:
     window = None
     for parts in headers:
         if parts and parts[0] == "window":
+            if len(parts) != 4:
+                raise ValueError(f"net header 'window' needs X Y SIDE, got {' '.join(parts)!r}")
             window = Square(float(parts[1]), float(parts[2]), float(parts[3]))
     if window is None:
         raise ValueError("net file missing window header")

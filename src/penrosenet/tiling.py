@@ -75,6 +75,11 @@ _MINV = np.array(MUL_BY_INV_PHI, dtype=np.int64)
 _MOMEGA = np.array(MUL_BY_OMEGA, dtype=np.int64)
 EMBED_MATRIX = np.array([EMBED_COS, EMBED_SIN], dtype=np.float64).T  # (4, 2)
 
+# A deflation round makes each coefficient x @ _MPHI or x @ _MINV + y, so it
+# grows by at most the largest absolute column sum (plus one): 4
+_GROWTH = max(int(np.abs(_MPHI).sum(axis=0).max()), int(np.abs(_MINV).sum(axis=0).max()) + 1)
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 # Unit seeds, apex at the origin, axis along +x; LEFT seeds are the complex
 # conjugates of the RIGHT ones.  Rows are (wing, apex, axis_end).
 _SEED_COORDS = {
@@ -280,13 +285,18 @@ class Patch:
         return flat.reshape(len(self), 3, 2)
 
     def transformed(self, tenth_turns: int = 0, translation: CycloPoint | None = None) -> "Patch":
-        """Rotate by multiples of 36 degrees about the origin, then translate."""
+        """Rotate by multiples of 36 degrees about the origin, then translate.
+
+        The outline moves with the tiles.  The covering placement recorded by
+        ``generate_patch_covering`` (``square``, ``translation``) does not
+        describe the moved patch, so it is dropped.
+        """
         coords = self.coords
         if tenth_turns % 10:
             coords = coords @ np.linalg.matrix_power(_MOMEGA, tenth_turns % 10)
         if translation is not None:
             coords = coords + np.array(translation.coeffs, dtype=np.int64)
-        prov = dict(self.provenance)
+        prov = {k: v for k, v in self.provenance.items() if k not in ("square", "translation")}
         if "outline" in prov:
             outline = np.asarray(prov["outline"], dtype=np.int64)
             if tenth_turns % 10:
@@ -417,8 +427,19 @@ def deflate_patch(p: Patch, rounds: int, cap: int = DEFAULT_TILE_CAP) -> Patch:
             f"deflation would produce {projected.total()} half-tiles, cap is {cap}"
         )
     kinds, chir, coords = p.kinds, p.chiralities, p.coords
+    # carry a bound on |coefficient| and rescan the array only when the
+    # bound alone can no longer rule out an int64 overflow in the next round
+    bound = _INT64_MAX  # unknown until the first round scans the array
     for _ in range(rounds):
+        if _GROWTH * bound > _INT64_MAX and len(coords):
+            bound = max(int(coords.max()), -int(coords.min()))
+            if _GROWTH * bound > _INT64_MAX:
+                raise ValueError(
+                    f"deflation would overflow int64: a coefficient reaches {bound} "
+                    f"and one round can grow it {_GROWTH}-fold"
+                )
         kinds, chir, coords = _deflate_once(kinds, chir, coords)
+        bound *= _GROWTH
     prov = dict(p.provenance)
     if "outline" in prov and rounds:
         # outline ring coordinates live at the patch scale, so they pick up
@@ -535,6 +556,7 @@ _LETTER_CHIR = {"R": RIGHT, "L": LEFT}
 _PATCH_ROW = np.dtype([
     ("kind", "U2"), ("chirality", "U2"), ("generation", np.int64), ("coords", np.int64, (12,)),
 ])
+_PATCH_HEADERS = {"scale_exp": 1, "generation": 1, "census": 2}  # key -> number of integers
 _FORMAT_BLOCK = 4096  # rows per % call; bounds the per-block object temporaries
 _DATA_LINE = re.compile(r"^[^\S\n]*[^\s#]", re.M)  # a line that is neither blank nor a comment
 
@@ -626,32 +648,34 @@ def save_patch(p: Patch, path: str) -> None:
 def load_patch(path: str) -> Patch:
     """Read the format written by save_patch, validating exact round-trip fields.
 
-    Header lines may repeat (the last one counts) and may sit anywhere; every
-    tile line must carry the header's generation, or the first tile's when
-    there is no generation header.
+    Header lines may repeat (the last one counts) and may sit anywhere; a
+    ``scale_exp``, ``generation`` or ``census`` header with the wrong number
+    of fields is a ValueError.  Every tile line must carry the header's
+    generation, or the first tile's when there is no generation header.
     """
     headers, rows = _read_table(path, _PATCH_ROW)
     kinds = _decode(rows["kind"], _LETTER_KIND)
     chirs = _decode(rows["chirality"], _LETTER_CHIR)
-    scale_exp = None
-    generation = None
-    header_census = None
+    values = {}
     for parts in headers:
-        if len(parts) >= 2 and parts[0] == "scale_exp":
-            scale_exp = int(parts[1])
-        elif len(parts) >= 2 and parts[0] == "generation":
-            generation = int(parts[1])
-        elif len(parts) >= 3 and parts[0] == "census":
-            header_census = (int(parts[1]), int(parts[2]))
+        if parts and parts[0] in _PATCH_HEADERS:
+            if len(parts) != 1 + _PATCH_HEADERS[parts[0]]:
+                raise ValueError(f"patch header {parts[0]!r} needs {_PATCH_HEADERS[parts[0]]} "
+                                 f"integer(s), got {' '.join(parts)!r}")
+            values[parts[0]] = tuple(int(v) for v in parts[1:])
     gens = rows["generation"]
-    if generation is None:
+    if "generation" in values:
+        generation = values["generation"][0]
+    else:
         generation = int(gens[0]) if len(gens) else 0
     if np.any(gens != generation):
         raise ValueError("mixed generations in patch file")
-    if scale_exp is None:
+    if "scale_exp" not in values:
         raise ValueError("patch file missing scale_exp header")
+    scale_exp = values["scale_exp"][0]
     if not len(rows):
         raise ValueError("patch file contains no tiles")
+    header_census = values.get("census")
     if header_census is not None:
         kites = int(np.count_nonzero(kinds == HALF_KITE))
         actual = (kites, len(kinds) - kites)

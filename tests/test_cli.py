@@ -1,14 +1,18 @@
 """Command-line subcommands: outputs, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import penrosenet
 from penrosenet.cli import main
 from penrosenet.net import extract_net
-from penrosenet.tiling import TileCensus, census, load_patch, substitution_counts
+from penrosenet.tiling import SubstitutionRule, TileCensus, census, load_patch, substitution_counts
 
 
 def run(capsys, *argv):
@@ -199,3 +203,70 @@ class TestVerify:
         assert code == 2
         assert "i-min" in stderr
         assert stdout == ""
+
+    def test_shares_analyze_output_then_adds_c1_c2(self, tmp_path, capsys, monkeypatch):
+        _, analyzed, _ = run(capsys, "analyze", "--i-min", "2", "--i-max", "3",
+                             "--out", str(tmp_path / "rep"))
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        monkeypatch.chdir(empty)
+        monkeypatch.setenv("PENROSENET_OUT", str(empty))
+        code, verified, _ = run(capsys, "verify", "--i-min", "2", "--i-max", "3")
+        assert code == 0
+        assert list(empty.iterdir()) == []
+        analyzed, verified = analyzed.splitlines(), verified.splitlines()
+        assert analyzed[-1].startswith("wrote ")
+        assert verified[:-3] == analyzed[:-1]
+        assert verified[-3].startswith("net: c1 = ")
+        assert verified[-2].startswith("net: covering radius ")
+        assert verified[-1] == "all exact checks passed"
+
+    def test_wrong_substitution_rule_fails_the_eigen_check(self, capsys, monkeypatch):
+        # the Fibonacci rule has eigenvalue phi, not phi^2
+        monkeypatch.setattr("penrosenet.cli.PENROSE_SUBSTITUTION",
+                            SubstitutionRule(("a", "b"), ((1, 1), (1, 0))))
+        code, stdout, _ = run(capsys, "verify", "--i-min", "2", "--i-max", "2")
+        assert code == 1
+        assert "exact: substitution eigenvalue phi^2, eigenvector ratio phi: FAIL" in stdout
+        assert "FAILED: substitution eigenvalue" in stdout
+
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this checkout's package."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(penrosenet.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
+class TestScipyOnlyForDelone:
+    def test_import_generate_analyze_render_leave_scipy_spatial_unloaded(self, tmp_path):
+        done = _fresh_python(f"""
+import sys
+import penrosenet
+from penrosenet.cli import main
+loaded = lambda: "scipy.spatial" in sys.modules
+assert not loaded(), "import"
+patch, out = {str(tmp_path / "p.txt")!r}, {str(tmp_path)!r}
+assert main(["generate", "--rounds", "4", "--out", patch]) == 0 and not loaded(), "generate"
+assert main(["analyze", "--i-min", "2", "--i-max", "3", "--out", out]) == 0 and not loaded(), "analyze"
+assert main(["render", "--patch", patch, "--overlay", "net", "--out", out + "/p.svg"]) == 0
+assert not loaded(), "render"
+print("clean")
+""")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "clean"
+
+    def test_verify_loads_it_for_c1_and_c2(self):
+        done = _fresh_python(
+            "import sys\n"
+            "from penrosenet.cli import main\n"
+            "code = main(['verify', '--i-min', '2', '--i-max', '3'])\n"
+            "print('scipy.spatial' in sys.modules, code)\n"
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[-1] == "True 0"
+        assert any(line.startswith("net: c1 = ") and "PASS" in line for line in lines)
+        assert any(line.startswith("net: covering radius ") and line.endswith("PASS") for line in lines)

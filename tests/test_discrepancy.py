@@ -425,6 +425,13 @@ class TestRegionAnalysis:
             result.contained, result.supertile_rounds
         )
 
+    def test_transformed_covering_patch_is_refused(self):
+        # the moved patch no longer matches its recorded seed placement, which
+        # used to give empty censuses and failed checks without an error
+        moved = generate_patch_covering(Square(0.0, 0.0, 32.0)).transformed(tenth_turns=5)
+        with pytest.raises(ValueError, match="covering provenance"):
+            region_analysis(moved, Square(-20.0, -20.0, 8.0))
+
     def test_requires_covering_provenance(self):
         plain = deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-3), 3)
         with pytest.raises(ValueError, match="provenance"):

@@ -297,6 +297,15 @@ class TestExtraction:
         net = extract_net(patch, window=Square(-1.0, -1.0, 4.0))
         assert net.window == Square(-1.0, -1.0, 4.0)
 
+    def test_transformed_covering_patch_gets_its_bounding_box(self):
+        # the stale covering square (0, 0, 32) held 285 of the moved net's 3434 points
+        moved = generate_patch_covering(Square(0.0, 0.0, 32.0)).transformed(tenth_turns=5)
+        net = extract_net(moved)
+        x, y, side = net.window
+        assert x < 0 and y < 0
+        inside = (net.xy >= (x, y)) & (net.xy < (x + side, y + side))
+        assert len(net) == 3434 and inside.all()
+
 
 def tiles(*patches: Patch) -> Patch:
     """The half-tiles of several final-scale patches as one patch."""
@@ -787,6 +796,13 @@ class TestSerialization:
             fh.write("# window nan 0 8\n0.0 0.0 kite 0\n")
         with pytest.raises(ValueError, match="window"):
             load_net(path)
+
+    @pytest.mark.parametrize("header", ["window 0 0", "window", "window 0 0 8 1"])
+    def test_window_with_wrong_field_count(self, header, tmp_path):
+        path = tmp_path / "broken.txt"
+        path.write_text(NET_LINES.replace("# window -1.5 2 8", f"# {header}"), encoding="ascii")
+        with pytest.raises(ValueError, match="header 'window'"):
+            load_net(str(path))
 
     def test_missing_window_rejected(self, tmp_path):
         path = str(tmp_path / "broken.txt")

@@ -176,6 +176,22 @@ class TestSubstitutionCounts:
         assert abs(vector[0] / vector[1] - PHI_FLOAT) <= 1e-10
 
 
+def exact_deflation(seed: Patch, rounds: int) -> np.ndarray:
+    """Coordinates after ``rounds`` rounds in Python integers (dtype=object), which cannot wrap."""
+    kinds, chir, coords = seed.kinds, seed.chiralities, seed.coords.astype(object)
+    for _ in range(rounds):
+        kinds, chir, coords = tiling._deflate_once(kinds, chir, coords)
+    return coords
+
+
+def int64_deflation(seed: Patch, rounds: int) -> np.ndarray:
+    """The same rounds in int64 without deflate_patch's overflow guard."""
+    kinds, chir, coords = seed.kinds, seed.chiralities, seed.coords
+    for _ in range(rounds):
+        kinds, chir, coords = tiling._deflate_once(kinds, chir, coords)
+    return coords
+
+
 class TestDeflatePatch:
     def test_cross_route_equality(self):
         # per-tile exact deflation (parent frame, vertices shrunk by 1/phi)
@@ -256,6 +272,28 @@ class TestDeflatePatch:
         with pytest.raises(TileCapError):
             deflate_patch(Patch.single_tile(HALF_KITE), 40, cap=1000)
 
+    def test_int64_wrap_raises_before_the_round(self):
+        seed = Patch.single_tile(HALF_KITE, translation=CycloPoint(2**61, 0, 0, 0))
+        # unguarded int64 rounds wrap: every tile differs from exact integers
+        exact, wrapped = exact_deflation(seed, 6), int64_deflation(seed, 6)
+        assert len(wrapped) == 377
+        assert np.all((wrapped != exact).any(axis=(1, 2)))
+        with pytest.raises(ValueError, match="overflow int64"):
+            deflate_patch(seed, 6)
+
+    @pytest.mark.parametrize("coeff", [2**40, -(2**55)])
+    def test_large_safe_coordinates_match_exact_deflation(self, coeff):
+        seed = Patch.single_tile(HALF_DART, LEFT, translation=CycloPoint(coeff, 3, -coeff, 1))
+        out = deflate_patch(seed, 6)
+        assert np.array_equal(out.coords, exact_deflation(seed, 6))
+
+    def test_far_covering_patch_still_builds(self):
+        patch = generate_patch_covering(Square(1e15, 0.0, 16.0))
+        assert np.abs(patch.coords).max() > 2**49
+        seed = Patch.single_tile(HALF_KITE, scale_exp=-patch.provenance["rounds"],
+                                 translation=CycloPoint(*patch.provenance["translation"]))
+        assert np.array_equal(patch.coords, exact_deflation(seed, patch.provenance["rounds"]))
+
     def test_zero_rounds_is_identity(self):
         seed = Patch.single_tile(HALF_KITE, scale_exp=-1)
         out = deflate_patch(seed, 0)
@@ -305,6 +343,15 @@ class TestCovering:
         assert np.array_equal(a.coords, b.coords)
         assert np.array_equal(a.kinds, b.kinds)
 
+    def test_transformed_drops_the_covering_placement(self):
+        patch = generate_patch_covering(Square(0.0, 0.0, 32.0))
+        moved = patch.transformed(tenth_turns=5)
+        assert "square" not in moved.provenance and "translation" not in moved.provenance
+        assert moved.provenance["rounds"] == patch.provenance["rounds"]
+        # the outline still turns with the tiles: a half turn negates it
+        assert np.allclose(embedded_outline(moved), -embedded_outline(patch), atol=1e-9)
+        assert "square" in patch.provenance
+
     def test_rejects_degenerate_square(self):
         with pytest.raises(ValueError):
             generate_patch_covering(Square(0.0, 0.0, 0.0))
@@ -331,6 +378,24 @@ class TestSerialization:
         open(broken, "w").write(text)
         with pytest.raises(ValueError):
             load_patch(broken)
+
+    @pytest.mark.parametrize("header", [
+        "census 5", "census 5 3 0", "census", "scale_exp", "scale_exp 0 0", "generation",
+        "generation 2 2",
+    ])
+    def test_known_header_with_wrong_field_count(self, header, tmp_path, capsys):
+        patch = deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-2), 2)
+        path = tmp_path / "patch.txt"
+        save_patch(patch, str(path))
+        key = header.split()[0]
+        lines = [f"# {header}\n" if line.startswith(f"# {key} ") else line
+                 for line in path.read_text().splitlines(keepends=True)]
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=f"header '{key}'"):
+            load_patch(str(path))
+        for argv in _cli_commands(path, tmp_path):
+            assert cli_main(argv) == 2
+            assert f"header '{key}'" in capsys.readouterr().err
 
     def test_malformed_line_rejected(self, tmp_path):
         path = str(tmp_path / "bad.txt")
