@@ -13,7 +13,9 @@ enumerates every integer-corner square inside a net's window (an explicit
 lower bound for the true sup) and gives, per side 2^i, E_rho, the worst
 kite/dart ratio gap, both bound checks, and the running partial products
 whose convergence is the biLipschitz criterion for the net.
-``region_analysis`` decides which supertiles meet a square by a float
+``region_analysis`` deflates only the supertiles near a square, dropping
+after every round the tiles whose bounding box misses it by more than one
+unit, and decides which survivors meet the square by a float
 separating-axis test with a 1e-9 tolerance.
 """
 
@@ -37,7 +39,8 @@ from .tiling import (
     Patch,
     Square,
     TileCensus,
-    deflate_patch,
+    _bounding_boxes,
+    _deflate_rounds,
     embedded_outline,
     square_in_triangle,
     substitution_counts,
@@ -292,12 +295,35 @@ class RegionCounts:
     checks: dict
 
 
+def _supertiles_near(patch: Patch, half: int, square: Square) -> Patch:
+    """The supertiles ``half`` rounds above a covering patch's tiles near ``square``.
+
+    Deflates the patch's recorded seed, dropping after every round the tiles
+    whose bounding box misses the square grown by 1 unit.  Every supertile
+    that meets the square survives, since it lies inside all its ancestors.
+    """
+    prov = patch.provenance
+    rounds = int(prov["rounds"])
+    seed = Patch.single_tile(
+        KIND_CODES[prov["seed_kind"]],
+        prov["seed_chirality"],
+        scale_exp=-rounds,
+        translation=CycloPoint(*(int(c) for c in prov["translation"])),
+    )
+    lo = np.array([square.x, square.y])
+    grow = 1.0  # far above the float error of the boxes, so the prune is conservative
+    kinds, chir, coords = _deflate_rounds(seed, rounds - half, near=(lo - grow, lo + square.side + grow))
+    return Patch(kinds, chir, coords, generation=rounds - half, scale_exp=-half)
+
+
 def region_analysis(patch: Patch, square: Square | tuple) -> RegionCounts:
     """Frame-area analysis of a square against the patch's supertile levels.
 
-    Requires a patch built by generate_patch_covering (the supertile layer
-    is rebuilt deterministically from its recorded seed).  The square must
-    lie inside the patch union and have side >= 1.
+    Requires a patch built by generate_patch_covering: the supertiles near
+    the square are rebuilt deterministically from its recorded seed, by a
+    deflation that drops every tile too far from the square to meet it, so
+    the cost follows the square, not the patch.  The square must lie inside
+    the patch union and have side >= 1.
     """
     square = Square(*square)
     prov = patch.provenance
@@ -320,13 +346,7 @@ def region_analysis(patch: Patch, square: Square | tuple) -> RegionCounts:
         raise ValueError("square too large for the patch's deflation depth")
     a = PHI_FLOAT ** (half + 1)
 
-    seed = Patch.single_tile(
-        KIND_CODES[prov["seed_kind"]],
-        prov["seed_chirality"],
-        scale_exp=-rounds,
-        translation=CycloPoint(*(int(c) for c in prov["translation"])),
-    )
-    tau2 = deflate_patch(seed, rounds - half)
+    tau2 = _supertiles_near(patch, half, square)
     emb = tau2.embedded()
 
     # Separating-axis test of each closed supertile against the closed
@@ -337,9 +357,7 @@ def region_analysis(patch: Patch, square: Square | tuple) -> RegionCounts:
     eps = 1e-9
     lo = np.array([square.x, square.y])
     hi = lo + l
-    v0, v1, v2 = emb[:, 0], emb[:, 1], emb[:, 2]
-    bb_lo = np.minimum(np.minimum(v0, v1), v2)
-    bb_hi = np.maximum(np.maximum(v0, v1), v2)
+    bb_lo, bb_hi = _bounding_boxes(emb)
     contained_mask = ((bb_lo >= lo - eps) & (bb_hi <= hi + eps)).all(axis=1)
     candidate = np.flatnonzero(((bb_lo <= hi + eps) & (bb_hi >= lo - eps)).all(axis=1))
     tris = emb[candidate]

@@ -41,6 +41,11 @@ from .tiling import (
 
 SOURCE_NAMES = {HALF_KITE: "kite", HALF_DART: "dart"}
 _NET_ROW = np.dtype([("xy", np.float64, (2,)), ("kind", "U5"), ("tile_id", np.int64)])
+# header key -> the fields export_net writes after it; a lower-case field is
+# literal text, N an integer and any other upper-case field a float
+_NET_HEADERS = {
+    "points": ("N",), "c1": ("C1",), "c2": ("C2", "error_bound", "BOUND"), "window": ("X", "Y", "SIDE"),
+}
 
 # max distance from the in-point to a vertex, over both prototile shapes
 COVERING_RADIUS_BOUND = math.sqrt(3.0 - PHI_FLOAT)
@@ -375,15 +380,31 @@ def export_net(net: Net, path: str) -> None:
 
 
 def load_net(path: str) -> Net:
-    """Read the export_net format (positions are the rounded floats)."""
+    """Read the export_net format (positions are the rounded floats).
+
+    The ``window`` header is required.  A ``points``, ``c1``, ``c2`` or
+    ``window`` header whose fields do not match what export_net writes (a
+    number where it writes one) is a ValueError, and so is a ``points``
+    count that differs from the number of point lines.  Headers may repeat;
+    the last one counts.
+    """
     headers, rows = _read_table(path, _NET_ROW)
     kinds = _decode(rows["kind"], {name: code for code, name in SOURCE_NAMES.items()})
-    window = None
+    values = {}
     for parts in headers:
-        if parts and parts[0] == "window":
-            if len(parts) != 4:
-                raise ValueError(f"net header 'window' needs X Y SIDE, got {' '.join(parts)!r}")
-            window = Square(float(parts[1]), float(parts[2]), float(parts[3]))
-    if window is None:
+        form = _NET_HEADERS.get(parts[0]) if parts else None
+        if form is None:
+            continue
+        fields = parts[1:]
+        try:
+            if len(fields) != len(form) or any(f != name for f, name in zip(fields, form) if name.islower()):
+                raise ValueError
+            values[parts[0]] = [int(f) if name == "N" else float(f)
+                                for f, name in zip(fields, form) if not name.islower()]
+        except ValueError:
+            raise ValueError(f"net header {parts[0]!r} needs {' '.join(form)}, got {' '.join(parts)!r}") from None
+    if "window" not in values:
         raise ValueError("net file missing window header")
-    return Net(rows["xy"], kinds, rows["tile_id"], window)
+    if "points" in values and values["points"][0] != len(rows):
+        raise ValueError(f"points header {values['points'][0]} does not match {len(rows)} point lines")
+    return Net(rows["xy"], kinds, rows["tile_id"], Square(*values["window"]))

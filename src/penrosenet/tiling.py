@@ -34,6 +34,17 @@ Child chirality follows the pattern (same, flipped, same) for the kite and
 (same, flipped) for the dart; chirality +1 means the (wing, apex, axis_end)
 loop is counterclockwise.  This is the standard Robinson decomposition in
 one of its two mirror conventions.
+
+The vectorized round works in the frame scaled by phi, where a parent
+vertex v becomes v @ _MPHI and a split point v + (w - v)/phi becomes
+v @ _MINV + w (``_MPHI`` and ``_MINV`` multiply a ring point by phi and
+1/phi).  It writes those products column by column, four integer adds or
+subtracts each, straight into one preallocated child array, and copies a
+vertex shared by two children from the slot already written; the matrices
+stay the specification and bound the coefficient growth that the int64
+guard checks.  The same round loop can drop, after every round, the tiles
+whose bounding box misses a given box, which ``region_analysis`` uses to
+rebuild only the supertiles near one square.
 """
 
 from __future__ import annotations
@@ -76,9 +87,11 @@ _MOMEGA = np.array(MUL_BY_OMEGA, dtype=np.int64)
 EMBED_MATRIX = np.array([EMBED_COS, EMBED_SIN], dtype=np.float64).T  # (4, 2)
 
 # A deflation round makes each coefficient x @ _MPHI or x @ _MINV + y, so it
-# grows by at most the largest absolute column sum (plus one): 4
+# grows by at most the largest absolute column sum (plus one): 4.  Every
+# partial sum _times_phi and _times_inv_phi form stays within that bound too.
 _GROWTH = max(int(np.abs(_MPHI).sum(axis=0).max()), int(np.abs(_MINV).sum(axis=0).max()) + 1)
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_DEFLATE_BLOCK = 4096  # parent rows per block of one deflation round
 
 # Unit seeds, apex at the origin, axis along +x; LEFT seeds are the complex
 # conjugates of the RIGHT ones.  Rows are (wing, apex, axis_end).
@@ -279,10 +292,7 @@ class Patch:
 
     def embedded(self) -> np.ndarray:
         """Vertex coordinates in R**2, shape (N, 3, 2) float64."""
-        flat = self.coords.reshape(-1, 4).astype(np.float64) @ EMBED_MATRIX
-        if self.scale_exp:
-            flat = flat * PHI_FLOAT ** (-self.scale_exp)
-        return flat.reshape(len(self), 3, 2)
+        return _embed(self.coords, self.scale_exp)
 
     def transformed(self, tenth_turns: int = 0, translation: CycloPoint | None = None) -> "Patch":
         """Rotate by multiples of 36 degrees about the origin, then translate.
@@ -379,35 +389,121 @@ def generic_substitution_counts(rule: SubstitutionRule, seed: Sequence[int], n: 
     return counts
 
 
+def _times_phi(x: np.ndarray, out: np.ndarray) -> None:
+    """Write ``x @ _MPHI`` into ``out``, column by column; both are (n, 4)."""
+    x0, x1, x2, x3 = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
+    np.subtract(x1, x3, out=out[:, 0])
+    np.add(out[:, 0], x2, out=out[:, 1])
+    np.subtract(x2, x0, out=out[:, 3])
+    np.add(out[:, 3], x1, out=out[:, 2])
+
+
+def _times_inv_phi(x: np.ndarray, out: np.ndarray) -> None:
+    """Write ``x @ _MINV`` into ``out``, column by column; both are (n, 4)."""
+    x0, x1, x2, x3 = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
+    np.subtract(x1, x0, out=out[:, 2])
+    np.subtract(x2, x3, out=out[:, 1])
+    np.subtract(out[:, 2], x3, out=out[:, 0])
+    np.subtract(out[:, 1], x0, out=out[:, 3])
+
+
+def _kite_children(kc: np.ndarray, dart: np.ndarray, flip: np.ndarray, kite: np.ndarray) -> None:
+    """Half-kites (a, b, c) -> dart(r, q, b'), flipped kite(q, a', r), kite(c', a', r)."""
+    _times_inv_phi(kc[:, 1], dart[:, 0])
+    dart[:, 0] += kc[:, 2]
+    _times_inv_phi(kc[:, 0], dart[:, 1])
+    dart[:, 1] += kc[:, 1]
+    _times_phi(kc[:, 1], dart[:, 2])
+    flip[:, 0] = dart[:, 1]
+    _times_phi(kc[:, 0], flip[:, 1])
+    flip[:, 2] = dart[:, 0]
+    _times_phi(kc[:, 2], kite[:, 0])
+    kite[:, 1] = flip[:, 1]
+    kite[:, 2] = dart[:, 0]
+
+
+def _dart_children(dc: np.ndarray, dart: np.ndarray, flip: np.ndarray) -> None:
+    """Half-darts (a, b, c) -> dart(b', p, a'), flipped kite(p, c', b')."""
+    _times_phi(dc[:, 1], dart[:, 0])
+    _times_inv_phi(dc[:, 2], dart[:, 1])
+    dart[:, 1] += dc[:, 0]
+    _times_phi(dc[:, 0], dart[:, 2])
+    flip[:, 0] = dart[:, 1]
+    _times_phi(dc[:, 2], flip[:, 1])
+    flip[:, 2] = dart[:, 0]
+
+
 def _deflate_once(kinds: np.ndarray, chir: np.ndarray, coords: np.ndarray):
-    kite_rows = kinds == HALF_KITE
-    kc = coords[kite_rows]
-    dc = coords[~kite_rows]
-    kx = chir[kite_rows]
-    dx = chir[~kite_rows]
-    nk, nd = len(kc), len(dc)
+    """One round, every child vertex written once into one preallocated array.
 
-    scaled_k = kc @ _MPHI
-    q = kc[:, 0] @ _MINV + kc[:, 1]
-    r = kc[:, 1] @ _MINV + kc[:, 2]
-    scaled_d = dc @ _MPHI
-    p = dc[:, 2] @ _MINV + dc[:, 0]
+    Children sit in the frame scaled by phi, where a parent vertex v becomes
+    v' = ``v @ _MPHI`` and the split point v + (w - v)/phi becomes
+    ``v @ _MINV + w`` (q, r and p in the module docstring).  A vertex shared
+    by two children is copied from the slot already written.  Parents are
+    taken ``_DEFLATE_BLOCK`` rows at a time, so the column writes of a block
+    stay in cache.
+    """
+    kite_idx = np.flatnonzero(kinds == HALF_KITE)
+    dart_idx = np.flatnonzero(kinds != HALF_KITE)
+    nk, nd = len(kite_idx), len(dart_idx)
+    new_coords = np.empty((3 * nk + 2 * nd, 3, 4), dtype=coords.dtype)
+    dart_k, flip_k, kite_k = new_coords[:nk], new_coords[nk:2 * nk], new_coords[2 * nk:3 * nk]
+    dart_d, flip_d = new_coords[3 * nk:3 * nk + nd], new_coords[3 * nk + nd:]
+    for lo in range(0, nk, _DEFLATE_BLOCK):
+        b = slice(lo, lo + _DEFLATE_BLOCK)
+        _kite_children(coords[kite_idx[b]], dart_k[b], flip_k[b], kite_k[b])
+    for lo in range(0, nd, _DEFLATE_BLOCK):
+        b = slice(lo, lo + _DEFLATE_BLOCK)
+        _dart_children(coords[dart_idx[b]], dart_d[b], flip_d[b])
 
-    new_coords = np.concatenate([
-        np.stack([r, q, scaled_k[:, 1]], axis=1),
-        np.stack([q, scaled_k[:, 0], r], axis=1),
-        np.stack([scaled_k[:, 2], scaled_k[:, 0], r], axis=1),
-        np.stack([scaled_d[:, 1], p, scaled_d[:, 0]], axis=1),
-        np.stack([p, scaled_d[:, 2], scaled_d[:, 1]], axis=1),
-    ])
-    new_kinds = np.concatenate([
-        np.full(nk, HALF_DART, dtype=np.uint8),
-        np.full(2 * nk, HALF_KITE, dtype=np.uint8),
-        np.full(nd, HALF_DART, dtype=np.uint8),
-        np.full(nd, HALF_KITE, dtype=np.uint8),
-    ])
-    new_chir = np.concatenate([kx, -kx, kx, dx, -dx])
-    return new_kinds, new_chir, new_coords
+    new_kinds = np.full(len(new_coords), HALF_KITE, dtype=np.uint8)
+    new_kinds[:nk] = HALF_DART
+    new_kinds[3 * nk:3 * nk + nd] = HALF_DART
+    kx, dx = chir[kite_idx], chir[dart_idx]
+    return new_kinds, np.concatenate([kx, -kx, kx, dx, -dx]), new_coords
+
+
+def _bounding_boxes(emb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-triangle (N, 2) lower and upper corners of (N, 3, 2) vertices."""
+    v0, v1, v2 = emb[:, 0], emb[:, 1], emb[:, 2]
+    return np.minimum(np.minimum(v0, v1), v2), np.maximum(np.maximum(v0, v1), v2)
+
+
+def _embed(coords: np.ndarray, scale_exp: int) -> np.ndarray:
+    """(N, 3, 4) ring coordinates at ``scale_exp`` as (N, 3, 2) points of R**2."""
+    flat = coords.reshape(-1, 4).astype(np.float64) @ EMBED_MATRIX
+    if scale_exp:
+        flat = flat * PHI_FLOAT ** (-scale_exp)
+    return flat.reshape(len(coords), 3, 2)
+
+
+def _deflate_rounds(p: Patch, rounds: int, near: tuple[np.ndarray, np.ndarray] | None = None):
+    """Kinds, chiralities and coordinates of ``p`` after ``rounds`` rounds.
+
+    With ``near = (lo, hi)``, every round drops the tiles whose bounding box
+    misses the box [lo, hi]; a tile's descendants lie inside it, so no
+    descendant of a dropped tile meets the box.  Raises ValueError before a
+    round that could overflow int64.
+    """
+    kinds, chir, coords = p.kinds, p.chiralities, p.coords
+    # carry a bound on |coefficient| and rescan the array only when the
+    # bound alone can no longer rule out an int64 overflow in the next round
+    bound = _INT64_MAX  # unknown until the first round scans the array
+    for done in range(1, rounds + 1):
+        if _GROWTH * bound > _INT64_MAX and len(coords):
+            bound = max(int(coords.max()), -int(coords.min()))
+            if _GROWTH * bound > _INT64_MAX:
+                raise ValueError(
+                    f"deflation would overflow int64: a coefficient reaches {bound} "
+                    f"and one round can grow it {_GROWTH}-fold"
+                )
+        kinds, chir, coords = _deflate_once(kinds, chir, coords)
+        bound *= _GROWTH
+        if near is not None:
+            bb_lo, bb_hi = _bounding_boxes(_embed(coords, p.scale_exp + done))
+            keep = ((bb_lo <= near[1]) & (bb_hi >= near[0])).all(axis=1)
+            kinds, chir, coords = kinds[keep], chir[keep], coords[keep]
+    return kinds, chir, coords
 
 
 def deflate_patch(p: Patch, rounds: int, cap: int = DEFAULT_TILE_CAP) -> Patch:
@@ -426,20 +522,7 @@ def deflate_patch(p: Patch, rounds: int, cap: int = DEFAULT_TILE_CAP) -> Patch:
         raise TileCapError(
             f"deflation would produce {projected.total()} half-tiles, cap is {cap}"
         )
-    kinds, chir, coords = p.kinds, p.chiralities, p.coords
-    # carry a bound on |coefficient| and rescan the array only when the
-    # bound alone can no longer rule out an int64 overflow in the next round
-    bound = _INT64_MAX  # unknown until the first round scans the array
-    for _ in range(rounds):
-        if _GROWTH * bound > _INT64_MAX and len(coords):
-            bound = max(int(coords.max()), -int(coords.min()))
-            if _GROWTH * bound > _INT64_MAX:
-                raise ValueError(
-                    f"deflation would overflow int64: a coefficient reaches {bound} "
-                    f"and one round can grow it {_GROWTH}-fold"
-                )
-        kinds, chir, coords = _deflate_once(kinds, chir, coords)
-        bound *= _GROWTH
+    kinds, chir, coords = _deflate_rounds(p, rounds)
     prov = dict(p.provenance)
     if "outline" in prov and rounds:
         # outline ring coordinates live at the patch scale, so they pick up

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from penrosenet import discrepancy
 from penrosenet.discrepancy import (
     DensityModel,
     build_report,
@@ -30,11 +31,16 @@ from penrosenet.tiling import (
     HALF_DART,
     HALF_KITE,
     KIND_CODES,
+    LEFT,
+    RIGHT,
     Patch,
     Square,
     TileCensus,
+    _bounding_boxes,
     deflate_patch,
+    embedded_outline,
     generate_patch_covering,
+    square_in_triangle,
 )
 from test_tiling import point_in_triangle
 
@@ -330,6 +336,14 @@ def supertiles(patch, half):
     return deflate_patch(seed, rounds - half)
 
 
+def full_layer_region_analysis(monkeypatch, patch, square, layer=None):
+    """region_analysis on the whole supertile layer: the reference for the pruned one."""
+    with monkeypatch.context() as m:
+        m.setattr(discrepancy, "_supertiles_near",
+                  lambda patch, half, square: supertiles(patch, half) if layer is None else layer)
+        return region_analysis(patch, square)
+
+
 def _segment_intersect(p1, p2, q1, q2, eps=1e-9):
     def orient(a, b, c):
         v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
@@ -456,7 +470,7 @@ class TestRegionAnalysis:
         assert np.array_equal(np.sign(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]), tiles.chiralities)
 
     @pytest.mark.parametrize("half", [1, 2, 3, 4, 5])
-    def test_censuses_match_scalar_oracle(self, patch256, half):
+    def test_censuses_match_scalar_oracle(self, patch256, half, monkeypatch):
         wx, wy, w = ORACLE_WINDOW
         sides = [l for l in range(1, int(w) + 1) if PHI_FLOAT ** (2 * half) <= l < PHI_FLOAT ** (2 * half + 2)]
         rng = np.random.default_rng(100 + half)
@@ -492,6 +506,71 @@ class TestRegionAnalysis:
             result = region_analysis(patch256, square)
             assert result.supertile_rounds == half
             assert (result.contained, result.intersecting) == scalar_censuses(tiles, square), square
+            assert result == full_layer_region_analysis(monkeypatch, patch256, square, tiles), square
+
+    @pytest.mark.parametrize("half", [0, 2, 4])
+    def test_pruned_layer_is_the_full_layer_near_the_square(self, patch256, half):
+        # exactly the supertiles whose bounding box meets the square grown by
+        # 1 unit survive: none is lost and no other is kept
+        square = Square(ORACLE_WINDOW.x + 61.0, ORACLE_WINDOW.y + 38.0, 47.0)
+        near = discrepancy._supertiles_near(patch256, half, square)
+        full = supertiles(patch256, half)
+        bb_lo, bb_hi = _bounding_boxes(full.embedded())
+        lo = np.array([square.x, square.y]) - 1.0
+        hi = lo + square.side + 2.0
+        meets = ((bb_lo <= hi) & (bb_hi >= lo)).all(axis=1)
+
+        def rows(tiles, mask=slice(None)):
+            return sorted(zip(tiles.kinds[mask].tolist(), tiles.chiralities[mask].tolist(),
+                              tiles.coords[mask].reshape(-1, 12).tolist()))
+
+        assert near.scale_exp == full.scale_exp == -half
+        assert rows(near) == rows(full, meets)
+        assert len(near) < len(full) / 4
+
+    def test_half_dart_left_cover(self, monkeypatch):
+        window = Square(5.0, -11.0, 64.0)
+        patch = generate_patch_covering(window, HALF_DART, LEFT)
+        assert (patch.provenance["seed_kind"], patch.provenance["seed_chirality"]) == ("half-dart", LEFT)
+        rng = np.random.default_rng(17)
+        squares = [window, Square(5.0, -11.0, 1.0), Square(68.0, 52.0, 1.0)]
+        for l in (2, 5, 13, 32):
+            x, y = (int(v) for v in rng.integers(0, int(window.side) - l + 1, size=2))
+            squares.append(Square(window.x + x, window.y + y, float(l)))
+        for square in squares:
+            result = region_analysis(patch, square)
+            assert result == full_layer_region_analysis(monkeypatch, patch, square), square
+            tiles = supertiles(patch, result.supertile_rounds)
+            assert (result.contained, result.intersecting) == scalar_censuses(tiles, square), square
+
+    @pytest.mark.parametrize("kind, chirality", [(HALF_KITE, RIGHT), (HALF_DART, LEFT)])
+    def test_square_flush_with_the_outline(self, monkeypatch, kind, chirality):
+        # each square is pushed through one outline edge until a corner sits
+        # 0.5e-9 outside it, which region_analysis's 1e-9 margin still accepts
+        patch = generate_patch_covering(Square(0.0, 0.0, 64.0), kind, chirality)
+        tri = embedded_outline(patch)
+        if (tri[1, 0] - tri[0, 0]) * (tri[2, 1] - tri[0, 1]) < (tri[1, 1] - tri[0, 1]) * (tri[2, 0] - tri[0, 0]):
+            tri = tri[::-1]
+        l = 8.0
+        start = tri.mean(axis=0) - l / 2
+        flush = 0
+        for k in range(3):
+            a, b = tri[k], tri[(k + 1) % 3]
+            e = (b - a) / np.hypot(*(b - a))
+            outward = np.array([e[1], -e[0]])
+            corners = start + np.array([(0, 0), (l, 0), (l, l), (0, l)])
+            inside = ((corners - a) @ -outward).min()
+            x, y = start + (inside + 0.5e-9) * outward
+            square = Square(float(x), float(y), l)
+            if not square_in_triangle(square, tri, margin=-1e-9):
+                continue  # the push left the square through another edge
+            assert not square_in_triangle(square, tri, margin=0.0)
+            flush += 1
+            result = region_analysis(patch, square)
+            assert result == full_layer_region_analysis(monkeypatch, patch, square), square
+            tiles = supertiles(patch, result.supertile_rounds)
+            assert (result.contained, result.intersecting) == scalar_censuses(tiles, square), square
+        assert flush >= 2
 
 
 class TestPartialProduct:

@@ -804,6 +804,30 @@ class TestSerialization:
         with pytest.raises(ValueError, match="header 'window'"):
             load_net(str(path))
 
+    @pytest.mark.parametrize("header, match", [
+        ("points 5", "points header 5 does not match 2 point lines"),
+        ("points 1", "points header 1 does not match 2 point lines"),
+        ("points 2.0", "header 'points'"),
+        ("points", "header 'points'"),
+        ("c1 abc", "header 'c1'"),
+        ("c1 0.5 0.7", "header 'c1'"),
+        ("c2 abc error_bound 1e-09", "header 'c2'"),
+        ("c2 1 error_bound x", "header 'c2'"),
+        ("c2 1 bound 1e-09", "header 'c2'"),
+        ("c2 1", "header 'c2'"),
+    ])
+    def test_stats_header_checked(self, header, match, tmp_path):
+        path = tmp_path / "broken.txt"
+        path.write_text(NET_LINES.replace("# window", f"# {header}\n# window"), encoding="ascii")
+        with pytest.raises(ValueError, match=match):
+            load_net(str(path))
+
+    def test_matching_stats_headers_load(self, tmp_path):
+        path = tmp_path / "net.txt"
+        stats = "# points 2\n# c1 7.0710678\n# c2 inf error_bound 1e-09\n# window"
+        path.write_text(NET_LINES.replace("# window", stats), encoding="ascii")
+        assert_nets_identical(load_net(str(path)), per_line_load_net(str(path)))
+
     def test_missing_window_rejected(self, tmp_path):
         path = str(tmp_path / "broken.txt")
         with open(path, "w") as fh:

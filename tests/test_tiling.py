@@ -192,11 +192,127 @@ def int64_deflation(seed: Patch, rounds: int) -> np.ndarray:
     return coords
 
 
+def matmul_deflate_once(kinds: np.ndarray, chir: np.ndarray, coords: np.ndarray):
+    """The integer-matrix round, stacked and concatenated: the reference for _deflate_once."""
+    kite_rows = kinds == HALF_KITE
+    kc = coords[kite_rows]
+    dc = coords[~kite_rows]
+    kx = chir[kite_rows]
+    dx = chir[~kite_rows]
+    nk, nd = len(kc), len(dc)
+
+    scaled_k = kc @ tiling._MPHI
+    q = kc[:, 0] @ tiling._MINV + kc[:, 1]
+    r = kc[:, 1] @ tiling._MINV + kc[:, 2]
+    scaled_d = dc @ tiling._MPHI
+    p = dc[:, 2] @ tiling._MINV + dc[:, 0]
+
+    new_coords = np.concatenate([
+        np.stack([r, q, scaled_k[:, 1]], axis=1),
+        np.stack([q, scaled_k[:, 0], r], axis=1),
+        np.stack([scaled_k[:, 2], scaled_k[:, 0], r], axis=1),
+        np.stack([scaled_d[:, 1], p, scaled_d[:, 0]], axis=1),
+        np.stack([p, scaled_d[:, 2], scaled_d[:, 1]], axis=1),
+    ])
+    new_kinds = np.concatenate([
+        np.full(nk, HALF_DART, dtype=np.uint8),
+        np.full(2 * nk, HALF_KITE, dtype=np.uint8),
+        np.full(nd, HALF_DART, dtype=np.uint8),
+        np.full(nd, HALF_KITE, dtype=np.uint8),
+    ])
+    new_chir = np.concatenate([kx, -kx, kx, dx, -dx])
+    return new_kinds, new_chir, new_coords
+
+
+def assert_kernel_matches_reference(kinds, chir, coords, rounds=1):
+    """Each of ``rounds`` rounds gives bitwise-equal arrays and dtypes to the reference."""
+    for _ in range(rounds):
+        got = tiling._deflate_once(kinds, chir, coords)
+        want = matmul_deflate_once(kinds, chir, coords)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            if g.dtype == object:
+                assert all(type(v) is int for v in g.ravel())
+                assert np.array_equal(g, w)
+            else:
+                assert g.tobytes() == w.tobytes()
+        kinds, chir, coords = got
+
+
+# the guard's per-round growth bound, the largest coefficient a round may start from
+GUARD_LIMIT = tiling._INT64_MAX // tiling._GROWTH
+
+
+class TestDeflationKernel:
+    @pytest.mark.parametrize("kind", [HALF_KITE, HALF_DART])
+    @pytest.mark.parametrize("chirality", [RIGHT, LEFT])
+    def test_seeds(self, kind, chirality):
+        seed = Patch.single_tile(kind, chirality)
+        assert_kernel_matches_reference(seed.kinds, seed.chiralities, seed.coords, rounds=7)
+
+    @pytest.mark.parametrize("kind", [HALF_KITE, HALF_DART])
+    def test_full_tile(self, kind):
+        full = Patch.full_tile(kind)
+        assert_kernel_matches_reference(full.kinds, full.chiralities, full.coords, rounds=6)
+
+    def test_translated_seeds(self):
+        for kind, chirality, t in ((HALF_KITE, LEFT, (7, -3, 12, 5)), (HALF_DART, RIGHT, (-40, 2, 0, 9))):
+            seed = Patch.single_tile(kind, chirality, translation=CycloPoint(*t))
+            assert_kernel_matches_reference(seed.kinds, seed.chiralities, seed.coords, rounds=5)
+
+    def test_row_permuted_mixed_patch(self):
+        # more rows than one block, in an order no deflation produces
+        patch = deflate_patch(Patch.full_tile(HALF_KITE, scale_exp=-9), 9)
+        assert len(patch) > 2 * tiling._DEFLATE_BLOCK
+        order = np.random.default_rng(5).permutation(len(patch))
+        assert_kernel_matches_reference(patch.kinds[order], patch.chiralities[order], patch.coords[order], rounds=2)
+
+    def test_object_coordinates(self):
+        # coefficients past int64, which only Python integers can hold
+        seed = Patch.single_tile(HALF_KITE, RIGHT)
+        coords = seed.coords.astype(object) * 2**9 + np.array([2**70, -(2**66), 3, 1], dtype=object)
+        assert_kernel_matches_reference(seed.kinds, seed.chiralities, coords, rounds=4)
+
+    def test_coefficients_just_under_the_guard_limit(self):
+        big = GUARD_LIMIT - 1  # the seed's own coefficients add at most 1
+        for t in ((big, -big, big, -big), (-big, big, -big, big), (big, big, -big, -big)):
+            for kind in (HALF_KITE, HALF_DART):
+                seed = Patch.single_tile(kind, LEFT, translation=CycloPoint(*t))
+                assert np.abs(seed.coords).max() <= GUARD_LIMIT
+                assert_kernel_matches_reference(seed.kinds, seed.chiralities, seed.coords)
+                assert np.array_equal(deflate_patch(seed, 1).coords, exact_deflation(seed, 1))
+
+    @pytest.mark.parametrize("helper, matrix", [
+        (tiling._times_phi, tiling._MPHI), (tiling._times_inv_phi, tiling._MINV),
+    ])
+    def test_column_helpers_are_the_ring_matrices(self, helper, matrix):
+        rng = np.random.default_rng(11)
+        x = rng.integers(-(2**40), 2**40, size=(1000, 4), dtype=np.int64)
+        out = np.empty((1000, 3, 4), dtype=np.int64)  # a strided slot, as in a round
+        helper(x, out[:, 1])
+        assert np.array_equal(out[:, 1], x @ matrix)
+
+    @pytest.mark.parametrize("helper, matrix", [
+        (tiling._times_phi, tiling._MPHI), (tiling._times_inv_phi, tiling._MINV),
+    ])
+    def test_column_helpers_stay_within_the_growth_bound(self, helper, matrix):
+        # every sign pattern at the guard's limit: no partial sum wraps, and a
+        # split point's added vertex keeps the total within _GROWTH times the limit
+        signs = np.array([[(m >> j & 1) * 2 - 1 for j in range(4)] for m in range(16)])
+        x = signs * GUARD_LIMIT
+        out = np.empty((16, 4), dtype=np.int64)
+        helper(x, out)
+        exact = x.astype(object) @ matrix.astype(object)
+        assert np.array_equal(out, exact)
+        for y in (GUARD_LIMIT, -GUARD_LIMIT):
+            assert np.abs(exact + y).max() <= tiling._GROWTH * GUARD_LIMIT <= tiling._INT64_MAX
+
+
 class TestDeflatePatch:
     def test_cross_route_equality(self):
         # per-tile exact deflation (parent frame, vertices shrunk by 1/phi)
-        # scaled back by phi must reproduce the vectorized integer-matrix
-        # route exactly
+        # scaled back by phi must reproduce the vectorized column kernel
+        # exactly
         patch = Patch.single_tile(HALF_KITE, LEFT, scale_exp=-2)
         one = deflate_patch(patch, 1)
         kids_by_engine = [one.tile(i) for i in range(len(one))]
@@ -280,6 +396,12 @@ class TestDeflatePatch:
         assert np.all((wrapped != exact).any(axis=(1, 2)))
         with pytest.raises(ValueError, match="overflow int64"):
             deflate_patch(seed, 6)
+
+    def test_int64_wrap_raises_on_the_pruned_path(self):
+        seed = Patch.single_tile(HALF_KITE, translation=CycloPoint(2**61, 0, 0, 0))
+        everywhere = (np.full(2, -np.inf), np.full(2, np.inf))
+        with pytest.raises(ValueError, match="overflow int64"):
+            tiling._deflate_rounds(seed, 6, near=everywhere)
 
     @pytest.mark.parametrize("coeff", [2**40, -(2**55)])
     def test_large_safe_coordinates_match_exact_deflation(self, coeff):
