@@ -3,8 +3,10 @@
 The net drops one point at the incenter of every full kite and dart, so
 c1 (closest pair) and c2 (largest empty hole) certify that the pattern is
 uniformly separated and relatively dense. c1 has a closed form: the
-minimum is realized by a kite incenter facing a dart incenter across
-their shared base, at distance 2*sin(36 deg)/phi.
+minimum is realized by two dart incenters facing each other across a
+shared edge, each one dart inradius (sin 36 / phi) from it, at distance
+2*sin(36 deg)/phi.  Both constants come from one Delaunay pass over the
+points near the window: c1 is its shortest edge.
 """
 
 import math

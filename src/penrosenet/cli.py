@@ -12,7 +12,8 @@ Subcommands:
     Draw a saved patch (optionally with net or grid overlay) as SVG.
 ``verify``
     Run ``analyze``'s certify path on the default covering patch, then
-    check the Delone constants c1 and c2; writes no files.
+    check the Delone constants: c1 equals 2 sin36/phi within 1e-9 and c2 is
+    at most the dart circumradius; writes no files.
 
 Exit codes: 0 success; 1 a hard exact assertion failed (the ratio-bound
 suite or an arithmetic contract); 2 operational errors (bad paths, tile
@@ -40,7 +41,7 @@ from .discrepancy import (
     report_to_json,
 )
 from .golden import PHI, PHI_FLOAT, GoldenNum
-from .net import COVERING_RADIUS_BOUND, Net, extract_net
+from .net import COVERING_RADIUS_BOUND, SEPARATION, Net, extract_net
 from .render import render_svg
 from .tiling import (
     DEFAULT_TILE_CAP,
@@ -247,14 +248,15 @@ def cmd_render(args) -> int:
 def cmd_verify(args) -> int:
     net, _, suite = _certify(*_covering(args.i_max, "half-kite", args.cap), args.i_min, args.i_max)
     c1 = net.c1
-    print(f"net: c1 = {c1:.9f} ({'PASS' if c1 > 0 else 'FAIL'}: separation positive)")
+    c1_ok = abs(c1 - SEPARATION) <= 1e-9
+    print(f"net: c1 = {c1:.9f} ({'PASS' if c1_ok else 'FAIL'}: equals 2 sin36/phi within 1e-9)")
     c2 = net.c2
     bound = COVERING_RADIUS_BOUND + net.c2_error_bound
     print(f"net: covering radius {c2:.9f} (exact within {net.c2_error_bound:.0e}) <= {bound:.9f}: "
           f"{'PASS' if c2 <= bound else 'FAIL'}")
 
     checks = [(name, ok) for _, name, ok, _ in suite]
-    checks += [("net separation", c1 > 0), ("net covering radius", c2 <= bound)]
+    checks += [("net separation", c1_ok), ("net covering radius", c2 <= bound)]
     failed = [name for name, ok in checks if not ok]
     if failed:
         print(f"FAILED: {', '.join(failed)}")

@@ -27,7 +27,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .golden import CycloPoint, PHI_FLOAT
+from .golden import CycloPoint, PHI_FLOAT, SIN36
 from .tiling import (
     EMBED_MATRIX,
     HALF_DART,
@@ -36,6 +36,7 @@ from .tiling import (
     Square,
     _MINV,
     _decode,
+    _format_rows,
     _read_table,
 )
 
@@ -49,6 +50,10 @@ _NET_HEADERS = {
 
 # max distance from the in-point to a vertex, over both prototile shapes
 COVERING_RADIUS_BOUND = math.sqrt(3.0 - PHI_FLOAT)
+
+# c1 of an incenter net: adjacent dart points sit one dart inradius
+# (sin 36 / phi) off each side of a shared edge, the closest approach
+SEPARATION = 2.0 * SIN36 / PHI_FLOAT
 
 # |coordinate| < 2**56 keeps extract_net's incenters (at most 21 times the
 # largest coordinate) and its grid-line tests on them inside int64
@@ -73,10 +78,11 @@ class NetPoint(NamedTuple):
 class Net:
     """Point set with provenance, a window square, and Delone statistics.
 
-    ``c1`` (minimum pairwise distance) and ``c2`` (covering radius over the
-    analysis region) are computed lazily on first access, and only they
-    import ``scipy.spatial``; the big counting pipelines never need them.
-    ``c2`` comes from one window-pruned Delaunay pass and is exact up to
+    ``c1`` (minimum pairwise distance near the analysis region) and ``c2``
+    (covering radius over it) come from one window-pruned Delaunay pass,
+    run on first access to either; only it imports ``scipy.spatial``, and
+    the big counting pipelines never need it.  c1 is the pass's shortest
+    Delaunay edge, c2 its largest empty circle, exact up to
     ``c2_error_bound`` (1e-9) of float rounding.
     """
 
@@ -122,20 +128,13 @@ class Net:
     def points(self) -> Iterator[NetPoint]:
         return (self.point(i) for i in range(len(self)))
 
-    @cached_property
-    def c1(self) -> float:
-        """Exact minimum pairwise distance (nearest-neighbor query)."""
-        from scipy.spatial import cKDTree
-
-        if len(self) < 2:
-            raise ValueError("c1 needs at least two points")
-        d, _ = cKDTree(self.xy).query(self.xy, k=2)
-        return float(d[:, 1].min())
+    def _window_corners(self) -> np.ndarray:
+        x0, y0, side = self.window
+        return np.array([[x0, y0], [x0 + side, y0], [x0 + side, y0 + side], [x0, y0 + side]])
 
     def _c2_region(self) -> np.ndarray:
         """Counter-clockwise vertices of the window, clipped to the outline."""
-        x0, y0, side = self.window
-        region = np.array([[x0, y0], [x0 + side, y0], [x0 + side, y0 + side], [x0, y0 + side]])
+        region = self._window_corners()
         if self.outline is None:
             return region
         tri = self.outline
@@ -143,7 +142,57 @@ class Net:
             tri = tri[::-1]
         return _clip_convex(region, tri)
 
+    def _points_near(self, box: np.ndarray) -> Iterator[tuple[float, np.ndarray]]:
+        """Yield (pad, the points within pad of ``box``'s bounding box) for pad 2, 4, 8, ..."""
+        lo, hi = box.min(axis=0), box.max(axis=0)
+        pad = 2.0
+        while True:
+            yield pad, self.xy[np.all((self.xy >= lo - pad) & (self.xy <= hi + pad), axis=1)]
+            pad *= 2.0
+
     @cached_property
+    def _delone(self) -> tuple[float | None, float]:
+        """(c1, c2) from one Delaunay pass; c1 is None for a one-point net."""
+        region = self._c2_region()
+        near = self._points_near(region if len(region) else self._window_corners())
+        pts, c2 = np.empty((0, 2)), 0.0
+        if len(region):
+            for pad, pts in near:
+                if len(pts):
+                    edges, merged, centers = _delaunay(pts)
+                    c2 = _largest_gap(pts, edges, centers, region)
+                    if c2 < pad or len(pts) == len(self):
+                        break
+        if len(pts) < 2 <= len(self):
+            # c2's pass kept fewer than two points: widen it for c1
+            pts = next(p for _, p in near if len(p) >= 2)
+            edges, merged, _ = _delaunay(pts)
+        if len(pts) < 2:
+            return None, c2
+        pairs = np.concatenate([edges, merged])
+        return float(np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1).min()), c2
+
+    @property
+    def c1(self) -> float:
+        """Minimum pairwise distance over the points of c2's pass.
+
+        Those are the net points within ``pad`` (2 or more) of the bounding
+        box of c2's region R.  When R is empty, or the pass kept fewer than
+        two points, the pad around R, or around the window if R is empty,
+        doubles until it holds two.  c1 is the shortest edge of the pass's
+        Delaunay triangulation: the closest pair has an empty diametral
+        circle, so it is an edge of every Delaunay triangulation (Shamos &
+        Hoey 1975).  Pairs farther out are not looked at, so c1 is at least
+        the separation of the whole net; on Penrose incenter nets both equal
+        ``SEPARATION``.  Exact up to float rounding; a one-point net is a
+        ValueError.
+        """
+        c1 = self._delone[0]
+        if c1 is None:
+            raise ValueError("c1 needs at least two points")
+        return c1
+
+    @property
     def c2(self) -> float:
         """Covering radius over the region R: max over x in R of d(x, net).
 
@@ -155,20 +204,10 @@ class Net:
         every location of R has its nearest net point among them, so it is
         the covering radius of the whole net; otherwise ``pad`` doubles.
         Exact up to the float rounding of the candidate positions, see
-        ``c2_error_bound``.  An empty R gives 0.
+        ``c2_error_bound``.  An empty R gives 0.  c1 comes from the same
+        triangulation.
         """
-        region = self._c2_region()
-        if len(region) == 0:
-            return 0.0
-        lo, hi = region.min(axis=0), region.max(axis=0)
-        pad = 2.0
-        while True:
-            near = np.all((self.xy >= lo - pad) & (self.xy <= hi + pad), axis=1)
-            if near.any():
-                radius = _largest_gap(self.xy[near], region)
-                if radius < pad or near.all():
-                    return radius
-            pad *= 2.0
+        return self._delone[1]
 
     @property
     def c2_error_bound(self) -> float:
@@ -195,38 +234,57 @@ def _clip_convex(poly: np.ndarray, clip: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=np.float64).reshape(-1, 2)
 
 
-def _largest_gap(pts: np.ndarray, region: np.ndarray) -> float:
+def _delaunay(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Delaunay edges of ``pts``, the points Qhull merged, and the circumcenters.
+
+    Edges are unique (i, j) index pairs with i < j.  Fewer than three
+    points, or points all on one line, have no triangulation: consecutive
+    points in lexicographic order stand in for its edges, and there are no
+    circumcenters.  Qhull leaves out a point it finds coincident with a
+    vertex; ``merged`` pairs each such point with that vertex.
+    Degenerate triangles' circumcenters, which are not finite, are dropped.
+    """
+    from scipy.spatial import Delaunay, QhullError
+
+    tri = None
+    if len(pts) >= 3:
+        try:
+            tri = Delaunay(pts)
+        except QhullError:  # all on one line
+            pass
+    if tri is None:
+        order = np.lexsort(pts.T[::-1])
+        no_pairs = np.empty((0, 2), dtype=np.intp)
+        return np.column_stack([order[:-1], order[1:]]), no_pairs, np.empty((0, 2))
+    simplices = tri.simplices
+    # int64 keys: the simplices are int32, where i * n + j wraps once n > 46,340
+    pairs = np.sort(simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1).astype(np.int64)
+    keys = np.unique(pairs[:, 0] * len(pts) + pairs[:, 1])
+    edges = np.column_stack([keys // len(pts), keys % len(pts)])
+    a = pts[simplices[:, 0]]
+    b = pts[simplices[:, 1]] - a
+    c = pts[simplices[:, 2]] - a
+    w = (b * b).sum(axis=1)[:, None] * c - (c * c).sum(axis=1)[:, None] * b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        centers = a + np.column_stack([w[:, 1], -w[:, 0]]) / (2.0 * _cross(b, c))[:, None]
+    return edges, tri.coplanar[:, [0, 2]], centers[np.isfinite(centers).all(axis=1)]
+
+
+def _largest_gap(pts: np.ndarray, edges: np.ndarray, centers: np.ndarray, region: np.ndarray) -> float:
     """max over x in the convex polygon ``region`` of the distance from x to ``pts``.
 
-    On each Voronoi cell clipped to the region the distance to the cell's
-    site is convex, so the maximum sits at a vertex of some clipped cell:
-    a Voronoi vertex inside the region, a crossing of a Voronoi edge with
-    the region's boundary, or a region vertex (Toussaint 1983, largest
-    empty circle with location constraints).  Voronoi vertices are the
-    Delaunay circumcenters; every Voronoi edge lies on the perpendicular
-    bisector of a Delaunay edge, and all crossings of those bisectors with
-    the boundary are taken, a superset that stays inside the region.
+    ``edges`` and ``centers`` are the Delaunay edges and circumcenters of
+    ``pts`` (``_delaunay``).  On each Voronoi cell clipped to the region the
+    distance to the cell's site is convex, so the maximum sits at a vertex
+    of some clipped cell: a Voronoi vertex inside the region, a crossing of
+    a Voronoi edge with the region's boundary, or a region vertex
+    (Toussaint 1983, largest empty circle with location constraints).
+    Voronoi vertices are the Delaunay circumcenters; every Voronoi edge lies
+    on the perpendicular bisector of a Delaunay edge, and all crossings of
+    those bisectors with the boundary are taken, a superset that stays
+    inside the region.
     """
-    from scipy.spatial import Delaunay, QhullError, cKDTree
-
-    try:
-        simplices = Delaunay(pts).simplices
-    except QhullError:  # fewer than three points, or all on one line
-        order = np.lexsort(pts.T[::-1])
-        edges = np.column_stack([order[:-1], order[1:]])
-        centers = np.empty((0, 2))
-    else:
-        # int64 keys: the simplices are int32, where i * n + j wraps once n > 46,340
-        pairs = np.sort(simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1).astype(np.int64)
-        keys = np.unique(pairs[:, 0] * len(pts) + pairs[:, 1])
-        edges = np.column_stack([keys // len(pts), keys % len(pts)])
-        a = pts[simplices[:, 0]]
-        b = pts[simplices[:, 1]] - a
-        c = pts[simplices[:, 2]] - a
-        w = (b * b).sum(axis=1)[:, None] * c - (c * c).sum(axis=1)[:, None] * b
-        with np.errstate(divide="ignore", invalid="ignore"):
-            centers = a + np.column_stack([w[:, 1], -w[:, 0]]) / (2.0 * _cross(b, c))[:, None]
-        centers = centers[np.isfinite(centers).all(axis=1)]  # degenerate triangles
+    from scipy.spatial import cKDTree
 
     # signed distance to each side line is at least -1e-10
     sides = np.roll(region, -1, axis=0) - region
@@ -364,6 +422,7 @@ def count_in_square(net: Net, square: Square | tuple) -> tuple[int, int]:
 
 def export_net(net: Net, path: str) -> None:
     """Write one point per line (x, y, source_kind, tile_id) with a stats header."""
+    names = np.array([SOURCE_NAMES[HALF_KITE], SOURCE_NAMES[HALF_DART]])  # HALF_KITE 0, HALF_DART 1
     with open(path, "w", encoding="ascii") as fh:
         fh.write("# penrosenet net v1\n")
         fh.write(f"# points {len(net)}\n")
@@ -372,11 +431,7 @@ def export_net(net: Net, path: str) -> None:
         fh.write(
             f"# window {net.window.x:.12g} {net.window.y:.12g} {net.window.side:.12g}\n"
         )
-        names = [SOURCE_NAMES[k] for k in net.source_kinds.tolist()]
-        fh.write("".join(
-            f"{x:.12g} {y:.12g} {name} {tid}\n"
-            for (x, y), name, tid in zip(net.xy.tolist(), names, net.tile_ids.tolist())
-        ))
+        fh.writelines(_format_rows("%.12g %.12g %s %d\n", net.xy, names[net.source_kinds], net.tile_ids))
 
 
 def load_net(path: str) -> Net:

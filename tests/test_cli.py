@@ -11,7 +11,7 @@ import pytest
 
 import penrosenet
 from penrosenet.cli import main
-from penrosenet.net import extract_net
+from penrosenet.net import SEPARATION, Net, extract_net
 from penrosenet.tiling import SubstitutionRule, TileCensus, census, load_patch, substitution_counts
 
 
@@ -229,6 +229,26 @@ class TestVerify:
         assert code == 1
         assert "exact: substitution eigenvalue phi^2, eigenvector ratio phi: FAIL" in stdout
         assert "FAILED: substitution eigenvalue" in stdout
+
+    def test_c1_line_names_the_separation(self, capsys):
+        code, stdout, _ = run(capsys, "verify", "--i-min", "2", "--i-max", "2")
+        assert code == 0
+        assert "net: c1 = 0.726542528 (PASS: equals 2 sin36/phi within 1e-9)" in stdout.splitlines()
+
+    @pytest.mark.parametrize("shift", [2e-9, -2e-9, -SEPARATION / 2])
+    def test_c1_off_the_separation_exits_one(self, shift, capsys, monkeypatch):
+        # a positive c1 is not enough: it must be the incenter net's separation
+        monkeypatch.setattr(Net, "c1", property(lambda self: SEPARATION + shift))
+        code, stdout, _ = run(capsys, "verify", "--i-min", "2", "--i-max", "2")
+        assert code == 1
+        assert "FAIL: equals 2 sin36/phi within 1e-9)" in stdout
+        assert stdout.splitlines()[-1] == "FAILED: net separation"
+
+    def test_c1_within_tolerance_passes(self, capsys, monkeypatch):
+        monkeypatch.setattr(Net, "c1", property(lambda self: SEPARATION + 5e-10))
+        code, stdout, _ = run(capsys, "verify", "--i-min", "2", "--i-max", "2")
+        assert code == 0
+        assert stdout.splitlines()[-1] == "all exact checks passed"
 
 
 def _fresh_python(code: str) -> subprocess.CompletedProcess:

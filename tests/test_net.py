@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from penrosenet import tiling
 from penrosenet.cli import main
 from penrosenet.discrepancy import _CountGrid
 from penrosenet.golden import (
@@ -22,8 +23,11 @@ from penrosenet.golden import (
 )
 from penrosenet.net import (
     COVERING_RADIUS_BOUND,
+    SEPARATION,
     SOURCE_NAMES,
     Net,
+    _clip_convex,
+    _cross,
     count_in_square,
     export_net,
     extract_net,
@@ -81,6 +85,89 @@ def sampled_c2(net, h):
 def assert_c2_matches_sampler(net, h=0.02):
     oracle = sampled_c2(net, h)
     assert oracle - 1e-9 <= net.c2 <= oracle + h * math.sqrt(2.0)
+
+
+def reference_largest_gap(pts, region):
+    """c2's candidate search as it was before c1 shared its triangulation."""
+    from scipy.spatial import Delaunay, QhullError
+
+    try:
+        simplices = Delaunay(pts).simplices
+    except QhullError:  # fewer than three points, or all on one line
+        order = np.lexsort(pts.T[::-1])
+        edges = np.column_stack([order[:-1], order[1:]])
+        centers = np.empty((0, 2))
+    else:
+        pairs = np.sort(simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1).astype(np.int64)
+        keys = np.unique(pairs[:, 0] * len(pts) + pairs[:, 1])
+        edges = np.column_stack([keys // len(pts), keys % len(pts)])
+        a = pts[simplices[:, 0]]
+        b = pts[simplices[:, 1]] - a
+        c = pts[simplices[:, 2]] - a
+        w = (b * b).sum(axis=1)[:, None] * c - (c * c).sum(axis=1)[:, None] * b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            centers = a + np.column_stack([w[:, 1], -w[:, 0]]) / (2.0 * _cross(b, c))[:, None]
+        centers = centers[np.isfinite(centers).all(axis=1)]
+    sides = np.roll(region, -1, axis=0) - region
+    lengths = np.hypot(sides[:, 0], sides[:, 1])
+    inside = (_cross(sides, centers[:, None, :] - region) >= -1e-10 * lengths).all(axis=1)
+    p, q = pts[edges[:, 0]], pts[edges[:, 1]]
+    d = q - p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (((p + q) / 2.0 * d).sum(axis=1)[:, None] - d @ region.T) / (d @ sides.T)
+    e, k = np.nonzero((t >= 0.0) & (t <= 1.0))
+    crossings = region[k] + t[e, k, None] * sides[k]
+    candidates = np.concatenate([centers[inside], crossings, region])
+    dist, _ = cKDTree(pts).query(candidates, k=1)
+    return float(dist.max())
+
+
+def reference_c2(net):
+    """Net.c2 as it was before c1 shared its pass: the region, the pad doubling, the search."""
+    x0, y0, side = net.window
+    region = np.array([[x0, y0], [x0 + side, y0], [x0 + side, y0 + side], [x0, y0 + side]])
+    if net.outline is not None:
+        tri = net.outline
+        if _cross(tri[1] - tri[0], tri[2] - tri[0]) < 0:
+            tri = tri[::-1]
+        region = _clip_convex(region, tri)
+    if len(region) == 0:
+        return 0.0
+    lo, hi = region.min(axis=0), region.max(axis=0)
+    pad = 2.0
+    while True:
+        near = np.all((net.xy >= lo - pad) & (net.xy <= hi + pad), axis=1)
+        if near.any():
+            radius = reference_largest_gap(net.xy[near], region)
+            if radius < pad or near.all():
+                return radius
+        pad *= 2.0
+
+
+def brute_c1(pts):
+    """Minimum pairwise distance, one point against all later ones."""
+    pts = np.asarray(pts, dtype=np.float64)
+    return min(float(np.linalg.norm(pts[i + 1:] - pts[i], axis=1).min()) for i in range(len(pts) - 1))
+
+
+@pytest.fixture
+def delaunay_calls(monkeypatch):
+    """The point sets of every scipy Delaunay call made while the test runs."""
+    import scipy.spatial
+
+    calls, real = [], scipy.spatial.Delaunay
+
+    def counted(points, *args, **kwargs):
+        calls.append(np.array(points, dtype=np.float64))
+        return real(points, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "Delaunay", counted)
+    return calls
+
+
+def small_net(xy, window):
+    xy = np.array(xy, dtype=np.float64)
+    return Net(xy, np.full(len(xy), HALF_KITE), np.arange(len(xy)), window)
 
 
 def full_tile_outline(kind):
@@ -618,6 +705,136 @@ class TestDeloneStatistics:
             net.c1
 
 
+COVERING_NETS = [
+    (Square(0.0, 0.0, 16.0), HALF_KITE, RIGHT),
+    (Square(3.0, -17.0, 32.0), HALF_DART, LEFT),
+    (Square(-20.0, 13.0, 64.0), HALF_KITE, LEFT),
+    (Square(-5.5, 2.25, 8.0), HALF_DART, RIGHT),
+    (Square(41.0, -7.0, 4.0), HALF_KITE, RIGHT),
+]
+
+
+class TestDelonePass:
+    """c1 and c2 share one Delaunay pass over the points near c2's region."""
+
+    @pytest.mark.parametrize("window, kind, chirality", COVERING_NETS)
+    def test_covering_nets(self, window, kind, chirality, delaunay_calls):
+        net = extract_net(generate_patch_covering(window, kind, chirality))
+        c1, c2 = net.c1, net.c2
+        assert len(delaunay_calls) == 1
+        assert c1 == brute_c1(delaunay_calls[0])
+        assert abs(c1 - SEPARATION) <= 1e-12
+        assert c2.hex() == reference_c2(net).hex()
+
+    @pytest.mark.parametrize("first, second", [("c1", "c2"), ("c2", "c1")])
+    @pytest.mark.parametrize("make", [
+        lambda: extract_net(generate_patch_covering(Square(-3.0, 5.0, 16.0))),
+        lambda: extract_net(deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-3), 3),
+                            window=Square(100.0, 100.0, 4.0)),
+    ], ids=["covering_16", "off_outline"])
+    def test_either_access_order_one_triangulation(self, make, first, second, delaunay_calls):
+        net = make()
+        values = {first: getattr(net, first), second: getattr(net, second)}
+        assert len(delaunay_calls) == 1
+        assert (net.c1, net.c2) == (values["c1"], values["c2"])
+        assert len(delaunay_calls) == 1
+        other = make()
+        assert (other.c2, other.c1) == (values["c2"], values["c1"])
+
+    def test_window_off_the_outline(self, delaunay_calls):
+        # c2's region is empty, so c1 takes the window's box and widens it
+        # until it holds two points; here that is the whole small patch
+        net = extract_net(deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-3), 3),
+                          window=Square(100.0, 100.0, 4.0))
+        assert net.c2 == 0.0
+        assert net.c1 == brute_c1(delaunay_calls[0]) == brute_c1(net.xy)
+        assert len(delaunay_calls[0]) == len(net)
+
+    @pytest.mark.parametrize("first", ["c1", "c2"])
+    def test_one_point(self, first, delaunay_calls):
+        net = small_net([[0.3, 0.4]], Square(0.0, 0.0, 2.0))
+        if first == "c1":
+            with pytest.raises(ValueError, match="two points"):
+                net.c1
+        c2 = net.c2
+        with pytest.raises(ValueError, match="two points"):
+            net.c1
+        assert delaunay_calls == []
+        assert c2.hex() == reference_c2(net).hex() == math.hypot(1.7, 1.6).hex()
+
+    @pytest.mark.parametrize("xy, window", [
+        ([[0.3, 0.4], [1.5, 1.1]], Square(0.0, 0.0, 2.0)),
+        # c2's pass keeps only the first point (its radius 0.71 is below the
+        # pad 2), so c1 widens the pad until it reaches the second
+        ([[0.5, 0.5], [50.0, 50.0]], Square(0.0, 0.0, 1.0)),
+        ([[-1.5, 0.5], [3.2, 0.5]], Square(0.0, 0.0, 1.0)),
+    ])
+    def test_two_points(self, xy, window, delaunay_calls):
+        net = small_net(xy, window)
+        c1, c2 = net.c1, net.c2
+        assert delaunay_calls == []
+        assert c1 == brute_c1(net.xy) == float(np.linalg.norm(net.xy[1] - net.xy[0]))
+        assert c2.hex() == reference_c2(net).hex()
+
+    def test_three_points(self, delaunay_calls):
+        # the closest pair is first and last in lexicographic order
+        net = small_net([[0.0, 0.0], [0.1, 5.0], [0.2, 0.0]], Square(0.0, 0.0, 2.0))
+        c1, c2 = net.c1, net.c2
+        assert len(delaunay_calls) == 1
+        assert c1 == brute_c1(net.xy) == 0.2
+        assert c2.hex() == reference_c2(net).hex()
+
+    @pytest.mark.parametrize("xy", [
+        [[0.0, 0.0], [0.5, 0.5], [1.0, 1.0], [2.0, 2.0]],
+        [[2.0, 1.0], [0.0, 1.0], [0.25, 1.0], [1.5, 1.0], [3.0, 1.0]],
+        [[1.0, 3.0], [1.0, -1.0], [1.0, 0.7], [1.0, 1.9]],
+    ])
+    def test_collinear_points(self, xy, delaunay_calls):
+        # Qhull rejects them; consecutive points along the line stand in for edges
+        net = small_net(xy, Square(0.0, 0.0, 2.0))
+        c1, c2 = net.c1, net.c2
+        assert len(delaunay_calls) == 1
+        assert c1 == brute_c1(net.xy)
+        assert c2.hex() == reference_c2(net).hex()
+
+    def test_coincident_points(self):
+        # Qhull drops a point that coincides with a vertex from the triangulation
+        gy, gx = np.mgrid[0:4, 0:4]
+        xy = np.column_stack([gx.ravel(), gy.ravel()]).astype(np.float64)
+        net = small_net(np.concatenate([xy, xy[[5, 5, 10]]]), Square(0.0, 0.0, 3.0))
+        assert net.c1 == 0.0
+        assert net.c2.hex() == reference_c2(net).hex()
+
+    def test_loaded_net_without_outline(self, tmp_path, delaunay_calls):
+        path = str(tmp_path / "net.txt")
+        export_net(extract_net(generate_patch_covering(Square(-5.0, 2.0, 16.0), HALF_DART)), path)
+        delaunay_calls.clear()
+        net = load_net(path)
+        assert net.outline is None
+        c1, c2 = net.c1, net.c2
+        assert len(delaunay_calls) == 1
+        assert c1 == brute_c1(delaunay_calls[0])
+        assert abs(c1 - SEPARATION) <= 1e-9  # the file rounds positions to 12 digits
+        assert c2.hex() == reference_c2(net).hex()
+
+    def test_window_past_the_patch_edge_doubles_the_pad(self, tmp_path, delaunay_calls):
+        path = str(tmp_path / "patch.txt")
+        save_patch(deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-5), 5), path)
+        net = extract_net(load_patch(path), window=Square(-2.0, -2.0, 12.0))
+        c1, c2 = net.c1, net.c2
+        assert len(delaunay_calls) >= 2  # one per pad tried
+        assert len(delaunay_calls[-1]) > len(delaunay_calls[0])
+        assert c1 == brute_c1(delaunay_calls[-1])
+        assert c2.hex() == reference_c2(net).hex()
+
+    @pytest.mark.parametrize("kind", [HALF_KITE, HALF_DART])
+    def test_window_clipped_to_outline(self, kind, delaunay_calls):
+        net = extract_net(deflate_patch(Patch.single_tile(kind, LEFT, scale_exp=-6), 6))
+        c1 = net.c1
+        assert c1 == brute_c1(delaunay_calls[0]) == brute_c1(net.xy)
+        assert net.c2.hex() == reference_c2(net).hex()
+
+
 class TestCounting:
     def synthetic(self):
         xy = np.array(
@@ -655,6 +872,23 @@ class TestCounting:
         net = extract_net(patch)
         k, d = count_in_square(net, Square(0.0, 0.0, 32.0))
         assert (k + d) / 1024.0 == pytest.approx(0.7608, abs=0.02)
+
+
+def per_line_export_net(net: Net, path: str) -> None:
+    """The one-f-string-per-point writer export_net replaced."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("# penrosenet net v1\n")
+        fh.write(f"# points {len(net)}\n")
+        fh.write(f"# c1 {net.c1:.12g}\n")
+        fh.write(f"# c2 {net.c2:.12g} error_bound {net.c2_error_bound:.12g}\n")
+        fh.write(
+            f"# window {net.window.x:.12g} {net.window.y:.12g} {net.window.side:.12g}\n"
+        )
+        names = [SOURCE_NAMES[k] for k in net.source_kinds.tolist()]
+        fh.write("".join(
+            f"{x:.12g} {y:.12g} {name} {tid}\n"
+            for (x, y), name, tid in zip(net.xy.tolist(), names, net.tile_ids.tolist())
+        ))
 
 
 def per_line_load_net(path: str) -> Net:
@@ -834,3 +1068,54 @@ class TestSerialization:
             fh.write("0.0 0.0 kite 0\n")
         with pytest.raises(ValueError, match="window"):
             load_net(path)
+
+
+def loaded_covering_net(tmp_path):
+    path = str(tmp_path / "loaded.txt")
+    export_net(extract_net(generate_patch_covering(Square(-5.0, 2.0, 16.0), HALF_DART, LEFT)), path)
+    return load_net(path)
+
+
+def tiny_and_signed_zero_net(tmp_path):
+    xy = np.array([[-0.0, 0.0], [5e-324, -5e-324], [1e-300, -2.5e-17], [1e-5, 123456789012.5],
+                   [-1e16, 0.1 + 0.2], [1.0 / 3.0, -2.0 / 3.0], [0.0, -0.0]])
+    kinds = np.array([HALF_KITE, HALF_DART] * 3 + [HALF_KITE])
+    return Net(xy, kinds, np.array([0, 7, 2**40, 3, 4, 5, 6]), Square(-0.0, 1e-7, 2.5e-3))
+
+
+class TestExportOracle:
+    """export_net writes the bytes of the per-line writer it replaced."""
+
+    @pytest.mark.parametrize("make", [
+        lambda tmp: extract_net(generate_patch_covering(Square(0.0, 0.0, 16.0))),
+        # 23k points: several blocks of the default _FORMAT_BLOCK
+        lambda tmp: extract_net(generate_patch_covering(Square(-20.0, 13.0, 64.0), HALF_DART, LEFT)),
+        lambda tmp: extract_net(deflate_patch(Patch.single_tile(HALF_DART, LEFT, scale_exp=-5), 5)),
+        loaded_covering_net,
+        tiny_and_signed_zero_net,
+    ], ids=["covering_16", "covering_64", "deflated_half_dart", "loaded", "tiny_and_signed_zero"])
+    def test_bytes_match_per_line_writer(self, make, tmp_path):
+        net = make(tmp_path)
+        export_net(net, str(tmp_path / "new.txt"))
+        per_line_export_net(net, str(tmp_path / "old.txt"))
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+
+    def test_signed_zero_and_tiny_lines(self, tmp_path):
+        net = tiny_and_signed_zero_net(tmp_path)
+        export_net(net, str(tmp_path / "net.txt"))
+        lines = (tmp_path / "net.txt").read_text(encoding="ascii").splitlines()
+        assert lines[4] == "# window -0 1e-07 0.0025"
+        assert lines[5:] == [
+            "-0 0 kite 0", "4.94065645841e-324 -4.94065645841e-324 dart 7",
+            "1e-300 -2.5e-17 kite 1099511627776", "1e-05 123456789012 dart 3",
+            "-1e+16 0.3 kite 4", "0.333333333333 -0.666666666667 dart 5", "0 -0 kite 6",
+        ]
+
+    @pytest.mark.parametrize("block", [1, 4, 5])
+    def test_rows_span_several_format_blocks(self, block, tmp_path, monkeypatch):
+        net = extract_net(generate_patch_covering(Square(-3.0, 5.0, 8.0)))
+        per_line_export_net(net, str(tmp_path / "old.txt"))
+        monkeypatch.setattr(tiling, "_FORMAT_BLOCK", block)
+        export_net(net, str(tmp_path / "new.txt"))
+        assert len(net) > 4 * block
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
