@@ -25,24 +25,25 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .golden import CycloPoint, GoldenNum, PHI, PHI_FLOAT, golden_compare
+from .golden import GoldenNum, PHI, PHI_FLOAT, golden_compare
 from .net import Net
 from .tiling import (
-    EMBED_MATRIX,
     HALF_DART,
     HALF_KITE,
-    KIND_CODES,
     Patch,
     Square,
     TileCensus,
     _bounding_boxes,
+    _corner_margins,
     _deflate_rounds,
+    _embed,
+    covering_seed,
     embedded_outline,
-    square_in_triangle,
     substitution_counts,
 )
 
@@ -157,7 +158,7 @@ def check_prop21(seed: TileCensus, n_max: int = 25) -> RatioTrace:
 
 
 def _full_tile_area(kind: int) -> float:
-    tri = np.array(Patch.single_tile(kind).coords[0], dtype=np.float64) @ EMBED_MATRIX
+    tri = _embed(Patch.single_tile(kind).coords[0])
     u, v = tri[1] - tri[0], tri[2] - tri[0]
     return abs(float(u[0] * v[1] - u[1] * v[0]))
 
@@ -224,6 +225,8 @@ class _CountGrid:
 
     Point binning is half-open per cell, so counts over integer-corner
     squares from these prefix sums agree exactly with count_in_square.
+    Construction keeps the ``points`` that fall in the window; the side**2
+    prefix sums are built on the first ``square_counts``.
     """
 
     def __init__(self, net: Net) -> None:
@@ -239,16 +242,24 @@ class _CountGrid:
         self.side = int(round(side))
         if self.side < 1:
             raise ValueError("window too small")
-        ix = np.floor(net.xy[:, 0] - self.x0).astype(np.int64)
-        iy = np.floor(net.xy[:, 1] - self.y0).astype(np.int64)
-        keep = (ix >= 0) & (ix < self.side) & (iy >= 0) & (iy < self.side)
-        flat = ix[keep] * self.side + iy[keep]
-        kinds = net.source_kinds[keep]
+        # drop the points off the window while their cells are floats, so
+        # no far point meets the int64 cast
+        fx = np.floor(net.xy[:, 0] - float(self.x0))
+        fy = np.floor(net.xy[:, 1] - float(self.y0))
+        keep = (fx >= 0) & (fx < float(self.side)) & (fy >= 0) & (fy < float(self.side))
+        self._cells = fx[keep], fy[keep], net.source_kinds[keep]
+        self.points = len(self._cells[2])
+
+    @cached_property
+    def _cums(self) -> tuple[np.ndarray, np.ndarray]:
+        """Prefix sums of the kite and the dart points per cell, (side+1)**2 each."""
+        fx, fy, kinds = self._cells
+        flat = fx.astype(np.int64) * self.side + fy.astype(np.int64)
         ncell = self.side * self.side
         kite_cells = np.bincount(flat[kinds == HALF_KITE], minlength=ncell)
         dart_cells = np.bincount(flat[kinds == HALF_DART], minlength=ncell)
-        self.cum_kites = self._cumulate(kite_cells.reshape(self.side, self.side))
-        self.cum_darts = self._cumulate(dart_cells.reshape(self.side, self.side))
+        return (self._cumulate(kite_cells.reshape(self.side, self.side)),
+                self._cumulate(dart_cells.reshape(self.side, self.side)))
 
     @staticmethod
     def _cumulate(cells: np.ndarray) -> np.ndarray:
@@ -262,7 +273,7 @@ class _CountGrid:
         if side < 1 or side > self.side:
             raise ValueError(f"window of side {self.side} cannot host squares of side {side}")
         out = []
-        for cum in (self.cum_kites, self.cum_darts):
+        for cum in self._cums:
             out.append(
                 cum[side:, side:] - cum[:-side, side:] - cum[side:, :-side] + cum[:-side, :-side]
             )
@@ -302,14 +313,8 @@ def _supertiles_near(patch: Patch, half: int, square: Square) -> Patch:
     whose bounding box misses the square grown by 1 unit.  Every supertile
     that meets the square survives, since it lies inside all its ancestors.
     """
-    prov = patch.provenance
-    rounds = int(prov["rounds"])
-    seed = Patch.single_tile(
-        KIND_CODES[prov["seed_kind"]],
-        prov["seed_chirality"],
-        scale_exp=-rounds,
-        translation=CycloPoint(*(int(c) for c in prov["translation"])),
-    )
+    seed = covering_seed(patch)
+    rounds = -seed.scale_exp
     lo = np.array([square.x, square.y])
     grow = 1.0  # far above the float error of the boxes, so the prune is conservative
     kinds, chir, coords = _deflate_rounds(seed, rounds - half, near=(lo - grow, lo + square.side + grow))
@@ -326,12 +331,8 @@ def region_analysis(patch: Patch, square: Square | tuple) -> RegionCounts:
     the patch union and have side >= 1.
     """
     square = Square(*square)
-    prov = patch.provenance
-    for key in ("seed_kind", "seed_chirality", "rounds", "translation"):
-        if key not in prov:
-            raise ValueError("patch lacks covering provenance (use generate_patch_covering)")
-    tri = embedded_outline(patch)
-    if not square_in_triangle(square, tri, margin=-1e-9):
+    seed = covering_seed(patch)
+    if (_corner_margins(embedded_outline(patch)[None], seed.chiralities, square) < -1e-9).any():
         raise ValueError("square exceeds the patch")
     l = square.side
     l_frac = Fraction(l)
@@ -341,8 +342,7 @@ def region_analysis(patch: Patch, square: Square | tuple) -> RegionCounts:
     while golden_compare(PHI ** (m + 1), GoldenNum(l_frac)) <= 0:
         m += 1
     half = m // 2
-    rounds = int(prov["rounds"])
-    if half > rounds:
+    if half > -seed.scale_exp:
         raise ValueError("square too large for the patch's deflation depth")
     a = PHI_FLOAT ** (half + 1)
 
@@ -352,20 +352,15 @@ def region_analysis(patch: Patch, square: Square | tuple) -> RegionCounts:
     # Separating-axis test of each closed supertile against the closed
     # square, both grown by eps.  The square's own axes are the bounding-box
     # tests; a triangle edge separates when all four corners lie more than
-    # eps outside it.  Chirality +1 means a counterclockwise vertex loop, so
-    # the inside of each edge is on the side of sign chirality.
+    # eps outside it.
     eps = 1e-9
     lo = np.array([square.x, square.y])
     hi = lo + l
     bb_lo, bb_hi = _bounding_boxes(emb)
     contained_mask = ((bb_lo >= lo - eps) & (bb_hi <= hi + eps)).all(axis=1)
     candidate = np.flatnonzero(((bb_lo <= hi + eps) & (bb_hi >= lo - eps)).all(axis=1))
-    tris = emb[candidate]
-    edges = np.roll(tris, -1, axis=1) - tris
-    rel = np.array(square.corners())[None, None] - tris[:, :, None]
-    cross = edges[:, :, None, 0] * rel[..., 1] - edges[:, :, None, 1] * rel[..., 0]
-    inward = tau2.chiralities[candidate, None] / np.hypot(edges[..., 0], edges[..., 1])
-    separated = (cross * inward[..., None] < -eps).all(axis=2).any(axis=1)
+    margins = _corner_margins(emb[candidate], tau2.chiralities[candidate], square)
+    separated = (margins < -eps).all(axis=2).any(axis=1)
     intersect_mask = contained_mask.copy()
     intersect_mask[candidate[~separated]] = True
 
@@ -480,6 +475,11 @@ def build_report(net: Net, i_min: int, i_max: int) -> DiscrepancyReport:
         raise ValueError(
             f"window side {grid.side} too small for squares of side {2**i_max}"
         )
+    # the window holds (side // 2**i_min)**2 disjoint squares of side
+    # 2**i_min; with fewer points one of them is empty, so refuse before
+    # building the side**2 prefix sums
+    if grid.points < (grid.side // 2**i_min) ** 2:
+        raise ValueError(f"empty square at i={i_min}")
     rows = []
     running_product = 1.0
     running_sum = 0.0

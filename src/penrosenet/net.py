@@ -29,15 +29,16 @@ import numpy as np
 
 from .golden import CycloPoint, PHI_FLOAT, SIN36
 from .tiling import (
-    EMBED_MATRIX,
     HALF_DART,
     HALF_KITE,
     Patch,
     Square,
-    _MINV,
     _decode,
+    _embed,
     _format_rows,
     _read_table,
+    _times_inv_phi,
+    embedded_outline,
 )
 
 SOURCE_NAMES = {HALF_KITE: "kite", HALF_DART: "dart"}
@@ -340,7 +341,8 @@ def extract_net(p: Patch, window: Square | tuple | None = None) -> Net:
     # kite apex + step, dart axis_end - step = apex + step + (axis - 2 step)
     apex = coords[:, 1]
     ring = np.subtract(coords[:, 2], apex)
-    step = ring @ _MINV
+    step = np.empty_like(ring)
+    _times_inv_phi(ring, step)
     ring -= step
     ring -= step
     ring *= p.kinds[:, None]
@@ -381,15 +383,13 @@ def extract_net(p: Patch, window: Square | tuple | None = None) -> Net:
 
     ring = ring.take(tile_ids, axis=0)
     ring += offset
-    xy = ring.astype(np.float64) @ EMBED_MATRIX
+    xy = _embed(ring)
     on_x = ring[:, 1] - ring[:, 2] == ring[:, 3]
     xy[on_x, 0] = (2 * ring[on_x, 0] - ring[on_x, 1]) / 2.0
     xy[(ring[:, 1] == 0) & (ring[:, 2] == ring[:, 3]), 1] = 0.0
 
     prov = p.provenance
-    outline = None
-    if "outline" in prov:
-        outline = np.asarray(prov["outline"], dtype=np.int64).astype(np.float64) @ EMBED_MATRIX
+    outline = embedded_outline(p) if "outline" in prov else None
     if window is not None:
         window = Square(*window)
     elif "square" in prov:

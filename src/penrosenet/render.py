@@ -31,6 +31,13 @@ def _fmt(v: float) -> str:
     return "0" if out == "-0" else out
 
 
+def _grid_steps(lo: float, hi: float) -> np.ndarray:
+    """Multiples of GRID_STEP from the one at or below ``lo`` up to ``hi``."""
+    start = math.floor(lo / GRID_STEP) * GRID_STEP
+    steps = start + GRID_STEP * np.arange(math.floor((hi - start) / GRID_STEP) + 2)
+    return steps[steps <= hi]
+
+
 def render_svg(
     patch: Patch,
     net: Net | None = None,
@@ -55,10 +62,6 @@ def render_svg(
     hi = emb.reshape(-1, 2).max(axis=0) + MARGIN
     width, height = hi - lo
 
-    # SVG y grows downward; flip so the tiling's y grows upward
-    def pt(x: float, y: float) -> str:
-        return f"{_fmt(x - lo[0])},{_fmt(hi[1] - y)}"
-
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -77,23 +80,14 @@ def render_svg(
     parts.append("</g>\n")
 
     if overlay == "grid":
-        x0 = math.floor(lo[0] / GRID_STEP) * GRID_STEP
-        y0 = math.floor(lo[1] / GRID_STEP) * GRID_STEP
+        # vertical lines, then horizontal ones, flipped like the polygons
+        gx = _grid_steps(lo[0], hi[0]) - lo[0]
+        gy = hi[1] - _grid_steps(lo[1], hi[1])
+        zx, zy = np.zeros_like(gx), np.zeros_like(gy)
+        ends = np.concatenate([np.column_stack([gx, zx + height, gx, zx]),
+                               np.column_stack([zy, gy, zy + width, gy])]) + 0.0
         parts.append('<g stroke="#666" stroke-width="0.012" opacity="0.7">\n')
-        x = x0
-        while x <= hi[0]:
-            a, b = pt(x, lo[1]), pt(x, hi[1])
-            ax, ay = a.split(",")
-            bx, by = b.split(",")
-            parts.append(f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}"/>\n')
-            x += GRID_STEP
-        y = y0
-        while y <= hi[1]:
-            a, b = pt(lo[0], y), pt(hi[0], y)
-            ax, ay = a.split(",")
-            bx, by = b.split(",")
-            parts.append(f'<line x1="{ax}" y1="{ay}" x2="{bx}" y2="{by}"/>\n')
-            y += GRID_STEP
+        parts += _format_rows('<line x1="%.6g" y1="%.6g" x2="%.6g" y2="%.6g"/>\n', ends)
         parts.append("</g>\n")
 
     if net is not None and overlay in ("net", "grid"):

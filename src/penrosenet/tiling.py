@@ -469,12 +469,15 @@ def _bounding_boxes(emb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(np.minimum(v0, v1), v2), np.maximum(np.maximum(v0, v1), v2)
 
 
-def _embed(coords: np.ndarray, scale_exp: int) -> np.ndarray:
-    """(N, 3, 4) ring coordinates at ``scale_exp`` as (N, 3, 2) points of R**2."""
+def _embed(coords: np.ndarray, scale_exp: int = 0) -> np.ndarray:
+    """(..., 4) ring coordinates at ``scale_exp`` as (..., 2) points of R**2.
+
+    The one place where array ring coordinates become floats.
+    """
     flat = coords.reshape(-1, 4).astype(np.float64) @ EMBED_MATRIX
     if scale_exp:
         flat = flat * PHI_FLOAT ** (-scale_exp)
-    return flat.reshape(len(coords), 3, 2)
+    return flat.reshape(coords.shape[:-1] + (2,))
 
 
 def _deflate_rounds(p: Patch, rounds: int, near: tuple[np.ndarray, np.ndarray] | None = None):
@@ -536,9 +539,9 @@ def deflate_patch(p: Patch, rounds: int, cap: int = DEFAULT_TILE_CAP) -> Patch:
     )
 
 
-def _triangle_geometry(kind: int) -> tuple[np.ndarray, tuple[float, float], float]:
-    """Embedded unit seed triangle, its incenter and inradius."""
-    base = np.array(_SEED_COORDS[(kind, RIGHT)], dtype=np.float64) @ EMBED_MATRIX
+def _triangle_geometry(kind: int) -> tuple[tuple[float, float], float]:
+    """Incenter and inradius of the embedded unit RIGHT seed triangle."""
+    base = _embed(np.array(_SEED_COORDS[(kind, RIGHT)], dtype=np.int64))
     a = np.linalg.norm(base[2] - base[1])  # side opposite the wing
     b = np.linalg.norm(base[0] - base[2])  # opposite the apex
     c = np.linalg.norm(base[1] - base[0])  # opposite the axis end
@@ -547,26 +550,24 @@ def _triangle_geometry(kind: int) -> tuple[np.ndarray, tuple[float, float], floa
     s = weights.sum() / 2.0
     u, v = base[1] - base[0], base[2] - base[0]
     area = abs(float(u[0] * v[1] - u[1] * v[0])) / 2.0
-    return base, (float(incenter[0]), float(incenter[1])), float(area / s)
+    return (float(incenter[0]), float(incenter[1])), float(area / s)
 
 
 _SEED_GEOMETRY = {k: _triangle_geometry(k) for k in (HALF_KITE, HALF_DART)}
 
 
-def square_in_triangle(square: Square, tri: np.ndarray, margin: float = 0.0) -> bool:
-    """Whether the closed square sits inside the triangle with a safety margin."""
-    ax = np.asarray(tri, dtype=np.float64)
-    ccw = (ax[1, 0] - ax[0, 0]) * (ax[2, 1] - ax[0, 1]) - (ax[1, 1] - ax[0, 1]) * (ax[2, 0] - ax[0, 0])
-    order = ax if ccw >= 0 else ax[::-1]
-    for corner in square.corners():
-        for i in range(3):
-            a = order[i]
-            b = order[(i + 1) % 3]
-            e = b - a
-            d = (e[0] * (corner[1] - a[1]) - e[1] * (corner[0] - a[0])) / math.hypot(e[0], e[1])
-            if d < margin:
-                return False
-    return True
+def _corner_margins(tris: np.ndarray, chir: np.ndarray, square: Square) -> np.ndarray:
+    """Signed distances (N, 3, 4) of the square's corners from each triangle edge.
+
+    ``tris`` is (N, 3, 2) and ``chir`` (N,).  Chirality +1 means a
+    counterclockwise vertex loop, so the inside of each edge is on the side
+    of sign chirality; a distance is positive inside.
+    """
+    edges = np.roll(tris, -1, axis=1) - tris
+    rel = np.array(square.corners())[None, None] - tris[:, :, None]
+    cross = edges[:, :, None, 0] * rel[..., 1] - edges[:, :, None, 1] * rel[..., 0]
+    inward = chir[:, None] / np.hypot(edges[..., 0], edges[..., 1])
+    return cross * inward[..., None]
 
 
 def patch_outline(p: Patch) -> np.ndarray:
@@ -578,10 +579,26 @@ def patch_outline(p: Patch) -> np.ndarray:
 
 
 def embedded_outline(p: Patch) -> np.ndarray:
-    out = patch_outline(p).astype(np.float64) @ EMBED_MATRIX
-    if p.scale_exp:
-        out = out * PHI_FLOAT ** (-p.scale_exp)
-    return out
+    """The seed triangle (3, 2) in R**2 at the patch's scale."""
+    return _embed(patch_outline(p), p.scale_exp)
+
+
+def covering_seed(p: Patch) -> Patch:
+    """The seed half-tile that ``generate_patch_covering`` deflated into ``p``.
+
+    Rebuilt from the recorded seed kind, chirality, rounds and translation;
+    a patch without them (not built by ``generate_patch_covering``, or
+    moved since) is a ValueError.
+    """
+    prov = p.provenance
+    if any(key not in prov for key in ("seed_kind", "seed_chirality", "rounds", "translation")):
+        raise ValueError("patch lacks covering provenance (use generate_patch_covering)")
+    return Patch.single_tile(
+        KIND_CODES[prov["seed_kind"]],
+        prov["seed_chirality"],
+        scale_exp=-int(prov["rounds"]),
+        translation=CycloPoint(*(int(c) for c in prov["translation"])),
+    )
 
 
 def generate_patch_covering(
@@ -601,7 +618,7 @@ def generate_patch_covering(
     square = Square(*square)
     if square.side <= 0:
         raise ValueError("square side must be positive")
-    _, incenter, inradius = _SEED_GEOMETRY[seed_kind]
+    incenter, inradius = _SEED_GEOMETRY[seed_kind]
     if seed_chirality == LEFT:
         incenter = (incenter[0], -incenter[1])
     need = square.side * math.sqrt(2.0) / 2.0 + COVER_SLACK
@@ -628,8 +645,7 @@ def generate_patch_covering(
     })
     patch = Patch(result.kinds, result.chiralities, result.coords,
                   result.generation, result.scale_exp, prov)
-    tri = embedded_outline(patch)
-    if not square_in_triangle(square, tri, margin=0.25):
+    if (_corner_margins(embedded_outline(patch)[None], seed.chiralities, square) < 0.25).any():
         raise RuntimeError(f"seed placement failed to cover the square with {COVER_SLACK} units of slack")
     return patch
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -123,6 +124,21 @@ class TestAnalyze:
                               "--out", str(tmp_path / "rep"))
         assert code == 2
         assert "empty square" in stderr
+
+    @pytest.mark.parametrize("window", [("0", "0", "1e10"), ("1e300", "0", "16")])
+    def test_window_past_the_patch_is_an_empty_square(self, window, tmp_path, capsys):
+        # either window holds more disjoint squares of side 2 than it holds
+        # net points, so one is empty; no cell grid is built and no float
+        # overflows an int64 cast
+        patch_file = str(tmp_path / "p.txt")
+        run(capsys, "generate", "--rounds", "8", "--out", patch_file)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, stderr = run(capsys, "analyze", "--patch", patch_file, "--window", *window,
+                                  "--i-min", "1", "--i-max", "2", "--out", str(tmp_path / "rep"))
+        assert code == 2
+        assert stderr == "error: empty square at i=1\n"
+        assert not (tmp_path / "rep").exists()
 
     def test_patch_without_window_rejected(self, tmp_path, capsys):
         patch_file = str(tmp_path / "p.txt")

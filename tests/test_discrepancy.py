@@ -2,12 +2,13 @@
 
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from penrosenet import discrepancy
+from penrosenet import discrepancy, tiling
 from penrosenet.discrepancy import (
     DensityModel,
     build_report,
@@ -25,22 +26,21 @@ from penrosenet.discrepancy import (
     report_to_csv,
     report_to_json,
 )
-from penrosenet.golden import CycloPoint, GoldenNum, PHI, PHI_FLOAT, golden_compare
+from penrosenet.golden import GoldenNum, PHI, PHI_FLOAT, golden_compare
 from penrosenet.net import Net, count_in_square, extract_net
 from penrosenet.tiling import (
     HALF_DART,
     HALF_KITE,
-    KIND_CODES,
     LEFT,
     RIGHT,
     Patch,
     Square,
     TileCensus,
     _bounding_boxes,
+    covering_seed,
     deflate_patch,
     embedded_outline,
     generate_patch_covering,
-    square_in_triangle,
 )
 from test_tiling import point_in_triangle
 
@@ -325,15 +325,28 @@ def patch256():
 
 def supertiles(patch, half):
     """The supertile layer region_analysis rebuilds, half rounds above the tiles."""
-    prov = patch.provenance
-    rounds = int(prov["rounds"])
-    seed = Patch.single_tile(
-        KIND_CODES[prov["seed_kind"]],
-        prov["seed_chirality"],
-        scale_exp=-rounds,
-        translation=CycloPoint(*(int(c) for c in prov["translation"])),
-    )
-    return deflate_patch(seed, rounds - half)
+    seed = covering_seed(patch)
+    return deflate_patch(seed, -seed.scale_exp - half)
+
+
+def square_in_triangle(square, tri, margin=0.0):
+    """Whether the closed square sits inside the triangle with a safety margin.
+
+    The scalar reference for ``tiling._corner_margins``: orientation comes
+    from a float cross product and each corner is tested against each edge.
+    """
+    ax = np.asarray(tri, dtype=np.float64)
+    ccw = (ax[1, 0] - ax[0, 0]) * (ax[2, 1] - ax[0, 1]) - (ax[1, 1] - ax[0, 1]) * (ax[2, 0] - ax[0, 0])
+    order = ax if ccw >= 0 else ax[::-1]
+    for corner in square.corners():
+        for i in range(3):
+            a = order[i]
+            b = order[(i + 1) % 3]
+            e = b - a
+            d = (e[0] * (corner[1] - a[1]) - e[1] * (corner[0] - a[0])) / math.hypot(e[0], e[1])
+            if d < margin:
+                return False
+    return True
 
 
 def full_layer_region_analysis(monkeypatch, patch, square, layer=None):
@@ -573,6 +586,69 @@ class TestRegionAnalysis:
         assert flush >= 2
 
 
+class TestCornerMargins:
+    """``tiling._corner_margins`` decides as the scalar ``square_in_triangle`` does."""
+
+    @staticmethod
+    def probe_squares(tri, rng):
+        """Squares through each edge, at each vertex, and at random, for outline ``tri``."""
+        ccw = tri if (tri[1, 0] - tri[0, 0]) * (tri[2, 1] - tri[0, 1]) > (tri[1, 1] - tri[0, 1]) * (tri[2, 0] - tri[0, 0]) else tri[::-1]
+        l = 4.0
+        start = ccw.mean(axis=0) - l / 2
+        offsets = np.array([(0, 0), (l, 0), (l, l), (0, l)])
+        squares = []
+        for k in range(3):
+            a, b = ccw[k], ccw[(k + 1) % 3]
+            e = (b - a) / np.hypot(*(b - a))
+            outward = np.array([e[1], -e[0]])
+            inside = ((start + offsets - a) @ -outward).min()
+            # the deepest corner ends at distance d inside the edge (negative: outside)
+            for d in (0.5, 0.25 + 1e-6, 0.25 - 1e-6, 1e-7, -1e-7, -0.5e-9, -1.5e-9, -0.5):
+                x, y = start + (inside - d) * outward
+                squares.append(Square(float(x), float(y), l))
+        for vx, vy in ccw:
+            for sx in (1, -1):
+                for sy in (1, -1):
+                    for shift in (0.0, 1e-7, -1e-7):
+                        x = vx + sx * shift - (l if sx < 0 else 0.0)
+                        y = vy + sy * shift - (l if sy < 0 else 0.0)
+                        squares.append(Square(float(x), float(y), l))
+        lo, hi = tri.min(axis=0), tri.max(axis=0)
+        for _ in range(40):
+            side = float(rng.uniform(0.5, 8.0))
+            x, y = rng.uniform(lo, hi - side)
+            squares.append(Square(float(x), float(y), side))
+        return squares
+
+    @pytest.mark.parametrize("kind", [HALF_KITE, HALF_DART])
+    @pytest.mark.parametrize("chirality", [RIGHT, LEFT])
+    def test_decisions_match_the_scalar_oracle(self, kind, chirality):
+        patch = generate_patch_covering(Square(-3.0, 5.0, 16.0), kind, chirality)
+        tri = embedded_outline(patch)
+        chir = covering_seed(patch).chiralities
+        squares = self.probe_squares(tri, np.random.default_rng(kind * 2 + (chirality > 0)))
+        for margin in (0.25, 0.0, -1e-9):
+            decisions = []
+            for square in squares:
+                margins = tiling._corner_margins(tri[None], chir, square)
+                assert margins.shape == (1, 3, 4)
+                inside = bool((margins >= margin).all())
+                assert inside == square_in_triangle(square, tri, margin), (margin, square)
+                decisions.append(inside)
+            assert 0 < sum(decisions) < len(decisions)
+
+    def test_distances_are_signed_by_chirality(self):
+        # a counterclockwise unit right triangle and its mirror image
+        ccw = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        cw = ccw[::-1].copy()
+        square = Square(0.25, 0.25, 0.25)
+        margins = tiling._corner_margins(np.stack([ccw, cw]), np.array([RIGHT, LEFT]), square)
+        corners = np.array(square.corners())
+        to_hypotenuse = (1.0 - corners.sum(axis=1)) / math.sqrt(2.0)
+        assert np.allclose(margins[0], [corners[:, 1], to_hypotenuse, corners[:, 0]], atol=1e-15)
+        assert np.allclose(margins[1], [to_hypotenuse, corners[:, 1], corners[:, 0]], atol=1e-15)
+
+
 class TestPartialProduct:
     def test_first_row_is_its_own_product(self, net64):
         _, net = net64
@@ -648,3 +724,41 @@ class TestReport:
             build_report(net, 5, 2)
         with pytest.raises(ValueError, match="too small"):
             build_report(net, 4, 8)
+
+    @staticmethod
+    def moved(net, window):
+        return Net(net.xy, net.source_kinds, net.tile_ids, window)
+
+    def test_windows_far_past_the_net_fail_in_order(self, net64):
+        # no side**2 array is built: at side 1e10 it would need 1e20 cells
+        _, net = net64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="integer-cornered"):
+                build_report(self.moved(net, Square(0.5, 0.0, 1e10)), 1, 2)
+            with pytest.raises(ValueError, match="too small for squares of side 2199023255552"):
+                build_report(self.moved(net, Square(0.0, 0.0, 1e10)), 1, 41)
+            for window in (Square(0.0, 0.0, 1e10), Square(1e300, 0.0, 16.0), Square(0.0, -1e300, 1e300)):
+                with pytest.raises(ValueError, match=r"^empty square at i=1$"):
+                    build_report(self.moved(net, window), 1, 2)
+
+    def test_point_count_refusal_is_the_scans_own(self, net64):
+        # a window with fewer points than disjoint squares of side 2**i_min
+        # is refused only where the scan itself finds an empty square
+        _, net = net64
+        rng = np.random.default_rng(23)
+        refused = 0
+        for _ in range(60):
+            side = int(rng.integers(2, 65))
+            x, y = (int(v) for v in rng.integers(-40, 80, size=2))
+            i_min = int(rng.integers(0, side.bit_length()))
+            window_net = self.moved(net, Square(float(x), float(y), float(side)))
+            grid = discrepancy._CountGrid(window_net)
+            assert grid.points == sum(count_in_square(window_net, window_net.window))
+            if grid.points < (side // 2**i_min) ** 2:
+                refused += 1
+                kites, darts = grid.square_counts(2**i_min)
+                assert (kites + darts).min() == 0
+                with pytest.raises(ValueError, match=f"^empty square at i={i_min}$"):
+                    build_report(window_net, i_min, i_min)
+        assert 10 <= refused <= 50

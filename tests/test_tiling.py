@@ -1,6 +1,7 @@
 """Half-tile geometry, deflation, patches, and serialization."""
 
 import math
+import pathlib
 import warnings
 from collections import Counter
 
@@ -24,6 +25,7 @@ from penrosenet.tiling import (
     TileCapError,
     TileCensus,
     census,
+    covering_seed,
     deflate_patch,
     deflate_tile,
     embedded_outline,
@@ -308,6 +310,53 @@ class TestDeflationKernel:
             assert np.abs(exact + y).max() <= tiling._GROWTH * GUARD_LIMIT <= tiling._INT64_MAX
 
 
+class TestEmbed:
+    """``_embed`` against the inline expressions it replaced, bit for bit."""
+
+    @staticmethod
+    def inline(coords, scale_exp=0):
+        out = np.asarray(coords).astype(np.float64) @ tiling.EMBED_MATRIX
+        if scale_exp:
+            out = out * PHI_FLOAT ** (-scale_exp)
+        return out
+
+    @pytest.mark.parametrize("scale_exp", [0, -9, 4])
+    def test_tiles_points_and_one_triangle(self, scale_exp):
+        rng = np.random.default_rng(5)
+        tiles = rng.integers(-2**40, 2**40, size=(50, 3, 4))
+        points = rng.integers(-10**6, 10**6, size=(70, 4))
+        cases = [
+            (tiles, self.inline(tiles.reshape(-1, 4), scale_exp).reshape(50, 3, 2)),  # Patch.embedded
+            (points, self.inline(points, scale_exp)),  # extract_net's points
+            (tiles[7], self.inline(tiles[7], scale_exp)),  # embedded_outline
+            (tiles[:0], np.empty((0, 3, 2))),
+        ]
+        for coords, expected in cases:
+            got = tiling._embed(coords, scale_exp)
+            assert got.dtype == np.float64 and got.shape == coords.shape[:-1] + (2,)
+            assert got.tobytes() == expected.tobytes()
+        if not scale_exp:
+            assert tiling._embed(points).tobytes() == self.inline(points).tobytes()
+
+    def test_outline_and_seed_triangles(self):
+        patch = generate_patch_covering(Square(3.0, -5.0, 40.0), HALF_DART, LEFT)
+        assert embedded_outline(patch).tobytes() == self.inline(tiling.patch_outline(patch)).tobytes()
+        seed = tiling.covering_seed(patch)
+        assert embedded_outline(seed).tobytes() == self.inline(tiling.patch_outline(seed), seed.scale_exp).tobytes()
+        for kind in (HALF_KITE, HALF_DART):
+            unit = np.array(tiling._SEED_COORDS[(kind, RIGHT)], dtype=np.int64)
+            expected = np.array(unit, dtype=np.float64) @ tiling.EMBED_MATRIX
+            assert tiling._embed(unit).tobytes() == expected.tobytes()
+
+    def test_embed_matrix_has_one_use(self):
+        # every ring-to-float conversion in the package goes through _embed
+        src = pathlib.Path(tiling.__file__).parent
+        uses = [(path.name, line.strip()) for path in sorted(src.glob("*.py"))
+                for line in path.read_text().splitlines() if "EMBED_MATRIX" in line]
+        assert [name for name, _ in uses] == ["tiling.py", "tiling.py"]
+        assert uses[1][1].endswith("@ EMBED_MATRIX")
+
+
 class TestDeflatePatch:
     def test_cross_route_equality(self):
         # per-tile exact deflation (parent frame, vertices shrunk by 1/phi)
@@ -477,6 +526,29 @@ class TestCovering:
     def test_rejects_degenerate_square(self):
         with pytest.raises(ValueError):
             generate_patch_covering(Square(0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("kind", [HALF_KITE, HALF_DART])
+    @pytest.mark.parametrize("chirality", [RIGHT, LEFT])
+    def test_covering_seed_deflates_into_the_patch(self, kind, chirality):
+        patch = generate_patch_covering(Square(-7.0, 3.0, 24.0), kind, chirality)
+        seed = covering_seed(patch)
+        assert (len(seed), int(seed.kinds[0]), int(seed.chiralities[0])) == (1, kind, chirality)
+        rebuilt = deflate_patch(seed, patch.provenance["rounds"])
+        assert rebuilt.scale_exp == patch.scale_exp == 0
+        for name in ("kinds", "chiralities", "coords"):
+            a, b = getattr(rebuilt, name), getattr(patch, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert np.array_equal(tiling.patch_outline(rebuilt), tiling.patch_outline(patch))
+
+    def test_covering_seed_needs_the_covering_provenance(self, tmp_path):
+        patch = generate_patch_covering(Square(0.0, 0.0, 8.0))
+        path = str(tmp_path / "p.txt")
+        save_patch(patch, path)
+        for other in (patch.transformed(tenth_turns=2), load_patch(path),
+                      deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-3), 3),
+                      Patch.full_tile(HALF_DART)):
+            with pytest.raises(ValueError, match="covering provenance"):
+                covering_seed(other)
 
 
 class TestSerialization:
