@@ -42,7 +42,7 @@ from .discrepancy import (
 )
 from .golden import PHI, PHI_FLOAT, GoldenNum
 from .net import COVERING_RADIUS_BOUND, SEPARATION, Net, extract_net
-from .render import render_svg
+from .render import _svg_blocks
 from .tiling import (
     DEFAULT_TILE_CAP,
     HALF_DART,
@@ -234,12 +234,14 @@ def cmd_render(args) -> int:
         net = extract_net(patch)
     elif args.overlay == "net":
         raise ValueError("net overlay requires a final-scale patch (scale_exp 0)")
-    svg = render_svg(patch, net=net, overlay=args.overlay,
-                     stroke_width=args.stroke_width,
-                     kite_fill=args.kite_fill, dart_fill=args.dart_fill)
+    # the file is ASCII and written block by block, so check before opening it
+    for fill in (args.kite_fill, args.dart_fill):
+        if not fill.isascii():
+            raise ValueError(f"fill colours must be ASCII, got {fill!r}")
+    blocks = _svg_blocks(patch, net, args.overlay, args.stroke_width, args.kite_fill, args.dart_fill)
     path = args.out or os.path.join(_out_dir(None), "patch.svg")
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(svg)
+        fh.writelines(blocks)
     extra = f" + {len(net)} net markers" if net is not None and args.overlay != "none" else ""
     print(f"wrote {path}: {len(patch)} polygons{extra}")
     return 0

@@ -249,6 +249,13 @@ class _CountGrid:
         keep = (fx >= 0) & (fx < float(self.side)) & (fy >= 0) & (fy < float(self.side))
         self._cells = fx[keep], fy[keep], net.source_kinds[keep]
         self.points = len(self._cells[2])
+        # cells between the window's edge and the kept points' cell bounding
+        # box, on the side where there are most
+        self.margin = self.side
+        if self.points:
+            fx, fy, _ = self._cells
+            last = float(self.side - 1)
+            self.margin = int(max(fx.min(), fy.min(), last - fx.max(), last - fy.max()))
 
     @cached_property
     def _cums(self) -> tuple[np.ndarray, np.ndarray]:
@@ -321,6 +328,15 @@ def _supertiles_near(patch: Patch, half: int, square: Square) -> Patch:
     return Patch(kinds, chir, coords, generation=rounds - half, scale_exp=-half)
 
 
+def _phi_log_floor(l: Fraction) -> int:
+    """The largest m >= 0 with phi**m <= l, decided exactly in Q(phi)."""
+    m, power, bound = 0, PHI, GoldenNum(l)
+    while golden_compare(power, bound) <= 0:
+        m += 1
+        power = power * PHI
+    return m
+
+
 def region_analysis(patch: Patch, square: Square | tuple) -> RegionCounts:
     """Frame-area analysis of a square against the patch's supertile levels.
 
@@ -338,9 +354,7 @@ def region_analysis(patch: Patch, square: Square | tuple) -> RegionCounts:
     l_frac = Fraction(l)
     if l_frac < 1:
         raise ValueError("square side must be >= 1")
-    m = 0
-    while golden_compare(PHI ** (m + 1), GoldenNum(l_frac)) <= 0:
-        m += 1
+    m = _phi_log_floor(l_frac)
     half = m // 2
     if half > -seed.scale_exp:
         raise ValueError("square too large for the patch's deflation depth")
@@ -475,10 +489,11 @@ def build_report(net: Net, i_min: int, i_max: int) -> DiscrepancyReport:
         raise ValueError(
             f"window side {grid.side} too small for squares of side {2**i_max}"
         )
-    # the window holds (side // 2**i_min)**2 disjoint squares of side
-    # 2**i_min; with fewer points one of them is empty, so refuse before
-    # building the side**2 prefix sums
-    if grid.points < (grid.side // 2**i_min) ** 2:
+    # refuse before building the side**2 prefix sums when a square of side
+    # 2**i_min is surely empty: the window holds (side // 2**i_min)**2
+    # disjoint ones, so with fewer points one is empty, and one that fits in
+    # the margin between the window's edge and the points' cells is too
+    if grid.points < (grid.side // 2**i_min) ** 2 or grid.margin >= 2**i_min:
         raise ValueError(f"empty square at i={i_min}")
     rows = []
     running_product = 1.0

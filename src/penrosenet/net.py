@@ -59,6 +59,7 @@ SEPARATION = 2.0 * SIN36 / PHI_FLOAT
 # |coordinate| < 2**56 keeps extract_net's incenters (at most 21 times the
 # largest coordinate) and its grid-line tests on them inside int64
 _COORD_LIMIT = 1 << 56
+_EXTRACT_BLOCK = 8192  # half-tiles per block of extract_net's incenter pass
 
 
 def full_tile_incenter(kind: int, apex: CycloPoint, axis_end: CycloPoint) -> CycloPoint:
@@ -305,6 +306,67 @@ def _largest_gap(pts: np.ndarray, edges: np.ndarray, centers: np.ndarray, region
     return float(dist.max())
 
 
+def _incenter_rows(p: Patch) -> np.ndarray:
+    """The exact incenter of every half's full tile, as a (4, n) int64 array.
+
+    With axis = axis_end - apex and step = axis / phi, a kite's incenter is
+    apex + step and a dart's apex + (axis - step).  Ring coordinates are
+    rows, so every operation runs on contiguous memory, and the half-tiles
+    go through in blocks that stay in cache.  Coordinates that could wrap
+    int64 are a ValueError.
+    """
+    coords = p.coords
+    ring = np.empty((4, len(p)), dtype=np.int64)
+    scratch = np.empty((2, 4, _EXTRACT_BLOCK), dtype=np.int64)
+    for lo in range(0, len(p), _EXTRACT_BLOCK):
+        block = coords[lo:lo + _EXTRACT_BLOCK]
+        if block.max() >= _COORD_LIMIT or block.min() <= -_COORD_LIMIT:
+            raise ValueError(f"tile coordinates must lie within +-2**{_COORD_LIMIT.bit_length() - 1}")
+        m = len(block)
+        apex, axis, out = scratch[0, :, :m], scratch[1, :, :m], ring[:, lo:lo + m]
+        np.copyto(scratch[:, :, :m], block[:, 1:].transpose(1, 2, 0))
+        axis -= apex
+        _times_inv_phi(axis.T, out.T)
+        axis -= out
+        np.copyto(out, axis, where=p.kinds[lo:lo + m] == HALF_DART)
+        out += apex
+    return ring
+
+
+def _first_halves(key: np.ndarray, p: Patch) -> np.ndarray:
+    """Sorted patch indices of the first half of every tile; halves pair on equal keys.
+
+    A key shared by more than two halves, or a pair that does not have
+    opposite chirality and a shared apex, is a ValueError.
+    """
+    n = len(key)
+    order = np.argsort(key)
+    sk = key[order]
+    new_group = np.empty(n, dtype=bool)
+    new_group[0] = True
+    np.not_equal(sk[1:], sk[:-1], out=new_group[1:])
+    del sk
+    starts = np.flatnonzero(new_group)
+    sizes = np.diff(starts, append=n)
+    if sizes.max() > 2:
+        raise ValueError("more than two half-tiles share one tile incenter; invalid patch")
+    pairs = starts[sizes == 2]
+    a, b = order[pairs], order[pairs + 1]
+    if np.any(p.chiralities[a] == p.chiralities[b]):
+        raise ValueError("paired half-tiles must have opposite chirality")
+    # each apex as one 32-byte item, gathered a block of pairs at a time:
+    # indexing the strided (n, 4) apex view takes numpy's slow path, and an
+    # apex copy of every half-tile is as large as the incenter rows
+    apexes = p.coords.view(np.dtype((np.void, 32)))[:, 1, 0]
+    for lo in range(0, len(a), _EXTRACT_BLOCK):
+        hi = lo + _EXTRACT_BLOCK
+        if np.any(apexes[a[lo:hi]].view(np.int64) != apexes[b[lo:hi]].view(np.int64)):
+            raise ValueError("paired half-tiles must share their apex; overlapping tiles")
+    first = np.ones(n, dtype=bool)
+    first[np.maximum(a, b)] = False
+    return np.flatnonzero(first)
+
+
 def extract_net(p: Patch, window: Square | tuple | None = None) -> Net:
     """Pair mirror halves of a final-scale patch and emit tile incenters.
 
@@ -332,57 +394,28 @@ def extract_net(p: Patch, window: Square | tuple | None = None) -> Net:
         raise ValueError(
             f"net extraction requires final-scale tiles (scale_exp 0), got {p.scale_exp}"
         )
-    n = len(p)
-    coords = p.coords
-    if coords.max() >= _COORD_LIMIT or coords.min() <= -_COORD_LIMIT:
-        raise ValueError(f"tile coordinates must lie within +-2**{_COORD_LIMIT.bit_length() - 1}")
-
-    # incenter with axis = axis_end - apex and step = axis / phi:
-    # kite apex + step, dart axis_end - step = apex + step + (axis - 2 step)
-    apex = coords[:, 1]
-    ring = np.subtract(coords[:, 2], apex)
-    step = np.empty_like(ring)
-    _times_inv_phi(ring, step)
-    ring -= step
-    ring -= step
-    ring *= p.kinds[:, None]
-    ring += step
-    ring += apex
-    del step
-
-    offset = [int(col.min()) for col in ring.T]
-    widths = [(int(col.max()) - low).bit_length() for col, low in zip(ring.T, offset)]
+    ring = _incenter_rows(p)
+    offset = ring.min(axis=1)
+    widths = [(int(top) - int(low)).bit_length() for top, low in zip(ring.max(axis=1), offset)]
     if 1 + sum(widths) > 63:
         raise ValueError(f"tile key needs {1 + sum(widths)} bits, more than 63")
-    ring -= offset
     key = p.kinds.astype(np.int64)
-    for col, width in zip(ring.T, widths):
+    for k, width in enumerate(widths):
+        ring[k] -= offset[k]
         key <<= width
-        key += col
+        key += ring[k]
+    del ring
 
-    order = np.argsort(key)
-    sk = key[order]
+    tile_ids = _first_halves(key, p)
+    # the chosen tiles' incenters, unpacked from their own keys
+    tile_key = key[tile_ids]
     del key
-    new_group = np.empty(n, dtype=bool)
-    new_group[0] = True
-    np.not_equal(sk[1:], sk[:-1], out=new_group[1:])
-    del sk
-    starts = np.flatnonzero(new_group)
-    sizes = np.diff(starts, append=n)
-    if sizes.max() > 2:
-        raise ValueError("more than two half-tiles share one tile incenter; invalid patch")
-    pairs = starts[sizes == 2]
-    a, b = order[pairs], order[pairs + 1]
-    if np.any(p.chiralities[a] == p.chiralities[b]):
-        raise ValueError("paired half-tiles must have opposite chirality")
-    if any(np.any(col[a] != col[b]) for col in apex.T):
-        raise ValueError("paired half-tiles must share their apex; overlapping tiles")
-    first = np.ones(n, dtype=bool)
-    first[np.maximum(a, b)] = False
-    tile_ids = np.flatnonzero(first)
-
-    ring = ring.take(tile_ids, axis=0)
-    ring += offset
+    ring = np.empty((len(tile_ids), 4), dtype=np.int64)
+    for k in reversed(range(4)):
+        np.bitwise_and(tile_key, (1 << widths[k]) - 1, out=ring[:, k])
+        ring[:, k] += offset[k]
+        tile_key >>= widths[k]
+    del tile_key
     xy = _embed(ring)
     on_x = ring[:, 1] - ring[:, 2] == ring[:, 3]
     xy[on_x, 0] = (2 * ring[on_x, 0] - ring[on_x, 1]) / 2.0

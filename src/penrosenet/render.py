@@ -10,6 +10,7 @@ matches the on-screen picture.
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -52,6 +53,16 @@ def render_svg(
     ``net``), or ``"grid"`` (unit grid lines over the drawing, plus net
     markers when a net is supplied).
     """
+    return "".join(_svg_blocks(patch, net, overlay, stroke_width, kite_fill, dart_fill))
+
+
+def _svg_blocks(
+    patch: Patch, net: Net | None, overlay: str, stroke_width: float, kite_fill: str, dart_fill: str,
+) -> Iterator[str]:
+    """The document ``render_svg`` returns, as blocks of text to write in turn.
+
+    A file written block by block never holds the whole document in memory.
+    """
     if overlay not in ("none", "net", "grid"):
         raise ValueError(f"unknown overlay {overlay!r}")
     if overlay == "net" and net is None:
@@ -62,22 +73,24 @@ def render_svg(
     hi = emb.reshape(-1, 2).max(axis=0) + MARGIN
     width, height = hi - lo
 
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>\n',
+    yield (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_fmt(width * 40)}" height="{_fmt(height * 40)}" '
-        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">\n',
+        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">\n'
         f'<g stroke="#30343a" stroke-width="{_fmt(stroke_width)}" '
-        'stroke-linejoin="round">\n',
-    ]
+        'stroke-linejoin="round">\n'
+    )
     # "+ 0.0" turns an exact -0.0 into 0.0, as _fmt does
     corners = np.stack([emb[:, :, 0] - lo[0], hi[1] - emb[:, :, 1]], axis=2) + 0.0
-    parts += _format_rows(
+    del emb
+    yield from _format_rows(
         '<polygon points="%.6g,%.6g %.6g,%.6g %.6g,%.6g" fill="%s"/>\n',
         corners.reshape(len(patch), 6),
         np.where(patch.kinds == HALF_KITE, kite_fill, dart_fill),
     )
-    parts.append("</g>\n")
+    del corners
+    yield "</g>\n"
 
     if overlay == "grid":
         # vertical lines, then horizontal ones, flipped like the polygons
@@ -86,19 +99,18 @@ def render_svg(
         zx, zy = np.zeros_like(gx), np.zeros_like(gy)
         ends = np.concatenate([np.column_stack([gx, zx + height, gx, zx]),
                                np.column_stack([zy, gy, zy + width, gy])]) + 0.0
-        parts.append('<g stroke="#666" stroke-width="0.012" opacity="0.7">\n')
-        parts += _format_rows('<line x1="%.6g" y1="%.6g" x2="%.6g" y2="%.6g"/>\n', ends)
-        parts.append("</g>\n")
+        yield '<g stroke="#666" stroke-width="0.012" opacity="0.7">\n'
+        yield from _format_rows('<line x1="%.6g" y1="%.6g" x2="%.6g" y2="%.6g"/>\n', ends)
+        yield "</g>\n"
 
     if net is not None and overlay in ("net", "grid"):
-        parts.append('<g stroke="none">\n')
+        yield '<g stroke="none">\n'
         centers = np.column_stack([net.xy[:, 0] - lo[0], hi[1] - net.xy[:, 1]]) + 0.0
-        parts += _format_rows(
+        yield from _format_rows(
             '<circle cx="%.6g" cy="%.6g" r="0.09" fill="%s"/>\n',
             centers,
             np.where(net.source_kinds == HALF_KITE, KITE_POINT_FILL, DART_POINT_FILL),
         )
-        parts.append("</g>\n")
+        yield "</g>\n"
 
-    parts.append("</svg>\n")
-    return "".join(parts)
+    yield "</svg>\n"

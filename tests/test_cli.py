@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import penrosenet
+from penrosenet import discrepancy
 from penrosenet.cli import main
 from penrosenet.net import SEPARATION, Net, extract_net
 from penrosenet.tiling import SubstitutionRule, TileCensus, census, load_patch, substitution_counts
@@ -138,6 +139,20 @@ class TestAnalyze:
                                   "--i-min", "1", "--i-max", "2", "--out", str(tmp_path / "rep"))
         assert code == 2
         assert stderr == "error: empty square at i=1\n"
+        assert not (tmp_path / "rep").exists()
+
+    def test_huge_window_past_the_points_is_an_empty_square(self, tmp_path, capsys, monkeypatch):
+        # the window holds only 9 disjoint squares of side 2**15, fewer than
+        # the 1324 points, but they cover a corner of it; its cell grid would
+        # need 10**10 cells per kind
+        patch_file = str(tmp_path / "p.txt")
+        run(capsys, "generate", "--seed", "half-kite", "--rounds", "8", "--out", patch_file)
+        monkeypatch.setattr(discrepancy._CountGrid, "_cums",
+                            property(lambda grid: pytest.fail("cell grid built")))
+        code, _, stderr = run(capsys, "analyze", "--patch", patch_file, "--window", "0", "0", "100000",
+                              "--i-min", "15", "--i-max", "16", "--out", str(tmp_path / "rep"))
+        assert code == 2
+        assert stderr == "error: empty square at i=15\n"
         assert not (tmp_path / "rep").exists()
 
     def test_patch_without_window_rejected(self, tmp_path, capsys):

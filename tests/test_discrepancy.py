@@ -469,6 +469,35 @@ class TestRegionAnalysis:
         with pytest.raises(ValueError, match="exceeds"):
             region_analysis(patch, Square(1000.0, 1000.0, 8.0))
 
+    PHI_POWERS = {k: PHI**k for k in range(1, 40)}
+
+    @classmethod
+    def quadratic_phi_log_floor(cls, l: Fraction) -> int:
+        """The loop region_analysis used, which recomputed PHI ** (m + 1) on every step.
+
+        The powers come from a table here, so the test stays quick; the
+        comparisons are the same.
+        """
+        m = 0
+        while golden_compare(cls.PHI_POWERS[m + 1], GoldenNum(l)) <= 0:
+            m += 1
+        return m
+
+    def test_phi_log_floor_matches_the_quadratic_loop(self):
+        for l in range(1, 4097):
+            assert discrepancy._phi_log_floor(Fraction(l)) == self.quadratic_phi_log_floor(Fraction(l)), l
+        # rationals just below and just above phi**k: sqrt 5 lies in
+        # [r, r + 10**-30] for r = isqrt(5 * 10**60) / 10**30
+        r = Fraction(math.isqrt(5 * 10**60), 10**30)
+        for k in range(1, 21):
+            power = PHI**k  # a + b phi with b = F(k) > 0, and phi = (1 + sqrt 5) / 2
+            a, b = power.a, power.b
+            below = a + b * (1 + r) / 2
+            above = a + b * (1 + r + Fraction(1, 10**30)) / 2
+            assert golden_compare(GoldenNum(below), power) < 0 < golden_compare(GoldenNum(above), power)
+            for l, m in ((below, k - 1), (above, k)):
+                assert discrepancy._phi_log_floor(l) == self.quadratic_phi_log_floor(l) == m, (k, l)
+
     def test_tiny_side_rejected(self, net64):
         patch, _ = net64
         with pytest.raises(ValueError, match="side"):
@@ -762,3 +791,44 @@ class TestReport:
                 with pytest.raises(ValueError, match=f"^empty square at i={i_min}$"):
                     build_report(window_net, i_min, i_min)
         assert 10 <= refused <= 50
+
+    def test_margin_refusal_is_the_scans_own(self, net64):
+        # a window with 2**i_min or more cells between one edge and the
+        # points' cells is refused only where the scan itself finds an empty
+        # square; most of these windows hold enough points not to be refused
+        # by their point count
+        _, net = net64
+        rng = np.random.default_rng(29)
+        refused = by_margin_only = 0
+        for _ in range(60):
+            side = int(rng.integers(2, 129))
+            x, y = (int(v) for v in rng.integers(-60, 60, size=2))
+            i_min = int(rng.integers(0, side.bit_length()))
+            window_net = self.moved(net, Square(float(x), float(y), float(side)))
+            grid = discrepancy._CountGrid(window_net)
+            kites, darts = grid.square_counts(1)
+            filled = np.argwhere(kites + darts)
+            if len(filled):
+                assert grid.margin == max(*filled.min(axis=0), *(side - 1 - filled.max(axis=0)))
+            else:
+                assert grid.margin == side
+            if grid.margin >= 2**i_min:
+                refused += 1
+                by_margin_only += grid.points >= (side // 2**i_min) ** 2
+                kites, darts = grid.square_counts(2**i_min)
+                assert (kites + darts).min() == 0
+                with pytest.raises(ValueError, match=f"^empty square at i={i_min}$"):
+                    build_report(window_net, i_min, i_min)
+        assert refused >= 10 and by_margin_only >= 3
+
+    def test_huge_window_refused_before_the_cell_grid(self, monkeypatch):
+        # the 8-round patch's 1324 points fill more than the 9 disjoint
+        # squares of side 2**15 in this window, but leave most of it empty;
+        # its cell grid would need 10**10 cells per kind
+        net = extract_net(deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-8), 8),
+                          Square(0.0, 0.0, 100000.0))
+        monkeypatch.setattr(discrepancy._CountGrid, "_cums",
+                            property(lambda grid: pytest.fail("cell grid built")))
+        assert discrepancy._CountGrid(net).points >= 9
+        with pytest.raises(ValueError, match=r"^empty square at i=15$"):
+            build_report(net, 15, 16)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from penrosenet import tiling
+from penrosenet import net as net_module, tiling
 from penrosenet.cli import main
 from penrosenet.discrepancy import _CountGrid
 from penrosenet.golden import (
@@ -43,8 +43,11 @@ from penrosenet.tiling import (
     Patch,
     Square,
     _MINV,
+    _embed,
+    _times_inv_phi,
     census,
     deflate_patch,
+    embedded_outline,
     generate_patch_covering,
     load_patch,
     save_patch,
@@ -224,6 +227,98 @@ def lexsort_extract_net(p: Patch, window=None) -> Net:
         extent = float((xy.max(axis=0) - lo).max())
         window = Square(float(lo[0]) - 1.0, float(lo[1]) - 1.0, extent + 2.0)
     return Net(xy, kinds[out], tile_ids[out], window, ring=ring[out], outline=outline)
+
+
+def column_extract_net(p: Patch, window=None) -> Net:
+    """The extract_net the blocked incenter pass replaced: whole-array (n, 4) column views."""
+    if len(p) == 0:
+        raise ValueError("empty net")
+    if p.scale_exp != 0:
+        raise ValueError(
+            f"net extraction requires final-scale tiles (scale_exp 0), got {p.scale_exp}"
+        )
+    n = len(p)
+    coords = p.coords
+    limit = net_module._COORD_LIMIT
+    if coords.max() >= limit or coords.min() <= -limit:
+        raise ValueError(f"tile coordinates must lie within +-2**{limit.bit_length() - 1}")
+
+    apex = coords[:, 1]
+    ring = np.subtract(coords[:, 2], apex)
+    step = np.empty_like(ring)
+    _times_inv_phi(ring, step)
+    ring -= step
+    ring -= step
+    ring *= p.kinds[:, None]
+    ring += step
+    ring += apex
+    del step
+
+    offset = [int(col.min()) for col in ring.T]
+    widths = [(int(col.max()) - low).bit_length() for col, low in zip(ring.T, offset)]
+    if 1 + sum(widths) > 63:
+        raise ValueError(f"tile key needs {1 + sum(widths)} bits, more than 63")
+    ring -= offset
+    key = p.kinds.astype(np.int64)
+    for col, width in zip(ring.T, widths):
+        key <<= width
+        key += col
+
+    order = np.argsort(key)
+    sk = key[order]
+    del key
+    new_group = np.empty(n, dtype=bool)
+    new_group[0] = True
+    np.not_equal(sk[1:], sk[:-1], out=new_group[1:])
+    del sk
+    starts = np.flatnonzero(new_group)
+    sizes = np.diff(starts, append=n)
+    if sizes.max() > 2:
+        raise ValueError("more than two half-tiles share one tile incenter; invalid patch")
+    pairs = starts[sizes == 2]
+    a, b = order[pairs], order[pairs + 1]
+    if np.any(p.chiralities[a] == p.chiralities[b]):
+        raise ValueError("paired half-tiles must have opposite chirality")
+    if any(np.any(col[a] != col[b]) for col in apex.T):
+        raise ValueError("paired half-tiles must share their apex; overlapping tiles")
+    first = np.ones(n, dtype=bool)
+    first[np.maximum(a, b)] = False
+    tile_ids = np.flatnonzero(first)
+
+    ring = ring.take(tile_ids, axis=0)
+    ring += offset
+    xy = _embed(ring)
+    on_x = ring[:, 1] - ring[:, 2] == ring[:, 3]
+    xy[on_x, 0] = (2 * ring[on_x, 0] - ring[on_x, 1]) / 2.0
+    xy[(ring[:, 1] == 0) & (ring[:, 2] == ring[:, 3]), 1] = 0.0
+
+    prov = p.provenance
+    outline = embedded_outline(p) if "outline" in prov else None
+    if window is not None:
+        window = Square(*window)
+    elif "square" in prov:
+        window = Square(*prov["square"])
+    else:
+        lo = xy.min(axis=0)
+        extent = float((xy.max(axis=0) - lo).max())
+        window = Square(float(lo[0]) - 1.0, float(lo[1]) - 1.0, extent + 2.0)
+    return Net(xy, p.kinds[tile_ids], tile_ids, window, ring=ring, outline=outline)
+
+
+def assert_matches_columns(patch: Patch, window=None) -> Net:
+    """extract_net equals the column extractor bit for bit."""
+    new, old = extract_net(patch, window), column_extract_net(patch, window)
+    assert new.ring.dtype == np.int64 and new.ring.shape == (len(new), 4)
+    for attr in ("xy", "ring", "tile_ids", "source_kinds"):
+        x, y = getattr(new, attr), getattr(old, attr)
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes(), attr
+    assert tuple(new.window) == tuple(old.window)
+    if old.outline is None:
+        assert new.outline is None
+    else:
+        assert new.outline.tobytes() == old.outline.tobytes()
+    return new
 
 
 def exact_x(origin: CycloPoint) -> GoldenNum:
@@ -463,6 +558,87 @@ class TestExtractionOracle:
         unshuffled = extract_net(patch)
         assert len(net) == len(unshuffled)
         assert sorted(map(tuple, net.ring.tolist())) == sorted(map(tuple, unshuffled.ring.tolist()))
+
+
+def deflated(kind: int, chirality: int, rounds: int = 11) -> Patch:
+    return deflate_patch(Patch.single_tile(kind, chirality, scale_exp=-rounds), rounds)
+
+
+def first_rows(p: Patch, n: int) -> Patch:
+    return Patch(p.kinds[:n], p.chiralities[:n], p.coords[:n], p.generation, p.scale_exp, p.provenance)
+
+
+FAR = CycloPoint(10**6, 0, 0, 0)  # a net point there has the largest first key field
+
+
+class TestBlockedPass:
+    """The blocked incenter pass against the column extractor it replaced."""
+
+    B = net_module._EXTRACT_BLOCK
+
+    @pytest.mark.parametrize("kind", [HALF_KITE, HALF_DART])
+    @pytest.mark.parametrize("chirality", [RIGHT, LEFT])
+    def test_block_boundaries(self, kind, chirality):
+        patch = deflated(kind, chirality)
+        assert len(patch) > 2 * self.B + 1
+        for n in (self.B - 1, self.B, self.B + 1, 2 * self.B + 1, len(patch)):
+            assert_matches_columns(first_rows(patch, n))
+
+    @pytest.mark.parametrize("kind", [HALF_KITE, HALF_DART])
+    @pytest.mark.parametrize("chirality", [RIGHT, LEFT])
+    def test_transformed_and_loaded(self, kind, chirality, tmp_path):
+        moved = deflated(kind, chirality).transformed(tenth_turns=3, translation=CycloPoint(10**6, -(10**6), 7, 2**40))
+        assert_matches_columns(moved)
+        path = str(tmp_path / "patch.txt")
+        save_patch(moved, path)
+        assert_matches_columns(load_patch(path))
+
+    @pytest.mark.parametrize("square", [Square(-20.0, 13.0, 64.0), Square(5.0, -40.0, 256.0)])
+    def test_covering_patches(self, square):
+        patch = generate_patch_covering(square)
+        assert_matches_columns(patch)
+        assert_matches_columns(patch, Square(2.0, 3.0, 8.0))
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        """Three full blocks and a part, and more pairs than one block."""
+        patch = deflated(HALF_DART, RIGHT)
+        assert len(patch) > 3 * self.B and len(patch) - len(column_extract_net(patch)) > self.B
+        return patch
+
+    def assert_both_raise(self, patch, match):
+        for extract in (extract_net, column_extract_net):
+            with pytest.raises(ValueError, match=match):
+                extract(patch)
+
+    @pytest.mark.parametrize("vertex, coeff, value", [
+        (1, 0, 2**56), (2, 3, -(2**56)), (0, 3, -(2**56)), (0, 1, 2**62),
+    ])
+    def test_coordinate_limit_in_the_last_row(self, base, vertex, coeff, value):
+        # vertex 0 is the wing, which no incenter reads
+        coords = base.coords.copy()
+        coords[-1, vertex, coeff] = value
+        self.assert_both_raise(Patch(base.kinds, base.chiralities, coords), "coordinates must lie within")
+
+    def test_key_wider_than_63_bits_at_the_end(self, base):
+        far = Patch.single_tile(HALF_KITE, translation=CycloPoint(*([2**50] * 4)))
+        self.assert_both_raise(tiles(base, far), "more than 63")
+
+    def test_three_halves_at_the_end(self, base):
+        third = tiles(Patch.full_tile(HALF_DART), Patch.single_tile(HALF_DART, RIGHT))
+        self.assert_both_raise(tiles(base, third.transformed(translation=FAR)), "more than two")
+
+    def test_same_chirality_pair_at_the_end(self, base):
+        full = Patch.full_tile(HALF_DART)
+        same = Patch(full.kinds, [LEFT, LEFT], full.coords).transformed(translation=FAR)
+        self.assert_both_raise(tiles(base, same), "opposite chirality")
+
+    def test_apex_mismatch_in_the_last_block_of_pairs(self, base):
+        # a dart pair far out in +x has the largest key, so it is the last
+        # pair in sort order
+        right = incenter_at_origin(HALF_DART, RIGHT).transformed(translation=FAR)
+        turned = incenter_at_origin(HALF_DART, LEFT).transformed(tenth_turns=2, translation=FAR)
+        self.assert_both_raise(tiles(base, right, turned), "share their apex")
 
 
 class TestExtractionErrors:

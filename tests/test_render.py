@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from penrosenet import tiling
+from penrosenet.cli import main
 from penrosenet.golden import CycloPoint
 from penrosenet.net import Net, extract_net
 from penrosenet.render import (
@@ -26,6 +27,8 @@ from penrosenet.tiling import (
     Square,
     deflate_patch,
     generate_patch_covering,
+    load_patch,
+    save_patch,
 )
 
 
@@ -133,3 +136,24 @@ def test_format_blocks_cover_every_polygon(monkeypatch):
     net = extract_net(patch)
     assert len(patch) % 4 and len(net) % 4
     assert render_svg(patch, net=net, overlay="net") == per_polygon_render(patch, net, "net")
+
+
+@pytest.mark.parametrize("overlay", ["none", "net", "grid"])
+def test_cli_file_equals_render_svg(overlay, tmp_path, capsys):
+    # the CLI writes the document block by block; the file holds its bytes
+    patch_file, svg_file = str(tmp_path / "p.txt"), str(tmp_path / "p.svg")
+    save_patch(PATCHES["covering_64"](), patch_file)
+    assert main(["render", "--patch", patch_file, "--overlay", overlay, "--out", svg_file]) == 0
+    capsys.readouterr()
+    loaded = load_patch(patch_file)
+    net = None if overlay == "none" else extract_net(loaded)
+    with open(svg_file, encoding="ascii", newline="") as fh:
+        assert fh.read() == render_svg(loaded, net=net, overlay=overlay)
+
+
+def test_cli_refuses_a_non_ascii_fill_before_writing(tmp_path, capsys):
+    patch_file, svg_file = str(tmp_path / "p.txt"), tmp_path / "p.svg"
+    save_patch(PATCHES["deflated_half_dart"](), patch_file)
+    assert main(["render", "--patch", patch_file, "--kite-fill", "\u00e9", "--out", str(svg_file)]) == 2
+    assert capsys.readouterr().err == "error: fill colours must be ASCII, got '\u00e9'\n"
+    assert not svg_file.exists()
