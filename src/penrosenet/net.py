@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
-from .golden import CycloPoint, PHI_FLOAT, SIN36
+from .golden import PHI_FLOAT, SIN36
 from .tiling import (
     HALF_DART,
     HALF_KITE,
@@ -60,21 +60,6 @@ SEPARATION = 2.0 * SIN36 / PHI_FLOAT
 # largest coordinate) and its grid-line tests on them inside int64
 _COORD_LIMIT = 1 << 56
 _EXTRACT_BLOCK = 8192  # half-tiles per block of extract_net's incenter pass
-
-
-def full_tile_incenter(kind: int, apex: CycloPoint, axis_end: CycloPoint) -> CycloPoint:
-    """Exact incircle center of the full tile with this symmetry axis."""
-    if kind == HALF_KITE:
-        return apex + (axis_end - apex).times_inv_phi()
-    return axis_end + (apex - axis_end).times_inv_phi()
-
-
-class NetPoint(NamedTuple):
-    x: float
-    y: float
-    origin: CycloPoint | None
-    source_kind: int
-    tile_id: int
 
 
 class Net:
@@ -119,16 +104,6 @@ class Net:
 
     def __len__(self) -> int:
         return len(self.xy)
-
-    def point(self, i: int) -> NetPoint:
-        origin = None if self.ring is None else CycloPoint(*map(int, self.ring[i]))
-        return NetPoint(
-            float(self.xy[i, 0]), float(self.xy[i, 1]),
-            origin, int(self.source_kinds[i]), int(self.tile_ids[i]),
-        )
-
-    def points(self) -> Iterator[NetPoint]:
-        return (self.point(i) for i in range(len(self)))
 
     def _window_corners(self) -> np.ndarray:
         x0, y0, side = self.window

@@ -69,8 +69,9 @@ def _svg_blocks(
         raise ValueError("net overlay requires a net")
 
     emb = patch.embedded()
-    lo = emb.reshape(-1, 2).min(axis=0) - MARGIN
-    hi = emb.reshape(-1, 2).max(axis=0) + MARGIN
+    # one whole-array reduction per axis is far faster than an axis-0 one
+    lo = np.array([emb[..., k].min() for k in (0, 1)]) - MARGIN
+    hi = np.array([emb[..., k].max() for k in (0, 1)]) + MARGIN
     width, height = hi - lo
 
     yield (

@@ -656,7 +656,10 @@ _PATCH_ROW = np.dtype([
     ("kind", "U2"), ("chirality", "U2"), ("generation", np.int64), ("coords", np.int64, (12,)),
 ])
 _PATCH_HEADERS = {"scale_exp": 1, "generation": 1, "census": 2}  # key -> number of integers
-_FORMAT_BLOCK = 4096  # rows per % call; bounds the per-block object temporaries
+_FORMAT_BLOCK = 8192  # rows per block of _format_rows; its temporaries grow with it
+# one printf conversion: flags, width, precision and a type that never
+# turns a number into NUL (no %c)
+_CONVERSION = re.compile(r"(%[-+ #0]*\d*(?:\.\d+)?[diouxXeEfFgGrsa])")
 _DATA_LINE = re.compile(r"^[^\S\n]*[^\s#]", re.M)  # a line that is neither blank nor a comment
 
 
@@ -664,18 +667,53 @@ def _format_rows(template: str, *columns: np.ndarray) -> Iterator[str]:
     """Yield ``template % row`` for every row, joined into one string per block.
 
     Each column is an (N,) or (N, m) array and a row is their values side by
-    side, so ``template`` holds one conversion per value.  Values are passed
-    as arguments, never spliced into the template.
+    side, so ``template`` holds one conversion per value; the values of one
+    column share one conversion.  Values are passed as arguments, never
+    spliced into the template.
+
+    A tiling's coordinates take few distinct values, so each block of
+    ``_FORMAT_BLOCK`` rows formats each distinct value of a column once, with
+    the template's own conversion, into a NUL-padded byte table.  Floats are
+    told apart by their bits, so -0.0 and 0.0 stay apart.  A row is its
+    fields taken from the tables between the template's literal bytes, and
+    dropping the padding leaves the text ``%`` gives.  So NUL is refused
+    (ValueError): in the template before anything is yielded, and in a
+    formatted value before its block is yielded.
     """
+    parts = _CONVERSION.split(template)
+    convs = parts[1::2]
+    literals = [s.encode("utf-8", "surrogatepass") for s in parts[0::2]]
+    if any(b"\0" in s or b"%" in s for s in literals):
+        raise ValueError(f"template holds NUL or an unsupported conversion: {template!r}")
+    literals = [np.array(list(s), dtype=np.uint8) for s in literals]
     cols = [c[:, None] if c.ndim == 1 else c for c in columns]
-    bounds = np.cumsum([0] + [c.shape[1] for c in cols]).tolist()
+    starts = np.cumsum([0] + [c.shape[1] for c in cols]).tolist()
+    col_convs = [set(convs[a:b]) for a, b in zip(starts, starts[1:])]
+    if starts[-1] != len(convs) or any(len(s) != 1 for s in col_convs):
+        raise ValueError(f"{template!r} needs one conversion per value, the same within a column")
     n = len(cols[0])
     for lo in range(0, n, _FORMAT_BLOCK):
         hi = min(lo + _FORMAT_BLOCK, n)
-        block = np.empty((hi - lo, bounds[-1]), dtype=object)
-        for c, a, b in zip(cols, bounds, bounds[1:]):
-            block[:, a:b] = c[lo:hi]
-        yield (template * (hi - lo)) % tuple(block.ravel().tolist())
+        fields = []
+        for c, (conv,) in zip(cols, col_convs):
+            block = c[lo:hi]
+            keys = block.view(f"u{block.itemsize}") if block.dtype.kind == "f" else block
+            distinct, inverse = np.unique(keys, return_inverse=True)
+            values = distinct.view(block.dtype).tolist()
+            # one % call formats them all, NUL-separated, so a NUL inside a
+            # value shows as one value too many
+            text = ("\0".join([conv] * len(values)) % tuple(values)).encode("utf-8", "surrogatepass")
+            text = text.split(b"\0")
+            if len(text) != len(values):
+                bad = next(conv % v for v in values if "\0" in conv % v)
+                raise ValueError(f"a formatted value holds NUL: {bad!r}")
+            table = np.array(text).view(np.uint8).reshape(len(text), -1)
+            # the inverse's shape differs between numpy versions (flat in 1.x)
+            fields += [np.take(table, j, axis=0) for j in inverse.reshape(block.shape).T]
+        pieces = [np.broadcast_to(literals[0], (hi - lo, len(literals[0])))]
+        for field, lit in zip(fields, literals[1:]):
+            pieces += [field, np.broadcast_to(lit, (hi - lo, len(lit)))]
+        yield np.concatenate(pieces, axis=1).tobytes().translate(None, b"\0").decode("utf-8", "surrogatepass")
 
 
 def _read_table(path: str, row: np.dtype) -> tuple[list[list[str]], np.ndarray]:

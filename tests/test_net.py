@@ -3,6 +3,7 @@
 import math
 import warnings
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from penrosenet.net import (
     count_in_square,
     export_net,
     extract_net,
-    full_tile_incenter,
     load_net,
 )
 from penrosenet.tiling import (
@@ -52,6 +52,28 @@ from penrosenet.tiling import (
     load_patch,
     save_patch,
 )
+
+
+def full_tile_incenter(kind: int, apex: CycloPoint, axis_end: CycloPoint) -> CycloPoint:
+    """Exact incircle center of the full tile with this symmetry axis (scalar oracle)."""
+    if kind == HALF_KITE:
+        return apex + (axis_end - apex).times_inv_phi()
+    return axis_end + (apex - axis_end).times_inv_phi()
+
+
+class NetPoint(NamedTuple):
+    x: float
+    y: float
+    origin: CycloPoint | None
+    source_kind: int
+    tile_id: int
+
+
+def net_point(net: Net, i: int) -> NetPoint:
+    """Point ``i`` of a net as scalars, with its exact ring point when the net has one."""
+    origin = None if net.ring is None else CycloPoint(*map(int, net.ring[i]))
+    return NetPoint(float(net.xy[i, 0]), float(net.xy[i, 1]),
+                    origin, int(net.source_kinds[i]), int(net.tile_ids[i]))
 
 
 def line_distance(pt, a, b):
@@ -459,7 +481,7 @@ class TestExtraction:
         net = extract_net(patch)
         assert net.ring is not None
         for i in range(0, len(net), 5):
-            p = net.point(i)
+            p = net_point(net, i)
             x, y = embed(p.origin)
             assert abs(x - p.x) < 1e-12
             assert abs(y - p.y) < 1e-12
@@ -699,7 +721,8 @@ class TestGridLines:
         if moved:
             patch = patch.transformed(tenth_turns=1, translation=CycloPoint(3, 1, -2, 5))
         on_x = on_y = 0
-        for point in extract_net(patch).points():
+        net = extract_net(patch)
+        for point in (net_point(net, i) for i in range(len(net))):
             x = exact_x(point.origin)
             if x.b == 0:
                 on_x += 1
@@ -725,7 +748,7 @@ class TestGridLines:
             & (net.xy[:, 1] > y0 - 1) & (net.xy[:, 1] < y0 + side + 1)
         )
         for i in near:
-            point = net.point(int(i))
+            point = net_point(net, int(i))
             cx, cy = exact_cell(point.origin, point.x, point.y)
             if x0 <= cx < x0 + side and y0 <= cy < y0 + side:
                 expected[point.source_kind, cx - x0, cy - y0] += 1

@@ -157,3 +157,24 @@ def test_cli_refuses_a_non_ascii_fill_before_writing(tmp_path, capsys):
     assert main(["render", "--patch", patch_file, "--kite-fill", "\u00e9", "--out", str(svg_file)]) == 2
     assert capsys.readouterr().err == "error: fill colours must be ASCII, got '\u00e9'\n"
     assert not svg_file.exists()
+
+
+def test_nul_in_a_fill_is_refused():
+    patch = PATCHES["deflated_half_dart"]()
+    with pytest.raises(ValueError, match="NUL"):
+        render_svg(patch, kite_fill="#8e\0cae6")
+
+
+def test_cli_refuses_a_nul_fill_before_writing(tmp_path, capsys):
+    patch_file, svg_file = str(tmp_path / "p.txt"), tmp_path / "p.svg"
+    save_patch(PATCHES["deflated_half_dart"](), patch_file)
+    assert main(["render", "--patch", patch_file, "--kite-fill", "#8e\0cae6", "--out", str(svg_file)]) == 2
+    assert capsys.readouterr().err == "error: fill colours must not hold NUL, got '#8e\\x00cae6'\n"
+    assert not svg_file.exists()
+
+
+def test_non_ascii_fills_match_per_polygon_render(patch_and_net):
+    # the byte tables hold UTF-8, so multi-byte characters and lone surrogates survive
+    patch, net = patch_and_net
+    style = dict(kite_fill="caf\u00e9", dart_fill="\U0001f600 \udc80")
+    assert render_svg(patch, net=net, overlay="grid", **style) == per_polygon_render(patch, net, "grid", **style)

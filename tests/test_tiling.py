@@ -742,6 +742,67 @@ class TestSerializationOracle:
         assert path.read_bytes() == per_line_save(patch).encode("ascii")
 
 
+def per_row_format(template: str, *columns: np.ndarray) -> str:
+    """``template % row`` row by row, the per-line oracle of _format_rows."""
+    return "".join(template % tuple(v for c in columns for v in np.ravel(c[i]).tolist())
+                   for i in range(len(columns[0])))
+
+
+class TestFormatRows:
+    """_format_rows formats each distinct value once and gives the per-line bytes."""
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_block_equal_to_and_larger_than_the_row_count(self, extra, tmp_path, monkeypatch):
+        patch = deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-3), 3)
+        monkeypatch.setattr(tiling, "_FORMAT_BLOCK", len(patch) + extra)
+        path = tmp_path / "patch.txt"
+        save_patch(patch, str(path))
+        assert path.read_bytes() == per_line_save(patch).encode("ascii")
+
+    def test_zero_rows_yield_nothing(self):
+        empty = np.empty((0, 3), dtype=np.float64)
+        assert list(tiling._format_rows("%.6g %.6g %.6g %s\n", empty, np.empty(0, dtype="U2"))) == []
+
+    def test_a_column_with_one_distinct_value(self, monkeypatch):
+        monkeypatch.setattr(tiling, "_FORMAT_BLOCK", 3)
+        same = np.full((7, 2), 2.5)
+        ids = np.arange(7) - 3
+        template = "<%.6g|%.6g> %d\n"
+        assert "".join(tiling._format_rows(template, same, ids)) == per_row_format(template, same, ids)
+
+    @pytest.mark.parametrize("block", [2, 16384])
+    def test_nan_inf_and_signed_zeros_match_the_per_line_oracle(self, block, monkeypatch):
+        monkeypatch.setattr(tiling, "_FORMAT_BLOCK", block)
+        nan_bits = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001], dtype=np.uint64)
+        values = np.concatenate([nan_bits.view(np.float64),
+                                 [np.inf, -np.inf, -0.0, 0.0, 1e-300, -1e-300, 0.1 + 0.2, np.inf, -0.0]])
+        xy = np.column_stack([values, values[::-1]])
+        for template in ("%.12g %.12g\n", "%.6g,%.6g\n"):
+            text = "".join(tiling._format_rows(template, xy))
+            assert text == per_row_format(template, xy)
+        assert "-0,0\n" in text and "0,-0\n" in text and "-inf" in text and "nan" in text
+
+    @pytest.mark.parametrize("template, column", [
+        ("%d\0\n", np.arange(3)),  # NUL
+        ("%c\n", np.arange(3)),  # a conversion it does not take
+        ("%d%%\n", np.arange(3)),
+        ("%d %d\n", np.arange(3)),  # more conversions than values
+        ("%d %s\n", np.ones((3, 2), dtype=int)),  # two conversions in one column
+    ])
+    def test_a_template_it_cannot_format_is_refused_before_any_row(self, template, column):
+        rows = tiling._format_rows(template, column)
+        with pytest.raises(ValueError):
+            next(rows)
+
+    def test_nul_in_a_value_is_refused_before_its_block(self, monkeypatch):
+        monkeypatch.setattr(tiling, "_FORMAT_BLOCK", 2)
+        names = np.array(["a", "b", "c\0d"])
+        rows = tiling._format_rows("%s\n", names)
+        assert next(rows) == "a\nb\n"
+        with pytest.raises(ValueError, match="NUL"):
+            next(rows)
+
+
 def _tile_lines(text: str) -> tuple[list[str], list[str]]:
     lines = text.splitlines(keepends=True)
     return lines[:4], lines[4:]
