@@ -238,8 +238,6 @@ def cmd_render(args) -> int:
     for fill in (args.kite_fill, args.dart_fill):
         if not fill.isascii():
             raise ValueError(f"fill colours must be ASCII, got {fill!r}")
-        if "\0" in fill:
-            raise ValueError(f"fill colours must not hold NUL, got {fill!r}")
     blocks = _svg_blocks(patch, net, args.overlay, args.stroke_width, args.kite_fill, args.dart_fill)
     path = args.out or os.path.join(_out_dir(None), "patch.svg")
     with open(path, "w", encoding="ascii") as fh:

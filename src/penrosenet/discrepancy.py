@@ -72,20 +72,16 @@ __all__ = [
 
 
 def ratio_map(x):
-    """The contraction f(x) = (2x+1)/(x+1); exact for Fraction and GoldenNum."""
-    if isinstance(x, GoldenNum):
-        if x.sign() < 0:
-            raise ValueError("ratio_map requires x >= 0")
-        return (2 * x + 1) / (x + 1)
-    if isinstance(x, (int, Fraction)):
+    """The contraction f(x) = (2x+1)/(x+1), exact.
+
+    A GoldenNum stays a GoldenNum; any other real becomes the Fraction it
+    equals exactly (a float's binary value), and NaN or inf raise.
+    """
+    if not isinstance(x, GoldenNum):
         x = Fraction(x)
-        if x < 0:
-            raise ValueError("ratio_map requires x >= 0")
-        return (2 * x + 1) / (x + 1)
-    x = float(x)
     if x < 0:
         raise ValueError("ratio_map requires x >= 0")
-    return (2.0 * x + 1.0) / (x + 1.0)
+    return (2 * x + 1) / (x + 1)
 
 
 def iterate_ratio_map(x0, n: int) -> list:
@@ -96,20 +92,14 @@ def iterate_ratio_map(x0, n: int) -> list:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if not isinstance(x0, GoldenNum):
-        x0 = Fraction(x0)
-        if not (1 <= x0 <= 2):
-            raise ValueError("x0 must lie in [1, 2]")
-    else:
-        if golden_compare(x0, GoldenNum(1)) < 0 or golden_compare(x0, GoldenNum(2)) > 0:
-            raise ValueError("x0 must lie in [1, 2]")
-    values = [x0]
+    x = x0 if isinstance(x0, GoldenNum) else Fraction(x0)
+    if x < 1 or x > 2:
+        raise ValueError("x0 must lie in [1, 2]")
+    values = [x]
     for k in range(1, n + 1):
-        nxt = ratio_map(values[-1])
-        values.append(nxt)
-        as_golden = nxt if isinstance(nxt, GoldenNum) else GoldenNum(nxt)
-        gap = abs(as_golden - PHI)
-        if golden_compare(gap, GoldenNum(Fraction(1, 4**k))) > 0:
+        x = ratio_map(x)
+        values.append(x)
+        if abs(PHI - x) > Fraction(1, 4**k):
             raise ArithmeticError(f"contraction bound violated at step {k}")
     return values
 

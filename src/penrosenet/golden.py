@@ -7,14 +7,15 @@ with zeta = exp(2*pi*i/5); the basis is closed under the tile operations
 because zeta**4 = -(1 + zeta + zeta**2 + zeta**3).
 
 All predicates (comparison, orientation, lengths) are decided exactly.
-Floating point enters only through the embedding helpers at the bottom,
-which map ring points to R**2 for rendering and statistics.
+The float constants at the bottom feed ``tiling._embed``, the one map from
+ring points to R**2 for rendering and statistics.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
+from math import gcd, lcm
 
 Rational = int | Fraction
 
@@ -23,35 +24,49 @@ _HALF = Fraction(1, 2)
 
 @total_ordering
 class GoldenNum:
-    """Element a + b*phi of Q(phi)."""
+    """Element a + b*phi of Q(phi).
 
-    __slots__ = ("_a", "_b")
+    Stored as integers (a + b*phi)/d, normalised so that d > 0 and
+    gcd(a, b, d) = 1; equal values therefore have equal triples.  Every
+    operation builds its result through ``_of``.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, a: Rational = 0, b: Rational = 0) -> None:
-        self._a = Fraction(a)
-        self._b = Fraction(b)
+        a, b = Fraction(a), Fraction(b)
+        d = lcm(a.denominator, b.denominator)  # of lowest terms, so already normalised
+        self._a, self._b, self._d = a.numerator * d // a.denominator, b.numerator * d // b.denominator, d
+
+    @classmethod
+    def _of(cls, a: int, b: int, d: int) -> "GoldenNum":
+        """(a + b*phi)/d for integers with d != 0, normalised."""
+        g = gcd(a, b, d) if d > 0 else -gcd(a, b, d)
+        x = object.__new__(cls)
+        x._a, x._b, x._d = a // g, b // g, d // g
+        return x
 
     @property
     def a(self) -> Fraction:
-        return self._a
+        return Fraction(self._a, self._d)
 
     @property
     def b(self) -> Fraction:
-        return self._b
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def _coerce(x: object) -> "GoldenNum | None":
         if isinstance(x, GoldenNum):
             return x
         if isinstance(x, (int, Fraction)):
-            return GoldenNum(x)
+            return GoldenNum._of(x.numerator, 0, x.denominator)
         return None
 
     def __add__(self, other: object) -> "GoldenNum":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GoldenNum(self._a + o._a, self._b + o._b)
+        return GoldenNum._of(self._a * o._d + o._a * self._d, self._b * o._d + o._b * self._d, self._d * o._d)
 
     __radd__ = __add__
 
@@ -59,7 +74,7 @@ class GoldenNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GoldenNum(self._a - o._a, self._b - o._b)
+        return GoldenNum._of(self._a * o._d - o._a * self._d, self._b * o._d - o._b * self._d, self._d * o._d)
 
     def __rsub__(self, other: object) -> "GoldenNum":
         o = self._coerce(other)
@@ -68,33 +83,32 @@ class GoldenNum:
         return o - self
 
     def __neg__(self) -> "GoldenNum":
-        return GoldenNum(-self._a, -self._b)
+        return GoldenNum._of(-self._a, -self._b, self._d)
 
     def __mul__(self, other: object) -> "GoldenNum":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         # (a1 + b1 phi)(a2 + b2 phi) with phi**2 = phi + 1
-        return GoldenNum(
-            self._a * o._a + self._b * o._b,
-            self._a * o._b + self._b * o._a + self._b * o._b,
-        )
+        a1, b1, a2, b2 = self._a, self._b, o._a, o._b
+        return GoldenNum._of(a1 * a2 + b1 * b2, a1 * b2 + b1 * a2 + b1 * b2, self._d * o._d)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "GoldenNum":
         """Galois conjugate, phi -> 1 - phi (the other root of x**2 = x + 1)."""
-        return GoldenNum(self._a + self._b, -self._b)
+        return GoldenNum._of(self._a + self._b, -self._b, self._d)
 
     def norm(self) -> Fraction:
         """Field norm self * self.conjugate(), a rational number."""
-        return self._a * self._a + self._a * self._b - self._b * self._b
+        a, b = self._a, self._b
+        return Fraction(a * a + a * b - b * b, self._d * self._d)
 
     def inverse(self) -> "GoldenNum":
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("inverse of zero in Q(phi)")
-        return GoldenNum((self._a + self._b) / n, -self._b / n)
+        return self.conjugate() * (1 / n)
 
     def __truediv__(self, other: object) -> "GoldenNum":
         o = self._coerce(other)
@@ -120,7 +134,7 @@ class GoldenNum:
     def sign(self) -> int:
         """Exact sign of a + b*phi, computed without floating point.
 
-        Writes the value as (u + v*sqrt(5))/2 with u = 2a + b, v = b and
+        Writes the value as (u + v*sqrt(5))/(2d) with u = 2a + b, v = b and
         compares u**2 against 5*v**2 when the two terms disagree in sign.
         """
         u = 2 * self._a + self._b
@@ -144,7 +158,7 @@ class GoldenNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._a == o._a and self._b == o._b
+        return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __lt__(self, other: object) -> bool:
         o = self._coerce(other)
@@ -153,16 +167,16 @@ class GoldenNum:
         return (self - o).sign() < 0
 
     def __hash__(self) -> int:
-        return hash((self._a, self._b))
+        return hash((self._a, self._b, self._d))
 
     def __float__(self) -> float:
-        return float(self._a) + float(self._b) * PHI_FLOAT
+        return self._a / self._d + self._b / self._d * PHI_FLOAT
 
     def __repr__(self) -> str:
-        return f"GoldenNum({self._a!r}, {self._b!r})"
+        return f"GoldenNum({self.a!r}, {self.b!r})"
 
     def __str__(self) -> str:
-        return f"{self._a} + {self._b}*phi"
+        return f"{self.a} + {self.b}*phi"
 
 
 def golden_compare(x: GoldenNum, y: GoldenNum) -> int:
@@ -172,8 +186,6 @@ def golden_compare(x: GoldenNum, y: GoldenNum) -> int:
 
 PHI = GoldenNum(0, 1)
 INV_PHI = GoldenNum(-1, 1)  # 1/phi = phi - 1
-GOLDEN_ZERO = GoldenNum(0)
-GOLDEN_ONE = GoldenNum(1)
 
 # cos(72 deg) = (phi - 1)/2 and cos(144 deg) = -phi/2; the sine analogue is
 # sin(144 deg) = sin(72 deg)/phi.  These drive the exact dot/cross products.
@@ -372,13 +384,3 @@ EMBED_SIN = (
     float("-0.5877852522924731291687059546390727686"),
 )
 
-
-def embed(p: CycloPoint, scale_exp: int = 0) -> tuple[float, float]:
-    """Map a ring point to R**2, applying the patch scale factor phi**(-scale_exp)."""
-    c = p.coeffs
-    x = sum(ci * cos for ci, cos in zip(c, EMBED_COS))
-    y = sum(ci * sin for ci, sin in zip(c, EMBED_SIN))
-    if scale_exp:
-        f = PHI_FLOAT ** (-scale_exp)
-        return (x * f, y * f)
-    return (x, y)

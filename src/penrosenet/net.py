@@ -43,8 +43,7 @@ from .tiling import (
 
 SOURCE_NAMES = {HALF_KITE: "kite", HALF_DART: "dart"}
 _NET_ROW = np.dtype([("xy", np.float64, (2,)), ("kind", "U5"), ("tile_id", np.int64)])
-# header key -> the fields export_net writes after it; a lower-case field is
-# literal text, N an integer and any other upper-case field a float
+# header key -> the fields export_net writes after it (see tiling._read_table)
 _NET_HEADERS = {
     "points": ("N",), "c1": ("C1",), "c2": ("C2", "error_bound", "BOUND"), "window": ("X", "Y", "SIDE"),
 }
@@ -451,21 +450,8 @@ def load_net(path: str) -> Net:
     count that differs from the number of point lines.  Headers may repeat;
     the last one counts.
     """
-    headers, rows = _read_table(path, _NET_ROW)
+    values, rows = _read_table(path, _NET_ROW, _NET_HEADERS)
     kinds = _decode(rows["kind"], {name: code for code, name in SOURCE_NAMES.items()})
-    values = {}
-    for parts in headers:
-        form = _NET_HEADERS.get(parts[0]) if parts else None
-        if form is None:
-            continue
-        fields = parts[1:]
-        try:
-            if len(fields) != len(form) or any(f != name for f, name in zip(fields, form) if name.islower()):
-                raise ValueError
-            values[parts[0]] = [int(f) if name == "N" else float(f)
-                                for f, name in zip(fields, form) if not name.islower()]
-        except ValueError:
-            raise ValueError(f"net header {parts[0]!r} needs {' '.join(form)}, got {' '.join(parts)!r}") from None
     if "window" not in values:
         raise ValueError("net file missing window header")
     if "points" in values and values["points"][0] != len(rows):

@@ -62,12 +62,22 @@ def _svg_blocks(
     """The document ``render_svg`` returns, as blocks of text to write in turn.
 
     A file written block by block never holds the whole document in memory.
+    The arguments are checked here, when it is called, before any block.
     """
     if overlay not in ("none", "net", "grid"):
         raise ValueError(f"unknown overlay {overlay!r}")
     if overlay == "net" and net is None:
         raise ValueError("net overlay requires a net")
+    for fill in (kite_fill, dart_fill):
+        # a fixed-width numpy string array would drop a trailing NUL
+        if "\0" in fill:
+            raise ValueError(f"fill colours must not hold NUL, got {fill!r}")
+    return _svg_document(patch, net, overlay, stroke_width, kite_fill, dart_fill)
 
+
+def _svg_document(
+    patch: Patch, net: Net | None, overlay: str, stroke_width: float, kite_fill: str, dart_fill: str,
+) -> Iterator[str]:
     emb = patch.embedded()
     # one whole-array reduction per axis is far faster than an axis-0 one
     lo = np.array([emb[..., k].min() for k in (0, 1)]) - MARGIN

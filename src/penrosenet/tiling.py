@@ -177,11 +177,6 @@ class HalfTile:
                 return False
         return orientation(self.wing, self.apex, self.axis_end) == self.chirality
 
-    def embedded(self, scale_exp: int = 0) -> tuple[tuple[float, float], ...]:
-        from .golden import embed
-
-        return tuple(embed(v, scale_exp) for v in self.vertices)
-
 
 def deflate_tile(t: HalfTile) -> list[HalfTile]:
     """Split one half-tile into its Robinson children, exactly.
@@ -285,10 +280,6 @@ class Patch:
     def tile(self, i: int) -> HalfTile:
         w, a, e = (CycloPoint(*map(int, row)) for row in self.coords[i])
         return HalfTile(int(self.kinds[i]), int(self.chiralities[i]), w, a, e, self.generation)
-
-    def tiles(self) -> Iterator[HalfTile]:
-        """Iterate as HalfTile objects (intended for small patches)."""
-        return (self.tile(i) for i in range(len(self)))
 
     def embedded(self) -> np.ndarray:
         """Vertex coordinates in R**2, shape (N, 3, 2) float64."""
@@ -655,7 +646,7 @@ _LETTER_CHIR = {"R": RIGHT, "L": LEFT}
 _PATCH_ROW = np.dtype([
     ("kind", "U2"), ("chirality", "U2"), ("generation", np.int64), ("coords", np.int64, (12,)),
 ])
-_PATCH_HEADERS = {"scale_exp": 1, "generation": 1, "census": 2}  # key -> number of integers
+_PATCH_HEADERS = {"scale_exp": ("N",), "generation": ("N",), "census": ("N", "N")}  # see _read_table
 _FORMAT_BLOCK = 8192  # rows per block of _format_rows; its temporaries grow with it
 # one printf conversion: flags, width, precision and a type that never
 # turns a number into NUL (no %c)
@@ -716,17 +707,24 @@ def _format_rows(template: str, *columns: np.ndarray) -> Iterator[str]:
         yield np.concatenate(pieces, axis=1).tobytes().translate(None, b"\0").decode("utf-8", "surrogatepass")
 
 
-def _read_table(path: str, row: np.dtype) -> tuple[list[list[str]], np.ndarray]:
-    """Read a whitespace-separated text file: its ``#`` lines and its rows.
+def _read_table(
+    path: str, row: np.dtype, forms: dict[str, tuple[str, ...]],
+) -> tuple[dict[str, list], np.ndarray]:
+    """Read a whitespace-separated text file: its headers and its rows.
 
     A ``#`` starts a comment only as a line's first non-blank character, and
-    blank lines are skipped; a ``#`` anywhere else is a ValueError.  Every
-    other line must hold exactly the fields of ``row`` (ValueError otherwise),
-    and an integer field must be written as an integer.
+    blank lines are skipped; a ``#`` anywhere else is a ValueError.  A
+    comment whose first word is a key of ``forms`` is a header and must hold
+    the fields its form names: ``N`` an integer, any other upper-case name a
+    float, and a lower-case name that literal text (ValueError otherwise).
+    Headers may repeat and sit anywhere; the last one of a key counts, and
+    the returned dict maps it to its numbers.  Every other line must hold
+    exactly the fields of ``row`` (ValueError otherwise), and an integer
+    field must be written as an integer.
     """
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
-        headers = []
+        values = {}
         pos = text.find("#")
         while pos >= 0:
             start = text.rfind("\n", 0, pos) + 1
@@ -734,17 +732,28 @@ def _read_table(path: str, row: np.dtype) -> tuple[list[list[str]], np.ndarray]:
             end = len(text) if end < 0 else end
             if text[start:pos].strip():
                 raise ValueError(f"'#' inside a data line: {text[start:end]!r}")
-            headers.append(text[pos + 1:end].split())
+            parts = text[pos + 1:end].split()
+            form = forms.get(parts[0]) if parts else None
+            if form is not None:
+                fields = parts[1:]
+                try:
+                    if len(fields) != len(form) or any(f != n for f, n in zip(fields, form) if n.islower()):
+                        raise ValueError
+                    values[parts[0]] = [int(f) if n == "N" else float(f)
+                                        for f, n in zip(fields, form) if not n.islower()]
+                except ValueError:
+                    raise ValueError(f"header {parts[0]!r} needs {' '.join(form)}, "
+                                     f"got {' '.join(parts)!r}") from None
             pos = text.find("#", end)
         if not _DATA_LINE.search(text):
-            return headers, np.empty(0, dtype=row)
+            return values, np.empty(0, dtype=row)
         del text
         fh.seek(0)
         with warnings.catch_warnings():
             # older NumPy reads "2.7" into an integer field through a float,
             # truncating it, and only warns; as an error it becomes ValueError
             warnings.filterwarnings("error", message=".*integer via a float", category=DeprecationWarning)
-            return headers, np.loadtxt(fh, dtype=row, comments="#", ndmin=1)
+            return values, np.loadtxt(fh, dtype=row, comments="#", ndmin=1)
 
 
 def _decode(tokens: np.ndarray, codes: dict[str, int]) -> np.ndarray:
@@ -786,20 +795,14 @@ def load_patch(path: str) -> Patch:
     """Read the format written by save_patch, validating exact round-trip fields.
 
     Header lines may repeat (the last one counts) and may sit anywhere; a
-    ``scale_exp``, ``generation`` or ``census`` header with the wrong number
-    of fields is a ValueError.  Every tile line must carry the header's
-    generation, or the first tile's when there is no generation header.
+    ``scale_exp``, ``generation`` or ``census`` header whose fields are not
+    one, one and two integers is a ValueError.  Every tile line must carry
+    the header's generation, or the first tile's when there is no generation
+    header.
     """
-    headers, rows = _read_table(path, _PATCH_ROW)
+    values, rows = _read_table(path, _PATCH_ROW, _PATCH_HEADERS)
     kinds = _decode(rows["kind"], _LETTER_KIND)
     chirs = _decode(rows["chirality"], _LETTER_CHIR)
-    values = {}
-    for parts in headers:
-        if parts and parts[0] in _PATCH_HEADERS:
-            if len(parts) != 1 + _PATCH_HEADERS[parts[0]]:
-                raise ValueError(f"patch header {parts[0]!r} needs {_PATCH_HEADERS[parts[0]]} "
-                                 f"integer(s), got {' '.join(parts)!r}")
-            values[parts[0]] = tuple(int(v) for v in parts[1:])
     gens = rows["generation"]
     if "generation" in values:
         generation = values["generation"][0]
@@ -812,14 +815,11 @@ def load_patch(path: str) -> Patch:
     scale_exp = values["scale_exp"][0]
     if not len(rows):
         raise ValueError("patch file contains no tiles")
-    header_census = values.get("census")
-    if header_census is not None:
+    if "census" in values:
         kites = int(np.count_nonzero(kinds == HALF_KITE))
         actual = (kites, len(kinds) - kites)
-        if actual != header_census:
-            raise ValueError(
-                f"census header {header_census} does not match tile lines {actual}"
-            )
+        if actual != tuple(values["census"]):
+            raise ValueError(f"census header {tuple(values['census'])} does not match tile lines {actual}")
     return Patch(
         kinds, chirs, rows["coords"].reshape(len(rows), 3, 4),
         generation=generation, scale_exp=scale_exp,

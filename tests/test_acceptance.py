@@ -24,7 +24,7 @@ from penrosenet.discrepancy import (
     ratio_bound,
     ratio_map,
 )
-from penrosenet.golden import CycloPoint, GoldenNum, INV_PHI, PHI, PHI_FLOAT, embed, golden_compare
+from penrosenet.golden import CycloPoint, GoldenNum, INV_PHI, PHI, PHI_FLOAT, golden_compare
 from penrosenet.net import COVERING_RADIUS_BOUND, extract_net
 from penrosenet.tiling import (
     HALF_DART,
@@ -42,6 +42,7 @@ from penrosenet.tiling import (
     load_patch,
     substitution_counts,
 )
+from test_tiling import embed
 
 BIG_WINDOW_SIDE = 1024.0  # 2**10
 BIG_I_RANGE = (4, 9)

@@ -76,6 +76,18 @@ class TestRatioMap:
     def test_float_dispatch(self):
         assert ratio_map(1.0) == pytest.approx(1.5)
 
+    def test_floats_become_their_exact_binary_fractions(self):
+        y = ratio_map(0.1)
+        assert type(y) is Fraction
+        assert y == ratio_map(Fraction(0.1)) != ratio_map(Fraction(1, 10))
+        assert Fraction(0.1).denominator == 2**55
+        assert iterate_ratio_map(1.5, 2) == [Fraction(3, 2), Fraction(8, 5), Fraction(21, 13)]
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises((ValueError, OverflowError)):
+                ratio_map(bad)
+            with pytest.raises((ValueError, OverflowError)):
+                iterate_ratio_map(bad, 1)
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ratio_map(Fraction(-1, 2))

@@ -17,11 +17,11 @@ from penrosenet.golden import (
     SIN72,
     cross_s72,
     dot,
-    embed,
     golden_compare,
     orientation,
     squared_length,
 )
+from test_tiling import embed
 
 small = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -93,6 +93,41 @@ class TestGoldenField:
     def test_zero_inverse_raises(self):
         with pytest.raises(ZeroDivisionError):
             GoldenNum(0).inverse()
+
+    @given(goldens, goldens, small, st.integers(-5, 5).filter(bool))
+    @settings(max_examples=100, deadline=None)
+    def test_equal_values_share_one_normalised_triple_and_hash(self, x, y, r, k):
+        a, b, d = x._a, x._b, x._d
+        assert d > 0 and math.gcd(a, b, d) == 1
+        ways = [
+            GoldenNum(x.a, x.b), GoldenNum(x.a) + GoldenNum(x.b) * PHI, GoldenNum._of(a * k, b * k, d * k),
+            x + y - y, (x - y) + y, x + r - r, -(-x), x.conjugate().conjugate(), x * 1, x / 1,
+        ]
+        if y.sign():
+            ways += [x * y / y, (x / y) * y, y * x * y.inverse()]
+        for z in ways:
+            assert (z._a, z._b, z._d) == (a, b, d)
+            assert z == x and hash(z) == hash(x)
+
+    def test_public_surface_is_rational(self):
+        x = GoldenNum(Fraction(6, 4), -3)
+        assert (x.a, x.b, x.norm()) == (Fraction(3, 2), Fraction(-3), Fraction(9, 4) - Fraction(9, 2) - 9)
+        assert all(type(v) is Fraction for v in (x.a, x.b, x.norm(), PHI.a, PHI.norm()))
+        assert repr(x) == "GoldenNum(Fraction(3, 2), Fraction(-3, 1))"
+        assert str(x) == "3/2 + -3*phi"
+        assert x == GoldenNum(Fraction(3, 2), Fraction(-3)) and GoldenNum(2) == 2 == GoldenNum(Fraction(4, 2))
+        assert GoldenNum(Fraction(1, 2)) == Fraction(1, 2) and Fraction(1, 2) == GoldenNum(Fraction(1, 2))
+
+    def test_sign_of_fibonacci_ratios_against_an_integer_oracle(self):
+        # p/q - phi = (2p - q - q sqrt 5) / 2q, so its sign is that of 2p - q
+        # against q sqrt 5, decided in integers
+        q, p = 1, 1  # F(n), F(n + 1) for n = 1
+        for n in range(1, 301):
+            u = 2 * p - q
+            oracle = -1 if u <= 0 else (1 if u * u > 5 * q * q else -1)
+            ratio = GoldenNum(Fraction(p, q))
+            assert (ratio - PHI).sign() == golden_compare(ratio, PHI) == oracle == (-1) ** n, n
+            q, p = p, p + q
 
 
 class TestCycloPoint:

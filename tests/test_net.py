@@ -19,7 +19,6 @@ from penrosenet.golden import (
     SIN36,
     cross_s72,
     dot,
-    embed,
     golden_compare,
 )
 from penrosenet.net import (
@@ -52,6 +51,7 @@ from penrosenet.tiling import (
     load_patch,
     save_patch,
 )
+from test_tiling import embed
 
 
 def full_tile_incenter(kind: int, apex: CycloPoint, axis_end: CycloPoint) -> CycloPoint:

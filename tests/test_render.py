@@ -16,6 +16,7 @@ from penrosenet.render import (
     KITE_FILL,
     KITE_POINT_FILL,
     MARGIN,
+    _svg_blocks,
     render_svg,
 )
 from penrosenet.tiling import (
@@ -165,11 +166,27 @@ def test_nul_in_a_fill_is_refused():
         render_svg(patch, kite_fill="#8e\0cae6")
 
 
+@pytest.mark.parametrize("fill", ["red\0", "\0red", "re\0d", "\0"])
+@pytest.mark.parametrize("key", ["kite_fill", "dart_fill"])
+def test_nul_anywhere_in_a_fill_is_refused_when_called(fill, key):
+    # a trailing NUL once vanished in a fixed-width numpy string array
+    patch = Patch.full_tile(HALF_KITE if key == "kite_fill" else HALF_DART)
+    with pytest.raises(ValueError, match="NUL"):
+        render_svg(patch, **{key: fill})
+    style = dict(kite_fill=KITE_FILL, dart_fill=DART_FILL)
+    style[key] = fill
+    with pytest.raises(ValueError, match="NUL"):
+        _svg_blocks(patch, None, "none", 0.03, **style)  # no block is asked for
+
+
 def test_cli_refuses_a_nul_fill_before_writing(tmp_path, capsys):
     patch_file, svg_file = str(tmp_path / "p.txt"), tmp_path / "p.svg"
     save_patch(PATCHES["deflated_half_dart"](), patch_file)
     assert main(["render", "--patch", patch_file, "--kite-fill", "#8e\0cae6", "--out", str(svg_file)]) == 2
     assert capsys.readouterr().err == "error: fill colours must not hold NUL, got '#8e\\x00cae6'\n"
+    assert not svg_file.exists()
+    assert main(["render", "--patch", patch_file, "--dart-fill", "red\0", "--out", str(svg_file)]) == 2
+    assert capsys.readouterr().err == "error: fill colours must not hold NUL, got 'red\\x00'\n"
     assert not svg_file.exists()
 
 

@@ -2,6 +2,7 @@
 
 import math
 import pathlib
+import re
 import warnings
 from collections import Counter
 
@@ -10,7 +11,7 @@ import pytest
 
 from penrosenet import tiling
 from penrosenet.cli import main as cli_main
-from penrosenet.golden import CycloPoint, GoldenNum, PHI_FLOAT, embed, squared_length
+from penrosenet.golden import CycloPoint, GoldenNum, PHI_FLOAT, squared_length
 from penrosenet.tiling import (
     DEFAULT_TILE_CAP,
     HALF_DART,
@@ -44,6 +45,12 @@ def fib(n: int) -> int:
     for _ in range(n):
         a, b = b, a + b
     return a
+
+
+def embed(p: CycloPoint, scale_exp: int = 0) -> tuple[float, float]:
+    """One ring point in R**2, through the package's one embedding."""
+    x, y = tiling._embed(np.array(p.coeffs, dtype=np.int64), scale_exp).tolist()
+    return x, y
 
 
 def triangle_area(tri: np.ndarray) -> float:
@@ -355,6 +362,9 @@ class TestEmbed:
                 for line in path.read_text().splitlines() if "EMBED_MATRIX" in line]
         assert [name for name, _ in uses] == ["tiling.py", "tiling.py"]
         assert uses[1][1].endswith("@ EMBED_MATRIX")
+        defs = [(path.name, line) for path in sorted(src.glob("*.py"))
+                for line in path.read_text().splitlines() if re.match(r"\s*def \w*embed\b", line)]
+        assert defs == [("tiling.py", "def _embed(coords: np.ndarray, scale_exp: int = 0) -> np.ndarray:")]
 
 
 class TestDeflatePatch:
@@ -576,6 +586,8 @@ class TestSerialization:
     @pytest.mark.parametrize("header", [
         "census 5", "census 5 3 0", "census", "scale_exp", "scale_exp 0 0", "generation",
         "generation 2 2",
+        # the right count of fields that are not integers
+        "scale_exp 1.5", "scale_exp -0.0", "generation two", "census 5 3.0", "census 5e0 3",
     ])
     def test_known_header_with_wrong_field_count(self, header, tmp_path, capsys):
         patch = deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-2), 2)
