@@ -137,8 +137,9 @@ def check_prop21(seed: TileCensus, n_max: int = 25) -> RatioTrace:
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
     entries = []
+    counts = substitution_counts(seed, 1)
     for n in range(3, n_max + 1):
-        counts = substitution_counts(seed, n - 1)
+        counts = substitution_counts(counts, 1)
         ratio = Fraction(counts.kites, counts.darts)
         gap = abs(GoldenNum(ratio) - PHI)
         bound = Fraction(1, 2 ** (n - 1))
@@ -220,16 +221,9 @@ class _CountGrid:
     """
 
     def __init__(self, net: Net) -> None:
-        x0, y0, side = net.window
-        if (
-            abs(x0 - round(x0)) > 1e-9
-            or abs(y0 - round(y0)) > 1e-9
-            or abs(side - round(side)) > 1e-9
-        ):
+        if not all(float(v).is_integer() for v in net.window):
             raise ValueError("square enumeration needs an integer-cornered window")
-        self.x0 = int(round(x0))
-        self.y0 = int(round(y0))
-        self.side = int(round(side))
+        self.x0, self.y0, self.side = (int(v) for v in net.window)
         if self.side < 1:
             raise ValueError("window too small")
         # drop the points off the window while their cells are floats, so

@@ -167,6 +167,9 @@ class GoldenNum:
         return (self - o).sign() < 0
 
     def __hash__(self) -> int:
+        # a rational value hashes as the int or Fraction it equals
+        if self._b == 0:
+            return hash(Fraction(self._a, self._d))
         return hash((self._a, self._b, self._d))
 
     def __float__(self) -> float:
@@ -229,11 +232,7 @@ class CycloPoint:
     @classmethod
     def tenth_root(cls, k: int = 1) -> "CycloPoint":
         """The tenth root of unity exp(i*k*36 deg) = (-zeta**3)**k."""
-        w = cls(0, 0, 0, -1)
-        result = cls.one()
-        for _ in range(k % 10):
-            result = result * w
-        return result
+        return cls.zeta(3 * k) * (-1) ** (k % 2)
 
     def __add__(self, other: "CycloPoint") -> "CycloPoint":
         if not isinstance(other, CycloPoint):
@@ -276,11 +275,7 @@ class CycloPoint:
 
     def rotate(self, k: int = 1) -> "CycloPoint":
         """Rotate by k * 72 degrees (multiply by zeta**k)."""
-        p = self
-        for _ in range(k % 5):
-            c = p._c
-            p = CycloPoint(-c[3], c[0] - c[3], c[1] - c[3], c[2] - c[3])
-        return p
+        return self * CycloPoint.zeta(k)
 
     def times_phi(self) -> "CycloPoint":
         """Scale by phi = -zeta**2 - zeta**3, staying in the ring."""
@@ -313,48 +308,39 @@ class CycloPoint:
 _PHI_RING = CycloPoint(0, 0, -1, -1)
 _INV_PHI_RING = CycloPoint(-1, 0, -1, -1)
 
-# Coefficient matrices of multiplication by phi, 1/phi and the 36-degree
-# rotation -zeta**3, acting on coefficient row vectors: row i is the image of
-# basis element zeta**i.  The vectorized tiling code lifts these to numpy.
-MUL_BY_PHI = ((0, 0, -1, -1), (1, 1, 1, 0), (0, 1, 1, 1), (-1, -1, 0, 0))
-MUL_BY_INV_PHI = ((-1, 0, -1, -1), (1, 0, 1, 0), (0, 1, 0, 1), (-1, -1, 0, -1))
-MUL_BY_OMEGA = ((0, 0, 0, -1), (1, 1, 1, 1), (-1, 0, 0, 0), (0, -1, 0, 0))
+
+def _mul_table(m: CycloPoint) -> tuple[tuple[int, int, int, int], ...]:
+    """Coefficient matrix of multiplication by ``m`` on coefficient row
+    vectors: row i is the image of basis element zeta**i."""
+    return tuple((CycloPoint.zeta(i) * m).coeffs for i in range(4))
+
+
+# Multiplication by phi, 1/phi and the 36-degree rotation -zeta**3; the
+# vectorized tiling code lifts these to numpy.
+MUL_BY_PHI = _mul_table(_PHI_RING)
+MUL_BY_INV_PHI = _mul_table(_INV_PHI_RING)
+MUL_BY_OMEGA = _mul_table(CycloPoint.tenth_root(1))
 
 
 def dot(p: CycloPoint, q: CycloPoint) -> GoldenNum:
     """Exact Euclidean dot product of two ring points, an element of Q(phi).
 
-    cos(72k deg) for k = 0..3 lies in {1, (phi-1)/2, -phi/2, -phi/2}, so the
-    bilinear expansion over the basis stays inside the golden field.
+    It is the real part of p * conj(q); the real parts of 1, zeta, zeta**2
+    and zeta**3 are 1, (phi-1)/2, -phi/2 and -phi/2.
     """
-    s = [0] * 7  # s[t+3] accumulates u_j * v_k over k - j = t
-    for j, a in enumerate(p.coeffs):
-        if a:
-            for k, b in enumerate(q.coeffs):
-                s[k - j + 3] += a * b
-    return (
-        GoldenNum(s[3])
-        + _COS72 * (s[2] + s[4])
-        + _COS144 * (s[0] + s[1] + s[5] + s[6])
-    )
+    c0, c1, c2, c3 = (p * q.conj()).coeffs
+    return c0 + _COS72 * c1 + _COS144 * (c2 + c3)
 
 
 def cross_s72(p: CycloPoint, q: CycloPoint) -> GoldenNum:
     """Exact cross product p x q divided by sin(72 deg).
 
-    sin(72k deg)/sin(72 deg) lies in {0, +-1, +-1/phi}, so the quotient is an
-    element of Q(phi) whose sign equals the sign of the cross product.
+    It is the imaginary part of conj(p) * q over sin(72 deg); for 1, zeta,
+    zeta**2 and zeta**3 that is 0, 1, 1/phi and -1/phi.  The quotient lies in
+    Q(phi) and has the sign of the cross product.
     """
-    s = [0] * 7
-    for j, a in enumerate(p.coeffs):
-        if a:
-            for k, b in enumerate(q.coeffs):
-                s[k - j + 3] += a * b
-    return (
-        GoldenNum(s[4] - s[2])
-        + INV_PHI * (s[5] - s[1])
-        - INV_PHI * (s[6] - s[0])
-    )
+    _, c1, c2, c3 = (p.conj() * q).coeffs
+    return c1 + INV_PHI * (c2 - c3)
 
 
 def squared_length(p: CycloPoint) -> GoldenNum:

@@ -104,13 +104,9 @@ class Net:
     def __len__(self) -> int:
         return len(self.xy)
 
-    def _window_corners(self) -> np.ndarray:
-        x0, y0, side = self.window
-        return np.array([[x0, y0], [x0 + side, y0], [x0 + side, y0 + side], [x0, y0 + side]])
-
     def _c2_region(self) -> np.ndarray:
         """Counter-clockwise vertices of the window, clipped to the outline."""
-        region = self._window_corners()
+        region = np.array(self.window.corners())
         if self.outline is None:
             return region
         tri = self.outline
@@ -130,7 +126,7 @@ class Net:
     def _delone(self) -> tuple[float | None, float]:
         """(c1, c2) from one Delaunay pass; c1 is None for a one-point net."""
         region = self._c2_region()
-        near = self._points_near(region if len(region) else self._window_corners())
+        near = self._points_near(region if len(region) else np.array(self.window.corners()))
         pts, c2 = np.empty((0, 2)), 0.0
         if len(region):
             for pad, pts in near:
@@ -313,18 +309,13 @@ def _first_halves(key: np.ndarray, p: Patch) -> np.ndarray:
     A key shared by more than two halves, or a pair that does not have
     opposite chirality and a shared apex, is a ValueError.
     """
-    n = len(key)
     order = np.argsort(key)
     sk = key[order]
-    new_group = np.empty(n, dtype=bool)
-    new_group[0] = True
-    np.not_equal(sk[1:], sk[:-1], out=new_group[1:])
+    same = sk[1:] == sk[:-1]  # sorted positions j and j + 1 share a key
     del sk
-    starts = np.flatnonzero(new_group)
-    sizes = np.diff(starts, append=n)
-    if sizes.max() > 2:
+    if np.any(same[1:] & same[:-1]):
         raise ValueError("more than two half-tiles share one tile incenter; invalid patch")
-    pairs = starts[sizes == 2]
+    pairs = np.flatnonzero(same)
     a, b = order[pairs], order[pairs + 1]
     if np.any(p.chiralities[a] == p.chiralities[b]):
         raise ValueError("paired half-tiles must have opposite chirality")
@@ -336,7 +327,7 @@ def _first_halves(key: np.ndarray, p: Patch) -> np.ndarray:
         hi = lo + _EXTRACT_BLOCK
         if np.any(apexes[a[lo:hi]].view(np.int64) != apexes[b[lo:hi]].view(np.int64)):
             raise ValueError("paired half-tiles must share their apex; overlapping tiles")
-    first = np.ones(n, dtype=bool)
+    first = np.ones(len(key), dtype=bool)
     first[np.maximum(a, b)] = False
     return np.flatnonzero(first)
 

@@ -53,6 +53,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -292,19 +293,12 @@ class Patch:
         ``generate_patch_covering`` (``square``, ``translation``) does not
         describe the moved patch, so it is dropped.
         """
-        coords = self.coords
-        if tenth_turns % 10:
-            coords = coords @ np.linalg.matrix_power(_MOMEGA, tenth_turns % 10)
-        if translation is not None:
-            coords = coords + np.array(translation.coeffs, dtype=np.int64)
+        turn = np.linalg.matrix_power(_MOMEGA, tenth_turns % 10)
+        shift = np.array((translation or CycloPoint()).coeffs, dtype=np.int64)
+        coords = self.coords @ turn + shift
         prov = {k: v for k, v in self.provenance.items() if k not in ("square", "translation")}
         if "outline" in prov:
-            outline = np.asarray(prov["outline"], dtype=np.int64)
-            if tenth_turns % 10:
-                outline = outline @ np.linalg.matrix_power(_MOMEGA, tenth_turns % 10)
-            if translation is not None:
-                outline = outline + np.array(translation.coeffs, dtype=np.int64)
-            prov["outline"] = outline
+            prov["outline"] = np.asarray(prov["outline"], dtype=np.int64) @ turn + shift
         return Patch(self.kinds, self.chiralities, coords, self.generation, self.scale_exp, prov)
 
 
@@ -314,14 +308,10 @@ def census(p: Patch) -> TileCensus:
     return TileCensus(kites, len(p) - kites)
 
 
-def substitution_counts(seed: TileCensus, n: int) -> TileCensus:
-    """Iterate the census recursion K' = 2K + D, D' = K + D, n times, exactly."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    kites, darts = seed.kites, seed.darts
-    for _ in range(n):
-        kites, darts = 2 * kites + darts, kites + darts
-    return TileCensus(kites, darts)
+# power iteration of SubstitutionRule.dominant_eigen: stop once the unit
+# vector moves by at most _EIGEN_TOL, or after _EIGEN_MAX_ITER steps
+_EIGEN_TOL = 1e-14
+_EIGEN_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -338,20 +328,12 @@ class SubstitutionRule:
         if any(entry < 0 for row in self.matrix for entry in row):
             raise ValueError("matrix entries must be >= 0")
 
-    def apply(self, counts: Sequence[int]) -> tuple[int, ...]:
-        if len(counts) != len(self.names):
-            raise ValueError("count vector length does not match rule")
-        return tuple(
-            sum(self.matrix[i][j] * counts[j] for j in range(len(counts)))
-            for i in range(len(counts))
-        )
-
-    def dominant_eigen(self, tol: float = 1e-14, max_iter: int = 10_000) -> tuple[float, tuple[float, ...]]:
+    def dominant_eigen(self) -> tuple[float, tuple[float, ...]]:
         """Dominant eigenvalue and eigenvector by power iteration on floats."""
         m = np.array(self.matrix, dtype=np.float64)
         v = np.full(len(self.names), 1.0 / len(self.names))
         lam = 0.0
-        for _ in range(max_iter):
+        for _ in range(_EIGEN_MAX_ITER):
             w = m @ v
             w_norm = float(np.linalg.norm(w))
             if w_norm == 0.0:
@@ -362,7 +344,7 @@ class SubstitutionRule:
             # so loop on vector stability
             delta = float(np.linalg.norm(new_v - v))
             v = new_v
-            if delta <= tol:
+            if delta <= _EIGEN_TOL:
                 break
         return lam, tuple(float(x) for x in v)
 
@@ -374,10 +356,17 @@ def generic_substitution_counts(rule: SubstitutionRule, seed: Sequence[int], n: 
     """Exact M**n . seed for any substitution rule."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    counts = tuple(int(x) for x in seed)
+    counts = tuple(map(int, seed))
+    if len(counts) != len(rule.names):
+        raise ValueError("count vector length does not match rule")
     for _ in range(n):
-        counts = rule.apply(counts)
+        counts = tuple([sum(map(mul, row, counts)) for row in rule.matrix])
     return counts
+
+
+def substitution_counts(seed: TileCensus, n: int) -> TileCensus:
+    """Iterate the census recursion K' = 2K + D, D' = K + D, n times, exactly."""
+    return TileCensus(*generic_substitution_counts(PENROSE_SUBSTITUTION, seed, n))
 
 
 def _times_phi(x: np.ndarray, out: np.ndarray) -> None:

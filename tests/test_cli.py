@@ -115,6 +115,16 @@ class TestAnalyze:
         assert code == 0
         assert (tmp_path / "rep" / "report.csv").exists()
 
+    def test_window_a_hair_off_the_integers_exits_two(self, tmp_path, capsys):
+        patch_file = str(tmp_path / "p.txt")
+        run(capsys, "generate", "--rounds", "6", "--out", patch_file)
+        code, _, stderr = run(capsys, "analyze", "--patch", patch_file,
+                              "--window", "8.0000000001", "1", "4",
+                              "--i-min", "1", "--i-max", "2", "--out", str(tmp_path / "rep"))
+        assert code == 2
+        assert "integer-cornered window" in stderr
+        assert not (tmp_path / "rep").exists()
+
     def test_empty_square_window_is_operational_error(self, tmp_path, capsys):
         patch_file = str(tmp_path / "p.txt")
         run(capsys, "generate", "--rounds", "6", "--out", patch_file)

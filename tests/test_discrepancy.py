@@ -41,6 +41,7 @@ from penrosenet.tiling import (
     deflate_patch,
     embedded_outline,
     generate_patch_covering,
+    substitution_counts,
 )
 from test_tiling import point_in_triangle
 
@@ -142,6 +143,8 @@ class TestProp21:
             trace = check_prop21(TileCensus(*seed), 25)
             assert len(trace.entries) == 23
             assert trace.all_hold
+            for entry in trace.entries:
+                assert TileCensus(entry.kites, entry.darts) == substitution_counts(TileCensus(*seed), entry.n - 1)
 
     def test_gap_is_exact_golden_number(self):
         trace = check_prop21(TileCensus(1, 1), 4)
@@ -458,8 +461,6 @@ class TestRegionAnalysis:
         patch, _ = net64
         result = region_analysis(patch, Square(8.0, 8.0, 16.0))
         # refined counts come from the exact recursion on the contained census
-        from penrosenet.tiling import substitution_counts
-
         assert result.refined == substitution_counts(
             result.contained, result.supertile_rounds
         )
@@ -782,6 +783,15 @@ class TestReport:
             for window in (Square(0.0, 0.0, 1e10), Square(1e300, 0.0, 16.0), Square(0.0, -1e300, 1e300)):
                 with pytest.raises(ValueError, match=r"^empty square at i=1$"):
                     build_report(self.moved(net, window), 1, 2)
+
+    @pytest.mark.parametrize("window", [Square(-36.9999999999, 0.0, 64.0), Square(16.0, 16.0000000001, 32.0),
+                                        Square(16.0, 16.0, 31.9999999999)])
+    def test_window_a_hair_off_the_integers_is_refused(self, net64, window):
+        # such a window was once counted from the nearest integers while the
+        # report still named the window as given
+        _, net = net64
+        with pytest.raises(ValueError, match="integer-cornered"):
+            build_report(self.moved(net, window), 1, 2)
 
     def test_point_count_refusal_is_the_scans_own(self, net64):
         # a window with fewer points than disjoint squares of side 2**i_min

@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from penrosenet.golden import (
+    MUL_BY_INV_PHI,
+    MUL_BY_OMEGA,
+    MUL_BY_PHI,
     CycloPoint,
     GoldenNum,
     INV_PHI,
@@ -27,6 +30,36 @@ small = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
 )
 goldens = st.builds(GoldenNum, small, small)
+coeff = st.integers(-10**6, 10**6)
+ring_points = st.builds(CycloPoint, coeff, coeff, coeff, coeff)
+
+
+def lag_sums(p: CycloPoint, q: CycloPoint) -> list[int]:
+    """s[t + 3] = sum of u_j * v_k over k - j = t, for t = -3..3."""
+    s = [0] * 7
+    for j, a in enumerate(p.coeffs):
+        for k, b in enumerate(q.coeffs):
+            s[k - j + 3] += a * b
+    return s
+
+
+def lag_sum_dot(p: CycloPoint, q: CycloPoint) -> GoldenNum:
+    """The dot product expanded over cos(72 deg * lag), as first written."""
+    s = lag_sums(p, q)
+    cos72, cos144 = GoldenNum(-Fraction(1, 2), Fraction(1, 2)), GoldenNum(0, -Fraction(1, 2))
+    return GoldenNum(s[3]) + cos72 * (s[2] + s[4]) + cos144 * (s[0] + s[1] + s[5] + s[6])
+
+
+def lag_sum_cross(p: CycloPoint, q: CycloPoint) -> GoldenNum:
+    """The cross product over sin(72 deg), expanded over sin(72 deg * lag)."""
+    s = lag_sums(p, q)
+    return GoldenNum(s[4] - s[2]) + INV_PHI * (s[5] - s[1]) - INV_PHI * (s[6] - s[0])
+
+
+# the multiplication tables as first typed by hand: row i is the image of zeta**i
+TYPED_MUL_BY_PHI = ((0, 0, -1, -1), (1, 1, 1, 0), (0, 1, 1, 1), (-1, -1, 0, 0))
+TYPED_MUL_BY_INV_PHI = ((-1, 0, -1, -1), (1, 0, 1, 0), (0, 1, 0, 1), (-1, -1, 0, -1))
+TYPED_MUL_BY_OMEGA = ((0, 0, 0, -1), (1, 1, 1, 1), (-1, 0, 0, 0), (0, -1, 0, 0))
 
 
 class TestGoldenField:
@@ -109,6 +142,20 @@ class TestGoldenField:
             assert (z._a, z._b, z._d) == (a, b, d)
             assert z == x and hash(z) == hash(x)
 
+    def test_rational_values_hash_as_the_rational(self):
+        assert len({GoldenNum(3), 3}) == 1
+        assert len({GoldenNum(Fraction(1, 2)), Fraction(1, 2)}) == 1
+        assert {3: "x"}[GoldenNum(3)] == "x"
+        assert {Fraction(-7, 3): "y"}[GoldenNum(Fraction(-14, 6))] == "y"
+        assert len({GoldenNum(0), 0, GoldenNum(0, 0), Fraction(0)}) == 1
+        assert len({PHI, PHI + 0, GoldenNum(1, 1) - 1, 1}) == 2
+
+    @given(small)
+    @settings(max_examples=100, deadline=None)
+    def test_rational_hash_agrees_with_fraction(self, r):
+        assert hash(GoldenNum(r)) == hash(r)
+        assert {r: 1}[GoldenNum(r)] == 1
+
     def test_public_surface_is_rational(self):
         x = GoldenNum(Fraction(6, 4), -3)
         assert (x.a, x.b, x.norm()) == (Fraction(3, 2), Fraction(-3), Fraction(9, 4) - Fraction(9, 2) - 9)
@@ -155,6 +202,37 @@ class TestCycloPoint:
         for k in range(1, 6):
             q = q * z
             assert q == p.rotate(k)
+
+    def test_powers_against_repeated_products(self):
+        # negative k too: (-1) ** k would be a float there
+        p = CycloPoint(3, -2, 5, 7)
+        for k in range(-25, 26):
+            # |k|-fold products of zeta and of omega, or of their inverses
+            # (a root of unity's inverse is its conjugate)
+            z, w = CycloPoint.zeta(1), CycloPoint.tenth_root(1)
+            if k < 0:
+                z, w = z.conj(), w.conj()
+            zk, wk = CycloPoint.one(), CycloPoint.one()
+            for _ in range(abs(k)):
+                zk, wk = zk * z, wk * w
+            assert CycloPoint.tenth_root(k) == wk, k
+            assert p.rotate(k) == p * zk, k
+            assert all(type(c) is int for c in CycloPoint.tenth_root(k).coeffs + p.rotate(k).coeffs)
+
+    def test_multiplication_tables_against_the_typed_ones(self):
+        assert MUL_BY_PHI == TYPED_MUL_BY_PHI
+        assert MUL_BY_INV_PHI == TYPED_MUL_BY_INV_PHI
+        assert MUL_BY_OMEGA == TYPED_MUL_BY_OMEGA
+        assert all(type(c) is int for table in (MUL_BY_PHI, MUL_BY_INV_PHI, MUL_BY_OMEGA)
+                   for row in table for c in row)
+
+    @given(ring_points)
+    @settings(max_examples=100, deadline=None)
+    def test_multiplication_tables_act_as_ring_products(self, p):
+        for table, m in ((TYPED_MUL_BY_PHI, p.times_phi()), (TYPED_MUL_BY_INV_PHI, p.times_inv_phi()),
+                         (TYPED_MUL_BY_OMEGA, p * CycloPoint.tenth_root(1))):
+            image = tuple(sum(c * row[j] for c, row in zip(p.coeffs, table)) for j in range(4))
+            assert image == m.coeffs
 
     def test_tenth_root_rotates_embedding(self):
         p = CycloPoint(3, -2, 5, 7)
@@ -229,6 +307,13 @@ class TestPredicates:
                 want = px * qy - py * qx
                 got = float(cross_s72(p, q)) * SIN72
                 assert abs(want - got) < 1e-9
+
+    @given(ring_points, ring_points)
+    @settings(max_examples=200, deadline=None)
+    def test_dot_and_cross_against_the_lag_sums(self, p, q):
+        assert dot(p, q) == lag_sum_dot(p, q)
+        assert cross_s72(p, q) == lag_sum_cross(p, q)
+        assert squared_length(p) == lag_sum_dot(p, p)
 
     def test_orientation_sign(self):
         a = CycloPoint(1, 0, 0, 0)

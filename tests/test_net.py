@@ -586,6 +586,11 @@ def deflated(kind: int, chirality: int, rounds: int = 11) -> Patch:
     return deflate_patch(Patch.single_tile(kind, chirality, scale_exp=-rounds), rounds)
 
 
+def rows_of(p: Patch, rows) -> Patch:
+    """The half-tiles of ``p`` at ``rows``, repeats allowed, as one patch."""
+    return Patch(p.kinds[rows], p.chiralities[rows], p.coords[rows])
+
+
 def first_rows(p: Patch, n: int) -> Patch:
     return Patch(p.kinds[:n], p.chiralities[:n], p.coords[:n], p.generation, p.scale_exp, p.provenance)
 
@@ -668,6 +673,29 @@ class TestExtractionErrors:
         full = Patch.full_tile(HALF_KITE)
         with pytest.raises(ValueError, match="more than two"):
             extract_net(tiles(full, Patch.single_tile(HALF_KITE, RIGHT)))
+
+    @pytest.mark.parametrize("halves", [3, 4])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_more_than_two_halves_anywhere_in_key_order(self, halves, where):
+        # keys order as (kind, incenter coefficients): a kite far out in -x
+        # sorts first, a dart far out in +x last, and a paired tile near the
+        # median key of the base patch sits in the middle
+        base = deflated(HALF_DART, RIGHT, rounds=6)
+        if where == "middle":
+            ring = net_module._incenter_rows(base)
+            order = np.lexsort((*ring[::-1], base.kinds))
+            ranked = np.vstack([base.kinds, ring])[:, order]
+            pairs = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).all(axis=0))
+            j = int(pairs[np.argmin(np.abs(pairs - len(base) // 2))])
+            assert 0 < j < len(base) - 2
+            extra = rows_of(base, [int(order[j])] * (halves - 2))
+        else:
+            kind, shift = (HALF_KITE, -FAR) if where == "first" else (HALF_DART, FAR)
+            extra = tiles(Patch.full_tile(kind), *[Patch.single_tile(kind, RIGHT)] * (halves - 2))
+            extra = extra.transformed(translation=shift)
+        for patch in (tiles(extra, base), tiles(base, extra)):
+            with pytest.raises(ValueError, match="more than two"):
+                extract_net(patch)
 
     @pytest.mark.parametrize("kind", [HALF_KITE, HALF_DART])
     def test_same_chirality_pair(self, kind):

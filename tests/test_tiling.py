@@ -184,6 +184,13 @@ class TestSubstitutionCounts:
         assert abs(value - PHI_FLOAT**2) <= 1e-10
         assert abs(vector[0] / vector[1] - PHI_FLOAT) <= 1e-10
 
+    def test_generic_rule_checks_the_seed_and_rounds(self):
+        for seed, n in (((1, 2, 3), 0), ((1,), 4)):
+            with pytest.raises(ValueError, match="does not match rule"):
+                generic_substitution_counts(PENROSE_SUBSTITUTION, seed, n)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            substitution_counts(TileCensus(1, 0), -1)
+
 
 def exact_deflation(seed: Patch, rounds: int) -> np.ndarray:
     """Coordinates after ``rounds`` rounds in Python integers (dtype=object), which cannot wrap."""
