@@ -228,16 +228,16 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_render(args) -> int:
+    # the file is ASCII, so check before loading the patch or opening the file
+    for fill in (args.kite_fill, args.dart_fill):
+        if not fill.isascii():
+            raise ValueError(f"fill colours must be ASCII, got {fill!r}")
     patch = load_patch(args.patch)
     net = None
     if args.overlay in ("net", "grid") and patch.scale_exp == 0:
         net = extract_net(patch)
     elif args.overlay == "net":
         raise ValueError("net overlay requires a final-scale patch (scale_exp 0)")
-    # the file is ASCII and written block by block, so check before opening it
-    for fill in (args.kite_fill, args.dart_fill):
-        if not fill.isascii():
-            raise ValueError(f"fill colours must be ASCII, got {fill!r}")
     blocks = _svg_blocks(patch, net, args.overlay, args.stroke_width, args.kite_fill, args.dart_fill)
     path = args.out or os.path.join(_out_dir(None), "patch.svg")
     with open(path, "w", encoding="ascii") as fh:

@@ -420,7 +420,7 @@ def count_in_square(net: Net, square: Square | tuple) -> tuple[int, int]:
 
 def export_net(net: Net, path: str) -> None:
     """Write one point per line (x, y, source_kind, tile_id) with a stats header."""
-    names = np.array([SOURCE_NAMES[HALF_KITE], SOURCE_NAMES[HALF_DART]])  # HALF_KITE 0, HALF_DART 1
+    names = (SOURCE_NAMES[HALF_KITE], SOURCE_NAMES[HALF_DART])  # HALF_KITE 0, HALF_DART 1
     with open(path, "w", encoding="ascii") as fh:
         fh.write("# penrosenet net v1\n")
         fh.write(f"# points {len(net)}\n")
@@ -429,7 +429,7 @@ def export_net(net: Net, path: str) -> None:
         fh.write(
             f"# window {net.window.x:.12g} {net.window.y:.12g} {net.window.side:.12g}\n"
         )
-        fh.writelines(_format_rows("%.12g %.12g %s %d\n", net.xy, names[net.source_kinds], net.tile_ids))
+        fh.writelines(_format_rows("%.12g %.12g %s %d\n", net.xy, (names, net.source_kinds), net.tile_ids))
 
 
 def load_net(path: str) -> Net:

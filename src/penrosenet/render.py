@@ -15,7 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from .net import Net
-from .tiling import HALF_KITE, Patch, _format_rows
+from .tiling import Patch, _format_rows
 
 __all__ = ["render_svg"]
 
@@ -69,7 +69,7 @@ def _svg_blocks(
     if overlay == "net" and net is None:
         raise ValueError("net overlay requires a net")
     for fill in (kite_fill, dart_fill):
-        # a fixed-width numpy string array would drop a trailing NUL
+        # _format_rows would refuse it only after the document's first blocks
         if "\0" in fill:
             raise ValueError(f"fill colours must not hold NUL, got {fill!r}")
     return _svg_document(patch, net, overlay, stroke_width, kite_fill, dart_fill)
@@ -98,7 +98,7 @@ def _svg_document(
     yield from _format_rows(
         '<polygon points="%.6g,%.6g %.6g,%.6g %.6g,%.6g" fill="%s"/>\n',
         corners.reshape(len(patch), 6),
-        np.where(patch.kinds == HALF_KITE, kite_fill, dart_fill),
+        ((kite_fill, dart_fill), patch.kinds),  # HALF_KITE 0, HALF_DART 1
     )
     del corners
     yield "</g>\n"
@@ -120,7 +120,7 @@ def _svg_document(
         yield from _format_rows(
             '<circle cx="%.6g" cy="%.6g" r="0.09" fill="%s"/>\n',
             centers,
-            np.where(net.source_kinds == HALF_KITE, KITE_POINT_FILL, DART_POINT_FILL),
+            ((KITE_POINT_FILL, DART_POINT_FILL), net.source_kinds),
         )
         yield "</g>\n"
 

@@ -643,22 +643,61 @@ _CONVERSION = re.compile(r"(%[-+ #0]*\d*(?:\.\d+)?[diouxXeEfFgGrsa])")
 _DATA_LINE = re.compile(r"^[^\S\n]*[^\s#]", re.M)  # a line that is neither blank nor a comment
 
 
-def _format_rows(template: str, *columns: np.ndarray) -> Iterator[str]:
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` of a 1-d array, inverse flat.
+
+    Integer keys that span fewer values than there are keys are found
+    without a sort: a boolean table over the span marks the values present
+    and its running count ranks them.  The offsets from the least key are
+    taken modulo the key width, which is exact because the span fits.
+    """
+    if keys.dtype.kind in "iu" and keys.size:
+        lo = keys.min()
+        span = int(keys.max()) - int(lo) + 1
+        if span < keys.size:
+            offsets = (keys - lo).view(f"u{keys.itemsize}")
+            seen = np.zeros(span, dtype=bool)
+            seen[offsets] = True
+            return np.flatnonzero(seen).astype(keys.dtype) + lo, (np.cumsum(seen) - 1)[offsets]
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return distinct, inverse.ravel()  # numpy versions differ in its shape
+
+
+def _format_table(conv: str, values: list) -> np.ndarray:
+    """``conv % value`` of each value in UTF-8, one NUL-padded byte row each.
+
+    One ``%`` call formats them all, NUL-separated, so a NUL inside a value
+    shows as one value too many and is refused (ValueError).
+    """
+    text = ("\0".join([conv] * len(values)) % tuple(values)).encode("utf-8", "surrogatepass").split(b"\0")
+    if len(text) != len(values):
+        bad = next(conv % v for v in values if "\0" in conv % v)
+        raise ValueError(f"a formatted value holds NUL: {bad!r}")
+    return np.array(text).view(np.uint8).reshape(len(text), -1)
+
+
+def _format_rows(template: str, *columns: np.ndarray | tuple[Sequence, np.ndarray]) -> Iterator[str]:
     """Yield ``template % row`` for every row, joined into one string per block.
 
-    Each column is an (N,) or (N, m) array and a row is their values side by
+    Each column is an (N,) or (N, m) array, or a category column
+    ``(labels, codes)`` whose row i holds ``labels[codes[i]]`` for integer
+    codes of shape (N,) or (N, m).  A row is the columns' values side by
     side, so ``template`` holds one conversion per value; the values of one
     column share one conversion.  Values are passed as arguments, never
-    spliced into the template.
+    spliced into the template.  Columns of unequal length, and codes
+    outside ``range(len(labels))``, are refused (ValueError).
 
-    A tiling's coordinates take few distinct values, so each block of
-    ``_FORMAT_BLOCK`` rows formats each distinct value of a column once, with
-    the template's own conversion, into a NUL-padded byte table.  Floats are
-    told apart by their bits, so -0.0 and 0.0 stay apart.  A row is its
-    fields taken from the tables between the template's literal bytes, and
-    dropping the padding leaves the text ``%`` gives.  So NUL is refused
-    (ValueError): in the template before anything is yielded, and in a
-    formatted value before its block is yielded.
+    Every distinct value is formatted once, with the template's own
+    conversion, into a NUL-padded byte table: a category's labels once for
+    all rows, an array's values once per block of ``_FORMAT_BLOCK`` rows.
+    An array's distinct values come from ``_distinct``, which needs no sort
+    when its integers are dense (a tiling's coordinates span a few hundred
+    values); floats are told apart by their bits, so -0.0 and 0.0 stay
+    apart.  A row is its fields taken from the tables between the
+    template's literal bytes, and dropping the padding leaves the text
+    ``%`` gives.  So NUL is refused (ValueError): in the template or a
+    label before anything is yielded, and in a formatted value before its
+    block is yielded.
     """
     parts = _CONVERSION.split(template)
     convs = parts[1::2]
@@ -666,30 +705,34 @@ def _format_rows(template: str, *columns: np.ndarray) -> Iterator[str]:
     if any(b"\0" in s or b"%" in s for s in literals):
         raise ValueError(f"template holds NUL or an unsupported conversion: {template!r}")
     literals = [np.array(list(s), dtype=np.uint8) for s in literals]
-    cols = [c[:, None] if c.ndim == 1 else c for c in columns]
+    labels = [c[0] if isinstance(c, tuple) else None for c in columns]
+    cols = [c[1] if isinstance(c, tuple) else c for c in columns]
+    cols = [c[:, None] if c.ndim == 1 else c for c in cols]
     starts = np.cumsum([0] + [c.shape[1] for c in cols]).tolist()
     col_convs = [set(convs[a:b]) for a, b in zip(starts, starts[1:])]
     if starts[-1] != len(convs) or any(len(s) != 1 for s in col_convs):
         raise ValueError(f"{template!r} needs one conversion per value, the same within a column")
     n = len(cols[0])
+    if any(len(c) != n for c in cols):
+        raise ValueError(f"columns of unequal length: {[len(c) for c in cols]}")
+    for names, c in zip(labels, cols):
+        if names is not None and c.size and (c.min() < 0 or c.max() >= len(names)):
+            raise ValueError(f"category codes outside range({len(names)}): {c.min()}..{c.max()}")
+    if not n:
+        return
+    tables = [None if names is None else _format_table(conv, list(names))
+              for names, (conv,) in zip(labels, col_convs)]
     for lo in range(0, n, _FORMAT_BLOCK):
         hi = min(lo + _FORMAT_BLOCK, n)
         fields = []
-        for c, (conv,) in zip(cols, col_convs):
-            block = c[lo:hi]
-            keys = block.view(f"u{block.itemsize}") if block.dtype.kind == "f" else block
-            distinct, inverse = np.unique(keys, return_inverse=True)
-            values = distinct.view(block.dtype).tolist()
-            # one % call formats them all, NUL-separated, so a NUL inside a
-            # value shows as one value too many
-            text = ("\0".join([conv] * len(values)) % tuple(values)).encode("utf-8", "surrogatepass")
-            text = text.split(b"\0")
-            if len(text) != len(values):
-                bad = next(conv % v for v in values if "\0" in conv % v)
-                raise ValueError(f"a formatted value holds NUL: {bad!r}")
-            table = np.array(text).view(np.uint8).reshape(len(text), -1)
-            # the inverse's shape differs between numpy versions (flat in 1.x)
-            fields += [np.take(table, j, axis=0) for j in inverse.reshape(block.shape).T]
+        for c, (conv,), table in zip(cols, col_convs, tables):
+            codes = c[lo:hi]
+            if table is None:  # an array: its codes index the block's own distinct values
+                keys = codes.view(f"u{codes.itemsize}") if codes.dtype.kind == "f" else codes
+                distinct, inverse = _distinct(keys.ravel())
+                table = _format_table(conv, distinct.view(codes.dtype).tolist())
+                codes = inverse.reshape(keys.shape)
+            fields += [np.take(table, j, axis=0) for j in codes.T]
         pieces = [np.broadcast_to(literals[0], (hi - lo, len(literals[0])))]
         for field, lit in zip(fields, literals[1:]):
             pieces += [field, np.broadcast_to(lit, (hi - lo, len(lit)))]
@@ -773,9 +816,9 @@ def save_patch(p: Patch, path: str) -> None:
         fh.write(f"# census {c.kites} {c.darts}\n")
         fh.writelines(_format_rows(
             "%s %s %d" + " %d" * 12 + "\n",
-            np.where(p.kinds == HALF_KITE, "K", "D"),
-            np.where(p.chiralities == RIGHT, "R", "L"),
-            np.full(len(p), p.generation),
+            (("K", "D"), p.kinds),  # HALF_KITE 0, HALF_DART 1
+            (("L", "R"), (p.chiralities == RIGHT).view(np.uint8)),
+            np.broadcast_to(p.generation, len(p)),
             p.coords.reshape(len(p), 12),
         ))
 

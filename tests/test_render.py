@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from penrosenet import tiling
+from penrosenet import cli, tiling
 from penrosenet.cli import main
 from penrosenet.golden import CycloPoint
 from penrosenet.net import Net, extract_net
@@ -158,6 +158,17 @@ def test_cli_refuses_a_non_ascii_fill_before_writing(tmp_path, capsys):
     assert main(["render", "--patch", patch_file, "--kite-fill", "\u00e9", "--out", str(svg_file)]) == 2
     assert capsys.readouterr().err == "error: fill colours must be ASCII, got '\u00e9'\n"
     assert not svg_file.exists()
+
+
+
+@pytest.mark.parametrize("flag", ["--kite-fill", "--dart-fill"])
+def test_cli_refuses_a_non_ascii_fill_before_loading_the_patch(flag, tmp_path, capsys, monkeypatch):
+    loaded = []
+    monkeypatch.setattr(cli, "load_patch", loaded.append)
+    svg_file = tmp_path / "p.svg"
+    assert main(["render", "--patch", str(tmp_path / "p.txt"), flag, "r\u00f8d", "--out", str(svg_file)]) == 2
+    assert capsys.readouterr().err == "error: fill colours must be ASCII, got 'r\u00f8d'\n"
+    assert loaded == [] and not svg_file.exists()
 
 
 def test_nul_in_a_fill_is_refused():

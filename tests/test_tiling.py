@@ -8,6 +8,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from penrosenet import tiling
 from penrosenet.cli import main as cli_main
@@ -820,6 +822,187 @@ class TestFormatRows:
         assert next(rows) == "a\nb\n"
         with pytest.raises(ValueError, match="NUL"):
             next(rows)
+
+
+
+def _unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return distinct, inverse.ravel()
+
+
+def assert_distinct_like_unique(keys: np.ndarray) -> None:
+    """_distinct gives np.unique's values and inverse; dense integers skip np.unique."""
+    want = _unique(keys)
+    dense = keys.dtype.kind in "iu" and keys.size and int(keys.max()) - int(keys.min()) + 1 < keys.size
+    if dense:
+        unique = np.unique
+        np.unique = None  # the lookup must not fall back on it
+        try:
+            got = tiling._distinct(keys)
+        finally:
+            np.unique = unique
+    else:
+        got = tiling._distinct(keys)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+_FLOAT_BITS = np.array([
+    0x0000000000000000, 0x0000000000000001,  # 0.0 and the least subnormal
+    0x8000000000000000, 0x8000000000000001,  # -0.0 and its negative
+    0x7FF0000000000000, 0x7FF0000000000001, 0x7FF0000000000002,  # +inf and NaN payloads
+    0xFFF0000000000000, 0xFFF0000000000001, 0xFFFFFFFFFFFFFFFF,  # -inf and NaN payloads
+], dtype=np.uint64)
+
+
+class TestDistinct:
+    """_distinct is np.unique(keys, return_inverse=True), sort-free on dense integers."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_lookup_equals_np_unique(self, data):
+        dtype = np.dtype(data.draw(st.sampled_from(["i1", "i2", "i8", "u1", "u8"])))
+        info = np.iinfo(dtype)
+        size = data.draw(st.integers(1, 40))
+        width = data.draw(st.integers(0, size + 1))  # spans around the size, both sides of the rule
+        low = data.draw(st.integers(int(info.min), int(info.max) - width))
+        values = data.draw(st.lists(st.integers(low, low + width), min_size=size, max_size=size))
+        assert_distinct_like_unique(np.array(values, dtype=dtype))
+
+    @pytest.mark.parametrize("keys", [
+        np.array([3, 5, 4, 3, 5], dtype=np.int64),  # span 3, size - 2
+        np.array([0, 3, 1, 2, 2]),  # span size - 1
+        np.array([0, 4, 1, 2, 3]),  # span size: np.unique
+        np.array([-7, -9, -7, -8, -9, -9]),
+        np.full(9, -3),
+        np.full(1, 5),
+        np.array([-128, 127] * 200, dtype=np.int8),  # offsets overflow int8 but fit uint8
+        np.array([-100, 100, 0] * 100, dtype=np.int8),  # offset 200 wraps to -56 in int8
+        np.iinfo(np.int64).max - np.array([0, 1, 0, 2, 1], dtype=np.int64),
+        np.iinfo(np.int64).min + np.array([0, 1, 0, 2, 1], dtype=np.int64),
+        np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max] * 3),  # "max - min" overflows int64
+        np.array([np.iinfo(np.uint64).max, np.iinfo(np.uint64).max - 1] * 2, dtype=np.uint64),
+        np.array([0, 2**64 - 1, 0], dtype=np.uint64),
+    ])
+    def test_edge_keys(self, keys):
+        assert_distinct_like_unique(keys)
+
+    @pytest.mark.parametrize("group", [slice(0, 2), slice(2, 4), slice(4, 7), slice(7, 9), slice(0, 10)])
+    def test_float_bits(self, group):
+        # repeated, each run of near bit patterns is dense; all of them together are not
+        assert_distinct_like_unique(np.tile(_FLOAT_BITS[group], 4))
+        assert_distinct_like_unique(np.tile(_FLOAT_BITS[group], 4)[::-1].copy())
+
+    @pytest.mark.parametrize("block", [2, 3, 16384])
+    def test_dense_float_columns_match_the_per_line_oracle(self, block, monkeypatch):
+        monkeypatch.setattr(tiling, "_FORMAT_BLOCK", block)
+        values = np.tile(_FLOAT_BITS, 3).view(np.float64)
+        xy = np.column_stack([values, values[::-1]])
+        for template in ("%.12g %.12g\n", "%.6g,%.6g\n"):
+            assert "".join(tiling._format_rows(template, xy)) == per_row_format(template, xy)
+
+    @pytest.mark.parametrize("block", [2, 3, 16384])
+    def test_dense_integer_columns_match_the_per_line_oracle(self, block, monkeypatch):
+        monkeypatch.setattr(tiling, "_FORMAT_BLOCK", block)
+        rng = np.random.default_rng(5)
+        coords = rng.integers(-40, 40, size=(50, 12))
+        extremes = np.iinfo(np.int64).max - rng.integers(0, 3, size=50)
+        gen = np.broadcast_to(np.int64(-2), 50)
+        template = "%d" + " %d" * 11 + " %x %d\n"
+        text = "".join(tiling._format_rows(template, coords, extremes, gen))
+        assert text == per_row_format(template, coords, extremes, gen)
+
+
+def _label_column(labels, codes) -> np.ndarray:
+    return np.array(list(labels), dtype=object)[codes.astype(np.int64)]
+
+
+class TestCategoryColumns:
+    """A (labels, codes) column writes labels[code], its labels formatted once."""
+
+    LABELS = ("K", "caf\u00e9", "\U0001f600 \udc80", "unused", "url(#d) %s %d", "")
+
+    @pytest.mark.parametrize("block", [2, 3, 16384])
+    def test_match_the_per_line_oracle(self, block, monkeypatch):
+        monkeypatch.setattr(tiling, "_FORMAT_BLOCK", block)
+        rng = np.random.default_rng(11)
+        codes = rng.choice([0, 1, 2, 4, 5], size=37).astype(np.uint8)  # label 3 unused
+        flags = rng.integers(0, 2, size=37).astype(np.uint8)
+        xy = rng.normal(size=(37, 2))
+        ids = np.arange(37) - 5
+        template = "%.6g %.6g [%s] %s|%d %4s\n"
+        got = "".join(tiling._format_rows(
+            template, xy, (self.LABELS, codes), (("L", "R"), flags), ids, (self.LABELS, codes)))
+        want = per_row_format(template, xy, _label_column(self.LABELS, codes),
+                              _label_column(("L", "R"), flags), ids, _label_column(self.LABELS, codes))
+        assert got == want
+
+    def test_codes_with_several_values_per_row(self, monkeypatch):
+        monkeypatch.setattr(tiling, "_FORMAT_BLOCK", 3)
+        codes = np.array([[0, 1], [1, 1], [2, 0], [0, 0], [1, 2]])
+        text = "".join(tiling._format_rows("%s-%s\n", (("a", "bb", "ccc"), codes)))
+        assert text == "a-bb\nbb-bb\nccc-a\na-a\nbb-ccc\n"
+
+    def test_labels_are_formatted_once_not_per_row(self, monkeypatch):
+        # no per-row string array: formatting a label costs one call for all rows
+        calls = []
+
+        class Label:
+            def __str__(self):
+                calls.append(1)
+                return "lbl"
+
+        monkeypatch.setattr(tiling, "_FORMAT_BLOCK", 2)
+        text = "".join(tiling._format_rows("%s\n", ((Label(),), np.zeros(7, dtype=np.int64))))
+        assert text == "lbl\n" * 7 and len(calls) == 1
+
+    def test_zero_rows_yield_nothing(self):
+        assert list(tiling._format_rows("%s %d\n", ((), np.empty(0, dtype=np.int64)), np.empty(0))) == []
+
+    @pytest.mark.parametrize("labels", [("a", "b\0"), ("\0",), ("ok", "\0x")])
+    def test_a_nul_in_any_label_is_refused_before_any_row(self, labels):
+        rows = tiling._format_rows("%s\n", (labels, np.zeros(4, dtype=np.int64)))
+        with pytest.raises(ValueError, match="NUL"):
+            next(rows)
+
+    @pytest.mark.parametrize("codes", [np.array([0, 2]), np.array([-1, 0]), np.array([0, 1, 7], dtype=np.uint8)])
+    def test_codes_outside_the_labels_are_a_value_error(self, codes):
+        rows = tiling._format_rows("%s\n", (("a", "b"), codes))
+        with pytest.raises(ValueError, match="outside range"):
+            next(rows)
+
+
+class TestColumnLengths:
+    @pytest.mark.parametrize("columns", [
+        (np.arange(3), np.arange(5)),
+        (np.arange(5), np.arange(3)),
+        (np.arange(5), (("a", "b"), np.zeros(3, dtype=np.int64))),
+        ((("a", "b"), np.zeros(3, dtype=np.int64)), np.arange(5)),
+        (np.empty(0), np.arange(1)),
+    ])
+    def test_unequal_columns_are_refused_before_any_row(self, columns, monkeypatch):
+        monkeypatch.setattr(tiling, "_FORMAT_BLOCK", 2)
+        rows = tiling._format_rows("%d %s\n" if isinstance(columns[1], tuple) else
+                                   "%s %d\n" if isinstance(columns[0], tuple) else "%d %d\n", *columns)
+        with pytest.raises(ValueError, match="unequal length"):
+            next(rows)
+
+    def test_save_patch_passes_the_generation_without_a_full_column(self, tmp_path, monkeypatch):
+        seen = []
+        format_rows = tiling._format_rows
+
+        def spy(template, *columns):
+            seen.append(columns)
+            return format_rows(template, *columns)
+
+        monkeypatch.setattr(tiling, "_format_rows", spy)
+        patch = deflate_patch(Patch.single_tile(HALF_DART, LEFT, scale_exp=-3), 3)
+        path = tmp_path / "patch.txt"
+        save_patch(patch, str(path))
+        assert path.read_bytes() == per_line_save(patch).encode("ascii")
+        (columns,) = seen
+        assert columns[2].shape == (len(patch),) and columns[2].strides == (0,)
 
 
 def _tile_lines(text: str) -> tuple[list[str], list[str]]:
