@@ -270,6 +270,8 @@ def cmd_verify(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if getattr(args, "i_min", 0) < 0:
+            raise ValueError("--i-min must be >= 0: squares of side 2**i need integer corners")
         if getattr(args, "i_min", 0) > getattr(args, "i_max", 0):
             raise ValueError("--i-min must be <= --i-max")
         if args.command == "generate":

@@ -77,11 +77,15 @@ def ratio_map(x):
     A GoldenNum stays a GoldenNum; any other real becomes the Fraction it
     equals exactly (a float's binary value), and NaN or inf raise.
     """
-    if not isinstance(x, GoldenNum):
-        x = Fraction(x)
-    if x < 0:
+    if isinstance(x, GoldenNum):
+        if x < 0:
+            raise ValueError("ratio_map requires x >= 0")
+        return (2 * x + 1) / (x + 1)
+    p, q = Fraction(x).as_integer_ratio()
+    if p < 0:
         raise ValueError("ratio_map requires x >= 0")
-    return (2 * x + 1) / (x + 1)
+    # f(p/q) = (2p + q)/(p + q): one Fraction in place of four Fraction operations
+    return Fraction(2 * p + q, p + q)
 
 
 def iterate_ratio_map(x0, n: int) -> list:
@@ -465,6 +469,9 @@ def build_report(net: Net, i_min: int, i_max: int) -> DiscrepancyReport:
     square of a side is dart-free its ``ratio_gap_max`` is NaN and
     ``ratio_holds`` is False.
     """
+    if i_min < 0:
+        raise ValueError(f"i_min must be >= 0, got {i_min}: a square of side 2**{i_min} = "
+                         f"{2.0 ** i_min:g} cannot have integer corners")
     if i_min > i_max:
         raise ValueError("i_min must be <= i_max")
     model = default_density()

@@ -59,6 +59,9 @@ SEPARATION = 2.0 * SIN36 / PHI_FLOAT
 # largest coordinate) and its grid-line tests on them inside int64
 _COORD_LIMIT = 1 << 56
 _EXTRACT_BLOCK = 8192  # half-tiles per block of extract_net's incenter pass
+# a pair closer than this times the largest |coordinate| is within reach of
+# Qhull's rounding, which can leave it out of the triangulation
+_QHULL_RESOLUTION = 1e-6
 
 
 class Net:
@@ -131,18 +134,26 @@ class Net:
         if len(region):
             for pad, pts in near:
                 if len(pts):
-                    edges, merged, centers = _delaunay(pts)
-                    c2 = _largest_gap(pts, edges, centers, region)
+                    edges, merged, centers, radii = _delaunay(pts)
+                    c2 = _largest_gap(pts, edges, centers, radii, region)
                     if c2 < pad or len(pts) == len(self):
                         break
         if len(pts) < 2 <= len(self):
             # c2's pass kept fewer than two points: widen it for c1
             pts = next(p for _, p in near if len(p) >= 2)
-            edges, merged, _ = _delaunay(pts)
+            edges, merged, centers, _ = _delaunay(pts)
         if len(pts) < 2:
             return None, c2
-        pairs = np.concatenate([edges, merged])
-        return float(np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1).min()), c2
+        pairs = np.concatenate([edges[:, :2], merged])
+        c1 = float(np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1).min())
+        if not len(centers) or c1 < _QHULL_RESOLUTION * float(np.abs(pts).max()):
+            # no triangle, or a pair within reach of Qhull's rounding, which
+            # can leave it out: pair every point with its nearest neighbour
+            from scipy.spatial import cKDTree
+
+            partner = cKDTree(pts).query(pts, k=2)[1][:, 1]
+            c1 = min(c1, float(np.linalg.norm(pts - pts[partner], axis=1).min()))
+        return c1, c2
 
     @property
     def c1(self) -> float:
@@ -154,8 +165,13 @@ class Net:
         doubles until it holds two.  c1 is the shortest edge of the pass's
         Delaunay triangulation: the closest pair has an empty diametral
         circle, so it is an edge of every Delaunay triangulation (Shamos &
-        Hoey 1975).  Pairs farther out are not looked at, so c1 is at least
-        the separation of the whole net; on Penrose incenter nets both equal
+        Hoey 1975).  When the pass has no triangle with a finite
+        circumcenter (fewer than three points, or all on one line to Qhull),
+        or its shortest edge is below 1e-6 times the largest |coordinate|,
+        within reach of Qhull's rounding, which can leave the closest pair
+        out, each point's nearest neighbour in a k-d tree decides instead.
+        Pairs farther out are not looked at, so c1 is at least the
+        separation of the whole net; on Penrose incenter nets both equal
         ``SEPARATION``.  Exact up to float rounding; a one-point net is a
         ValueError.
         """
@@ -172,9 +188,17 @@ class Net:
         has one, since locations outside the patch union are not covered.
         The points within ``pad`` of R's bounding box are triangulated and
         the largest empty circle centred in R is found among its classical
-        candidates (``_largest_gap``).  If that radius is below ``pad``,
-        every location of R has its nearest net point among them, so it is
-        the covering radius of the whole net; otherwise ``pad`` doubles.
+        candidates (``_largest_gap``): circumcenters in R, crossings of
+        Voronoi edges with R's boundary, and R's vertices.  Only those that
+        can set the maximum are measured with the k-d tree.  A crossing of
+        a Delaunay edge's bisector that is nearer a third point than the
+        edge's ends lies off the Voronoi edge, so it is no candidate and
+        cannot exceed the maximum; a circumcenter is no farther from the net
+        than its radius, so one whose radius falls short of the largest
+        distance found cannot set it.  The result is the maximum over every
+        candidate.  If it is below ``pad``, every location of R has its
+        nearest net point among them, so it is the covering radius of the
+        whole net; otherwise ``pad`` doubles.
         Exact up to the float rounding of the candidate positions, see
         ``c2_error_bound``.  An empty R gives 0.  c1 comes from the same
         triangulation.
@@ -206,15 +230,23 @@ def _clip_convex(poly: np.ndarray, clip: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=np.float64).reshape(-1, 2)
 
 
-def _delaunay(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Delaunay edges of ``pts``, the points Qhull merged, and the circumcenters.
+def _delaunay(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Delaunay edges of ``pts``, the points Qhull merged, the circumcenters and their radii.
 
-    Edges are unique (i, j) index pairs with i < j.  Fewer than three
-    points, or points all on one line, have no triangulation: consecutive
-    points in lexicographic order stand in for its edges, and there are no
+    Each edge is one row (i, j, r, s): its two ends, then the vertex
+    opposite it in each of its two triangles.  Where there is no such
+    vertex, or it is not to be trusted, i stands in for it.  A hull edge
+    has one triangle, so s is i.  Fewer than three points, or points all on
+    one line, have no triangulation: consecutive points in lexicographic
+    order stand in for its edges, as rows (i, j, i, i), and there are no
     circumcenters.  Qhull leaves out a point it finds coincident with a
-    vertex; ``merged`` pairs each such point with that vertex.
-    Degenerate triangles' circumcenters, which are not finite, are dropped.
+    vertex; ``merged`` pairs each such point with that vertex.  Degenerate
+    triangles' circumcenters, which are not finite, are dropped.  A radius
+    is the distance from the float circumcenter to one of its vertices.
+    Once Qhull has left out a point that is not at its vertex's position
+    (it does so when the coordinates are large next to the spacing), the
+    triangulation need not be Delaunay: every edge is then (i, j, i, i) and
+    every radius inf, so ``_largest_gap`` measures every candidate.
     """
     from scipy.spatial import Delaunay, QhullError
 
@@ -227,34 +259,65 @@ def _delaunay(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if tri is None:
         order = np.lexsort(pts.T[::-1])
         no_pairs = np.empty((0, 2), dtype=np.intp)
-        return np.column_stack([order[:-1], order[1:]]), no_pairs, np.empty((0, 2))
-    simplices = tri.simplices
-    # int64 keys: the simplices are int32, where i * n + j wraps once n > 46,340
-    pairs = np.sort(simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1).astype(np.int64)
-    keys = np.unique(pairs[:, 0] * len(pts) + pairs[:, 1])
-    edges = np.column_stack([keys // len(pts), keys % len(pts)])
+        edges = np.column_stack([order[:-1], order[1:], order[:-1], order[:-1]])
+        return edges, no_pairs, np.empty((0, 2)), np.empty(0)
+    simplices, neighbors = tri.simplices, tri.neighbors
+    # the side of simplex j opposite its vertex m, once: from the lower
+    # numbered of its two simplices, or from its only one on the hull
+    j, m = np.nonzero((neighbors < 0) | (neighbors > np.arange(len(simplices))[:, None]))
+    far, i, k = np.take_along_axis(simplices[j], (m[:, None] + np.arange(3)) % 3, axis=1).T
+    other = neighbors[j, m]
+    far_too = np.where(other < 0, i, simplices[other].sum(axis=1) - i - k)
+    edges = np.column_stack([i, k, far, far_too])
     a = pts[simplices[:, 0]]
     b = pts[simplices[:, 1]] - a
     c = pts[simplices[:, 2]] - a
     w = (b * b).sum(axis=1)[:, None] * c - (c * c).sum(axis=1)[:, None] * b
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         centers = a + np.column_stack([w[:, 1], -w[:, 0]]) / (2.0 * _cross(b, c))[:, None]
-    return edges, tri.coplanar[:, [0, 2]], centers[np.isfinite(centers).all(axis=1)]
+    finite = np.isfinite(centers).all(axis=1)
+    centers = centers[finite]
+    offsets = centers - a[finite]
+    radii = np.hypot(offsets[:, 0], offsets[:, 1])
+    merged = tri.coplanar[:, [0, 2]]
+    if (pts[merged[:, 0]] != pts[merged[:, 1]]).any():
+        edges[:, 2:] = edges[:, :1]
+        radii[:] = np.inf
+    return edges, merged, centers, radii
 
 
-def _largest_gap(pts: np.ndarray, edges: np.ndarray, centers: np.ndarray, region: np.ndarray) -> float:
+def _largest_gap(pts: np.ndarray, edges: np.ndarray, centers: np.ndarray, radii: np.ndarray,
+                 region: np.ndarray) -> float:
     """max over x in the convex polygon ``region`` of the distance from x to ``pts``.
 
-    ``edges`` and ``centers`` are the Delaunay edges and circumcenters of
-    ``pts`` (``_delaunay``).  On each Voronoi cell clipped to the region the
-    distance to the cell's site is convex, so the maximum sits at a vertex
-    of some clipped cell: a Voronoi vertex inside the region, a crossing of
-    a Voronoi edge with the region's boundary, or a region vertex
-    (Toussaint 1983, largest empty circle with location constraints).
-    Voronoi vertices are the Delaunay circumcenters; every Voronoi edge lies
-    on the perpendicular bisector of a Delaunay edge, and all crossings of
-    those bisectors with the boundary are taken, a superset that stays
-    inside the region.
+    ``edges``, ``centers`` and ``radii`` come from ``_delaunay(pts)``.  On
+    each Voronoi cell clipped to the region the distance to the cell's site
+    is convex, so the maximum sits at a vertex of some clipped cell: a
+    Voronoi vertex inside the region, a crossing of a Voronoi edge with the
+    region's boundary, or a region vertex (Toussaint 1983, largest empty
+    circle with location constraints).  Voronoi vertices are the Delaunay
+    circumcenters, and every Voronoi edge lies on the bisector of a
+    Delaunay edge (p, q).  Only the candidates that can set the maximum get
+    a k-d tree distance, in two rounds:
+
+    - A bisector crossing x of a region side goes in the first round when
+      neither vertex opposite (p, q) is nearer x than p, up to a relative
+      1e-9 of the squared distances.  Every crossing of a Voronoi edge has
+      p and q among its nearest points, so it passes whatever the
+      triangulation.  One that fails is nearer a third point: it is no
+      vertex of a clipped cell, and its exact distance is at most the
+      maximum.  Its float distance can still round above that of a
+      candidate at the same place (mirror-image pairs share a bisector), so
+      the failed crossings within 1e-9 of a side's length of a first-round
+      crossing or region vertex at the largest distance go in the second.
+    - A circumcenter is no farther from ``pts`` than from its own vertices,
+      its radius.  The ones inside the region within a relative 1e-9 of the
+      largest radius go in the first round, the others in the second when
+      their radius, plus a relative 1e-9, reaches the first round's maximum.
+
+    The region's vertices go in the first round.  Every queried candidate
+    gets its true distance, so a false crossing that passes is harmless,
+    and the result is the maximum over all the classical candidates.
     """
     from scipy.spatial import cKDTree
 
@@ -262,18 +325,40 @@ def _largest_gap(pts: np.ndarray, edges: np.ndarray, centers: np.ndarray, region
     sides = np.roll(region, -1, axis=0) - region
     lengths = np.hypot(sides[:, 0], sides[:, 1])
     inside = (_cross(sides, centers[:, None, :] - region) >= -1e-10 * lengths).all(axis=1)
+    centers, radii = centers[inside], radii[inside]
 
     # where the bisector {x : (x - m).d = 0} of each edge crosses each side
     p, q = pts[edges[:, 0]], pts[edges[:, 1]]
     d = q - p
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t = (((p + q) / 2.0 * d).sum(axis=1)[:, None] - d @ region.T) / (d @ sides.T)
     e, k = np.nonzero((t >= 0.0) & (t <= 1.0))
     crossings = region[k] + t[e, k, None] * sides[k]
+    nearest = _squared_distances(crossings, pts[edges[e, 0]])
+    passed = np.ones(len(e), dtype=bool)
+    for col in (2, 3):
+        passed &= nearest <= _squared_distances(crossings, pts[edges[e, col]]) * (1.0 + 1e-9)
 
-    candidates = np.concatenate([centers[inside], crossings, region])
-    dist, _ = cKDTree(pts).query(candidates, k=1)
-    return float(dist.max())
+    tree = cKDTree(pts)
+    top = radii >= radii.max(initial=0.0) * (1.0 - 1e-9)
+    rim = tree.query(np.concatenate([region, crossings[passed]]), k=1)[0]
+    gap = max(rim.max(), tree.query(centers[top], k=1)[0].max(initial=0.0))
+    # positions along the boundary, where side k runs from k to k + 1
+    place = k + t[e, k]
+    rim_place = np.concatenate([np.arange(len(region)), place[passed]])
+    hot = rim_place[rim >= gap - 1e-9 * (gap + lengths.max())]
+    marks = np.sort(np.concatenate([hot - len(region), hot, hot + len(region), [-np.inf, np.inf]]))
+    after = np.searchsorted(marks, place)
+    twins = ~passed & (np.minimum(marks[after] - place, place - marks[after - 1]) <= 1e-9)
+    rest = np.concatenate([centers[~top & (radii * (1.0 + 1e-9) >= gap)], crossings[twins]])
+    if len(rest):
+        gap = max(gap, tree.query(rest, k=1)[0].max())
+    return float(gap)
+
+
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    diff = a - b
+    return (diff * diff).sum(axis=1)
 
 
 def _incenter_rows(p: Patch) -> np.ndarray:

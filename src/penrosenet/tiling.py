@@ -489,6 +489,15 @@ def _deflate_rounds(p: Patch, rounds: int, near: tuple[np.ndarray, np.ndarray] |
     return kinds, chir, coords
 
 
+def _check_cap(start: TileCensus, rounds: int, cap: int) -> None:
+    """TileCapError when ``rounds`` rounds of ``start`` make more than ``cap`` half-tiles."""
+    projected = substitution_counts(start, rounds)
+    if projected.total() > cap:
+        raise TileCapError(
+            f"deflation would produce {projected.total()} half-tiles, cap is {cap}"
+        )
+
+
 def deflate_patch(p: Patch, rounds: int, cap: int = DEFAULT_TILE_CAP) -> Patch:
     """Deflate every tile ``rounds`` times, rescaling by phi each round.
 
@@ -500,11 +509,7 @@ def deflate_patch(p: Patch, rounds: int, cap: int = DEFAULT_TILE_CAP) -> Patch:
     """
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
-    projected = substitution_counts(census(p), rounds)
-    if projected.total() > cap:
-        raise TileCapError(
-            f"deflation would produce {projected.total()} half-tiles, cap is {cap}"
-        )
+    _check_cap(census(p), rounds, cap)
     kinds, chir, coords = _deflate_rounds(p, rounds)
     prov = dict(p.provenance)
     if "outline" in prov and rounds:
@@ -594,6 +599,8 @@ def generate_patch_covering(
     COVER_SLACK, centers it on the square through an exact ring translation
     (rounding error < 1 tile edge, absorbed by the slack), and deflates n
     rounds, so final tiles have edge lengths 1 and phi (scale_exp == 0).
+    The projected census is checked against ``cap`` before the seed is
+    built, and a translation that does not fit int64 is a ValueError.
     """
     square = Square(*square)
     if square.side <= 0:
@@ -605,6 +612,7 @@ def generate_patch_covering(
     n = 0
     while inradius * PHI_FLOAT**n < need:
         n += 1
+    _check_cap(TileCensus(int(seed_kind == HALF_KITE), int(seed_kind == HALF_DART)), n, cap)
 
     cx, cy = square.center
     dx = cx - incenter[0] * PHI_FLOAT**n
@@ -614,6 +622,10 @@ def generate_patch_covering(
     t = CycloPoint(int(u), int(v), 0, 0)
     for _ in range(n):
         t = t.times_inv_phi()
+    # the seed's own coefficients are 0 or +-1
+    if max(map(abs, t.coeffs)) >= _INT64_MAX:
+        raise ValueError(f"square at ({square.x:g}, {square.y:g}) is too far from the origin: "
+                         f"its seed translation needs coefficients beyond int64's {_INT64_MAX}")
 
     seed = Patch.single_tile(seed_kind, seed_chirality, scale_exp=-n, translation=t)
     result = deflate_patch(seed, n, cap=cap)

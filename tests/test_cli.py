@@ -179,6 +179,22 @@ class TestAnalyze:
         assert code == 2
         assert "i-min" in stderr
 
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_negative_i_min_rejected_before_any_work(self, command, tmp_path, capsys):
+        extra = ["--out", str(tmp_path / "rep")] if command == "analyze" else []
+        code, stdout, stderr = run(capsys, command, "--i-min", "-1", "--i-max", "2", *extra)
+        assert code == 2
+        assert "--i-min must be >= 0" in stderr
+        assert stdout == ""
+        assert not (tmp_path / "rep").exists()
+
+    def test_huge_square_hits_the_cap(self, tmp_path, capsys):
+        code, stdout, stderr = run(capsys, "analyze", "--i-max", "40", "--out", str(tmp_path / "rep"))
+        assert code == 2
+        assert "half-tiles, cap is" in stderr
+        assert stdout == ""
+        assert not (tmp_path / "rep").exists()
+
     def test_zero_cap_rejected(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "analyze", "--cap", "0", "--i-min", "1", "--i-max", "2",
                               "--out", str(tmp_path / "rep"))

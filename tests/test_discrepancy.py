@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from penrosenet import discrepancy, tiling
 from penrosenet.discrepancy import (
@@ -89,9 +91,24 @@ class TestRatioMap:
             with pytest.raises((ValueError, OverflowError)):
                 iterate_ratio_map(bad, 1)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.integers(min_value=0, max_value=10**30),
+        st.floats(min_value=0.0, allow_infinity=False),
+        st.fractions(min_value=0, max_denominator=10**40),
+    ))
+    def test_matches_the_fraction_formula(self, x):
+        y = ratio_map(x)
+        expected = (2 * Fraction(x) + 1) / (Fraction(x) + 1)
+        assert type(y) is Fraction
+        assert (y.numerator, y.denominator) == (expected.numerator, expected.denominator)
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             ratio_map(Fraction(-1, 2))
+        for bad in (-1, -1e-300, Fraction(-1, 10**40)):
+            with pytest.raises(ValueError, match="x >= 0"):
+                ratio_map(bad)
         with pytest.raises(ValueError):
             ratio_map(PHI - 10)
 
@@ -718,6 +735,17 @@ class TestReport:
             assert row.ratio_holds == (row.ratio_gap_max <= ratio_bound(row.i))
         assert report.product == pytest.approx(WINDOW64_PRODUCT, rel=1e-12)
         assert report.log_sum == pytest.approx(WINDOW64_LOG_SUM, rel=1e-12)
+
+    @pytest.mark.parametrize("i_min, i_max", [(-1, 1), (-3, -1), (-1, 0)])
+    def test_negative_i_min_rejected_before_any_grid(self, net64, monkeypatch, i_min, i_max):
+        _, net = net64
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid built for a negative i_min")
+
+        monkeypatch.setattr(discrepancy, "_CountGrid", no_grid)
+        with pytest.raises(ValueError, match=f"i_min must be >= 0, got {i_min}"):
+            build_report(net, i_min, i_max)
 
     def test_log_sum_is_prefix_sum(self, net64):
         _, net = net64

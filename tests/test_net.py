@@ -7,6 +7,9 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+import scipy.spatial
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from penrosenet import net as net_module, tiling
@@ -1060,6 +1063,127 @@ class TestDelonePass:
         c1 = net.c1
         assert c1 == brute_c1(delaunay_calls[0]) == brute_c1(net.xy)
         assert net.c2.hex() == reference_c2(net).hex()
+
+
+def ring_points(radii, turns):
+    """Points at the given radii and multiples of 30 degrees about (5, 5)."""
+    angles = np.array(turns) * (math.pi / 6)
+    return 5.0 + np.array(radii)[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+@st.composite
+def hostile_point_sets(draw):
+    """Small point sets whose Delaunay and Voronoi structure is degenerate or fragile.
+
+    Uniform points; integer-lattice points with duplicates and cocircular
+    4-sets; points on three circles at multiples of 30 degrees about one
+    center; points on one line, with or without two strays; lattice points
+    jittered by 1e-12.  Some sets, and their windows, lie millions of units
+    from the origin, where Qhull's rounding matters.
+    """
+    family = draw(st.sampled_from(["uniform", "lattice", "rings", "collinear", "jittered"]))
+    n = draw(st.integers(min_value=1, max_value=40))
+    if family == "uniform":
+        coord = st.floats(min_value=-3.0, max_value=13.0)
+        xy = np.array(draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)))
+    elif family == "rings":
+        xy = ring_points(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)),
+                         draw(st.lists(st.integers(0, 11), min_size=n, max_size=n)))
+    elif family == "collinear":
+        s = np.array(draw(st.lists(st.floats(min_value=-3.0, max_value=13.0), min_size=n, max_size=n)))
+        slope = draw(st.sampled_from([0.0, 0.5, 1.0, -3.0]))
+        xy = np.column_stack([s, slope * s + 1.0])
+        if draw(st.booleans()):
+            xy = np.concatenate([xy, [[2.0, 7.5], [9.25, -1.0]]])
+    else:
+        cell = st.tuples(st.integers(-2, 12), st.integers(-2, 12))
+        xy = np.array(draw(st.lists(cell, min_size=n, max_size=n)), dtype=np.float64)
+        if family == "jittered":
+            seed = draw(st.integers(0, 2**32 - 1))
+            xy += np.random.default_rng(seed).uniform(-1e-12, 1e-12, xy.shape)
+    corner = st.floats(min_value=-4.0, max_value=10.0)
+    shift = draw(st.sampled_from([0.0, 0.0, 3.3e6, 1e7 + 0.1]))
+    window = Square(draw(corner) + shift, draw(corner) + shift, draw(st.floats(min_value=0.5, max_value=12.0)))
+    return small_net(xy + shift, window)
+
+
+class TestPrunedCandidates:
+    """c2 asks the k-d tree only about candidates that can set the maximum."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(hostile_point_sets())
+    def test_same_c1_and_c2_as_every_candidate(self, net):
+        passes, real = [], net_module._delaunay
+
+        def recorded(pts):
+            passes.append(pts)
+            return real(pts)
+
+        net_module._delaunay = recorded
+        try:
+            c2 = net.c2
+            c1 = net.c1 if len(net) >= 2 else None
+        finally:
+            net_module._delaunay = real
+        with np.errstate(over="ignore"):  # the oracle's bisector division can overflow
+            assert c2.hex() == reference_c2(net).hex()
+        if c1 is not None:
+            assert c1 == brute_c1(passes[-1])
+
+    @pytest.mark.parametrize("xy, window", [
+        # c2 sits where a hull edge's bisector crosses the window
+        ([[0.9366246832732461, -2.244221802598948], [8.731414136312809, 7.843853273204616],
+          [-0.020156352284021573, 7.682764020191643]], Square(-1.5, 3.25, 6.0)),
+        # mirror-image pairs share bisectors, and at c2's location a crossing
+        # off its Voronoi edge rounds one ulp farther than the one on it
+        (ring_points([1, 2, 3, 2, 1, 1, 2, 3, 3], [7, 1, 5, 5, 0, 8, 11, 11, 0]), Square(3.5, 4.0, 3.0)),
+        # Qhull, 1e7 from the origin, leaves out points that are not duplicates
+        (np.array([[2, 3], [2, 0], [2, 0], [4, 0], [1, 2], [0, 5], [2, 0], [0, 0], [0, 1], [1, 3],
+                   [5, 2], [3, 2], [5, 0], [4, 4], [2, 2], [2, 5], [0, 0], [1, 2], [2, 2], [4, 5],
+                   [0, 4], [4, 3], [5, 0], [3, 4], [1, 5]]) + (1e7 + 0.1), Square(10000001.6, 10000000.1, 5.0)),
+    ], ids=["hull_ray", "shared_bisector", "far_from_origin"])
+    def test_c2_on_sets_that_need_every_rule(self, xy, window):
+        net = small_net(xy, window)
+        assert net.c2.hex() == reference_c2(net).hex()
+
+    @pytest.mark.parametrize("xy", [
+        # Qhull merges two points near (1, 0) into one vertex; they are the closest pair
+        [[1.000000000000948, -5.984678449370826e-13], [1.0000000000007234, -1.396845035810921e-13],
+         [1.0000000000000457, 1.0000000000005316], [1.0000000000008573, 3.7514073573523215e-13],
+         [-0.9999999999994975, 0.9999999999997627], [-0.9999999999993961, -0.99999999999992],
+         [0.9999999999992312, -1.383160232864387e-13], [1.00000000000088, -2.2559769887012586e-13],
+         [1.0000000000000877, 5.6579756249746967e-14]],
+        # Qhull triangulates four points near (-1, 0) without their closest pair
+        [[0.999999999999413, 0.9999999999991935], [-1.0000000000006617, -4.014291842548614e-13],
+         [-0.9999999999993016, -1.0000000000004463], [-0.999999999999377, 8.431226463557886e-13],
+         [1.0000000000003757, -5.176708598625619e-13], [-5.623660773934084e-13, -3.5286317780572716e-13],
+         [-0.9999999999996588, 0.999999999999038], [-1.000000000000459, -5.861497723770768e-13],
+         [4.5140641345350977e-13, -3.0381105586914805e-13], [-1.0000000000009963, -8.525488727528336e-13],
+         [4.321304869174673e-14, -0.9999999999997429]],
+        # no triangle to Qhull, and the closest pair is not adjacent in x, y order
+        [[0.0, 0.0], [0.0, 1.0], [1.401298464324817e-45, 0.0]],
+    ], ids=["merged_pair", "untriangulated_pair", "no_triangle"])
+    def test_c1_of_pairs_within_qhull_rounding(self, xy):
+        net = small_net(xy, Square(-1.5, -1.5, 3.0))
+        assert net.c1 == brute_c1(net.xy)
+        assert net.c2.hex() == reference_c2(net).hex()
+
+    def test_side_64_covering_net_queries_few_points(self, monkeypatch):
+        net = extract_net(generate_patch_covering(Square(-20.0, 13.0, 64.0)))
+        queried = []
+
+        class Counted(cKDTree):
+            def query(self, x, *args, **kwargs):
+                queried.append(len(x))
+                return super().query(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", Counted)
+        c2 = net.c2
+        monkeypatch.undo()
+        # every bisector crossing of the boundary and every circumcenter
+        # inside the window would be about 27,000 points
+        assert 0 < sum(queried) <= 2000
+        assert c2.hex() == reference_c2(net).hex()
 
 
 class TestCounting:

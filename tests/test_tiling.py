@@ -547,6 +547,28 @@ class TestCovering:
             generate_patch_covering(Square(0.0, 0.0, 0.0))
 
     @pytest.mark.parametrize("kind", [HALF_KITE, HALF_DART])
+    def test_cap_checked_before_the_seed_is_built(self, kind, monkeypatch):
+        total = len(generate_patch_covering(Square(0.0, 0.0, 8.0), kind))
+        assert len(generate_patch_covering(Square(0.0, 0.0, 8.0), kind, cap=total)) == total
+
+        def no_seed(*args, **kwargs):
+            raise AssertionError("seed built before the cap check")
+
+        monkeypatch.setattr(Patch, "single_tile", no_seed)
+        with pytest.raises(TileCapError, match=f"would produce {total} half-tiles, cap is {total - 1}"):
+            generate_patch_covering(Square(0.0, 0.0, 8.0), kind, cap=total - 1)
+        # a square this large once overflowed int64 building the seed
+        with pytest.raises(TileCapError, match="cap is"):
+            generate_patch_covering(Square(0.0, 0.0, 2.0**41), kind)
+
+    @pytest.mark.parametrize("square", [
+        Square(1e19, 0.0, 8.0), Square(-1e19, 0.0, 8.0), Square(0.0, 9.3e18, 8.0), Square(4e18, -4e18, 8.0),
+    ])
+    def test_translation_past_int64_rejected(self, square):
+        with pytest.raises(ValueError, match=f"beyond int64's {2**63 - 1}"):
+            generate_patch_covering(square)
+
+    @pytest.mark.parametrize("kind", [HALF_KITE, HALF_DART])
     @pytest.mark.parametrize("chirality", [RIGHT, LEFT])
     def test_covering_seed_deflates_into_the_patch(self, kind, chirality):
         patch = generate_patch_covering(Square(-7.0, 3.0, 24.0), kind, chirality)
