@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -361,38 +361,95 @@ def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (diff * diff).sum(axis=1)
 
 
-def _incenter_rows(p: Patch) -> np.ndarray:
-    """The exact incenter of every half's full tile, as a (4, n) int64 array.
+def _incenter_blocks(p: Patch) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (lo, pair) for the halves lo, lo + 1, ... of one block.
 
-    With axis = axis_end - apex and step = axis / phi, a kite's incenter is
-    apex + step and a dart's apex + (axis - step).  Ring coordinates are
-    rows, so every operation runs on contiguous memory, and the half-tiles
-    go through in blocks that stay in cache.  Coordinates that could wrap
-    int64 are a ValueError.
+    ``pair`` is a (2, 4, m) int64 array: ``pair[1]`` holds the exact
+    incenter of each half's full tile, one row per ring coefficient, and
+    ``pair[0]`` that incenter minus the half's apex.  The next block
+    overwrites it.  With axis = axis_end - apex and step = axis / phi, a
+    kite's incenter is apex + step and a dart's apex + (axis - step).  The
+    patch's coordinate rows are read in blocks of ``_EXTRACT_BLOCK`` halves,
+    so every operation runs on contiguous memory that stays in cache.
+    Coordinates beyond +-2**56 can wrap int64; ``extract_net`` checks each
+    block's coordinates before it uses the block's results.
     """
-    coords = p.coords
-    ring = np.empty((4, len(p)), dtype=np.int64)
-    scratch = np.empty((2, 4, _EXTRACT_BLOCK), dtype=np.int64)
+    rows = p.coords.transpose(1, 2, 0)
+    scratch = np.empty((3, 4, _EXTRACT_BLOCK), dtype=np.int64)
     for lo in range(0, len(p), _EXTRACT_BLOCK):
-        block = coords[lo:lo + _EXTRACT_BLOCK]
+        block = rows[..., lo:lo + _EXTRACT_BLOCK]
+        m = block.shape[2]
+        apex, axis, pair = block[1], scratch[0, :, :m], scratch[1:, :, :m]
+        np.subtract(block[2], apex, out=axis)
+        _times_inv_phi(axis, pair[0])
+        axis -= pair[0]
+        np.copyto(pair[0], axis, where=p.kinds[lo:lo + m] == HALF_DART)
+        np.add(pair[0], apex, out=pair[1])
+        yield lo, pair
+
+
+def _pack(out: np.ndarray, rows: np.ndarray, widths: Sequence[int]) -> None:
+    """Shift each row of non-negative integers into ``out``, in ``widths`` bits each."""
+    for row, width in zip(rows, widths):
+        out <<= width
+        out += row
+
+
+def _word_groups(widths: Sequence[int]) -> list[list[int]]:
+    """Split coefficient indices, in order, into words of at most 63 bits."""
+    groups, used = [], 64
+    for k, width in enumerate(widths):
+        if used + width > 63:
+            groups.append([])
+            used = 0
+        groups[-1].append(k)
+        used += width
+    return groups
+
+
+def _pairing_key(p: Patch) -> tuple[np.ndarray, list[np.ndarray], list[int], np.ndarray]:
+    """(key, apex words, widths, offsets): every half's pairing key and what unpacks it.
+
+    The key packs the kind and the incenter of the half's full tile, each
+    coefficient as its offset from the least one in ``widths[k]`` bits; the
+    apex words (``_word_groups``) pack the incenter minus the apex the same
+    way.  Two passes over the incenters, one block at a time, so the (4, N)
+    incenters are never held: their ranges, then the words packing them.
+    Coordinates beyond +-2**56, or a key wider than 63 bits, are a
+    ValueError.
+    """
+    rows, bounds = p.coords.transpose(1, 2, 0), []
+    for lo, pair in _incenter_blocks(p):
+        block = rows[..., lo:lo + pair.shape[2]]
         if block.max() >= _COORD_LIMIT or block.min() <= -_COORD_LIMIT:
             raise ValueError(f"tile coordinates must lie within +-2**{_COORD_LIMIT.bit_length() - 1}")
-        m = len(block)
-        apex, axis, out = scratch[0, :, :m], scratch[1, :, :m], ring[:, lo:lo + m]
-        np.copyto(scratch[:, :, :m], block[:, 1:].transpose(1, 2, 0))
-        axis -= apex
-        _times_inv_phi(axis.T, out.T)
-        axis -= out
-        np.copyto(out, axis, where=p.kinds[lo:lo + m] == HALF_DART)
-        out += apex
-    return ring
+        bounds.append((pair.min(axis=2), pair.max(axis=2)))
+    offset = np.min([low for low, _ in bounds], axis=0)  # (2, 4): apex offsets, incenters
+    top = np.max([high for _, high in bounds], axis=0)
+    widths = [[(int(t) - int(low)).bit_length() for t, low in zip(*ends)] for ends in zip(top, offset)]
+    if 1 + sum(widths[1]) > 63:
+        raise ValueError(f"tile key needs {1 + sum(widths[1])} bits, more than 63")
+    groups = [(group, [widths[0][k] for k in group]) for group in _word_groups(widths[0])]
+    key = np.empty(len(p), dtype=np.int64)
+    apex_words = [np.zeros(len(p), dtype=np.int64) for _ in groups]
+    for lo, pair in _incenter_blocks(p):
+        hi = lo + pair.shape[2]
+        pair -= offset[:, :, None]
+        key[lo:hi] = p.kinds[lo:hi]
+        _pack(key[lo:hi], pair[1], widths[1])
+        for word, (group, group_widths) in zip(apex_words, groups):
+            _pack(word[lo:hi], pair[0, group], group_widths)
+    return key, apex_words, widths[1], offset[1]
 
 
-def _first_halves(key: np.ndarray, p: Patch) -> np.ndarray:
+def _first_halves(key: np.ndarray, apex_words: list[np.ndarray], p: Patch) -> np.ndarray:
     """Sorted patch indices of the first half of every tile; halves pair on equal keys.
 
-    A key shared by more than two halves, or a pair that does not have
-    opposite chirality and a shared apex, is a ValueError.
+    Paired halves share their incenter, so they share their apex exactly
+    when they agree on every word of ``apex_words``, which pack the
+    incenter minus the apex.  A key shared by more than two halves, or a
+    pair that does not have opposite chirality and a shared apex, is a
+    ValueError.
     """
     order = np.argsort(key)
     sk = key[order]
@@ -402,15 +459,11 @@ def _first_halves(key: np.ndarray, p: Patch) -> np.ndarray:
         raise ValueError("more than two half-tiles share one tile incenter; invalid patch")
     pairs = np.flatnonzero(same)
     a, b = order[pairs], order[pairs + 1]
+    del order, same, pairs
     if np.any(p.chiralities[a] == p.chiralities[b]):
         raise ValueError("paired half-tiles must have opposite chirality")
-    # each apex as one 32-byte item, gathered a block of pairs at a time:
-    # indexing the strided (n, 4) apex view takes numpy's slow path, and an
-    # apex copy of every half-tile is as large as the incenter rows
-    apexes = p.coords.view(np.dtype((np.void, 32)))[:, 1, 0]
-    for lo in range(0, len(a), _EXTRACT_BLOCK):
-        hi = lo + _EXTRACT_BLOCK
-        if np.any(apexes[a[lo:hi]].view(np.int64) != apexes[b[lo:hi]].view(np.int64)):
+    for word in apex_words:
+        if np.any(word[a] != word[b]):
             raise ValueError("paired half-tiles must share their apex; overlapping tiles")
     first = np.ones(len(key), dtype=bool)
     first[np.maximum(a, b)] = False
@@ -444,19 +497,9 @@ def extract_net(p: Patch, window: Square | tuple | None = None) -> Net:
         raise ValueError(
             f"net extraction requires final-scale tiles (scale_exp 0), got {p.scale_exp}"
         )
-    ring = _incenter_rows(p)
-    offset = ring.min(axis=1)
-    widths = [(int(top) - int(low)).bit_length() for top, low in zip(ring.max(axis=1), offset)]
-    if 1 + sum(widths) > 63:
-        raise ValueError(f"tile key needs {1 + sum(widths)} bits, more than 63")
-    key = p.kinds.astype(np.int64)
-    for k, width in enumerate(widths):
-        ring[k] -= offset[k]
-        key <<= width
-        key += ring[k]
-    del ring
-
-    tile_ids = _first_halves(key, p)
+    key, apex_words, widths, offset = _pairing_key(p)
+    tile_ids = _first_halves(key, apex_words, p)
+    del apex_words
     # the chosen tiles' incenters, unpacked from their own keys
     tile_key = key[tile_ids]
     del key

@@ -35,11 +35,14 @@ Child chirality follows the pattern (same, flipped, same) for the kite and
 loop is counterclockwise.  This is the standard Robinson decomposition in
 one of its two mirror conventions.
 
+A patch stores its coordinates as one C-contiguous (3, 4, N) int64 buffer
+(vertex, coefficient, tile), so each coefficient of each vertex is one
+contiguous row over the tiles; ``Patch.coords`` is its (N, 3, 4) view.
 The vectorized round works in the frame scaled by phi, where a parent
 vertex v becomes v @ _MPHI and a split point v + (w - v)/phi becomes
 v @ _MINV + w (``_MPHI`` and ``_MINV`` multiply a ring point by phi and
-1/phi).  It writes those products column by column, four integer adds or
-subtracts each, straight into one preallocated child array, and copies a
+1/phi).  It writes those products row by row, four integer adds or
+subtracts each, straight into one preallocated child buffer, and copies a
 vertex shared by two children from the slot already written; the matrices
 stay the specification and bound the coefficient growth that the int64
 guard checks.  The same round loop can drop, after every round, the tiles
@@ -92,7 +95,7 @@ EMBED_MATRIX = np.array([EMBED_COS, EMBED_SIN], dtype=np.float64).T  # (4, 2)
 # partial sum _times_phi and _times_inv_phi form stays within that bound too.
 _GROWTH = max(int(np.abs(_MPHI).sum(axis=0).max()), int(np.abs(_MINV).sum(axis=0).max()) + 1)
 _INT64_MAX = int(np.iinfo(np.int64).max)
-_DEFLATE_BLOCK = 4096  # parent rows per block of one deflation round
+_DEFLATE_BLOCK = 4096  # parent tiles per block of one deflation round
 
 # Unit seeds, apex at the origin, axis along +x; LEFT seeds are the complex
 # conjugates of the RIGHT ones.  Rows are (wing, apex, axis_end).
@@ -211,6 +214,12 @@ class Patch:
     (wing, apex, axis_end).  Physical positions are ``coords`` embedded and
     multiplied by phi**(-scale_exp); a patch whose tiles have unit short
     edges therefore has scale_exp == 0.
+
+    ``coords`` is the view ``rows.transpose(2, 0, 1)`` of one C-contiguous
+    (3, 4, N) buffer, so ``coords.transpose(1, 2, 0)`` gives the rows the
+    kernels work on without a copy.  Building a patch from coordinates in
+    another layout copies them once; a caller that needs C-ordered
+    (N, 3, 4) coordinates takes ``np.ascontiguousarray(p.coords)``.
     """
 
     __slots__ = ("kinds", "chiralities", "coords", "generation", "scale_exp", "provenance")
@@ -226,7 +235,7 @@ class Patch:
     ) -> None:
         kinds = np.ascontiguousarray(kinds, dtype=np.uint8)
         chiralities = np.ascontiguousarray(chiralities, dtype=np.int8)
-        coords = np.ascontiguousarray(coords, dtype=np.int64)
+        coords = np.asarray(coords, dtype=np.int64)
         if kinds.ndim != 1 or chiralities.shape != kinds.shape:
             raise ValueError("kinds and chiralities must be parallel 1-d arrays")
         if coords.shape != (len(kinds), 3, 4):
@@ -235,11 +244,12 @@ class Patch:
             raise ValueError("kinds must be HALF_KITE (0) or HALF_DART (1)")
         if chiralities.size and not np.all(np.abs(chiralities) == 1):
             raise ValueError("chiralities must be +1 or -1")
-        for arr in (kinds, chiralities, coords):
+        rows = np.ascontiguousarray(coords.transpose(1, 2, 0))
+        for arr in (kinds, chiralities, rows):
             arr.flags.writeable = False
         self.kinds = kinds
         self.chiralities = chiralities
-        self.coords = coords
+        self.coords = rows.transpose(2, 0, 1)
         self.generation = int(generation)
         self.scale_exp = int(scale_exp)
         self.provenance = provenance or {}
@@ -370,77 +380,81 @@ def substitution_counts(seed: TileCensus, n: int) -> TileCensus:
 
 
 def _times_phi(x: np.ndarray, out: np.ndarray) -> None:
-    """Write ``x @ _MPHI`` into ``out``, column by column; both are (n, 4)."""
-    x0, x1, x2, x3 = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
-    np.subtract(x1, x3, out=out[:, 0])
-    np.add(out[:, 0], x2, out=out[:, 1])
-    np.subtract(x2, x0, out=out[:, 3])
-    np.add(out[:, 3], x1, out=out[:, 2])
+    """Write ``x @ _MPHI`` into ``out``, row by row; both are (4, n) coefficient rows."""
+    x0, x1, x2, x3 = x
+    np.subtract(x1, x3, out=out[0])
+    np.add(out[0], x2, out=out[1])
+    np.subtract(x2, x0, out=out[3])
+    np.add(out[3], x1, out=out[2])
 
 
 def _times_inv_phi(x: np.ndarray, out: np.ndarray) -> None:
-    """Write ``x @ _MINV`` into ``out``, column by column; both are (n, 4)."""
-    x0, x1, x2, x3 = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
-    np.subtract(x1, x0, out=out[:, 2])
-    np.subtract(x2, x3, out=out[:, 1])
-    np.subtract(out[:, 2], x3, out=out[:, 0])
-    np.subtract(out[:, 1], x0, out=out[:, 3])
+    """Write ``x @ _MINV`` into ``out``, row by row; both are (4, n) coefficient rows."""
+    x0, x1, x2, x3 = x
+    np.subtract(x1, x0, out=out[2])
+    np.subtract(x2, x3, out=out[1])
+    np.subtract(out[2], x3, out=out[0])
+    np.subtract(out[1], x0, out=out[3])
 
 
 def _kite_children(kc: np.ndarray, dart: np.ndarray, flip: np.ndarray, kite: np.ndarray) -> None:
     """Half-kites (a, b, c) -> dart(r, q, b'), flipped kite(q, a', r), kite(c', a', r)."""
-    _times_inv_phi(kc[:, 1], dart[:, 0])
-    dart[:, 0] += kc[:, 2]
-    _times_inv_phi(kc[:, 0], dart[:, 1])
-    dart[:, 1] += kc[:, 1]
-    _times_phi(kc[:, 1], dart[:, 2])
-    flip[:, 0] = dart[:, 1]
-    _times_phi(kc[:, 0], flip[:, 1])
-    flip[:, 2] = dart[:, 0]
-    _times_phi(kc[:, 2], kite[:, 0])
-    kite[:, 1] = flip[:, 1]
-    kite[:, 2] = dart[:, 0]
+    _times_inv_phi(kc[1], dart[0])
+    dart[0] += kc[2]
+    _times_inv_phi(kc[0], dart[1])
+    dart[1] += kc[1]
+    _times_phi(kc[1], dart[2])
+    flip[0] = dart[1]
+    _times_phi(kc[0], flip[1])
+    flip[2] = dart[0]
+    _times_phi(kc[2], kite[0])
+    kite[1] = flip[1]
+    kite[2] = dart[0]
 
 
 def _dart_children(dc: np.ndarray, dart: np.ndarray, flip: np.ndarray) -> None:
     """Half-darts (a, b, c) -> dart(b', p, a'), flipped kite(p, c', b')."""
-    _times_phi(dc[:, 1], dart[:, 0])
-    _times_inv_phi(dc[:, 2], dart[:, 1])
-    dart[:, 1] += dc[:, 0]
-    _times_phi(dc[:, 0], dart[:, 2])
-    flip[:, 0] = dart[:, 1]
-    _times_phi(dc[:, 2], flip[:, 1])
-    flip[:, 2] = dart[:, 0]
+    _times_phi(dc[1], dart[0])
+    _times_inv_phi(dc[2], dart[1])
+    dart[1] += dc[0]
+    _times_phi(dc[0], dart[2])
+    flip[0] = dart[1]
+    _times_phi(dc[2], flip[1])
+    flip[2] = dart[0]
 
 
-def _deflate_once(kinds: np.ndarray, chir: np.ndarray, coords: np.ndarray):
-    """One round, every child vertex written once into one preallocated array.
+def _deflate_once(kinds: np.ndarray, chir: np.ndarray, rows: np.ndarray):
+    """One round on (3, 4, N) coordinate rows, every child vertex written once.
 
     Children sit in the frame scaled by phi, where a parent vertex v becomes
     v' = ``v @ _MPHI`` and the split point v + (w - v)/phi becomes
     ``v @ _MINV + w`` (q, r and p in the module docstring).  A vertex shared
     by two children is copied from the slot already written.  Parents are
-    taken ``_DEFLATE_BLOCK`` rows at a time, so the column writes of a block
-    stay in cache.
+    gathered ``_DEFLATE_BLOCK`` tiles at a time into contiguous (3, 4, m)
+    rows, so the row writes of a block stay in cache; the children come
+    back as one C-contiguous (3, 4, M) buffer.
     """
     kite_idx = np.flatnonzero(kinds == HALF_KITE)
     dart_idx = np.flatnonzero(kinds != HALF_KITE)
     nk, nd = len(kite_idx), len(dart_idx)
-    new_coords = np.empty((3 * nk + 2 * nd, 3, 4), dtype=coords.dtype)
-    dart_k, flip_k, kite_k = new_coords[:nk], new_coords[nk:2 * nk], new_coords[2 * nk:3 * nk]
-    dart_d, flip_d = new_coords[3 * nk:3 * nk + nd], new_coords[3 * nk + nd:]
+    flat = rows.reshape(12, -1)
+    new_rows = np.empty((3, 4, 3 * nk + 2 * nd), dtype=rows.dtype)
+    dart_k, flip_k, kite_k = new_rows[..., :nk], new_rows[..., nk:2 * nk], new_rows[..., 2 * nk:3 * nk]
+    dart_d, flip_d = new_rows[..., 3 * nk:3 * nk + nd], new_rows[..., 3 * nk + nd:]
     for lo in range(0, nk, _DEFLATE_BLOCK):
         b = slice(lo, lo + _DEFLATE_BLOCK)
-        _kite_children(coords[kite_idx[b]], dart_k[b], flip_k[b], kite_k[b])
+        kc = np.take(flat, kite_idx[b], axis=1).reshape(3, 4, -1)
+        _kite_children(kc, dart_k[..., b], flip_k[..., b], kite_k[..., b])
     for lo in range(0, nd, _DEFLATE_BLOCK):
         b = slice(lo, lo + _DEFLATE_BLOCK)
-        _dart_children(coords[dart_idx[b]], dart_d[b], flip_d[b])
+        dc = np.take(flat, dart_idx[b], axis=1).reshape(3, 4, -1)
+        _dart_children(dc, dart_d[..., b], flip_d[..., b])
 
-    new_kinds = np.full(len(new_coords), HALF_KITE, dtype=np.uint8)
+    new_kinds = np.full(new_rows.shape[2], HALF_KITE, dtype=np.uint8)
     new_kinds[:nk] = HALF_DART
     new_kinds[3 * nk:3 * nk + nd] = HALF_DART
     kx, dx = chir[kite_idx], chir[dart_idx]
-    return new_kinds, np.concatenate([kx, -kx, kx, dx, -dx]), new_coords
+    return new_kinds, np.concatenate([kx, -kx, kx, dx, -dx]), new_rows
 
 
 def _bounding_boxes(emb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -452,41 +466,45 @@ def _bounding_boxes(emb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _embed(coords: np.ndarray, scale_exp: int = 0) -> np.ndarray:
     """(..., 4) ring coordinates at ``scale_exp`` as (..., 2) points of R**2.
 
-    The one place where array ring coordinates become floats.
+    The one place where array ring coordinates become floats.  The
+    coordinates are converted in one pass into a C-ordered float array, so
+    the product, and its bits, do not depend on their memory layout.
     """
-    flat = coords.reshape(-1, 4).astype(np.float64) @ EMBED_MATRIX
+    flat = np.asarray(coords, dtype=np.float64, order="C").reshape(-1, 4) @ EMBED_MATRIX
     if scale_exp:
         flat = flat * PHI_FLOAT ** (-scale_exp)
     return flat.reshape(coords.shape[:-1] + (2,))
 
 
 def _deflate_rounds(p: Patch, rounds: int, near: tuple[np.ndarray, np.ndarray] | None = None):
-    """Kinds, chiralities and coordinates of ``p`` after ``rounds`` rounds.
+    """Kinds, chiralities and (N, 3, 4) coordinates of ``p`` after ``rounds`` rounds.
 
+    The rounds run on ``p``'s (3, 4, N) rows, and the coordinates returned
+    are the view of a C-contiguous row buffer, as ``Patch`` stores them.
     With ``near = (lo, hi)``, every round drops the tiles whose bounding box
     misses the box [lo, hi]; a tile's descendants lie inside it, so no
     descendant of a dropped tile meets the box.  Raises ValueError before a
     round that could overflow int64.
     """
-    kinds, chir, coords = p.kinds, p.chiralities, p.coords
+    kinds, chir, rows = p.kinds, p.chiralities, p.coords.transpose(1, 2, 0)
     # carry a bound on |coefficient| and rescan the array only when the
     # bound alone can no longer rule out an int64 overflow in the next round
     bound = _INT64_MAX  # unknown until the first round scans the array
     for done in range(1, rounds + 1):
-        if _GROWTH * bound > _INT64_MAX and len(coords):
-            bound = max(int(coords.max()), -int(coords.min()))
+        if _GROWTH * bound > _INT64_MAX and len(kinds):
+            bound = max(int(rows.max()), -int(rows.min()))
             if _GROWTH * bound > _INT64_MAX:
                 raise ValueError(
                     f"deflation would overflow int64: a coefficient reaches {bound} "
                     f"and one round can grow it {_GROWTH}-fold"
                 )
-        kinds, chir, coords = _deflate_once(kinds, chir, coords)
+        kinds, chir, rows = _deflate_once(kinds, chir, rows)
         bound *= _GROWTH
         if near is not None:
-            bb_lo, bb_hi = _bounding_boxes(_embed(coords, p.scale_exp + done))
+            bb_lo, bb_hi = _bounding_boxes(_embed(rows.transpose(2, 0, 1), p.scale_exp + done))
             keep = ((bb_lo <= near[1]) & (bb_hi >= near[0])).all(axis=1)
-            kinds, chir, coords = kinds[keep], chir[keep], coords[keep]
-    return kinds, chir, coords
+            kinds, chir, rows = kinds[keep], chir[keep], rows[..., keep]
+    return kinds, chir, rows.transpose(2, 0, 1)
 
 
 def _check_cap(start: TileCensus, rounds: int, cap: int) -> None:

@@ -271,7 +271,7 @@ def column_extract_net(p: Patch, window=None) -> Net:
     apex = coords[:, 1]
     ring = np.subtract(coords[:, 2], apex)
     step = np.empty_like(ring)
-    _times_inv_phi(ring, step)
+    _times_inv_phi(ring.T, step.T)  # the row kernel on (4, n) views
     ring -= step
     ring -= step
     ring *= p.kinds[:, None]
@@ -671,6 +671,69 @@ class TestBlockedPass:
         self.assert_both_raise(tiles(base, right, turned), "share their apex")
 
 
+def far_apex_kites(offsets, apex_shift=None) -> Patch:
+    """Mirror pairs of kite halves with incenters (j, 0, 0, 0) but apexes ~2**40 away in the ring.
+
+    Each pair's incenter minus apex spans about 2**41 per coefficient, so the
+    apex check needs one word per coefficient.  ``apex_shift = (j, e)`` moves
+    the apex of pair j's LEFT half by e and its axis end so that the half
+    keeps its incenter.
+    """
+    rng = np.random.default_rng(17)
+    halves = []
+    for j in range(offsets):
+        d = rng.integers(-(2**40), 2**40, size=4)
+        incenter = np.array([j, 0, 0, 0])
+        for chirality in (RIGHT, LEFT):
+            step = d
+            if apex_shift is not None and apex_shift[0] == j and chirality == LEFT:
+                step = d - np.array(apex_shift[1])
+            apex = incenter - step
+            axis_end = apex + step @ tiling._MPHI  # so that axis_end - apex = phi * step
+            halves.append((chirality, (apex + 1, apex, axis_end)))
+    return Patch(np.zeros(len(halves)), [c for c, _ in halves], [v for _, v in halves])
+
+
+class TestApexWords:
+    """The apex check packs the incenter minus the apex into as many int64 words as it needs."""
+
+    def test_word_groups(self):
+        assert net_module._word_groups([9, 9, 9, 9]) == [[0, 1, 2, 3]]
+        assert net_module._word_groups([0, 0, 0, 0]) == [[0, 1, 2, 3]]
+        assert net_module._word_groups([41, 41, 22, 41]) == [[0], [1, 2], [3]]
+        assert net_module._word_groups([63, 1, 62, 0]) == [[0], [1, 2, 3]]
+
+    def test_one_word_per_wide_coefficient(self):
+        patch = far_apex_kites(3)
+        _, words, _, _ = net_module._pairing_key(patch)
+        assert len(words) == 4
+        net = assert_matches_columns(patch)
+        assert net.tile_ids.tolist() == [0, 2, 4]
+        assert net.ring.tolist() == [[j, 0, 0, 0] for j in range(3)]
+
+    @pytest.mark.parametrize("coeff", range(4))
+    def test_apex_mismatch_in_any_word(self, coeff):
+        shift = [0, 0, 0, 0]
+        shift[coeff] = 1
+        patch = far_apex_kites(3, apex_shift=(1, shift))
+        for extract in (extract_net, column_extract_net):
+            with pytest.raises(ValueError, match="share their apex"):
+                extract(patch)
+
+
+class TestSavedPatchNet:
+    @pytest.mark.parametrize("square", [Square(-37.0, 21.0, 64.0), Square(5.0, -9.0, 32.0)])
+    def test_loaded_patch_gives_the_same_net(self, square, tmp_path):
+        patch = generate_patch_covering(square)
+        path = str(tmp_path / "patch.txt")
+        save_patch(patch, path)
+        net, loaded = extract_net(patch), extract_net(load_patch(path))
+        assert net.xy.tobytes() == loaded.xy.tobytes()
+        assert net.tile_ids.tobytes() == loaded.tile_ids.tobytes()
+        assert net.ring.tobytes() == loaded.ring.tobytes()
+        assert net.source_kinds.tobytes() == loaded.source_kinds.tobytes()
+
+
 class TestExtractionErrors:
     def test_three_halves_on_one_tile(self):
         full = Patch.full_tile(HALF_KITE)
@@ -685,7 +748,7 @@ class TestExtractionErrors:
         # median key of the base patch sits in the middle
         base = deflated(HALF_DART, RIGHT, rounds=6)
         if where == "middle":
-            ring = net_module._incenter_rows(base)
+            ring = np.concatenate([pair[1].copy() for _, pair in net_module._incenter_blocks(base)], axis=1)
             order = np.lexsort((*ring[::-1], base.kinds))
             ranked = np.vstack([base.kinds, ring])[:, order]
             pairs = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).all(axis=0))

@@ -195,19 +195,19 @@ class TestSubstitutionCounts:
 
 
 def exact_deflation(seed: Patch, rounds: int) -> np.ndarray:
-    """Coordinates after ``rounds`` rounds in Python integers (dtype=object), which cannot wrap."""
-    kinds, chir, coords = seed.kinds, seed.chiralities, seed.coords.astype(object)
+    """(N, 3, 4) coordinates after ``rounds`` rounds in Python integers (dtype=object), which cannot wrap."""
+    kinds, chir, rows = seed.kinds, seed.chiralities, seed.coords.transpose(1, 2, 0).astype(object)
     for _ in range(rounds):
-        kinds, chir, coords = tiling._deflate_once(kinds, chir, coords)
-    return coords
+        kinds, chir, rows = tiling._deflate_once(kinds, chir, rows)
+    return rows.transpose(2, 0, 1)
 
 
 def int64_deflation(seed: Patch, rounds: int) -> np.ndarray:
     """The same rounds in int64 without deflate_patch's overflow guard."""
-    kinds, chir, coords = seed.kinds, seed.chiralities, seed.coords
+    kinds, chir, rows = seed.kinds, seed.chiralities, seed.coords.transpose(1, 2, 0)
     for _ in range(rounds):
-        kinds, chir, coords = tiling._deflate_once(kinds, chir, coords)
-    return coords
+        kinds, chir, rows = tiling._deflate_once(kinds, chir, rows)
+    return rows.transpose(2, 0, 1)
 
 
 def matmul_deflate_once(kinds: np.ndarray, chir: np.ndarray, coords: np.ndarray):
@@ -243,9 +243,15 @@ def matmul_deflate_once(kinds: np.ndarray, chir: np.ndarray, coords: np.ndarray)
 
 
 def assert_kernel_matches_reference(kinds, chir, coords, rounds=1):
-    """Each of ``rounds`` rounds gives bitwise-equal arrays and dtypes to the reference."""
+    """Each of ``rounds`` rounds gives bitwise-equal arrays and dtypes to the reference.
+
+    The kernel runs on (3, 4, N) rows and returns a C-contiguous row
+    buffer; its (N, 3, 4) view is compared with the reference's coordinates.
+    """
     for _ in range(rounds):
-        got = tiling._deflate_once(kinds, chir, coords)
+        new_kinds, new_chir, rows = tiling._deflate_once(kinds, chir, np.ascontiguousarray(coords.transpose(1, 2, 0)))
+        assert rows.flags.c_contiguous
+        got = new_kinds, new_chir, rows.transpose(2, 0, 1)
         want = matmul_deflate_once(kinds, chir, coords)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.shape == w.shape
@@ -306,9 +312,10 @@ class TestDeflationKernel:
     def test_column_helpers_are_the_ring_matrices(self, helper, matrix):
         rng = np.random.default_rng(11)
         x = rng.integers(-(2**40), 2**40, size=(1000, 4), dtype=np.int64)
-        out = np.empty((1000, 3, 4), dtype=np.int64)  # a strided slot, as in a round
-        helper(x, out[:, 1])
-        assert np.array_equal(out[:, 1], x @ matrix)
+        out = np.empty((3, 4, 1500), dtype=np.int64)  # a block of one vertex's rows, as in a round
+        helper(np.ascontiguousarray(x.T), out[1, :, 200:1200])
+        got = out[1, :, 200:1200].T
+        assert got.dtype == np.int64 and got.tobytes() == (x @ matrix).tobytes()
 
     @pytest.mark.parametrize("helper, matrix", [
         (tiling._times_phi, tiling._MPHI), (tiling._times_inv_phi, tiling._MINV),
@@ -318,10 +325,10 @@ class TestDeflationKernel:
         # split point's added vertex keeps the total within _GROWTH times the limit
         signs = np.array([[(m >> j & 1) * 2 - 1 for j in range(4)] for m in range(16)])
         x = signs * GUARD_LIMIT
-        out = np.empty((16, 4), dtype=np.int64)
-        helper(x, out)
+        out = np.empty((4, 16), dtype=np.int64)
+        helper(np.ascontiguousarray(x.T), out)
         exact = x.astype(object) @ matrix.astype(object)
-        assert np.array_equal(out, exact)
+        assert np.array_equal(out.T, exact)
         for y in (GUARD_LIMIT, -GUARD_LIMIT):
             assert np.abs(exact + y).max() <= tiling._GROWTH * GUARD_LIMIT <= tiling._INT64_MAX
 
@@ -1169,3 +1176,78 @@ class TestTransformAndTypes:
 
     def test_default_cap_is_large(self):
         assert DEFAULT_TILE_CAP >= 10_000_000
+
+
+def assert_row_layout(p: Patch) -> None:
+    """``coords`` is a read-only (N, 3, 4) int64 view of one C-contiguous (3, 4, N) buffer."""
+    assert p.coords.shape == (len(p), 3, 4) and p.coords.dtype == np.int64
+    assert not p.coords.flags.writeable
+    rows = p.coords.transpose(1, 2, 0)
+    assert rows.flags.c_contiguous and not rows.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        p.coords[0, 0, 0] = 1
+
+
+class TestRowLayout:
+    """Every way to build a patch stores its coordinates as (3, 4, N) rows."""
+
+    def test_every_constructor(self, tmp_path):
+        from penrosenet.discrepancy import _supertiles_near
+
+        seed = Patch.single_tile(HALF_KITE, LEFT, scale_exp=-6, translation=CycloPoint(3, -1, 4, 1))
+        covering = generate_patch_covering(Square(-5.0, 7.0, 16.0))
+        path = str(tmp_path / "patch.txt")
+        save_patch(covering, path)
+        patches = {
+            "single_tile": seed,
+            "full_tile": Patch.full_tile(HALF_DART),
+            "deflate_patch": deflate_patch(seed, 6),
+            "generate_patch_covering": covering,
+            "load_patch": load_patch(path),
+            "transformed": covering.transformed(3, CycloPoint(1, 2, 3, 4)),
+            "region_analysis": _supertiles_near(covering, 1, Square(-3.0, 9.0, 4.0)),
+            "empty": Patch(np.empty(0), np.empty(0), np.empty((0, 3, 4))),
+        }
+        for p in patches.values():
+            assert_row_layout(p)
+        assert len(patches["region_analysis"]) > 0
+
+    def test_deflation_output_is_not_copied(self):
+        kinds, chir, coords = tiling._deflate_rounds(Patch.single_tile(HALF_DART, scale_exp=-5), 5)
+        p = Patch(kinds, chir, coords)
+        assert np.shares_memory(p.coords, coords)
+
+    @pytest.mark.parametrize("layout", ["fortran", "negative_stride", "sliced", "object", "rows"])
+    def test_any_input_layout_gives_the_same_patch(self, layout):
+        base = deflate_patch(Patch.single_tile(HALF_KITE, RIGHT, scale_exp=-7), 7)
+        c = np.ascontiguousarray(base.coords)
+        n = len(base)
+        kinds, chir = base.kinds, base.chiralities
+        if layout == "fortran":
+            coords = np.asfortranarray(c)
+        elif layout == "negative_stride":
+            coords = np.flip(np.flip(c, axis=0).copy(), axis=0)  # the same values, read backwards
+            assert coords.strides[0] < 0
+        elif layout == "sliced":
+            wide = np.zeros((2 * n, 3, 5), dtype=np.int64)
+            wide[::2, :, 1:] = c
+            coords = wide[::2, :, 1:]
+        elif layout == "object":
+            coords = c.astype(object)
+        else:
+            coords = np.ascontiguousarray(c.transpose(1, 2, 0)).transpose(2, 0, 1)
+        p = Patch(kinds, chir, coords, base.generation, base.scale_exp)
+        assert_row_layout(p)
+        assert p.coords.tobytes() == base.coords.tobytes() == c.tobytes()
+        assert np.array_equal(p.kinds, base.kinds) and np.array_equal(p.chiralities, base.chiralities)
+        assert deflate_patch(p, 2).coords.tobytes() == deflate_patch(base, 2).coords.tobytes()
+        assert p.embedded().tobytes() == base.embedded().tobytes()
+
+    def test_embed_of_the_view_matches_c_order(self):
+        p = generate_patch_covering(Square(2.0, -3.0, 24.0))
+        c = np.ascontiguousarray(p.coords)
+        for scale_exp in (0, -4):
+            want = c.reshape(-1, 4).astype(np.float64) @ tiling.EMBED_MATRIX
+            if scale_exp:
+                want = want * PHI_FLOAT ** (-scale_exp)
+            assert tiling._embed(p.coords, scale_exp).tobytes() == want.tobytes()
