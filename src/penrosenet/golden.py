@@ -277,10 +277,6 @@ class CycloPoint:
         """Rotate by k * 72 degrees (multiply by zeta**k)."""
         return self * CycloPoint.zeta(k)
 
-    def times_phi(self) -> "CycloPoint":
-        """Scale by phi = -zeta**2 - zeta**3, staying in the ring."""
-        return self * _PHI_RING
-
     def times_inv_phi(self) -> "CycloPoint":
         """Scale by 1/phi = zeta + zeta**4, staying in the ring."""
         return self * _INV_PHI_RING

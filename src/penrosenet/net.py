@@ -442,17 +442,56 @@ def _pairing_key(p: Patch) -> tuple[np.ndarray, list[np.ndarray], list[int], np.
     return key, apex_words, widths[1], offset[1]
 
 
-def _first_halves(key: np.ndarray, apex_words: list[np.ndarray], p: Patch) -> np.ndarray:
+def _stable_order(key: np.ndarray, key_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(order, key[order]) with order = ``np.argsort(key, kind="stable")``, for 0 <= key < 2**key_bits.
+
+    Sorts values, not indices: each int64 word packs a digit of the key
+    above ``idx_bits`` bits holding an index, so one value sort orders the
+    digits and breaks their ties by index.  When the whole key fits beside
+    the index, one sort does it, and the sorted keys are the words shifted
+    back.  Otherwise the digits are sorted least significant first, each
+    word carrying its position in the previous pass's order, so every pass
+    is stable and their composition is the stable order.  All passes write
+    one words buffer, the indices a block at a time.  The gathers use
+    ``mode="clip"`` on indices that are in range by construction, since
+    ``np.take`` buffers ``out`` in its default mode.
+    """
+    n = len(key)
+    idx_bits = max(n - 1, 0).bit_length()
+    digit_bits = 63 - idx_bits
+    passes = range(0, max(key_bits, 1), digit_bits)
+    words = np.empty(n, dtype=np.int64)
+    order = None
+    for shift in passes:
+        source = key if order is None else np.take(key, order, out=words, mode="clip")
+        for lo in range(0, n, _EXTRACT_BLOCK):
+            block = words[lo:lo + _EXTRACT_BLOCK]
+            np.right_shift(source[lo:lo + _EXTRACT_BLOCK], shift, out=block)
+            block &= (1 << digit_bits) - 1  # so the shift below stays under 2**63
+            block <<= idx_bits
+            block |= np.arange(lo, lo + len(block))
+        words.sort()
+        if len(passes) == 1:
+            sorted_key = words >> idx_bits
+            words &= (1 << idx_bits) - 1
+            return words, sorted_key
+        words &= (1 << idx_bits) - 1
+        order = words.copy() if order is None else np.take(order, words, mode="clip")
+    return order, np.take(key, order, out=words, mode="clip")
+
+
+def _first_halves(key: np.ndarray, key_bits: int, apex_words: list[np.ndarray], p: Patch) -> np.ndarray:
     """Sorted patch indices of the first half of every tile; halves pair on equal keys.
 
+    The keys, which lie below 2**key_bits, are put in order by
+    ``_stable_order``, which sorts packed values rather than indices.
     Paired halves share their incenter, so they share their apex exactly
     when they agree on every word of ``apex_words``, which pack the
     incenter minus the apex.  A key shared by more than two halves, or a
     pair that does not have opposite chirality and a shared apex, is a
     ValueError.
     """
-    order = np.argsort(key)
-    sk = key[order]
+    order, sk = _stable_order(key, key_bits)
     same = sk[1:] == sk[:-1]  # sorted positions j and j + 1 share a key
     del sk
     if np.any(same[1:] & same[:-1]):
@@ -498,7 +537,7 @@ def extract_net(p: Patch, window: Square | tuple | None = None) -> Net:
             f"net extraction requires final-scale tiles (scale_exp 0), got {p.scale_exp}"
         )
     key, apex_words, widths, offset = _pairing_key(p)
-    tile_ids = _first_halves(key, apex_words, p)
+    tile_ids = _first_halves(key, 1 + sum(widths), apex_words, p)
     del apex_words
     # the chosen tiles' incenters, unpacked from their own keys
     tile_key = key[tile_ids]

@@ -69,9 +69,6 @@ from .golden import (
     MUL_BY_OMEGA,
     MUL_BY_PHI,
     PHI_FLOAT,
-    orientation,
-    squared_length,
-    PHI,
 )
 
 HALF_KITE = 0
@@ -165,22 +162,6 @@ class HalfTile:
     def vertices(self) -> tuple[CycloPoint, CycloPoint, CycloPoint]:
         return (self.wing, self.apex, self.axis_end)
 
-    def is_well_formed(self) -> bool:
-        """Exact shape check: equal legs, golden base ratio, orientation."""
-        leg1 = squared_length(self.wing - self.apex)
-        leg2 = squared_length(self.axis_end - self.apex)
-        base = squared_length(self.wing - self.axis_end)
-        if leg1 != leg2:
-            return False
-        phi_sq = PHI * PHI
-        if self.kind == HALF_KITE:
-            if leg1 != phi_sq * base:
-                return False
-        else:
-            if base != phi_sq * leg1:
-                return False
-        return orientation(self.wing, self.apex, self.axis_end) == self.chirality
-
 
 def deflate_tile(t: HalfTile) -> list[HalfTile]:
     """Split one half-tile into its Robinson children, exactly.
@@ -272,20 +253,6 @@ class Patch:
         return cls(
             np.array([kind]), np.array([chirality]), base[None, :, :],
             generation=0, scale_exp=scale_exp, provenance=prov,
-        )
-
-    @classmethod
-    def full_tile(cls, kind: int, scale_exp: int = 0) -> "Patch":
-        """Both mirror halves of one tile, sharing apex and axis_end."""
-        right = np.array(_SEED_COORDS[(kind, RIGHT)], dtype=np.int64)
-        left = np.array(_SEED_COORDS[(kind, LEFT)], dtype=np.int64)
-        return cls(
-            np.array([kind, kind]),
-            np.array([RIGHT, LEFT]),
-            np.stack([right, left]),
-            generation=0,
-            scale_exp=scale_exp,
-            provenance={"seed_kind": KIND_NAMES[kind], "seed_chirality": 0},
         )
 
     def tile(self, i: int) -> HalfTile:
@@ -423,6 +390,13 @@ def _dart_children(dc: np.ndarray, dart: np.ndarray, flip: np.ndarray) -> None:
     flip[2] = dart[0]
 
 
+def _parent_block(flat: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """(3, 4, m) rows of the increasing tiles ``idx`` of (12, N) rows: a view if they are consecutive."""
+    if idx[-1] - idx[0] == len(idx) - 1:
+        return flat[:, idx[0]:idx[-1] + 1].reshape(3, 4, -1)
+    return np.take(flat, idx, axis=1).reshape(3, 4, -1)
+
+
 def _deflate_once(kinds: np.ndarray, chir: np.ndarray, rows: np.ndarray):
     """One round on (3, 4, N) coordinate rows, every child vertex written once.
 
@@ -430,9 +404,12 @@ def _deflate_once(kinds: np.ndarray, chir: np.ndarray, rows: np.ndarray):
     v' = ``v @ _MPHI`` and the split point v + (w - v)/phi becomes
     ``v @ _MINV + w`` (q, r and p in the module docstring).  A vertex shared
     by two children is copied from the slot already written.  Parents are
-    gathered ``_DEFLATE_BLOCK`` tiles at a time into contiguous (3, 4, m)
-    rows, so the row writes of a block stay in cache; the children come
-    back as one C-contiguous (3, 4, M) buffer.
+    read ``_DEFLATE_BLOCK`` tiles at a time, so the row writes of a block
+    stay in cache: a block of consecutive parents is a view of ``rows``,
+    and any other is gathered into contiguous (3, 4, m) rows.  Deflation
+    output holds each kind in two runs (the child order), so a round on it
+    gathers only the blocks that straddle a change of kind.  The children
+    come back as one C-contiguous (3, 4, M) buffer.
     """
     kite_idx = np.flatnonzero(kinds == HALF_KITE)
     dart_idx = np.flatnonzero(kinds != HALF_KITE)
@@ -443,12 +420,10 @@ def _deflate_once(kinds: np.ndarray, chir: np.ndarray, rows: np.ndarray):
     dart_d, flip_d = new_rows[..., 3 * nk:3 * nk + nd], new_rows[..., 3 * nk + nd:]
     for lo in range(0, nk, _DEFLATE_BLOCK):
         b = slice(lo, lo + _DEFLATE_BLOCK)
-        kc = np.take(flat, kite_idx[b], axis=1).reshape(3, 4, -1)
-        _kite_children(kc, dart_k[..., b], flip_k[..., b], kite_k[..., b])
+        _kite_children(_parent_block(flat, kite_idx[b]), dart_k[..., b], flip_k[..., b], kite_k[..., b])
     for lo in range(0, nd, _DEFLATE_BLOCK):
         b = slice(lo, lo + _DEFLATE_BLOCK)
-        dc = np.take(flat, dart_idx[b], axis=1).reshape(3, 4, -1)
-        _dart_children(dc, dart_d[..., b], flip_d[..., b])
+        _dart_children(_parent_block(flat, dart_idx[b]), dart_d[..., b], flip_d[..., b])
 
     new_kinds = np.full(new_rows.shape[2], HALF_KITE, dtype=np.uint8)
     new_kinds[:nk] = HALF_DART

@@ -42,7 +42,7 @@ from penrosenet.tiling import (
     load_patch,
     substitution_counts,
 )
-from test_tiling import embed
+from test_tiling import embed, times_phi
 
 BIG_WINDOW_SIDE = 1024.0  # 2**10
 BIG_I_RANGE = (4, 9)
@@ -106,7 +106,7 @@ def test_criterion_04_geometry_exactness():
     assert PHI * PHI == PHI + 1
     assert INV_PHI * PHI == GoldenNum(1)
     p = CycloPoint(2, -1, 3, 5)
-    assert p.times_phi().times_inv_phi() == p
+    assert times_phi(p).times_inv_phi() == p
 
     rng = np.random.default_rng(4)
     for _ in range(100):

@@ -54,7 +54,7 @@ from penrosenet.tiling import (
     load_patch,
     save_patch,
 )
-from test_tiling import embed
+from test_tiling import embed, full_tile
 
 
 def full_tile_incenter(kind: int, apex: CycloPoint, axis_end: CycloPoint) -> CycloPoint:
@@ -200,7 +200,7 @@ def small_net(xy, window):
 
 def full_tile_outline(kind):
     """Vertices of the paired tile: wing, apex, mirrored wing, axis_end."""
-    patch = Patch.full_tile(kind)
+    patch = full_tile(kind)
     right, left = patch.tile(0), patch.tile(1)
     return [embed(v) for v in (right.wing, right.apex, left.wing, right.axis_end)]
 
@@ -459,14 +459,14 @@ class TestReferencePoints:
 class TestExtraction:
     def test_lone_half_and_full_tile_agree(self):
         half = extract_net(Patch.single_tile(HALF_KITE))
-        full = extract_net(Patch.full_tile(HALF_KITE))
+        full = extract_net(full_tile(HALF_KITE))
         assert len(half) == 1
         assert len(full) == 1
         assert np.allclose(half.xy, full.xy, atol=1e-12)
         assert half.source_kinds[0] == full.source_kinds[0] == HALF_KITE
 
     def test_pair_counts_generation_two(self):
-        patch = deflate_patch(Patch.full_tile(HALF_KITE, scale_exp=-2), 2)
+        patch = deflate_patch(full_tile(HALF_KITE, scale_exp=-2), 2)
         assert tuple(census(patch)) == (10, 6)
         net = extract_net(patch)
         kites = int(np.count_nonzero(net.source_kinds == HALF_KITE))
@@ -549,8 +549,8 @@ class TestExtractionOracle:
 
     @pytest.mark.parametrize("kind", [HALF_KITE, HALF_DART])
     def test_full_tile(self, kind):
-        assert_matches_lexsort(Patch.full_tile(kind))
-        assert_matches_lexsort(deflate_patch(Patch.full_tile(kind, scale_exp=-5), 5))
+        assert_matches_lexsort(full_tile(kind))
+        assert_matches_lexsort(deflate_patch(full_tile(kind, scale_exp=-5), 5))
 
     def test_rotated_and_translated_patch(self):
         patch = deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-6), 6)
@@ -655,11 +655,11 @@ class TestBlockedPass:
         self.assert_both_raise(tiles(base, far), "more than 63")
 
     def test_three_halves_at_the_end(self, base):
-        third = tiles(Patch.full_tile(HALF_DART), Patch.single_tile(HALF_DART, RIGHT))
+        third = tiles(full_tile(HALF_DART), Patch.single_tile(HALF_DART, RIGHT))
         self.assert_both_raise(tiles(base, third.transformed(translation=FAR)), "more than two")
 
     def test_same_chirality_pair_at_the_end(self, base):
-        full = Patch.full_tile(HALF_DART)
+        full = full_tile(HALF_DART)
         same = Patch(full.kinds, [LEFT, LEFT], full.coords).transformed(translation=FAR)
         self.assert_both_raise(tiles(base, same), "opposite chirality")
 
@@ -734,9 +734,139 @@ class TestSavedPatchNet:
         assert net.source_kinds.tobytes() == loaded.source_kinds.tobytes()
 
 
+def sort_passes(n: int, key_bits: int) -> int:
+    """How many value sorts ``_stable_order`` makes: one per digit beside the index bits."""
+    digit_bits = 63 - max(n - 1, 0).bit_length()
+    return -(-max(key_bits, 1) // digit_bits)
+
+
+def assert_stable_order(key: np.ndarray, key_bits: int) -> None:
+    """The packed value sort gives np.argsort's stable order and the keys in that order."""
+    order, sorted_key = net_module._stable_order(key, key_bits)
+    want = np.argsort(key, kind="stable")
+    assert order.dtype == np.int64 and order.tobytes() == want.astype(np.int64).tobytes()
+    assert sorted_key.dtype == np.int64 and sorted_key.tobytes() == key[want].tobytes()
+
+
+class TestStableOrder:
+    """``_stable_order`` against ``np.argsort(key, kind="stable")``."""
+
+    def test_one_digit(self):
+        key = np.random.default_rng(3).integers(0, 2**30, size=5000)
+        assert sort_passes(len(key), 30) == 1
+        assert_stable_order(key, 30)
+
+    @pytest.mark.parametrize("key_bits", [53, 60, 63])
+    def test_two_digits(self, key_bits):
+        key = np.random.default_rng(key_bits).integers(0, 2**key_bits, size=2000)
+        assert sort_passes(len(key), key_bits) == 2
+        assert_stable_order(key, key_bits)
+
+    @pytest.mark.parametrize("key_bits", [20, 60])
+    def test_many_duplicates(self, key_bits):
+        # few distinct keys, which agree in the low digit and differ in the high one
+        rng = np.random.default_rng(8)
+        pool = np.array([0, 1, 5, 2**(key_bits - 1), 2**(key_bits - 1) + 1, 2**key_bits - 1])
+        key = pool[rng.integers(0, len(pool), size=3 * net_module._EXTRACT_BLOCK + 5)]
+        assert sort_passes(len(key), key_bits) == (1 if key_bits == 20 else 2)
+        assert_stable_order(key, key_bits)
+
+    @pytest.mark.parametrize("key", [[5], [0], [7, 7], [9, 3], [2**63 - 1, 2**63 - 1], [2**63 - 1, 0]])
+    def test_one_and_two_keys(self, key):
+        assert_stable_order(np.array(key, dtype=np.int64), 63)
+        assert_stable_order(np.array(key, dtype=np.int64), max(key).bit_length())
+
+    def test_keys_that_use_all_63_bits(self):
+        top = 2**63 - 1
+        key = np.array([top, 0, 2**62, top, 1, 2**62 + 1, 2**62, 0, top - 1] * 250, dtype=np.int64)
+        assert sort_passes(len(key), 63) == 2
+        assert_stable_order(key, 63)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_keys(self, data):
+        # keys drawn from a small pool, so most of them repeat
+        bits = data.draw(st.integers(0, 63))
+        pool = data.draw(st.lists(st.integers(0, 2**bits - 1), min_size=1, max_size=8))
+        key = data.draw(st.lists(st.sampled_from(pool), max_size=300))
+        assert_stable_order(np.array(key, dtype=np.int64), bits)
+
+    def test_extraction_through_two_digits(self):
+        base = deflated(HALF_DART, RIGHT)
+        patch = tiles(base, base.transformed(translation=CycloPoint(2**30, 0, 0, 0)))
+        _, _, widths, _ = net_module._pairing_key(patch)
+        assert sort_passes(len(patch), 1 + sum(widths)) == 2
+        assert_matches_columns(patch)
+
+
+class TestTileOrder:
+    """The net of a patch does not depend on the order of its half-tiles."""
+
+    @pytest.mark.parametrize("square", [Square(-37.0, 21.0, 64.0), Square(5.0, -40.0, 128.0)])
+    def test_tile_shuffled_covering_patch(self, square):
+        patch = generate_patch_covering(square)
+        perm = np.random.default_rng(7).permutation(len(patch))
+        shuffled = Patch(
+            patch.kinds[perm], patch.chiralities[perm], patch.coords[perm],
+            patch.generation, patch.scale_exp, patch.provenance,
+        )
+        net, moved = extract_net(patch), extract_net(shuffled)
+        # a tile's halves share kind, apex and axis end; after the shuffle its
+        # point is numbered by whichever half comes first
+        halves = np.column_stack([patch.kinds, patch.coords[:, 1], patch.coords[:, 2]])
+        _, tile = np.unique(halves, axis=0, return_inverse=True)
+        tile = tile.ravel()
+        assert len(net) == tile.max() + 1 == len(np.unique(tile[net.tile_ids]))
+        new_index = np.empty_like(perm)
+        new_index[perm] = np.arange(len(perm))
+        first = np.full(len(net), len(patch))
+        np.minimum.at(first, tile, new_index)
+        ids = first[tile[net.tile_ids]]
+        order = np.argsort(ids)
+        assert moved.tile_ids.tobytes() == ids[order].tobytes()
+        assert moved.xy.tobytes() == net.xy[order].tobytes()
+        assert moved.ring.tobytes() == net.ring[order].tobytes()
+        assert moved.source_kinds.tobytes() == net.source_kinds[order].tobytes()
+
+
+# the three pairing faults, in the order extract_net reports them
+MORE_THAN_TWO = "more than two half-tiles share one tile incenter; invalid patch"
+SAME_CHIRALITY = "paired half-tiles must have opposite chirality"
+APEX_MISMATCH = "paired half-tiles must share their apex; overlapping tiles"
+
+
+class TestPairingErrorPrecedence:
+    @staticmethod
+    def faults(spread: int) -> dict:
+        """Patches with one pairing fault each, ``spread`` apart along the first coefficient."""
+        full = full_tile(HALF_DART)
+        pieces = {
+            MORE_THAN_TWO: tiles(full_tile(HALF_KITE), Patch.single_tile(HALF_KITE, RIGHT)),
+            SAME_CHIRALITY: Patch(full.kinds, [LEFT, LEFT], full.coords),
+            APEX_MISMATCH: tiles(incenter_at_origin(HALF_DART, RIGHT),
+                                 incenter_at_origin(HALF_DART, LEFT).transformed(tenth_turns=2)),
+        }
+        return {msg: piece.transformed(translation=CycloPoint((k + 1) * spread, 0, 0, 0))
+                for k, (msg, piece) in enumerate(pieces.items())}
+
+    @pytest.mark.parametrize("spread, passes", [(1000, 1), (2**40, 2)])
+    def test_messages_and_precedence(self, spread, passes):
+        base = deflated(HALF_DART, RIGHT, rounds=6)
+        faults = self.faults(spread)
+        expected = list(faults)
+        for k, msg in enumerate(expected):
+            present = [faults[m] for m in expected[k:]]
+            for patch in (tiles(base, *present), tiles(*present[::-1], base)):
+                _, _, widths, _ = net_module._pairing_key(patch)
+                assert sort_passes(len(patch), 1 + sum(widths)) == passes
+                with pytest.raises(ValueError) as raised:
+                    extract_net(patch)
+                assert str(raised.value) == msg
+
+
 class TestExtractionErrors:
     def test_three_halves_on_one_tile(self):
-        full = Patch.full_tile(HALF_KITE)
+        full = full_tile(HALF_KITE)
         with pytest.raises(ValueError, match="more than two"):
             extract_net(tiles(full, Patch.single_tile(HALF_KITE, RIGHT)))
 
@@ -757,7 +887,7 @@ class TestExtractionErrors:
             extra = rows_of(base, [int(order[j])] * (halves - 2))
         else:
             kind, shift = (HALF_KITE, -FAR) if where == "first" else (HALF_DART, FAR)
-            extra = tiles(Patch.full_tile(kind), *[Patch.single_tile(kind, RIGHT)] * (halves - 2))
+            extra = tiles(full_tile(kind), *[Patch.single_tile(kind, RIGHT)] * (halves - 2))
             extra = extra.transformed(translation=shift)
         for patch in (tiles(extra, base), tiles(base, extra)):
             with pytest.raises(ValueError, match="more than two"):
@@ -765,7 +895,7 @@ class TestExtractionErrors:
 
     @pytest.mark.parametrize("kind", [HALF_KITE, HALF_DART])
     def test_same_chirality_pair(self, kind):
-        full = Patch.full_tile(kind)
+        full = full_tile(kind)
         same = Patch(full.kinds, [RIGHT, RIGHT], full.coords)
         with pytest.raises(ValueError, match="opposite chirality"):
             extract_net(same)

@@ -32,6 +32,8 @@ from penrosenet.tiling import (
     save_patch,
 )
 
+from test_tiling import full_tile
+
 
 def _fmt(v: float) -> str:
     out = f"{v:.6g}"
@@ -90,7 +92,7 @@ def per_polygon_render(patch, net=None, overlay="none", stroke_width=0.03,
 
 
 PATCHES = {
-    "full_tile": lambda: Patch.full_tile(HALF_KITE),
+    "full_tile": lambda: full_tile(HALF_KITE),
     "deflated_half_dart": lambda: deflate_patch(Patch.single_tile(HALF_DART, LEFT, scale_exp=-3), 3),
     "covering_64": lambda: generate_patch_covering(Square(-20.0, 13.0, 64.0)),
 }
@@ -181,7 +183,7 @@ def test_nul_in_a_fill_is_refused():
 @pytest.mark.parametrize("key", ["kite_fill", "dart_fill"])
 def test_nul_anywhere_in_a_fill_is_refused_when_called(fill, key):
     # a trailing NUL once vanished in a fixed-width numpy string array
-    patch = Patch.full_tile(HALF_KITE if key == "kite_fill" else HALF_DART)
+    patch = full_tile(HALF_KITE if key == "kite_fill" else HALF_DART)
     with pytest.raises(ValueError, match="NUL"):
         render_svg(patch, **{key: fill})
     style = dict(kite_fill=KITE_FILL, dart_fill=DART_FILL)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from penrosenet import tiling
 from penrosenet.cli import main as cli_main
-from penrosenet.golden import CycloPoint, GoldenNum, PHI_FLOAT, squared_length
+from penrosenet.golden import _PHI_RING, PHI, CycloPoint, GoldenNum, PHI_FLOAT, orientation, squared_length
 from penrosenet.tiling import (
     DEFAULT_TILE_CAP,
     HALF_DART,
@@ -55,6 +55,40 @@ def embed(p: CycloPoint, scale_exp: int = 0) -> tuple[float, float]:
     return x, y
 
 
+def times_phi(p: CycloPoint) -> CycloPoint:
+    """``p`` scaled by phi = -zeta**2 - zeta**3, staying in the ring."""
+    return p * _PHI_RING
+
+
+def full_tile(kind: int, scale_exp: int = 0) -> Patch:
+    """Both mirror halves of one tile, sharing apex and axis_end."""
+    right = np.array(tiling._SEED_COORDS[(kind, RIGHT)], dtype=np.int64)
+    left = np.array(tiling._SEED_COORDS[(kind, LEFT)], dtype=np.int64)
+    return Patch(
+        np.array([kind, kind]),
+        np.array([RIGHT, LEFT]),
+        np.stack([right, left]),
+        generation=0,
+        scale_exp=scale_exp,
+        provenance={"seed_kind": tiling.KIND_NAMES[kind], "seed_chirality": 0},
+    )
+
+
+def is_well_formed(tile: HalfTile) -> bool:
+    """Exact shape check: equal legs, golden base ratio, orientation."""
+    leg1 = squared_length(tile.wing - tile.apex)
+    leg2 = squared_length(tile.axis_end - tile.apex)
+    base = squared_length(tile.wing - tile.axis_end)
+    if leg1 != leg2:
+        return False
+    if tile.kind == HALF_KITE:
+        if leg1 != PHI * PHI * base:
+            return False
+    elif base != PHI * PHI * leg1:
+        return False
+    return orientation(tile.wing, tile.apex, tile.axis_end) == tile.chirality
+
+
 def triangle_area(tri: np.ndarray) -> float:
     u, v = tri[1] - tri[0], tri[2] - tri[0]
     return abs(float(u[0] * v[1] - u[1] * v[0])) / 2.0
@@ -85,7 +119,7 @@ class TestHalfTile:
         for kind in (HALF_KITE, HALF_DART):
             for chir in (RIGHT, LEFT):
                 tile = Patch.single_tile(kind, chir).tile(0)
-                assert tile.is_well_formed()
+                assert is_well_formed(tile)
                 assert tile.kind == kind
                 assert tile.chirality == chir
 
@@ -102,7 +136,7 @@ class TestHalfTile:
     def test_scrambled_vertices_rejected(self):
         kite = Patch.single_tile(HALF_KITE).tile(0)
         bad = HalfTile(kite.kind, kite.chirality, kite.apex, kite.wing, kite.axis_end)
-        assert not bad.is_well_formed()
+        assert not is_well_formed(bad)
 
     def test_apex_angles(self):
         for kind, degrees in ((HALF_KITE, 36.0), (HALF_DART, 108.0)):
@@ -276,7 +310,7 @@ class TestDeflationKernel:
 
     @pytest.mark.parametrize("kind", [HALF_KITE, HALF_DART])
     def test_full_tile(self, kind):
-        full = Patch.full_tile(kind)
+        full = full_tile(kind)
         assert_kernel_matches_reference(full.kinds, full.chiralities, full.coords, rounds=6)
 
     def test_translated_seeds(self):
@@ -286,10 +320,55 @@ class TestDeflationKernel:
 
     def test_row_permuted_mixed_patch(self):
         # more rows than one block, in an order no deflation produces
-        patch = deflate_patch(Patch.full_tile(HALF_KITE, scale_exp=-9), 9)
+        patch = deflate_patch(full_tile(HALF_KITE, scale_exp=-9), 9)
         assert len(patch) > 2 * tiling._DEFLATE_BLOCK
         order = np.random.default_rng(5).permutation(len(patch))
         assert_kernel_matches_reference(patch.kinds[order], patch.chiralities[order], patch.coords[order], rounds=2)
+
+    @staticmethod
+    def blocks_read(monkeypatch, kinds, chir, coords) -> list[bool]:
+        """Run the kernel check for one round; whether each parent block was a view of the rows."""
+        views, parent_block = [], tiling._parent_block
+
+        def spy(flat, idx):
+            block = parent_block(flat, idx)
+            views.append(np.shares_memory(block, flat))
+            return block
+
+        monkeypatch.setattr(tiling, "_parent_block", spy)
+        assert_kernel_matches_reference(kinds, chir, coords)
+        return views
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        patch = deflate_patch(full_tile(HALF_KITE, scale_exp=-9), 9)
+        assert len(patch) > 2 * tiling._DEFLATE_BLOCK
+        return patch
+
+    def test_alternating_kinds_gather_every_block(self, big, monkeypatch):
+        kites, darts = np.flatnonzero(big.kinds == HALF_KITE), np.flatnonzero(big.kinds == HALF_DART)
+        n = min(len(kites), len(darts))
+        order = np.column_stack([kites[:n], darts[:n]]).ravel()
+        views = self.blocks_read(monkeypatch, big.kinds[order], big.chiralities[order], big.coords[order])
+        assert len(views) > 2 and not any(views)
+
+    def test_kind_sorted_deflation_output_is_read_in_place(self, big, monkeypatch):
+        order = np.argsort(big.kinds, kind="stable")
+        views = self.blocks_read(monkeypatch, big.kinds[order], big.chiralities[order], big.coords[order])
+        assert len(views) > 2 and all(views)
+
+    def test_deflation_output(self, big, monkeypatch):
+        # kites at [nk, 3 nk) and after 3 nk + nd: only the blocks across a change of kind gather
+        views = self.blocks_read(monkeypatch, big.kinds, big.chiralities, big.coords)
+        assert views.count(False) <= 2 and views.count(True) > 2
+
+    def test_one_block_straddles_a_change_of_kind(self, big, monkeypatch):
+        order = np.argsort(big.kinds, kind="stable")
+        nk = int(np.count_nonzero(big.kinds == HALF_KITE))
+        cut = tiling._DEFLATE_BLOCK + 100  # darts inserted inside the second kite block
+        order = np.concatenate([order[:cut], order[nk:], order[cut:nk]])
+        views = self.blocks_read(monkeypatch, big.kinds[order], big.chiralities[order], big.coords[order])
+        assert views.count(False) == 1 and not views[1] and len(views) > 3
 
     def test_object_coordinates(self):
         # coefficients past int64, which only Python integers can hold
@@ -392,8 +471,8 @@ class TestDeflatePatch:
         one = deflate_patch(patch, 1)
         kids_by_engine = [one.tile(i) for i in range(len(one))]
         scaled = [
-            HalfTile(c.kind, c.chirality, c.wing.times_phi(), c.apex.times_phi(),
-                     c.axis_end.times_phi())
+            HalfTile(c.kind, c.chirality, times_phi(c.wing), times_phi(c.apex),
+                     times_phi(c.axis_end))
             for c in deflate_tile(patch.tile(0))
         ]
         engine_key = {(t.kind, t.chirality, t.wing, t.apex, t.axis_end)
@@ -499,7 +578,7 @@ class TestDeflatePatch:
         assert out.scale_exp == seed.scale_exp
 
     def test_full_tile_pairing_structure(self):
-        full = Patch.full_tile(HALF_KITE, scale_exp=-1)
+        full = full_tile(HALF_KITE, scale_exp=-1)
         kids = deflate_patch(full, 1)
         pair_keys = Counter()
         for i in range(len(kids)):
@@ -594,7 +673,7 @@ class TestCovering:
         save_patch(patch, path)
         for other in (patch.transformed(tenth_turns=2), load_patch(path),
                       deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-3), 3),
-                      Patch.full_tile(HALF_DART)):
+                      full_tile(HALF_DART)):
             with pytest.raises(ValueError, match="covering provenance"):
                 covering_seed(other)
 
@@ -757,7 +836,7 @@ def assert_patches_identical(a: Patch, b: Patch) -> None:
 
 
 SERIAL_CASES = {
-    "full_tile": lambda: Patch.full_tile(HALF_KITE),
+    "full_tile": lambda: full_tile(HALF_KITE),
     "deflated_half_dart": lambda: deflate_patch(Patch.single_tile(HALF_DART, LEFT, scale_exp=-3), 3),
     "covering_64": lambda: generate_patch_covering(Square(-20.0, 13.0, 64.0)),
 }
@@ -1200,7 +1279,7 @@ class TestRowLayout:
         save_patch(covering, path)
         patches = {
             "single_tile": seed,
-            "full_tile": Patch.full_tile(HALF_DART),
+            "full_tile": full_tile(HALF_DART),
             "deflate_patch": deflate_patch(seed, 6),
             "generate_patch_covering": covering,
             "load_patch": load_patch(path),
