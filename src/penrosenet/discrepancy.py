@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .golden import GoldenNum, PHI, PHI_FLOAT, golden_compare
+from .golden import GoldenNum, PHI, PHI_FLOAT
 from .net import Net
 from .tiling import (
     HALF_DART,
@@ -38,10 +38,10 @@ from .tiling import (
     Patch,
     Square,
     TileCensus,
+    _SEED_GEOMETRY,
     _bounding_boxes,
     _corner_margins,
     _deflate_rounds,
-    _embed,
     covering_seed,
     embedded_outline,
     substitution_counts,
@@ -147,25 +147,19 @@ def check_prop21(seed: TileCensus, n_max: int = 25) -> RatioTrace:
         ratio = Fraction(counts.kites, counts.darts)
         gap = abs(GoldenNum(ratio) - PHI)
         bound = Fraction(1, 2 ** (n - 1))
-        holds = golden_compare(gap, GoldenNum(bound)) <= 0
+        holds = gap <= bound
         entries.append(RatioEntry(n, counts.kites, counts.darts, ratio, gap, bound, holds))
     return RatioTrace(seed, tuple(entries))
 
 
-def _full_tile_area(kind: int) -> float:
-    tri = _embed(Patch.single_tile(kind).coords[0])
-    u, v = tri[1] - tri[0], tri[2] - tri[0]
-    return abs(float(u[0] * v[1] - u[1] * v[0]))
-
-
 def dart_area() -> float:
-    """Area of the full dart, from the exact unit seed then embedded."""
-    return _full_tile_area(HALF_DART)
+    """Area of the full dart: twice that of the embedded unit seed half."""
+    return 2.0 * _SEED_GEOMETRY[HALF_DART][2]
 
 
 def kite_area() -> float:
-    """Area of the full kite, from the exact unit seed then embedded."""
-    return _full_tile_area(HALF_KITE)
+    """Area of the full kite: twice that of the embedded unit seed half."""
+    return 2.0 * _SEED_GEOMETRY[HALF_KITE][2]
 
 
 def compute_rho(psi: float) -> float:
@@ -319,7 +313,7 @@ def _supertiles_near(patch: Patch, half: int, square: Square) -> Patch:
 def _phi_log_floor(l: Fraction) -> int:
     """The largest m >= 0 with phi**m <= l, decided exactly in Q(phi)."""
     m, power, bound = 0, PHI, GoldenNum(l)
-    while golden_compare(power, bound) <= 0:
+    while power <= bound:
         m += 1
         power = power * PHI
     return m

@@ -182,11 +182,6 @@ class GoldenNum:
         return f"{self.a} + {self.b}*phi"
 
 
-def golden_compare(x: GoldenNum, y: GoldenNum) -> int:
-    """Exact three-way comparison: -1, 0, or +1 as x <, ==, > y."""
-    return (x - y).sign()
-
-
 PHI = GoldenNum(0, 1)
 INV_PHI = GoldenNum(-1, 1)  # 1/phi = phi - 1
 
@@ -210,14 +205,6 @@ class CycloPoint:
     @property
     def coeffs(self) -> tuple[int, int, int, int]:
         return self._c
-
-    @classmethod
-    def zero(cls) -> "CycloPoint":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "CycloPoint":
-        return cls(1)
 
     @classmethod
     def zeta(cls, k: int = 1) -> "CycloPoint":
@@ -272,10 +259,6 @@ class CycloPoint:
         if isinstance(other, int):
             return self * other
         return NotImplemented
-
-    def rotate(self, k: int = 1) -> "CycloPoint":
-        """Rotate by k * 72 degrees (multiply by zeta**k)."""
-        return self * CycloPoint.zeta(k)
 
     def times_inv_phi(self) -> "CycloPoint":
         """Scale by 1/phi = zeta + zeta**4, staying in the ring."""

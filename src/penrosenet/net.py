@@ -62,6 +62,11 @@ _EXTRACT_BLOCK = 8192  # half-tiles per block of extract_net's incenter pass
 # a pair closer than this times the largest |coordinate| is within reach of
 # Qhull's rounding, which can leave it out of the triangulation
 _QHULL_RESOLUTION = 1e-6
+# the Delone pass's origin is the window's corner rounded to a multiple of
+# this.  Far from the origin Qhull can return a triangulation that is not
+# Delaunay; a small step keeps the pass's coordinates small (on a 2**16
+# grid Qhull merged distinct points about 2.3e4 from the pass's origin)
+_FRAME_STEP = 1024.0
 
 
 class Net:
@@ -107,29 +112,49 @@ class Net:
     def __len__(self) -> int:
         return len(self.xy)
 
-    def _c2_region(self) -> np.ndarray:
-        """Counter-clockwise vertices of the window, clipped to the outline."""
-        region = np.array(self.window.corners())
+    def _c2_region(self, window: Square, origin: np.ndarray) -> np.ndarray:
+        """Counter-clockwise vertices of ``window``, clipped to the outline moved by ``-origin``."""
+        region = np.array(window.corners())
         if self.outline is None:
             return region
-        tri = self.outline
+        tri = self.outline - origin
         if _cross(tri[1] - tri[0], tri[2] - tri[0]) < 0:
             tri = tri[::-1]
         return _clip_convex(region, tri)
 
-    def _points_near(self, box: np.ndarray) -> Iterator[tuple[float, np.ndarray]]:
-        """Yield (pad, the points within pad of ``box``'s bounding box) for pad 2, 4, 8, ..."""
+    def _points_near(self, box: np.ndarray, origin: np.ndarray) -> Iterator[tuple[float, np.ndarray]]:
+        """Yield (pad, the points within pad of ``box``'s bounding box) for pad 2, 4, 8, ...
+
+        ``box`` and the points yielded lie in the frame whose origin is
+        ``origin``.  The points are picked from ``xy`` against bounds a few
+        ulps wider, then moved and picked again exactly, so only the points
+        near the box are ever copied.
+        """
         lo, hi = box.min(axis=0), box.max(axis=0)
         pad = 2.0
         while True:
-            yield pad, self.xy[np.all((self.xy >= lo - pad) & (self.xy <= hi + pad), axis=1)]
+            low, high = lo - pad, hi + pad
+            slack = 4.0 * np.spacing(np.maximum(np.abs(low), np.abs(high)) + np.abs(origin))
+            near = self.xy[np.all((self.xy >= low + origin - slack) & (self.xy <= high + origin + slack), axis=1)]
+            near -= origin
+            keep = np.all((near >= low) & (near <= high), axis=1)
+            yield pad, near if keep.all() else near[keep]
             pad *= 2.0
 
     @cached_property
     def _delone(self) -> tuple[float | None, float]:
-        """(c1, c2) from one Delaunay pass; c1 is None for a one-point net."""
-        region = self._c2_region()
-        near = self._points_near(region if len(region) else np.array(self.window.corners()))
+        """(c1, c2) from one Delaunay pass; c1 is None for a one-point net.
+
+        The pass runs in the window's own frame: its origin is the window's
+        corner rounded to a multiple of ``_FRAME_STEP``, which is 0 for
+        every window within 512 of the origin.  Near the window, moving a
+        point by it is exact.
+        """
+        x, y, side = self.window
+        origin = np.round(np.array([x, y], dtype=np.float64) / _FRAME_STEP) * _FRAME_STEP
+        window = Square(x - origin[0], y - origin[1], side)
+        region = self._c2_region(window, origin)
+        near = self._points_near(region if len(region) else np.array(window.corners()), origin)
         pts, c2 = np.empty((0, 2)), 0.0
         if len(region):
             for pad, pts in near:
@@ -145,10 +170,12 @@ class Net:
         if len(pts) < 2:
             return None, c2
         pairs = np.concatenate([edges[:, :2], merged])
-        c1 = float(np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1).min())
-        if not len(centers) or c1 < _QHULL_RESOLUTION * float(np.abs(pts).max()):
-            # no triangle, or a pair within reach of Qhull's rounding, which
-            # can leave it out: pair every point with its nearest neighbour
+        lengths = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
+        c1 = float(lengths.min())
+        if not len(centers) or lengths[len(edges):].any() or c1 < _QHULL_RESOLUTION * float(np.abs(pts).max()):
+            # no triangle, a point Qhull merged into a vertex elsewhere, or a
+            # pair within reach of Qhull's rounding: any of them can leave
+            # the closest pair out, so pair every point with its nearest one
             from scipy.spatial import cKDTree
 
             partner = cKDTree(pts).query(pts, k=2)[1][:, 1]
@@ -167,9 +194,11 @@ class Net:
         circle, so it is an edge of every Delaunay triangulation (Shamos &
         Hoey 1975).  When the pass has no triangle with a finite
         circumcenter (fewer than three points, or all on one line to Qhull),
-        or its shortest edge is below 1e-6 times the largest |coordinate|,
-        within reach of Qhull's rounding, which can leave the closest pair
-        out, each point's nearest neighbour in a k-d tree decides instead.
+        Qhull merged a point into a vertex at another position, or the
+        shortest edge is below 1e-6 times the largest |coordinate| in the
+        pass's frame, within reach of Qhull's rounding, any of which can
+        leave the closest pair out, each point's nearest neighbour in a k-d
+        tree decides instead.
         Pairs farther out are not looked at, so c1 is at least the
         separation of the whole net; on Penrose incenter nets both equal
         ``SEPARATION``.  Exact up to float rounding; a one-point net is a
@@ -395,28 +424,17 @@ def _pack(out: np.ndarray, rows: np.ndarray, widths: Sequence[int]) -> None:
         out += row
 
 
-def _word_groups(widths: Sequence[int]) -> list[list[int]]:
-    """Split coefficient indices, in order, into words of at most 63 bits."""
-    groups, used = [], 64
-    for k, width in enumerate(widths):
-        if used + width > 63:
-            groups.append([])
-            used = 0
-        groups[-1].append(k)
-        used += width
-    return groups
-
-
-def _pairing_key(p: Patch) -> tuple[np.ndarray, list[np.ndarray], list[int], np.ndarray]:
-    """(key, apex words, widths, offsets): every half's pairing key and what unpacks it.
+def _pairing_key(p: Patch) -> tuple[np.ndarray, np.ndarray, list[int], np.ndarray]:
+    """(key, apex, widths, offsets): every half's pairing key, its apex word, and what unpacks the key.
 
     The key packs the kind and the incenter of the half's full tile, each
     coefficient as its offset from the least one in ``widths[k]`` bits; the
-    apex words (``_word_groups``) pack the incenter minus the apex the same
-    way.  Two passes over the incenters, one block at a time, so the (4, N)
-    incenters are never held: their ranges, then the words packing them.
-    Coordinates beyond +-2**56, or a key wider than 63 bits, are a
-    ValueError.
+    apex word packs the incenter minus the apex the same way; for the unit
+    half-tiles of a tiling its coefficients lie in
+    [-2, 2] x [-1, 1] x [-1, 1] x [-2, 2], 10 bits.  Two passes over the incenters,
+    one block at a time, so the (4, N) incenters are never held: their
+    ranges, then the words packing them.  Coordinates beyond +-2**56, or a
+    key or apex word wider than 63 bits, are a ValueError.
     """
     rows, bounds = p.coords.transpose(1, 2, 0), []
     for lo, pair in _incenter_blocks(p):
@@ -429,17 +447,17 @@ def _pairing_key(p: Patch) -> tuple[np.ndarray, list[np.ndarray], list[int], np.
     widths = [[(int(t) - int(low)).bit_length() for t, low in zip(*ends)] for ends in zip(top, offset)]
     if 1 + sum(widths[1]) > 63:
         raise ValueError(f"tile key needs {1 + sum(widths[1])} bits, more than 63")
-    groups = [(group, [widths[0][k] for k in group]) for group in _word_groups(widths[0])]
+    if sum(widths[0]) > 63:
+        raise ValueError(f"apex offsets need {sum(widths[0])} bits, more than 63")
     key = np.empty(len(p), dtype=np.int64)
-    apex_words = [np.zeros(len(p), dtype=np.int64) for _ in groups]
+    apex = np.zeros(len(p), dtype=np.int64)
     for lo, pair in _incenter_blocks(p):
         hi = lo + pair.shape[2]
         pair -= offset[:, :, None]
         key[lo:hi] = p.kinds[lo:hi]
         _pack(key[lo:hi], pair[1], widths[1])
-        for word, (group, group_widths) in zip(apex_words, groups):
-            _pack(word[lo:hi], pair[0, group], group_widths)
-    return key, apex_words, widths[1], offset[1]
+        _pack(apex[lo:hi], pair[0], widths[0])
+    return key, apex, widths[1], offset[1]
 
 
 def _stable_order(key: np.ndarray, key_bits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -480,16 +498,15 @@ def _stable_order(key: np.ndarray, key_bits: int) -> tuple[np.ndarray, np.ndarra
     return order, np.take(key, order, out=words, mode="clip")
 
 
-def _first_halves(key: np.ndarray, key_bits: int, apex_words: list[np.ndarray], p: Patch) -> np.ndarray:
+def _first_halves(key: np.ndarray, key_bits: int, apex: np.ndarray, p: Patch) -> np.ndarray:
     """Sorted patch indices of the first half of every tile; halves pair on equal keys.
 
     The keys, which lie below 2**key_bits, are put in order by
     ``_stable_order``, which sorts packed values rather than indices.
     Paired halves share their incenter, so they share their apex exactly
-    when they agree on every word of ``apex_words``, which pack the
-    incenter minus the apex.  A key shared by more than two halves, or a
-    pair that does not have opposite chirality and a shared apex, is a
-    ValueError.
+    when they agree on ``apex``, which packs the incenter minus the apex.
+    A key shared by more than two halves, or a pair that does not have
+    opposite chirality and a shared apex, is a ValueError.
     """
     order, sk = _stable_order(key, key_bits)
     same = sk[1:] == sk[:-1]  # sorted positions j and j + 1 share a key
@@ -501,9 +518,8 @@ def _first_halves(key: np.ndarray, key_bits: int, apex_words: list[np.ndarray], 
     del order, same, pairs
     if np.any(p.chiralities[a] == p.chiralities[b]):
         raise ValueError("paired half-tiles must have opposite chirality")
-    for word in apex_words:
-        if np.any(word[a] != word[b]):
-            raise ValueError("paired half-tiles must share their apex; overlapping tiles")
+    if np.any(apex[a] != apex[b]):
+        raise ValueError("paired half-tiles must share their apex; overlapping tiles")
     first = np.ones(len(key), dtype=bool)
     first[np.maximum(a, b)] = False
     return np.flatnonzero(first)
@@ -536,9 +552,9 @@ def extract_net(p: Patch, window: Square | tuple | None = None) -> Net:
         raise ValueError(
             f"net extraction requires final-scale tiles (scale_exp 0), got {p.scale_exp}"
         )
-    key, apex_words, widths, offset = _pairing_key(p)
-    tile_ids = _first_halves(key, 1 + sum(widths), apex_words, p)
-    del apex_words
+    key, apex, widths, offset = _pairing_key(p)
+    tile_ids = _first_halves(key, 1 + sum(widths), apex, p)
+    del apex
     # the chosen tiles' incenters, unpacked from their own keys
     tile_key = key[tile_ids]
     del key

@@ -68,6 +68,8 @@ def _svg_blocks(
         raise ValueError(f"unknown overlay {overlay!r}")
     if overlay == "net" and net is None:
         raise ValueError("net overlay requires a net")
+    if not (math.isfinite(stroke_width) and stroke_width >= 0):
+        raise ValueError(f"stroke width must be finite and non-negative, got {stroke_width!r}")
     for fill in (kite_fill, dart_fill):
         # _format_rows would refuse it only after the document's first blocks
         if "\0" in fill:

@@ -285,12 +285,6 @@ def census(p: Patch) -> TileCensus:
     return TileCensus(kites, len(p) - kites)
 
 
-# power iteration of SubstitutionRule.dominant_eigen: stop once the unit
-# vector moves by at most _EIGEN_TOL, or after _EIGEN_MAX_ITER steps
-_EIGEN_TOL = 1e-14
-_EIGEN_MAX_ITER = 10_000
-
-
 @dataclass(frozen=True)
 class SubstitutionRule:
     """Generic substitution: matrix[i][j] children of type i per parent of type j."""
@@ -306,24 +300,21 @@ class SubstitutionRule:
             raise ValueError("matrix entries must be >= 0")
 
     def dominant_eigen(self) -> tuple[float, tuple[float, ...]]:
-        """Dominant eigenvalue and eigenvector by power iteration on floats."""
-        m = np.array(self.matrix, dtype=np.float64)
-        v = np.full(len(self.names), 1.0 / len(self.names))
-        lam = 0.0
-        for _ in range(_EIGEN_MAX_ITER):
-            w = m @ v
-            w_norm = float(np.linalg.norm(w))
-            if w_norm == 0.0:
-                raise ValueError("rule annihilates the iteration vector")
-            new_v = w / w_norm
-            lam = float(w @ v) / float(v @ v)
-            # the eigenvalue estimate converges twice as fast as the vector,
-            # so loop on vector stability
-            delta = float(np.linalg.norm(new_v - v))
-            v = new_v
-            if delta <= _EIGEN_TOL:
-                break
-        return lam, tuple(float(x) for x in v)
+        """Dominant eigenvalue and its unit eigenvector, by LAPACK (``np.linalg.eig``).
+
+        The matrix is non-negative, so its Perron root is real and no
+        eigenvalue has a larger real part; the vector's sign makes its sum
+        positive.  A rule whose eigenvalues are all 0 is a ValueError.
+        """
+        values, vectors = np.linalg.eig(np.array(self.matrix, dtype=np.float64))
+        k = int(np.argmax(values.real))
+        if values[k].real <= 0.0:
+            raise ValueError("rule has no positive eigenvalue")
+        v = vectors[:, k].real
+        v = v / np.linalg.norm(v)
+        if v.sum() < 0:
+            v = -v
+        return float(values[k].real), tuple(float(x) for x in v)
 
 
 PENROSE_SUBSTITUTION = SubstitutionRule(("half-kite", "half-dart"), ((2, 1), (1, 1)))
@@ -517,8 +508,8 @@ def deflate_patch(p: Patch, rounds: int, cap: int = DEFAULT_TILE_CAP) -> Patch:
     )
 
 
-def _triangle_geometry(kind: int) -> tuple[tuple[float, float], float]:
-    """Incenter and inradius of the embedded unit RIGHT seed triangle."""
+def _triangle_geometry(kind: int) -> tuple[tuple[float, float], float, float]:
+    """Incenter, inradius and area of the embedded unit RIGHT seed triangle."""
     base = _embed(np.array(_SEED_COORDS[(kind, RIGHT)], dtype=np.int64))
     a = np.linalg.norm(base[2] - base[1])  # side opposite the wing
     b = np.linalg.norm(base[0] - base[2])  # opposite the apex
@@ -528,7 +519,7 @@ def _triangle_geometry(kind: int) -> tuple[tuple[float, float], float]:
     s = weights.sum() / 2.0
     u, v = base[1] - base[0], base[2] - base[0]
     area = abs(float(u[0] * v[1] - u[1] * v[0])) / 2.0
-    return (float(incenter[0]), float(incenter[1])), float(area / s)
+    return (float(incenter[0]), float(incenter[1])), float(area / s), area
 
 
 _SEED_GEOMETRY = {k: _triangle_geometry(k) for k in (HALF_KITE, HALF_DART)}
@@ -598,7 +589,7 @@ def generate_patch_covering(
     square = Square(*square)
     if square.side <= 0:
         raise ValueError("square side must be positive")
-    incenter, inradius = _SEED_GEOMETRY[seed_kind]
+    incenter, inradius, _ = _SEED_GEOMETRY[seed_kind]
     if seed_chirality == LEFT:
         incenter = (incenter[0], -incenter[1])
     need = square.side * math.sqrt(2.0) / 2.0 + COVER_SLACK

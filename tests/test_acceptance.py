@@ -24,7 +24,7 @@ from penrosenet.discrepancy import (
     ratio_bound,
     ratio_map,
 )
-from penrosenet.golden import CycloPoint, GoldenNum, INV_PHI, PHI, PHI_FLOAT, golden_compare
+from penrosenet.golden import CycloPoint, GoldenNum, INV_PHI, PHI, PHI_FLOAT
 from penrosenet.net import COVERING_RADIUS_BOUND, extract_net
 from penrosenet.tiling import (
     HALF_DART,
@@ -97,7 +97,7 @@ def test_criterion_03_contraction_exact():
     for x0 in (Fraction(1), Fraction(3, 2), Fraction(2)):
         values = iterate_ratio_map(x0, 15)  # asserts the 4**-n gap internally
         gap = abs(GoldenNum(values[-1]) - PHI)
-        assert golden_compare(gap, GoldenNum(Fraction(1, 4**15))) <= 0
+        assert gap <= GoldenNum(Fraction(1, 4**15))
     print("criterion 3 (contraction 1/4 on 1000 exact pairs; iterate gap <= 4^-n, "
           "x0 in {1, 3/2, 2}, n<=15, exact): PASS")
 

@@ -28,7 +28,7 @@ from penrosenet.discrepancy import (
     report_to_csv,
     report_to_json,
 )
-from penrosenet.golden import GoldenNum, PHI, PHI_FLOAT, golden_compare
+from penrosenet.golden import GoldenNum, PHI, PHI_FLOAT
 from penrosenet.net import Net, count_in_square, extract_net
 from penrosenet.tiling import (
     HALF_DART,
@@ -133,7 +133,7 @@ class TestRatioMap:
                 if k == 0:
                     continue
                 gap = abs(GoldenNum(value) - PHI)
-                assert golden_compare(gap, GoldenNum(Fraction(1, 4**k))) <= 0
+                assert gap <= GoldenNum(Fraction(1, 4**k))
 
     def test_iterate_trivial_cases(self):
         assert iterate_ratio_map(Fraction(1), 0) == [Fraction(1)]
@@ -192,6 +192,11 @@ class TestDensity:
     def test_measured_tile_areas(self):
         assert dart_area() == pytest.approx(math.sin(math.radians(72)), abs=1e-14)
         assert kite_area() / dart_area() == pytest.approx(PHI_FLOAT, abs=1e-9)
+
+    def test_tile_area_bits_are_pinned(self):
+        # psi, rho and every report rest on these bits
+        assert dart_area().hex() == "0x1.e6f0e134454fdp-1"
+        assert kite_area().hex() == "0x1.89f188bdcd7aep+0"
 
     def test_measured_rho(self):
         model = default_density()
@@ -509,7 +514,7 @@ class TestRegionAnalysis:
         comparisons are the same.
         """
         m = 0
-        while golden_compare(cls.PHI_POWERS[m + 1], GoldenNum(l)) <= 0:
+        while (cls.PHI_POWERS[m + 1] - GoldenNum(l)).sign() <= 0:
             m += 1
         return m
 
@@ -524,7 +529,7 @@ class TestRegionAnalysis:
             a, b = power.a, power.b
             below = a + b * (1 + r) / 2
             above = a + b * (1 + r + Fraction(1, 10**30)) / 2
-            assert golden_compare(GoldenNum(below), power) < 0 < golden_compare(GoldenNum(above), power)
+            assert (GoldenNum(below) - power).sign() < 0 < (GoldenNum(above) - power).sign()
             for l, m in ((below, k - 1), (above, k)):
                 assert discrepancy._phi_log_floor(l) == self.quadratic_phi_log_floor(l) == m, (k, l)
 

@@ -22,7 +22,6 @@ from penrosenet.golden import (
     SIN36,
     cross_s72,
     dot,
-    golden_compare,
 )
 from penrosenet.net import (
     COVERING_RADIUS_BOUND,
@@ -198,6 +197,15 @@ def small_net(xy, window):
     return Net(xy, np.full(len(xy), HALF_KITE), np.arange(len(xy)), window)
 
 
+def in_pass_frame(net: Net) -> Net:
+    """``net`` moved as its Delone pass moves it: by the window corner rounded to a multiple of 1024."""
+    x, y, side = net.window
+    origin = np.array([1024.0 * round(x / 1024.0), 1024.0 * round(y / 1024.0)])
+    outline = None if net.outline is None else net.outline - origin
+    return Net(net.xy - origin, net.source_kinds, net.tile_ids,
+               Square(x - origin[0], y - origin[1], side), outline=outline)
+
+
 def full_tile_outline(kind):
     """Vertices of the paired tile: wing, apex, mirrored wing, axis_end."""
     patch = full_tile(kind)
@@ -347,11 +355,11 @@ def assert_matches_columns(patch: Patch, window=None) -> Net:
 
 
 def exact_x(origin: CycloPoint) -> GoldenNum:
-    return dot(origin, CycloPoint.one())
+    return dot(origin, CycloPoint(1))
 
 
 def exact_y_over_sin72(origin: CycloPoint) -> GoldenNum:
-    return cross_s72(CycloPoint.one(), origin)
+    return cross_s72(CycloPoint(1), origin)
 
 
 SIN72_SQUARED = GoldenNum(Fraction(1, 2), Fraction(1, 4))  # (2 + phi) / 4
@@ -375,11 +383,11 @@ def exact_cell(origin: CycloPoint, x: float, y: float) -> tuple[int, int]:
 
     def y_at_least(k: int) -> bool:
         if h.sign() >= 0:
-            return k <= 0 or golden_compare(GoldenNum(k * k), y2) <= 0
-        return k < 0 and golden_compare(GoldenNum(k * k), y2) >= 0
+            return k <= 0 or GoldenNum(k * k) <= y2
+        return k < 0 and GoldenNum(k * k) >= y2
 
     return (
-        exact_floor(x, lambda k: golden_compare(GoldenNum(k), ex) <= 0),
+        exact_floor(x, lambda k: GoldenNum(k) <= ex),
         exact_floor(y, y_at_least),
     )
 
@@ -671,18 +679,14 @@ class TestBlockedPass:
         self.assert_both_raise(tiles(base, right, turned), "share their apex")
 
 
-def far_apex_kites(offsets, apex_shift=None) -> Patch:
-    """Mirror pairs of kite halves with incenters (j, 0, 0, 0) but apexes ~2**40 away in the ring.
+def apex_kites(steps, apex_shift=None) -> Patch:
+    """Mirror pairs of kite halves: pair j has incenter (j, 0, 0, 0) and incenter minus apex ``steps[j]``.
 
-    Each pair's incenter minus apex spans about 2**41 per coefficient, so the
-    apex check needs one word per coefficient.  ``apex_shift = (j, e)`` moves
-    the apex of pair j's LEFT half by e and its axis end so that the half
-    keeps its incenter.
+    ``apex_shift = (j, e)`` moves the apex of pair j's LEFT half by e and
+    its axis end so that the half keeps its incenter.
     """
-    rng = np.random.default_rng(17)
     halves = []
-    for j in range(offsets):
-        d = rng.integers(-(2**40), 2**40, size=4)
+    for j, d in enumerate(np.asarray(steps, dtype=np.int64)):
         incenter = np.array([j, 0, 0, 0])
         for chirality in (RIGHT, LEFT):
             step = d
@@ -694,28 +698,43 @@ def far_apex_kites(offsets, apex_shift=None) -> Patch:
     return Patch(np.zeros(len(halves)), [c for c, _ in halves], [v for _, v in halves])
 
 
+def far_apex_kites(offsets, apex_shift=None, spread=2**40) -> Patch:
+    """``apex_kites`` with random steps below ``spread`` in each coefficient.
+
+    At the default spread the incenter minus the apex spans about 2**41 per
+    coefficient, far more than the one word of the apex check holds.
+    """
+    rng = np.random.default_rng(17)
+    return apex_kites(rng.integers(-spread, spread, size=(offsets, 4)), apex_shift)
+
+
 class TestApexWords:
-    """The apex check packs the incenter minus the apex into as many int64 words as it needs."""
+    """The apex check packs the incenter minus the apex into one int64 word."""
 
-    def test_word_groups(self):
-        assert net_module._word_groups([9, 9, 9, 9]) == [[0, 1, 2, 3]]
-        assert net_module._word_groups([0, 0, 0, 0]) == [[0, 1, 2, 3]]
-        assert net_module._word_groups([41, 41, 22, 41]) == [[0], [1, 2], [3]]
-        assert net_module._word_groups([63, 1, 62, 0]) == [[0], [1, 2, 3]]
-
-    def test_one_word_per_wide_coefficient(self):
+    def test_wide_apex_offsets_are_refused(self):
         patch = far_apex_kites(3)
-        _, words, _, _ = net_module._pairing_key(patch)
-        assert len(words) == 4
-        net = assert_matches_columns(patch)
-        assert net.tile_ids.tolist() == [0, 2, 4]
-        assert net.ring.tolist() == [[j, 0, 0, 0] for j in range(3)]
+        steps = np.random.default_rng(17).integers(-(2**40), 2**40, size=(3, 4))
+        bits = sum((int(col.max()) - int(col.min())).bit_length() for col in steps.T)
+        assert bits > 63
+        with pytest.raises(ValueError, match=f"^apex offsets need {bits} bits, more than 63$"):
+            extract_net(patch)
+
+    def test_widest_accepted_apex_offsets(self):
+        # 16 + 16 + 16 + 15 bits, then one bit more in the last coefficient
+        wide = [0, 0, 0, 0], [2**16 - 1, 2**16 - 1, 2**16 - 1, 2**15 - 1]
+        net = assert_matches_columns(apex_kites(wide))
+        assert net.tile_ids.tolist() == [0, 2]
+        assert net.ring.tolist() == [[0, 0, 0, 0], [1, 0, 0, 0]]
+        wider = wide[0], [2**16 - 1, 2**16 - 1, 2**16 - 1, 2**15]
+        with pytest.raises(ValueError, match="apex offsets need 64 bits, more than 63"):
+            extract_net(apex_kites(wider))
 
     @pytest.mark.parametrize("coeff", range(4))
     def test_apex_mismatch_in_any_word(self, coeff):
+        # one coefficient of one apex differs, within the word's width
         shift = [0, 0, 0, 0]
         shift[coeff] = 1
-        patch = far_apex_kites(3, apex_shift=(1, shift))
+        patch = far_apex_kites(3, apex_shift=(1, shift), spread=2**10)
         for extract in (extract_net, column_extract_net):
             with pytest.raises(ValueError, match="share their apex"):
                 extract(patch)
@@ -1257,6 +1276,47 @@ class TestDelonePass:
         assert c1 == brute_c1(delaunay_calls[0]) == brute_c1(net.xy)
         assert net.c2.hex() == reference_c2(net).hex()
 
+    @pytest.mark.parametrize("xy, window, shift, at_origin", [
+        # Qhull's triangulation at 1e7 is not Delaunay, though it leaves out
+        # no point; c2 read 1.45774 when the pass ran in the net's frame
+        ([[0, 8], [0, 10], [0, 12], [1, 9], [3, 11]], (1.0, 9.75, 1.0), 1e7, 1.602948671806),
+        # and here the pruned pass read 3.91561 and the unpruned one 3.93018
+        ([[0, 0], [1, 7], [3, 1], [5, 1], [7, 8], [8, 0]], (0.0, 0.0, 4.875), 1e7 + 0.125, 3.935515372858),
+    ], ids=["five_points", "six_points"])
+    def test_far_sets_give_their_values_at_the_origin(self, xy, window, shift, at_origin):
+        xy = np.array(xy, dtype=np.float64)
+        x, y, side = window
+        near, far = small_net(xy, Square(*window)), small_net(xy + shift, Square(x + shift, y + shift, side))
+        assert (far.xy - shift == near.xy).all()  # each translation is exact
+        assert abs(near.c2 - at_origin) <= 1e-12
+        assert abs(far.c2 - near.c2) <= far.c2_error_bound
+        assert far.c1 == near.c1 == brute_c1(xy)
+
+    def test_far_pass_picks_the_points_within_pad_exactly(self):
+        # the points on the padded box's edges, in the pass's frame, are
+        # kept, and their neighbours one ulp outside are not
+        x, y, side = 1e7 + 3.0, -2e7 - 5.0, 4.0
+        origin = np.array([1024.0 * round(x / 1024.0), 1024.0 * round(y / 1024.0)])
+        low, high = np.array([x, y]) - origin - 2.0, np.array([x, y]) - origin + side + 2.0
+        inside = origin + np.array([low, high, [low[0], high[1]], (low + high) / 2.0])
+        outside = np.array([np.nextafter(inside[0], -np.inf), np.nextafter(inside[1], np.inf),
+                            [inside[2, 0], np.nextafter(inside[2, 1], np.inf)]])
+        net = small_net(np.concatenate([outside[:1], inside, outside[1:]]), Square(x, y, side))
+        box = np.array(Square(x - origin[0], y - origin[1], side).corners())
+        pad, picked = next(net._points_near(box, origin))
+        assert pad == 2.0
+        assert picked.tobytes() == (inside - origin).tobytes()
+
+    def test_far_duplicates_give_c1_zero(self, delaunay_calls):
+        # under a 2**16 frame grid Qhull merged two distinct points of this
+        # set into a third vertex, and c1 read 1.118
+        net = small_net([[3300000, 3300001], [3300000, 3300001], [3300001, 3300001.5], [3300002, 3300002],
+                         [3300001.4287696905, 3300001.7143848455]], Square(3300000.0, 3300000.0, 1.0))
+        assert net.c1 == 0.0
+        assert len(delaunay_calls) == 1
+        assert np.abs(delaunay_calls[0]).max() < 1024.0  # the pass ran near its own origin
+        assert net.c2.hex() == reference_c2(in_pass_frame(net)).hex()
+
 
 def ring_points(radii, turns):
     """Points at the given radii and multiples of 30 degrees about (5, 5)."""
@@ -1319,7 +1379,7 @@ class TestPrunedCandidates:
         finally:
             net_module._delaunay = real
         with np.errstate(over="ignore"):  # the oracle's bisector division can overflow
-            assert c2.hex() == reference_c2(net).hex()
+            assert c2.hex() == reference_c2(in_pass_frame(net)).hex()
         if c1 is not None:
             assert c1 == brute_c1(passes[-1])
 
@@ -1337,7 +1397,7 @@ class TestPrunedCandidates:
     ], ids=["hull_ray", "shared_bisector", "far_from_origin"])
     def test_c2_on_sets_that_need_every_rule(self, xy, window):
         net = small_net(xy, window)
-        assert net.c2.hex() == reference_c2(net).hex()
+        assert net.c2.hex() == reference_c2(in_pass_frame(net)).hex()
 
     @pytest.mark.parametrize("xy", [
         # Qhull merges two points near (1, 0) into one vertex; they are the closest pair
@@ -1360,6 +1420,17 @@ class TestPrunedCandidates:
         net = small_net(xy, Square(-1.5, -1.5, 3.0))
         assert net.c1 == brute_c1(net.xy)
         assert net.c2.hex() == reference_c2(net).hex()
+
+    def test_c1_of_a_pair_merged_into_another_vertex(self, delaunay_calls):
+        # 352 from the pass's origin, Qhull merges a point and its duplicate
+        # into a vertex 0.099 away, so no edge or merged pair joins the two
+        xy = [[3300000.0, 3300001.0], [3300000.0, 3300001.0], [3300001.0, 3299998.0],
+              [float.fromhex("0x1.92d4f59fb05c0p+21"), float.fromhex("0x1.92d52720eeec1p+21")],
+              [3299999.96875, 3300001.09375]]
+        net = small_net(xy, Square(3300000.0, 3300000.0, 2.0))
+        assert net.c1 == 0.0
+        assert np.abs(delaunay_calls[0]).max() < 400.0
+        assert net.c2.hex() == reference_c2(in_pass_frame(net)).hex()
 
     def test_side_64_covering_net_queries_few_points(self, monkeypatch):
         net = extract_net(generate_patch_covering(Square(-20.0, 13.0, 64.0)))

@@ -192,6 +192,28 @@ def test_nul_anywhere_in_a_fill_is_refused_when_called(fill, key):
         _svg_blocks(patch, None, "none", 0.03, **style)  # no block is asked for
 
 
+@pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+def test_stroke_width_that_is_not_finite_or_is_negative_is_refused(width):
+    patch = full_tile(HALF_KITE)
+    with pytest.raises(ValueError, match="stroke width must be finite and non-negative"):
+        render_svg(patch, stroke_width=width)
+    with pytest.raises(ValueError, match="stroke width"):
+        _svg_blocks(patch, None, "none", width, KITE_FILL, DART_FILL)  # no block is asked for
+
+
+def test_zero_stroke_width_is_drawn():
+    assert 'stroke-width="0"' in render_svg(full_tile(HALF_KITE), stroke_width=0.0)
+
+
+@pytest.mark.parametrize("width", ["nan", "inf", "-1"])
+def test_cli_refuses_a_stroke_width_before_writing(width, tmp_path, capsys):
+    patch_file, svg_file = str(tmp_path / "p.txt"), tmp_path / "p.svg"
+    save_patch(PATCHES["deflated_half_dart"](), patch_file)
+    assert main(["render", "--patch", patch_file, "--stroke-width", width, "--out", str(svg_file)]) == 2
+    assert capsys.readouterr().err.startswith("error: stroke width must be finite and non-negative")
+    assert not svg_file.exists()
+
+
 def test_cli_refuses_a_nul_fill_before_writing(tmp_path, capsys):
     patch_file, svg_file = str(tmp_path / "p.txt"), tmp_path / "p.svg"
     save_patch(PATCHES["deflated_half_dart"](), patch_file)

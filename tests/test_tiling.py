@@ -220,6 +220,25 @@ class TestSubstitutionCounts:
         assert abs(value - PHI_FLOAT**2) <= 1e-10
         assert abs(vector[0] / vector[1] - PHI_FLOAT) <= 1e-10
 
+    @pytest.mark.parametrize("rule, value, vector", [
+        (PENROSE_SUBSTITUTION, PHI_FLOAT**2, (PHI_FLOAT, 1.0)),
+        # a circulant: eigenvalues 2 and 1 + exp(+-2 pi i / 3), of modulus 1
+        (SubstitutionRule(("a", "b", "c"), ((1, 1, 0), (0, 1, 1), (1, 0, 1))), 2.0, (1.0, 1.0, 1.0)),
+        # eigenvalues 1 and -1, of equal modulus: the positive one dominates
+        (SubstitutionRule(("a", "b"), ((0, 1), (1, 0))), 1.0, (1.0, 1.0)),
+    ], ids=["penrose", "three_letters", "periodic"])
+    def test_dominant_eigen(self, rule, value, vector):
+        got_value, got_vector = rule.dominant_eigen()
+        unit = np.array(vector) / np.linalg.norm(vector)
+        assert abs(got_value - value) <= 1e-14
+        assert np.abs(np.array(got_vector) - unit).max() <= 1e-14
+
+    @pytest.mark.parametrize("matrix", [((0, 1), (0, 0)), ((0, 0), (0, 0)), ((0, 1, 0), (0, 0, 1), (0, 0, 0))])
+    def test_dominant_eigen_of_a_nilpotent_rule_is_refused(self, matrix):
+        rule = SubstitutionRule(tuple("abc"[:len(matrix)]), matrix)
+        with pytest.raises(ValueError, match="no positive eigenvalue"):
+            rule.dominant_eigen()
+
     def test_generic_rule_checks_the_seed_and_rounds(self):
         for seed, n in (((1, 2, 3), 0), ((1,), 4)):
             with pytest.raises(ValueError, match="does not match rule"):
