@@ -42,7 +42,7 @@ from .discrepancy import (
 )
 from .golden import PHI, PHI_FLOAT, GoldenNum
 from .net import COVERING_RADIUS_BOUND, SEPARATION, Net, extract_net
-from .render import _svg_blocks
+from .render import _check_style, _svg_blocks
 from .tiling import (
     DEFAULT_TILE_CAP,
     HALF_DART,
@@ -232,6 +232,7 @@ def cmd_render(args) -> int:
     for fill in (args.kite_fill, args.dart_fill):
         if not fill.isascii():
             raise ValueError(f"fill colours must be ASCII, got {fill!r}")
+    _check_style(args.stroke_width, args.kite_fill, args.dart_fill)
     patch = load_patch(args.patch)
     net = None
     if args.overlay in ("net", "grid") and patch.scale_exp == 0:

@@ -622,7 +622,10 @@ def load_net(path: str) -> Net:
     ``window`` header whose fields do not match what export_net writes (a
     number where it writes one) is a ValueError, and so is a ``points``
     count that differs from the number of point lines.  Headers may repeat;
-    the last one counts.
+    the last one counts.  The file is ASCII and is read as
+    ``tiling._read_table`` says: the point lines by ``np.loadtxt`` from the
+    path, so a file that is not one regular file, unchanged between that
+    read and the header read, is a ValueError.
     """
     values, rows = _read_table(path, _NET_ROW, _NET_HEADERS)
     kinds = _decode(rows["kind"], {name: code for code, name in SOURCE_NAMES.items()})

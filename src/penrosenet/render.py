@@ -68,13 +68,21 @@ def _svg_blocks(
         raise ValueError(f"unknown overlay {overlay!r}")
     if overlay == "net" and net is None:
         raise ValueError("net overlay requires a net")
+    _check_style(stroke_width, kite_fill, dart_fill)
+    return _svg_document(patch, net, overlay, stroke_width, kite_fill, dart_fill)
+
+
+def _check_style(stroke_width: float, kite_fill: str, dart_fill: str) -> None:
+    """Refuse (ValueError) a stroke width or fill that would make invalid SVG.
+
+    It needs no patch, so a caller that loads one can check first.
+    """
     if not (math.isfinite(stroke_width) and stroke_width >= 0):
         raise ValueError(f"stroke width must be finite and non-negative, got {stroke_width!r}")
     for fill in (kite_fill, dart_fill):
         # _format_rows would refuse it only after the document's first blocks
         if "\0" in fill:
             raise ValueError(f"fill colours must not hold NUL, got {fill!r}")
-    return _svg_document(patch, net, overlay, stroke_width, kite_fill, dart_fill)
 
 
 def _svg_document(

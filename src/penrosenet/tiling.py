@@ -52,8 +52,11 @@ rebuild only the supertiles near one square.
 
 from __future__ import annotations
 
+import io
 import math
+import os
 import re
+import stat
 import warnings
 from dataclasses import dataclass
 from operator import mul
@@ -632,6 +635,7 @@ _PATCH_ROW = np.dtype([
     ("kind", "U2"), ("chirality", "U2"), ("generation", np.int64), ("coords", np.int64, (12,)),
 ])
 _PATCH_HEADERS = {"scale_exp": ("N",), "generation": ("N",), "census": ("N", "N")}  # see _read_table
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")  # np.loadtxt decompresses a path with one
 _FORMAT_BLOCK = 8192  # rows per block of _format_rows; its temporaries grow with it
 # one printf conversion: flags, width, precision and a type that never
 # turns a number into NUL (no %c)
@@ -639,22 +643,35 @@ _CONVERSION = re.compile(r"(%[-+ #0]*\d*(?:\.\d+)?[diouxXeEfFgGrsa])")
 _DATA_LINE = re.compile(r"^[^\S\n]*[^\s#]", re.M)  # a line that is neither blank nor a comment
 
 
-def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(keys, return_inverse=True)`` of a 1-d array, inverse flat.
-
-    Integer keys that span fewer values than there are keys are found
-    without a sort: a boolean table over the span marks the values present
-    and its running count ranks them.  The offsets from the least key are
-    taken modulo the key width, which is exact because the span fits.
-    """
+def _dense(keys: np.ndarray) -> tuple[np.generic, int] | None:
+    """``(least key, span)`` of integer keys that span fewer values than there are keys, else None."""
     if keys.dtype.kind in "iu" and keys.size:
         lo = keys.min()
         span = int(keys.max()) - int(lo) + 1
         if span < keys.size:
-            offsets = (keys - lo).view(f"u{keys.itemsize}")
-            seen = np.zeros(span, dtype=bool)
-            seen[offsets] = True
-            return np.flatnonzero(seen).astype(keys.dtype) + lo, (np.cumsum(seen) - 1)[offsets]
+            return lo, span
+    return None
+
+
+def _offsets(keys: np.ndarray, lo: np.generic) -> np.ndarray:
+    """``keys - lo`` of dense keys, taken modulo the key width: exact, because the span fits."""
+    return (keys - lo).view(f"u{keys.itemsize}")
+
+
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` of a 1-d array, inverse flat.
+
+    Dense integer keys (see ``_dense``) are found without a sort: a boolean
+    table over their span marks the values present and its running count
+    ranks them.
+    """
+    dense = _dense(keys)
+    if dense is not None:
+        lo, span = dense
+        offsets = _offsets(keys, lo)
+        seen = np.zeros(span, dtype=bool)
+        seen[offsets] = True
+        return np.flatnonzero(seen).astype(keys.dtype) + lo, (np.cumsum(seen) - 1)[offsets]
     distinct, inverse = np.unique(keys, return_inverse=True)
     return distinct, inverse.ravel()  # numpy versions differ in its shape
 
@@ -672,6 +689,21 @@ def _format_table(conv: str, values: list) -> np.ndarray:
     return np.array(text).view(np.uint8).reshape(len(text), -1)
 
 
+def _prefixed(table: np.ndarray, prefixes: list[bytes]) -> list[np.ndarray]:
+    """For each of ``prefixes``, ``table``'s byte rows behind that prefix, one fixed-width item a row.
+
+    A prefix that repeats shares one array.
+    """
+    made = {}
+    for s in prefixes:
+        if s not in made:
+            joined = np.empty((len(table), len(s) + table.shape[1]), dtype=np.uint8)
+            joined[:, :len(s)] = np.frombuffer(s, dtype=np.uint8)
+            joined[:, len(s):] = table
+            made[s] = joined.view(f"V{joined.shape[1]}").ravel()
+    return [made[s] for s in prefixes]
+
+
 def _format_rows(template: str, *columns: np.ndarray | tuple[Sequence, np.ndarray]) -> Iterator[str]:
     """Yield ``template % row`` for every row, joined into one string per block.
 
@@ -684,23 +716,28 @@ def _format_rows(template: str, *columns: np.ndarray | tuple[Sequence, np.ndarra
     outside ``range(len(labels))``, are refused (ValueError).
 
     Every distinct value is formatted once, with the template's own
-    conversion, into a NUL-padded byte table: a category's labels once for
-    all rows, an array's values once per block of ``_FORMAT_BLOCK`` rows.
-    An array's distinct values come from ``_distinct``, which needs no sort
-    when its integers are dense (a tiling's coordinates span a few hundred
-    values); floats are told apart by their bits, so -0.0 and 0.0 stay
-    apart.  A row is its fields taken from the tables between the
-    template's literal bytes, and dropping the padding leaves the text
-    ``%`` gives.  So NUL is refused (ValueError): in the template or a
-    label before anything is yielded, and in a formatted value before its
-    block is yielded.
+    conversion, into a NUL-padded byte table.  A category's labels, and
+    every integer from the least to the greatest of a dense integer array
+    (one whose values span fewer integers than it holds, as ``_dense``
+    says: a tiling's 12 coordinate columns span a few hundred), are
+    formatted once per call, and a row takes its entry at ``code`` or
+    ``value - least``.  Any other array's values are formatted once per
+    block of ``_FORMAT_BLOCK`` rows, from the block's ``_distinct`` values;
+    floats are told apart by their bits, so -0.0 and 0.0 stay apart.  Each
+    table entry is one fixed-width item: the template's literal before its
+    value, then the value's text and its padding, so a column whose values
+    all follow one literal (the coordinates, after a space each) takes
+    every row's entries in one ``np.take``.  A row is its entries side by
+    side and the template's last literal, and dropping the padding leaves
+    the text ``%`` gives.  So NUL is refused (ValueError): in the template
+    or a label before anything is yielded, and in a formatted value before
+    its block is yielded.
     """
     parts = _CONVERSION.split(template)
     convs = parts[1::2]
     literals = [s.encode("utf-8", "surrogatepass") for s in parts[0::2]]
     if any(b"\0" in s or b"%" in s for s in literals):
         raise ValueError(f"template holds NUL or an unsupported conversion: {template!r}")
-    literals = [np.array(list(s), dtype=np.uint8) for s in literals]
     labels = [c[0] if isinstance(c, tuple) else None for c in columns]
     cols = [c[1] if isinstance(c, tuple) else c for c in columns]
     cols = [c[:, None] if c.ndim == 1 else c for c in cols]
@@ -716,29 +753,40 @@ def _format_rows(template: str, *columns: np.ndarray | tuple[Sequence, np.ndarra
             raise ValueError(f"category codes outside range({len(names)}): {c.min()}..{c.max()}")
     if not n:
         return
-    tables = [None if names is None else _format_table(conv, list(names))
-              for names, (conv,) in zip(labels, col_convs)]
+    prefixes = [literals[a:b] for a, b in zip(starts, starts[1:])]  # the literal before each value
+    tail = np.frombuffer(literals[-1], dtype=np.uint8)
+    tables, bases = [], []  # per column: its tables for the whole call, and a dense array's least value
+    for names, c, (conv,), pre in zip(labels, cols, col_convs, prefixes):
+        base = None
+        if names is None and (dense := _dense(c)) is not None:
+            base, span = dense
+            names = range(int(base), int(base) + span)
+        tables.append(None if names is None else _prefixed(_format_table(conv, list(names)), pre))
+        bases.append(base)
     for lo in range(0, n, _FORMAT_BLOCK):
         hi = min(lo + _FORMAT_BLOCK, n)
         fields = []
-        for c, (conv,), table in zip(cols, col_convs, tables):
+        for c, (conv,), tabs, base, pre in zip(cols, col_convs, tables, bases, prefixes):
             codes = c[lo:hi]
-            if table is None:  # an array: its codes index the block's own distinct values
+            if base is not None:  # a dense array: its values index the whole-call tables
+                codes = _offsets(codes, base)
+            elif tabs is None:  # any other array: its codes index the block's own distinct values
                 keys = codes.view(f"u{codes.itemsize}") if codes.dtype.kind == "f" else codes
                 distinct, inverse = _distinct(keys.ravel())
-                table = _format_table(conv, distinct.view(codes.dtype).tolist())
+                tabs = _prefixed(_format_table(conv, distinct.view(codes.dtype).tolist()), pre)
                 codes = inverse.reshape(keys.shape)
-            fields += [np.take(table, j, axis=0) for j in codes.T]
-        pieces = [np.broadcast_to(literals[0], (hi - lo, len(literals[0])))]
-        for field, lit in zip(fields, literals[1:]):
-            pieces += [field, np.broadcast_to(lit, (hi - lo, len(lit)))]
-        yield np.concatenate(pieces, axis=1).tobytes().translate(None, b"\0").decode("utf-8", "surrogatepass")
+            if all(t is tabs[0] for t in tabs):  # one table: all of the column's values in one take
+                fields.append(np.take(tabs[0], codes).view(np.uint8))
+            else:
+                fields += [np.take(t, j).view(np.uint8) for t, j in zip(tabs, codes.T)]
+        fields = [f.reshape(hi - lo, -1) for f in fields] + [np.broadcast_to(tail, (hi - lo, len(tail)))]
+        yield np.concatenate(fields, axis=1).tobytes().translate(None, b"\0").decode("utf-8", "surrogatepass")
 
 
 def _read_table(
     path: str, row: np.dtype, forms: dict[str, tuple[str, ...]],
 ) -> tuple[dict[str, list], np.ndarray]:
-    """Read a whitespace-separated text file: its headers and its rows.
+    """Read a whitespace-separated ASCII text file: its headers and its rows.
 
     A ``#`` starts a comment only as a line's first non-blank character, and
     blank lines are skipped; a ``#`` anywhere else is a ValueError.  A
@@ -748,40 +796,65 @@ def _read_table(
     Headers may repeat and sit anywhere; the last one of a key counts, and
     the returned dict maps it to its numbers.  Every other line must hold
     exactly the fields of ``row`` (ValueError otherwise), and an integer
-    field must be written as an integer.
+    field must be written as an integer.  A byte outside ASCII is a
+    ValueError.
+
+    The headers come from one read of the whole text; the rows from
+    ``np.loadtxt`` given the path, which it reads in chunks through its C
+    parser (a file handle it would read line by line in Python).  A path
+    ending in a suffix that np.loadtxt would decompress (``.gz``, ``.bz2``,
+    ``.xz``, ``.lzma``) is parsed from the text already read.  Any other
+    file is thus opened twice, so a file with rows must be a regular file, and
+    both reads must have seen the same device, inode, size and modification
+    time: a pipe, or a file replaced or rewritten between the reads, is a
+    ValueError rather than headers of one file checked against the rows of
+    another.
     """
     with open(path, "r", encoding="ascii") as fh:
+        scanned = os.fstat(fh.fileno())
         text = fh.read()
-        values = {}
-        pos = text.find("#")
-        while pos >= 0:
-            start = text.rfind("\n", 0, pos) + 1
-            end = text.find("\n", pos)
-            end = len(text) if end < 0 else end
-            if text[start:pos].strip():
-                raise ValueError(f"'#' inside a data line: {text[start:end]!r}")
-            parts = text[pos + 1:end].split()
-            form = forms.get(parts[0]) if parts else None
-            if form is not None:
-                fields = parts[1:]
-                try:
-                    if len(fields) != len(form) or any(f != n for f, n in zip(fields, form) if n.islower()):
-                        raise ValueError
-                    values[parts[0]] = [int(f) if n == "N" else float(f)
-                                        for f, n in zip(fields, form) if not n.islower()]
-                except ValueError:
-                    raise ValueError(f"header {parts[0]!r} needs {' '.join(form)}, "
-                                     f"got {' '.join(parts)!r}") from None
-            pos = text.find("#", end)
-        if not _DATA_LINE.search(text):
-            return values, np.empty(0, dtype=row)
-        del text
-        fh.seek(0)
-        with warnings.catch_warnings():
-            # older NumPy reads "2.7" into an integer field through a float,
-            # truncating it, and only warns; as an error it becomes ValueError
-            warnings.filterwarnings("error", message=".*integer via a float", category=DeprecationWarning)
-            return values, np.loadtxt(fh, dtype=row, comments="#", ndmin=1)
+    values = {}
+    pos = text.find("#")
+    while pos >= 0:
+        start = text.rfind("\n", 0, pos) + 1
+        end = text.find("\n", pos)
+        end = len(text) if end < 0 else end
+        if text[start:pos].strip():
+            raise ValueError(f"'#' inside a data line: {text[start:end]!r}")
+        parts = text[pos + 1:end].split()
+        form = forms.get(parts[0]) if parts else None
+        if form is not None:
+            fields = parts[1:]
+            try:
+                if len(fields) != len(form) or any(f != n for f, n in zip(fields, form) if n.islower()):
+                    raise ValueError
+                values[parts[0]] = [int(f) if n == "N" else float(f)
+                                    for f, n in zip(fields, form) if not n.islower()]
+            except ValueError:
+                raise ValueError(f"header {parts[0]!r} needs {' '.join(form)}, "
+                                 f"got {' '.join(parts)!r}") from None
+        pos = text.find("#", end)
+    if not _DATA_LINE.search(text):
+        return values, np.empty(0, dtype=row)
+    if os.path.splitext(path)[1] in _COMPRESSED_SUFFIXES:  # np.loadtxt would decompress such a path
+        return values, _parse_rows(io.StringIO(text), row)
+    del text
+    if not stat.S_ISREG(scanned.st_mode):  # a second open of a FIFO could wait for a writer forever
+        raise ValueError(f"{path!r} is not a regular file, and its rows need a second read")
+    rows = _parse_rows(path, row)
+    parsed = os.stat(path)
+    if any(getattr(scanned, k) != getattr(parsed, k) for k in ("st_dev", "st_ino", "st_size", "st_mtime_ns")):
+        raise ValueError(f"{path!r} changed between the read of its headers and the read of its rows")
+    return values, rows
+
+
+def _parse_rows(source: str | io.StringIO, row: np.dtype) -> np.ndarray:
+    """The rows of a path or a text stream that has some, as ``_read_table`` describes."""
+    with warnings.catch_warnings():
+        # older NumPy reads "2.7" into an integer field through a float,
+        # truncating it, and only warns; as an error it becomes ValueError
+        warnings.filterwarnings("error", message=".*integer via a float", category=DeprecationWarning)
+        return np.loadtxt(source, dtype=row, comments="#", ndmin=1, encoding="ascii")
 
 
 def _decode(tokens: np.ndarray, codes: dict[str, int]) -> np.ndarray:
@@ -802,7 +875,8 @@ def save_patch(p: Patch, path: str) -> None:
 
     Header carries the shared scale_exp; each tile line is
     ``kind chirality generation`` followed by the 12 integer coordinates of
-    (wing, apex, axis_end).
+    (wing, apex, axis_end).  The coordinates and the generation are dense
+    columns, so ``_format_rows`` formats their values once per file.
     """
     c = census(p)
     with open(path, "w", encoding="ascii") as fh:
@@ -826,7 +900,9 @@ def load_patch(path: str) -> Patch:
     ``scale_exp``, ``generation`` or ``census`` header whose fields are not
     one, one and two integers is a ValueError.  Every tile line must carry
     the header's generation, or the first tile's when there is no generation
-    header.
+    header.  The file is ASCII and is read as ``_read_table`` says: the tile
+    lines by ``np.loadtxt`` from the path, so a file that is not one regular
+    file, unchanged between that read and the header read, is a ValueError.
     """
     values, rows = _read_table(path, _PATCH_ROW, _PATCH_HEADERS)
     kinds = _decode(rows["kind"], _LETTER_KIND)

@@ -189,8 +189,8 @@ def test_criterion_10_cli_determinism_and_svg(tmp_path, capsys):
     d1, d2 = str(tmp_path / "r1"), str(tmp_path / "r2")
     assert cli_main(["analyze", "--i-min", "2", "--i-max", "3", "--out", d1]) == 0
     assert cli_main(["analyze", "--i-min", "2", "--i-max", "3", "--out", d2]) == 0
-    csv_same = open(f"{d1}/report.csv", "rb").read() == open(f"{d2}/report.csv", "rb").read()
-    json_same = open(f"{d1}/report.json", "rb").read() == open(f"{d2}/report.json", "rb").read()
+    csv_same = (tmp_path / "r1" / "report.csv").read_bytes() == (tmp_path / "r2" / "report.csv").read_bytes()
+    json_same = (tmp_path / "r1" / "report.json").read_bytes() == (tmp_path / "r2" / "report.json").read_bytes()
     assert csv_same and json_same
 
     patch_file = str(tmp_path / "p.txt")

@@ -77,17 +77,17 @@ class TestAnalyze:
         code1, _, _ = run(capsys, "analyze", "--i-min", "2", "--i-max", "3", "--out", d1)
         code2, _, _ = run(capsys, "analyze", "--i-min", "2", "--i-max", "3", "--out", d2)
         assert code1 == 0 and code2 == 0
-        assert open(f"{d1}/report.csv", "rb").read() == open(f"{d2}/report.csv", "rb").read()
-        assert open(f"{d1}/report.json", "rb").read() == open(f"{d2}/report.json", "rb").read()
+        for name in ("report.csv", "report.json"):
+            assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
 
     def test_report_contents(self, tmp_path, capsys):
         out = str(tmp_path / "rep")
         code, stdout, _ = run(capsys, "analyze", "--i-min", "2", "--i-max", "4", "--out", out)
         assert code == 0
-        lines = open(f"{out}/report.csv").read().splitlines()
+        lines = (tmp_path / "rep" / "report.csv").read_text().splitlines()
         assert lines[0] == "i,statistic,value"
         assert len(lines) == 1 + 3 * 17
-        doc = json.load(open(f"{out}/report.json"))
+        doc = json.loads((tmp_path / "rep" / "report.json").read_text())
         assert [row["i"] for row in doc["rows"]] == [2, 3, 4]
         assert all(row["E_rho"] >= 1.0 for row in doc["rows"])
         # prefix property of the log sum column

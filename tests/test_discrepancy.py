@@ -770,11 +770,11 @@ class TestReport:
     def test_csv_shape_and_determinism(self, net64, tmp_path):
         _, net = net64
         report = build_report(net, 2, 4)
-        p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        report_to_csv(report, p1)
-        report_to_csv(build_report(net, 2, 4), p2)
-        text = open(p1).read()
-        assert text == open(p2).read()
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        report_to_csv(report, str(p1))
+        report_to_csv(build_report(net, 2, 4), str(p2))
+        text = p1.read_text()
+        assert text == p2.read_text()
         lines = text.splitlines()
         assert lines[0] == "i,statistic,value"
         assert len(lines) == 1 + 3 * 17
@@ -783,9 +783,9 @@ class TestReport:
     def test_json_document(self, net64, tmp_path):
         _, net = net64
         report = build_report(net, 2, 4)
-        path = str(tmp_path / "r.json")
-        report_to_json(report, path)
-        doc = json.load(open(path))
+        path = tmp_path / "r.json"
+        report_to_json(report, str(path))
+        doc = json.loads(path.read_text())
         assert doc["i_min"] == 2 and doc["i_max"] == 4
         assert len(doc["rows"]) == 3
         assert doc["rows"][0]["E_rho"] == pytest.approx(WINDOW64_E[2], rel=1e-11)

@@ -1,6 +1,7 @@
 """Net extraction: pairing, reference points, Delone statistics, counting."""
 
 import math
+import pathlib
 import warnings
 from fractions import Fraction
 from typing import NamedTuple
@@ -1572,7 +1573,7 @@ class TestSerialization:
         net = extract_net(patch)
         path = str(tmp_path / "net.txt")
         export_net(net, path)
-        head = open(path).read().splitlines()[:5]
+        head = pathlib.Path(path).read_text().splitlines()[:5]
         assert head[0] == "# penrosenet net v1"
         assert head[1].startswith("# points ")
         assert head[2].startswith("# c1 ")
@@ -1629,6 +1630,31 @@ class TestSerialization:
             assert new.type is ValueError and "'#' inside a data line" in str(new.value)
         else:
             assert new.type is old.type
+
+    @pytest.mark.parametrize("byte", [b"\xe9", b"\xc3\xa9", b"\x80", b"\xff"])
+    @pytest.mark.parametrize("edit", [
+        lambda text, byte: text.replace(b" kite ", b" kite" + byte + b" "),  # a point line
+        lambda text, byte: text.replace(b"# window", b"# note " + byte + b"\n# window"),  # a comment
+    ], ids=["point_line", "comment"])
+    def test_a_non_ascii_byte_is_refused(self, edit, byte, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_bytes(edit(NET_LINES.encode("ascii"), byte))
+        with pytest.raises(ValueError):
+            load_net(str(path))
+
+    def test_a_file_replaced_between_the_reads_is_refused(self, tmp_path, monkeypatch):
+        path, other = tmp_path / "net.txt", tmp_path / "other.txt"
+        path.write_text(NET_LINES, encoding="ascii")
+        other.write_text(NET_LINES.replace("kite", "dart"), encoding="ascii")
+        loadtxt = np.loadtxt
+
+        def replace_then_load(fname, **kw):
+            other.replace(path)
+            return loadtxt(fname, **kw)
+
+        monkeypatch.setattr(np, "loadtxt", replace_then_load)
+        with pytest.raises(ValueError, match="changed between the read of its headers and the read of its rows"):
+            load_net(str(path))
 
     @pytest.mark.parametrize("tile_id", ["9.0", "2.7"])
     def test_float_tile_id_rejected_with_warnings_ignored(self, tile_id, tmp_path):

@@ -214,6 +214,23 @@ def test_cli_refuses_a_stroke_width_before_writing(width, tmp_path, capsys):
     assert not svg_file.exists()
 
 
+@pytest.mark.parametrize("style, error", [
+    (["--stroke-width", "nan"], "stroke width must be finite and non-negative, got nan"),
+    (["--stroke-width", "inf"], "stroke width must be finite and non-negative, got inf"),
+    (["--stroke-width", "-1"], "stroke width must be finite and non-negative, got -1.0"),
+    (["--dart-fill", "red\0"], "fill colours must not hold NUL, got 'red\\x00'"),
+], ids=["nan", "inf", "-1", "nul_fill"])
+def test_cli_refuses_a_style_before_loading_the_patch(style, error, tmp_path, capsys, monkeypatch):
+    def load_patch(path):
+        raise AssertionError("the patch was loaded")
+
+    monkeypatch.setattr(cli, "load_patch", load_patch)
+    svg_file = tmp_path / "p.svg"
+    assert main(["render", "--patch", str(tmp_path / "p.txt"), *style, "--out", str(svg_file)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not svg_file.exists()
+
+
 def test_cli_refuses_a_nul_fill_before_writing(tmp_path, capsys):
     patch_file, svg_file = str(tmp_path / "p.txt"), tmp_path / "p.svg"
     save_patch(PATCHES["deflated_half_dart"](), patch_file)

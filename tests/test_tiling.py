@@ -1,8 +1,10 @@
 """Half-tile geometry, deflation, patches, and serialization."""
 
 import math
+import os
 import pathlib
 import re
+import threading
 import warnings
 from collections import Counter
 
@@ -713,9 +715,9 @@ class TestSerialization:
         patch = deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-2), 2)
         path = str(tmp_path / "patch.txt")
         save_patch(patch, path)
-        text = open(path).read().replace("census 5 3", "census 5 2")
+        text = pathlib.Path(path).read_text().replace("census 5 3", "census 5 2")
         broken = str(tmp_path / "broken.txt")
-        open(broken, "w").write(text)
+        pathlib.Path(broken).write_text(text)
         with pytest.raises(ValueError):
             load_patch(broken)
 
@@ -753,9 +755,9 @@ class TestSerialization:
         patch = deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-2), 2)
         path = str(tmp_path / "patch.txt")
         save_patch(patch, path)
-        lines = open(path).read().splitlines(keepends=True)
+        lines = pathlib.Path(path).read_text().splitlines(keepends=True)
         lines[5] = _set_token(lines[5], 7, token)
-        open(path, "w").write("".join(lines))
+        pathlib.Path(path).write_text("".join(lines))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(ValueError, match="convert"):
@@ -1041,6 +1043,76 @@ class TestDistinct:
         assert text == per_row_format(template, coords, extremes, gen)
 
 
+@st.composite
+def integer_columns(draw, n: int, block: int) -> np.ndarray:
+    """An (n,) or (n, m) integer column: extremes, broadcast or strided, dense as a whole or per block."""
+    dtype = np.dtype(draw(st.sampled_from(["i1", "i2", "i4", "i8", "u1", "u2", "u4", "u8"])))
+    info = np.iinfo(dtype)
+    widest = int(info.max) - int(info.min)  # the largest offset the dtype holds
+    m = draw(st.integers(1, 3))
+    rows = np.arange(n)[:, None]
+    pattern = draw(st.sampled_from(["uniform", "cycle", "steps"]))
+    if pattern == "uniform":  # spans on both sides of the dense rule
+        width = draw(st.integers(0, min(2 * n * m, widest)))
+        offsets = np.random.default_rng(draw(st.integers(0, 2**32))).integers(0, width, (n, m), endpoint=True)
+    elif pattern == "cycle":  # with a period at most a block's size: dense as a whole, in no block
+        period = draw(st.integers(1, min(max(1, block * m), widest + 1)))
+        offsets = (rows * m + np.arange(m)) % period
+    else:  # few values per block, far apart across blocks: dense per block, not as a whole
+        stride = draw(st.integers(1, 4 * n * m))
+        stride = min(stride, (widest - 1) // max(1, (n - 1) // block))
+        offsets = (rows // block) * stride + np.arange(m) % 2
+    span = int(offsets.max())
+    low = draw(st.sampled_from([int(info.min), int(info.max) - span])
+               | st.integers(int(info.min), int(info.max) - span))
+    column = np.array((low + offsets.astype(object)).tolist(), dtype=dtype)
+    layout = draw(st.sampled_from(["contiguous", "broadcast", "strided", "flat"]))
+    if layout == "broadcast":  # stride 0 down the rows
+        return np.broadcast_to(column[0], column.shape)
+    if layout == "strided":  # a non-contiguous view, columns reversed
+        wide = np.zeros((2 * n, m + 1), dtype=dtype)
+        wide[::2, 1:] = column[:, ::-1]
+        return wide[::2, :0:-1]
+    return column[:, 0] if layout == "flat" else column
+
+
+class TestDenseColumns:
+    """A dense integer column is formatted once per call; any column gives the per-line bytes."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_format_rows_equals_the_per_line_oracle(self, data):
+        n = data.draw(st.integers(1, 30) | st.integers(100, 300))  # 100+ rows: 8-bit offsets past 127
+        block = data.draw(st.sampled_from([1, 2, 3, n + 1]))
+        columns = data.draw(st.lists(integer_columns(n, block), min_size=1, max_size=2))
+        template = ""
+        for c in columns:  # the literals before a column's values: all one, or the first another
+            literals = [data.draw(st.sampled_from(["", " ", "|"]))] * (1 if c.ndim == 1 else c.shape[1])
+            if data.draw(st.booleans()):
+                literals[0] = "<"
+            conv = data.draw(st.sampled_from(["%d", "%+d", "%05d", "%x"]))
+            template += "".join(literal + conv for literal in literals)
+        template += data.draw(st.sampled_from(["\n", "", ">\n"]))
+        original = tiling._FORMAT_BLOCK
+        tiling._FORMAT_BLOCK = block
+        try:
+            got = "".join(tiling._format_rows(template, *columns))
+        finally:
+            tiling._FORMAT_BLOCK = original
+        assert got == per_row_format(template, *columns)
+
+    def test_a_dense_column_is_formatted_once_per_call(self, monkeypatch):
+        tables, format_table = [], tiling._format_table
+        monkeypatch.setattr(tiling, "_format_table", lambda conv, values: tables.append(
+            (conv, len(values))) or format_table(conv, values))
+        monkeypatch.setattr(tiling, "_FORMAT_BLOCK", 4)
+        dense = (np.arange(40) % 7 - 3).reshape(20, 2)  # 40 values spanning 7, each block 8 spanning 7
+        sparse = np.arange(20) * 1000  # 20 values spanning 19,001
+        text = "".join(tiling._format_rows("%d %d %x\n", dense, sparse))
+        assert text == per_row_format("%d %d %x\n", dense, sparse)
+        assert tables == [("%d", 7)] + [("%x", 4)] * 5  # the dense table once, the sparse one per block
+
+
 def _label_column(labels, codes) -> np.ndarray:
     return np.array(list(labels), dtype=object)[codes.astype(np.int64)]
 
@@ -1239,6 +1311,84 @@ class TestPatchFileMatrix:
         back = load_patch(str(path))
         assert_patches_identical(back, per_line_load(str(path)))
         assert np.array_equal(back.coords, patch.coords)
+
+    @pytest.mark.parametrize("byte", [b"\xe9", b"\xc3\xa9", b"\x80", b"\xff"])
+    @pytest.mark.parametrize("where", ["tile_line", "comment"])
+    def test_a_non_ascii_byte_is_refused(self, where, byte, source, tmp_path, capsys):
+        _, (head, tiles) = source
+        lines = [line.encode("ascii") for line in head + tiles]
+        if where == "tile_line":
+            lines[len(head) + 2] = lines[len(head) + 2].replace(b" ", b" " + byte, 1)
+        else:
+            lines.insert(len(head) + 1, b"# note " + byte + b"\n")
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ValueError):
+            load_patch(str(path))
+        for argv in _cli_commands(path, tmp_path):
+            assert cli_main(argv) == 2
+            assert "error" in capsys.readouterr().err
+
+
+class TestTwoReads:
+    """A patch file's headers and rows come from two reads of one regular file."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        path, other = tmp_path / "p.txt", tmp_path / "other.txt"
+        save_patch(deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-3), 3), str(path))
+        save_patch(deflate_patch(Patch.single_tile(HALF_DART, scale_exp=-3), 3), str(other))
+        return path, other
+
+    def test_rows_are_parsed_from_the_path(self, files, monkeypatch):
+        path, _ = files
+        seen, loadtxt = [], np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda fname, **kw: seen.append(fname) or loadtxt(fname, **kw))
+        assert_patches_identical(load_patch(str(path)), per_line_load(str(path)))
+        assert seen == [str(path)]
+
+    @pytest.mark.parametrize("change", ["replaced", "rewritten"])
+    def test_a_file_changed_between_the_reads_is_refused(self, change, files, monkeypatch):
+        path, other = files
+        loadtxt = np.loadtxt
+
+        def change_then_load(fname, **kw):
+            if change == "replaced":  # a new inode
+                other.replace(path)
+            else:  # the same inode, another size
+                path.write_bytes(path.read_bytes() + other.read_bytes())
+            return loadtxt(fname, **kw)
+
+        monkeypatch.setattr(np, "loadtxt", change_then_load)
+        with pytest.raises(ValueError, match="changed between the read of its headers and the read of its rows"):
+            load_patch(str(path))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_is_refused_before_a_second_open(self, files, tmp_path):
+        path, _ = files
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+
+        def write():
+            with open(fifo, "wb") as fh:
+                fh.write(path.read_bytes())
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            with pytest.raises(ValueError, match="not a regular file"):
+                load_patch(str(fifo))
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_a_text_file_named_like_a_compressed_one_loads(self, suffix, files, tmp_path):
+        # np.loadtxt would decompress such a path
+        path, _ = files
+        named = tmp_path / f"p.txt{suffix}"
+        named.write_bytes(path.read_bytes())
+        assert_patches_identical(load_patch(str(named)), per_line_load(str(named)))
 
 
 class TestTransformAndTypes:
