@@ -17,9 +17,9 @@ Subcommands:
 
 Exit codes: 0 success; 1 a hard exact assertion failed (the ratio-bound
 suite or an arithmetic contract); 2 operational errors (bad paths, tile
-cap, malformed input).  Empirical bound violations at desk scale are
-reported in the output but do not affect the exit code.  The environment
-variable ``PENROSENET_OUT`` sets the default output directory.
+cap, malformed input, out of memory).  Empirical bound violations at desk
+scale are reported in the output but do not affect the exit code.  The
+environment variable ``PENROSENET_OUT`` sets the default output directory.
 """
 
 from __future__ import annotations
@@ -284,6 +284,9 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_verify(args)
     except (ValueError, KeyError, OSError, TileCapError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:  # numpy's message names the shape and dtype it could not allocate
+        print(f"error: out of memory{': ' + str(err) if str(err) else ''}", file=sys.stderr)
         return 2
 
 

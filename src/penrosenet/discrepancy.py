@@ -42,6 +42,8 @@ from .tiling import (
     _bounding_boxes,
     _corner_margins,
     _deflate_rounds,
+    _embed,
+    _vertex_coords,
     covering_seed,
     embedded_outline,
     substitution_counts,
@@ -306,8 +308,8 @@ def _supertiles_near(patch: Patch, half: int, square: Square) -> Patch:
     rounds = -seed.scale_exp
     lo = np.array([square.x, square.y])
     grow = 1.0  # far above the float error of the boxes, so the prune is conservative
-    kinds, chir, coords = _deflate_rounds(seed, rounds - half, near=(lo - grow, lo + square.side + grow))
-    return Patch(kinds, chir, coords, generation=rounds - half, scale_exp=-half)
+    classes, apexes = _deflate_rounds(seed, rounds - half, near=(lo - grow, lo + square.side + grow))
+    return Patch.from_classes(classes, apexes, generation=rounds - half, scale_exp=-half)
 
 
 def _phi_log_floor(l: Fraction) -> int:
@@ -343,7 +345,7 @@ def region_analysis(patch: Patch, square: Square | tuple) -> RegionCounts:
     a = PHI_FLOAT ** (half + 1)
 
     tau2 = _supertiles_near(patch, half, square)
-    emb = tau2.embedded()
+    emb = _embed(_vertex_coords(tau2.classes, tau2.apexes), tau2.scale_exp)  # the supertiles', not the patch's
 
     # Separating-axis test of each closed supertile against the closed
     # square, both grown by eps.  The square's own axes are the bounding-box

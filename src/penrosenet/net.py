@@ -23,12 +23,15 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .golden import PHI_FLOAT, SIN36
 from .tiling import (
+    _CLASS_KIND,
+    _DART_CLASSES,
+    _INCENTER_OFFSETS,
     HALF_DART,
     HALF_KITE,
     Patch,
@@ -37,7 +40,6 @@ from .tiling import (
     _embed,
     _format_rows,
     _read_table,
-    _times_inv_phi,
     embedded_outline,
 )
 
@@ -58,7 +60,7 @@ SEPARATION = 2.0 * SIN36 / PHI_FLOAT
 # |coordinate| < 2**56 keeps extract_net's incenters (at most 21 times the
 # largest coordinate) and its grid-line tests on them inside int64
 _COORD_LIMIT = 1 << 56
-_EXTRACT_BLOCK = 8192  # half-tiles per block of extract_net's incenter pass
+_EXTRACT_BLOCK = 8192  # half-tiles per block of extract_net's key pass
 # a pair closer than this times the largest |coordinate| is within reach of
 # Qhull's rounding, which can leave it out of the triangulation
 _QHULL_RESOLUTION = 1e-6
@@ -76,8 +78,9 @@ class Net:
     (covering radius over it) come from one window-pruned Delaunay pass,
     run on first access to either; only it imports ``scipy.spatial``, and
     the big counting pipelines never need it.  c1 is the pass's shortest
-    Delaunay edge, c2 its largest empty circle, exact up to
-    ``c2_error_bound`` (1e-9) of float rounding.
+    Delaunay edge, c2 its largest empty circle, both exact up to float
+    rounding.  ``c2_error_bound`` is a fixed tolerance of 1e-9 for that
+    rounding, the same for every net; it is not derived from the pass.
     """
 
     def __init__(
@@ -228,15 +231,20 @@ class Net:
         candidate.  If it is below ``pad``, every location of R has its
         nearest net point among them, so it is the covering radius of the
         whole net; otherwise ``pad`` doubles.
-        Exact up to the float rounding of the candidate positions, see
-        ``c2_error_bound``.  An empty R gives 0.  c1 comes from the same
-        triangulation.
+        Exact up to the float rounding of the candidate positions, for which
+        ``c2_error_bound`` allows a fixed 1e-9.  An empty R gives 0.  c1 comes
+        from the same triangulation.
         """
         return self._delone[1]
 
     @property
     def c2_error_bound(self) -> float:
-        """Bound on |c2 - covering radius|, from the float rounding of c2's candidates."""
+        """The fixed tolerance 1e-9 allowed on |c2 - covering radius| for float rounding.
+
+        A constant, the same for every net: it is not a bound derived from
+        the candidates' rounding, and no proof shows the rounding stays
+        below it.
+        """
         return 1e-9
 
 
@@ -390,74 +398,36 @@ def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (diff * diff).sum(axis=1)
 
 
-def _incenter_blocks(p: Patch) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (lo, pair) for the halves lo, lo + 1, ... of one block.
+def _pairing_key(p: Patch) -> tuple[np.ndarray, list[int]]:
+    """(key, widths): each half's key packing its kind and its full tile's incenter.
 
-    ``pair`` is a (2, 4, m) int64 array: ``pair[1]`` holds the exact
-    incenter of each half's full tile, one row per ring coefficient, and
-    ``pair[0]`` that incenter minus the half's apex.  The next block
-    overwrites it.  With axis = axis_end - apex and step = axis / phi, a
-    kite's incenter is apex + step and a dart's apex + (axis - step).  The
-    patch's coordinate rows are read in blocks of ``_EXTRACT_BLOCK`` halves,
-    so every operation runs on contiguous memory that stays in cache.
-    Coordinates beyond +-2**56 can wrap int64; ``extract_net`` checks each
-    block's coordinates before it uses the block's results.
+    The incenter is the apex plus the class's ``_INCENTER_OFFSETS``; each
+    coefficient k is packed as its offset from a lower bound, taken from
+    the apexes' range and the table's, in ``widths[k]`` bits, in one pass a
+    block at a time.  An apex coefficient within 1 of +-2**56 (a vertex may
+    reach it), or a key wider than 63 bits, is a ValueError.
     """
-    rows = p.coords.transpose(1, 2, 0)
-    scratch = np.empty((3, 4, _EXTRACT_BLOCK), dtype=np.int64)
-    for lo in range(0, len(p), _EXTRACT_BLOCK):
-        block = rows[..., lo:lo + _EXTRACT_BLOCK]
-        m = block.shape[2]
-        apex, axis, pair = block[1], scratch[0, :, :m], scratch[1:, :, :m]
-        np.subtract(block[2], apex, out=axis)
-        _times_inv_phi(axis, pair[0])
-        axis -= pair[0]
-        np.copyto(pair[0], axis, where=p.kinds[lo:lo + m] == HALF_DART)
-        np.add(pair[0], apex, out=pair[1])
-        yield lo, pair
-
-
-def _pack(out: np.ndarray, rows: np.ndarray, widths: Sequence[int]) -> None:
-    """Shift each row of non-negative integers into ``out``, in ``widths`` bits each."""
-    for row, width in zip(rows, widths):
-        out <<= width
-        out += row
-
-
-def _pairing_key(p: Patch) -> tuple[np.ndarray, np.ndarray, list[int], np.ndarray]:
-    """(key, apex, widths, offsets): every half's pairing key, its apex word, and what unpacks the key.
-
-    The key packs the kind and the incenter of the half's full tile, each
-    coefficient as its offset from the least one in ``widths[k]`` bits; the
-    apex word packs the incenter minus the apex the same way; for the unit
-    half-tiles of a tiling its coefficients lie in
-    [-2, 2] x [-1, 1] x [-1, 1] x [-2, 2], 10 bits.  Two passes over the incenters,
-    one block at a time, so the (4, N) incenters are never held: their
-    ranges, then the words packing them.  Coordinates beyond +-2**56, or a
-    key or apex word wider than 63 bits, are a ValueError.
-    """
-    rows, bounds = p.coords.transpose(1, 2, 0), []
-    for lo, pair in _incenter_blocks(p):
-        block = rows[..., lo:lo + pair.shape[2]]
-        if block.max() >= _COORD_LIMIT or block.min() <= -_COORD_LIMIT:
-            raise ValueError(f"tile coordinates must lie within +-2**{_COORD_LIMIT.bit_length() - 1}")
-        bounds.append((pair.min(axis=2), pair.max(axis=2)))
-    offset = np.min([low for low, _ in bounds], axis=0)  # (2, 4): apex offsets, incenters
-    top = np.max([high for _, high in bounds], axis=0)
-    widths = [[(int(t) - int(low)).bit_length() for t, low in zip(*ends)] for ends in zip(top, offset)]
-    if 1 + sum(widths[1]) > 63:
-        raise ValueError(f"tile key needs {1 + sum(widths[1])} bits, more than 63")
-    if sum(widths[0]) > 63:
-        raise ValueError(f"apex offsets need {sum(widths[0])} bits, more than 63")
+    low, high = p.apexes.min(axis=1).astype(np.int64), p.apexes.max(axis=1).astype(np.int64)
+    if high.max() >= _COORD_LIMIT - 1 or low.min() <= -(_COORD_LIMIT - 1):
+        raise ValueError(f"tile coordinates must lie within +-2**{_COORD_LIMIT.bit_length() - 1}")
+    offsets = low + _INCENTER_OFFSETS.min(axis=0)
+    widths = [(int(t) - int(o)).bit_length() for t, o in zip(high + _INCENTER_OFFSETS.max(axis=0), offsets)]
+    if 1 + sum(widths) > 63:
+        raise ValueError(f"tile key needs {1 + sum(widths)} bits, more than 63")
     key = np.empty(len(p), dtype=np.int64)
-    apex = np.zeros(len(p), dtype=np.int64)
-    for lo, pair in _incenter_blocks(p):
-        hi = lo + pair.shape[2]
-        pair -= offset[:, :, None]
-        key[lo:hi] = p.kinds[lo:hi]
-        _pack(key[lo:hi], pair[1], widths[1])
-        _pack(apex[lo:hi], pair[0], widths[0])
-    return key, apex, widths[1], offset[1]
+    rows = np.empty((4, _EXTRACT_BLOCK), dtype=np.int64)
+    for lo in range(0, len(p), _EXTRACT_BLOCK):
+        classes = p.classes[lo:lo + _EXTRACT_BLOCK]
+        block = rows[:, :len(classes)]
+        np.take(_INCENTER_OFFSETS.T, classes, axis=1, out=block)
+        block += p.apexes[:, lo:lo + _EXTRACT_BLOCK]
+        block -= offsets[:, None]
+        packed = key[lo:lo + len(classes)]
+        packed[:] = classes >= _DART_CLASSES
+        for row, width in zip(block, widths):
+            packed <<= width
+            packed += row
+    return key, widths
 
 
 def _stable_order(key: np.ndarray, key_bits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -498,15 +468,14 @@ def _stable_order(key: np.ndarray, key_bits: int) -> tuple[np.ndarray, np.ndarra
     return order, np.take(key, order, out=words, mode="clip")
 
 
-def _first_halves(key: np.ndarray, key_bits: int, apex: np.ndarray, p: Patch) -> np.ndarray:
+def _first_halves(key: np.ndarray, key_bits: int, classes: np.ndarray) -> np.ndarray:
     """Sorted patch indices of the first half of every tile; halves pair on equal keys.
 
-    The keys, which lie below 2**key_bits, are put in order by
-    ``_stable_order``, which sorts packed values rather than indices.
-    Paired halves share their incenter, so they share their apex exactly
-    when they agree on ``apex``, which packs the incenter minus the apex.
-    A key shared by more than two halves, or a pair that does not have
-    opposite chirality and a shared apex, is a ValueError.
+    The keys, below 2**key_bits, are ordered by ``_stable_order``.  Paired
+    halves share kind and incenter, so they share their apex exactly when
+    their classes share a direction (``class >> 1``).  A key shared by more
+    than two halves, or a pair without opposite chirality and a shared
+    apex, is a ValueError.
     """
     order, sk = _stable_order(key, key_bits)
     same = sk[1:] == sk[:-1]  # sorted positions j and j + 1 share a key
@@ -516,9 +485,10 @@ def _first_halves(key: np.ndarray, key_bits: int, apex: np.ndarray, p: Patch) ->
     pairs = np.flatnonzero(same)
     a, b = order[pairs], order[pairs + 1]
     del order, same, pairs
-    if np.any(p.chiralities[a] == p.chiralities[b]):
+    ca, cb = classes[a], classes[b]
+    if np.any((ca ^ cb) & 1 == 0):
         raise ValueError("paired half-tiles must have opposite chirality")
-    if np.any(apex[a] != apex[b]):
+    if np.any(ca >> 1 != cb >> 1):
         raise ValueError("paired half-tiles must share their apex; overlapping tiles")
     first = np.ones(len(key), dtype=bool)
     first[np.maximum(a, b)] = False
@@ -528,15 +498,14 @@ def _first_halves(key: np.ndarray, key_bits: int, apex: np.ndarray, p: Patch) ->
 def extract_net(p: Patch, window: Square | tuple | None = None) -> Net:
     """Pair mirror halves of a final-scale patch and emit tile incenters.
 
-    Pre: ``p.scale_exp == 0`` (tile edge lengths 1 and phi).  Every half
-    computes the exact incenter of its full tile; mirror halves give the
-    same one.  Halves pair on one int64 key packing (kind, incenter), since
-    distinct tiles of a tiling have distinct incenters.  A key shared by
-    more than two halves, or a pair that does not have opposite chirality
-    and a shared apex, means the patch is not a legal tiling fragment
-    (ValueError).  So are coordinates large enough to wrap int64, or a key
-    that needs more than 63 bits.  Points are ordered by the patch index of
-    their first contributing half-tile.
+    Pre: ``p.scale_exp == 0`` (tile edge lengths 1 and phi).  A half's full
+    tile has its exact incenter at the half's apex plus its class's offset,
+    the same for mirror halves, and halves pair on one int64 key packing
+    (kind, incenter), since distinct tiles have distinct incenters.  More
+    than two halves on a key, a pair without opposite chirality and a
+    shared apex, coordinates that could wrap int64 or a key wider than 63
+    bits is a ValueError.  Points are ordered by the patch index of their
+    first contributing half-tile.
 
     Net coordinates that lie on a grid line are exact: x is the integer or
     half-integer ``(2 c0 - c1) / 2`` when ``c1 - c2 - c3 == 0`` and y is 0
@@ -552,18 +521,13 @@ def extract_net(p: Patch, window: Square | tuple | None = None) -> Net:
         raise ValueError(
             f"net extraction requires final-scale tiles (scale_exp 0), got {p.scale_exp}"
         )
-    key, apex, widths, offset = _pairing_key(p)
-    tile_ids = _first_halves(key, 1 + sum(widths), apex, p)
-    del apex
-    # the chosen tiles' incenters, unpacked from their own keys
-    tile_key = key[tile_ids]
+    key, widths = _pairing_key(p)
+    tile_ids = _first_halves(key, 1 + sum(widths), p.classes)
     del key
-    ring = np.empty((len(tile_ids), 4), dtype=np.int64)
-    for k in reversed(range(4)):
-        np.bitwise_and(tile_key, (1 << widths[k]) - 1, out=ring[:, k])
-        ring[:, k] += offset[k]
-        tile_key >>= widths[k]
-    del tile_key
+    # the chosen tiles' incenters: apex plus their class's incenter offset
+    classes = p.classes[tile_ids]
+    ring = np.take(_INCENTER_OFFSETS, classes, axis=0)
+    ring += np.take(p.apexes, tile_ids, axis=1).T
     xy = _embed(ring)
     on_x = ring[:, 1] - ring[:, 2] == ring[:, 3]
     xy[on_x, 0] = (2 * ring[on_x, 0] - ring[on_x, 1]) / 2.0
@@ -579,7 +543,7 @@ def extract_net(p: Patch, window: Square | tuple | None = None) -> Net:
         lo = xy.min(axis=0)
         extent = float((xy.max(axis=0) - lo).max())
         window = Square(float(lo[0]) - 1.0, float(lo[1]) - 1.0, extent + 2.0)
-    return Net(xy, p.kinds[tile_ids], tile_ids, window, ring=ring, outline=outline)
+    return Net(xy, _CLASS_KIND[classes], tile_ids, window, ring=ring, outline=outline)
 
 
 def count_in_square(net: Net, square: Square | tuple) -> tuple[int, int]:

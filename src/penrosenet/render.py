@@ -15,7 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from .net import Net
-from .tiling import Patch, _format_rows
+from .tiling import _CLASS_KIND, _COORD_BLOCK, Patch, _coord_blocks, _embed, _format_rows
 
 __all__ = ["render_svg"]
 
@@ -88,10 +88,17 @@ def _check_style(stroke_width: float, kite_fill: str, dart_fill: str) -> None:
 def _svg_document(
     patch: Patch, net: Net | None, overlay: str, stroke_width: float, kite_fill: str, dart_fill: str,
 ) -> Iterator[str]:
-    emb = patch.embedded()
-    # one whole-array reduction per axis is far faster than an axis-0 one
-    lo = np.array([emb[..., k].min() for k in (0, 1)]) - MARGIN
-    hi = np.array([emb[..., k].max() for k in (0, 1)]) + MARGIN
+    # two passes over the vertices, a block at a time (one block is kept): the bounds, then the polygons
+    if not len(patch):
+        raise ValueError("cannot draw an empty patch")
+    blocks = lambda: ((start, _embed(coords, patch.scale_exp)) for start, coords in _coord_blocks(patch))
+    kept = list(blocks()) if len(patch) <= _COORD_BLOCK else None
+    lo, hi = np.full(2, np.inf), np.full(2, -np.inf)
+    for _, emb in kept or blocks():
+        # one whole-array reduction per axis is far faster than an axis-0 one
+        lo = np.minimum(lo, [emb[..., k].min() for k in (0, 1)])
+        hi = np.maximum(hi, [emb[..., k].max() for k in (0, 1)])
+    lo, hi = lo - MARGIN, hi + MARGIN
     width, height = hi - lo
 
     yield (
@@ -102,15 +109,14 @@ def _svg_document(
         f'<g stroke="#30343a" stroke-width="{_fmt(stroke_width)}" '
         'stroke-linejoin="round">\n'
     )
-    # "+ 0.0" turns an exact -0.0 into 0.0, as _fmt does
-    corners = np.stack([emb[:, :, 0] - lo[0], hi[1] - emb[:, :, 1]], axis=2) + 0.0
-    del emb
-    yield from _format_rows(
-        '<polygon points="%.6g,%.6g %.6g,%.6g %.6g,%.6g" fill="%s"/>\n',
-        corners.reshape(len(patch), 6),
-        ((kite_fill, dart_fill), patch.kinds),  # HALF_KITE 0, HALF_DART 1
-    )
-    del corners
+    for start, emb in kept or blocks():
+        # "+ 0.0" turns an exact -0.0 into 0.0, as _fmt does
+        corners = np.stack([emb[:, :, 0] - lo[0], hi[1] - emb[:, :, 1]], axis=2) + 0.0
+        yield from _format_rows(
+            '<polygon points="%.6g,%.6g %.6g,%.6g %.6g,%.6g" fill="%s"/>\n',
+            corners.reshape(len(corners), 6),
+            ((kite_fill, dart_fill), _CLASS_KIND[patch.classes[start:start + len(corners)]]),  # HALF_KITE 0
+        )
     yield "</g>\n"
 
     if overlay == "grid":

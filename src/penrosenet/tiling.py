@@ -35,19 +35,16 @@ Child chirality follows the pattern (same, flipped, same) for the kite and
 loop is counterclockwise.  This is the standard Robinson decomposition in
 one of its two mirror conventions.
 
-A patch stores its coordinates as one C-contiguous (3, 4, N) int64 buffer
-(vertex, coefficient, tile), so each coefficient of each vertex is one
-contiguous row over the tiles; ``Patch.coords`` is its (N, 3, 4) view.
-The vectorized round works in the frame scaled by phi, where a parent
-vertex v becomes v @ _MPHI and a split point v + (w - v)/phi becomes
-v @ _MINV + w (``_MPHI`` and ``_MINV`` multiply a ring point by phi and
-1/phi).  It writes those products row by row, four integer adds or
-subtracts each, straight into one preallocated child buffer, and copies a
-vertex shared by two children from the slot already written; the matrices
-stay the specification and bound the coefficient growth that the int64
-guard checks.  The same round loop can drop, after every round, the tiles
-whose bounding box misses a given box, which ``region_analysis`` uses to
-rebuild only the supertiles near one square.
+Every half-tile of a patch is a unit triangle in ring units, so it is one
+of 40 classes placed at its apex: class ``20 kind + 2 direction +
+(chirality == RIGHT)`` is ``_SEED_COORDS[(kind, chirality)]`` turned
+``direction`` tenths.  A patch stores uint8 ``classes`` and a C-contiguous
+(4, N) ``apexes`` buffer, 17 bytes per half-tile (98 as (N, 3, 4) int64
+vertices, kind and chirality), int32 while the int64 growth guard's bound
+(|apex| + 1) fits int32 and int64 otherwise, through one kernel.  The
+class tables come at import from the seeds and ``deflate_tile``: as
+1/phi + 1 = phi, a child's apex is its parent's times phi plus a table row
+of (parent class, slot).  ``Patch.coords`` is built on demand.
 """
 
 from __future__ import annotations
@@ -90,12 +87,19 @@ _MINV = np.array(MUL_BY_INV_PHI, dtype=np.int64)
 _MOMEGA = np.array(MUL_BY_OMEGA, dtype=np.int64)
 EMBED_MATRIX = np.array([EMBED_COS, EMBED_SIN], dtype=np.float64).T  # (4, 2)
 
-# A deflation round makes each coefficient x @ _MPHI or x @ _MINV + y, so it
-# grows by at most the largest absolute column sum (plus one): 4.  Every
-# partial sum _times_phi and _times_inv_phi form stays within that bound too.
+# A deflation round makes each vertex coefficient x @ _MPHI or x @ _MINV + y,
+# so it grows by at most the largest absolute column sum (plus one): 4.  A
+# child's apex is such a vertex, and every partial sum _times_phi forms on the
+# way to it stays within that bound too.
 _GROWTH = max(int(np.abs(_MPHI).sum(axis=0).max()), int(np.abs(_MINV).sum(axis=0).max()) + 1)
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_INT32_MAX = int(np.iinfo(np.int32).max)
 _DEFLATE_BLOCK = 4096  # parent tiles per block of one deflation round
+_COORD_BLOCK = 1 << 18  # half-tiles per block of vertex coordinates built for a writer
+
+_CLASSES, _DART_CLASSES = 40, 20  # 2 kinds x 2 chiralities x 10 directions; darts from class 20
+_NO_CLASS = 255
+_REACH = 1  # the largest |coefficient| of a vertex offset from its apex
 
 # Unit seeds, apex at the origin, axis along +x; LEFT seeds are the complex
 # conjugates of the RIGHT ones.  Rows are (wing, apex, axis_end).
@@ -194,19 +198,15 @@ def deflate_tile(t: HalfTile) -> list[HalfTile]:
 class Patch:
     """Immutable array of half-tiles sharing one scale exponent.
 
-    ``coords`` has shape (N, 3, 4): per tile the ring coefficients of
-    (wing, apex, axis_end).  Physical positions are ``coords`` embedded and
-    multiplied by phi**(-scale_exp); a patch whose tiles have unit short
-    edges therefore has scale_exp == 0.
-
-    ``coords`` is the view ``rows.transpose(2, 0, 1)`` of one C-contiguous
-    (3, 4, N) buffer, so ``coords.transpose(1, 2, 0)`` gives the rows the
-    kernels work on without a copy.  Building a patch from coordinates in
-    another layout copies them once; a caller that needs C-ordered
-    (N, 3, 4) coordinates takes ``np.ascontiguousarray(p.coords)``.
+    Half-tile i is ``classes[i]`` with its apex at ``apexes[:, i]``; the
+    ``kinds``, ``chiralities`` and (N, 3, 4) int64 ``coords`` are derived on
+    each access.  Physical positions are ``coords`` embedded times
+    phi**(-scale_exp).  ``Patch(kinds, chiralities, coords)`` takes any
+    layout and refuses (ValueError, naming the first) a triangle that is not
+    a unit half-tile of its kind and chirality; ``from_classes`` stores.
     """
 
-    __slots__ = ("kinds", "chiralities", "coords", "generation", "scale_exp", "provenance")
+    __slots__ = ("classes", "apexes", "generation", "scale_exp", "provenance")
 
     def __init__(
         self,
@@ -217,29 +217,50 @@ class Patch:
         scale_exp: int = 0,
         provenance: dict | None = None,
     ) -> None:
-        kinds = np.ascontiguousarray(kinds, dtype=np.uint8)
-        chiralities = np.ascontiguousarray(chiralities, dtype=np.int8)
-        coords = np.asarray(coords, dtype=np.int64)
-        if kinds.ndim != 1 or chiralities.shape != kinds.shape:
-            raise ValueError("kinds and chiralities must be parallel 1-d arrays")
-        if coords.shape != (len(kinds), 3, 4):
-            raise ValueError(f"coords must have shape (N, 3, 4), got {coords.shape}")
-        if kinds.size and kinds.max() > 1:
-            raise ValueError("kinds must be HALF_KITE (0) or HALF_DART (1)")
-        if chiralities.size and not np.all(np.abs(chiralities) == 1):
-            raise ValueError("chiralities must be +1 or -1")
-        rows = np.ascontiguousarray(coords.transpose(1, 2, 0))
-        for arr in (kinds, chiralities, rows):
-            arr.flags.writeable = False
-        self.kinds = kinds
-        self.chiralities = chiralities
-        self.coords = rows.transpose(2, 0, 1)
+        kinds, chiralities, coords = np.asarray(kinds), np.asarray(chiralities), np.asarray(coords, dtype=np.int64)
+        if kinds.ndim != 1 or chiralities.shape != kinds.shape or coords.shape != (len(kinds), 3, 4):
+            raise ValueError(f"need kinds (N,), chiralities (N,) and coords (N, 3, 4), got {coords.shape} coords")
+        if not (np.all((kinds == HALF_KITE) | (kinds == HALF_DART)) and np.all(np.abs(chiralities) == 1)):
+            raise ValueError("kinds must be HALF_KITE (0) or HALF_DART (1), chiralities RIGHT (+1) or LEFT (-1)")
+        classes, apexes = _classify(coords)
+        bad, what = classes == _NO_CLASS, "is not a unit half-kite or half-dart"
+        if not bad.any():
+            bad, what = _CLASS_KIND[classes] != kinds, "has the other kind's shape"
+        if not bad.any():
+            bad, what = _CLASS_CHIR[classes] != chiralities, "has the vertex order of the other chirality"
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"half-tile {i} ({KIND_NAMES[int(kinds[i])]}, chirality {int(chiralities[i]):+d}) "
+                             f"{what}: {coords[i].tolist()}")
+        self._store(classes, _apex_rows(apexes), generation, scale_exp, provenance)
+
+    @classmethod
+    def from_classes(cls, classes: np.ndarray, apexes: np.ndarray, generation: int = 0, scale_exp: int = 0,
+                     provenance: dict | None = None) -> "Patch":
+        """(N,) classes and (4, N) int32 or int64 apexes, not copied when C-contiguous."""
+        patch = cls.__new__(cls)
+        patch._store(classes, apexes, generation, scale_exp, provenance)
+        return patch
+
+    def _store(self, classes, apexes, generation, scale_exp, provenance) -> None:
+        classes, apexes = np.ascontiguousarray(classes, dtype=np.uint8), np.ascontiguousarray(apexes)
+        if classes.ndim != 1 or apexes.shape != (4, len(classes)) or apexes.dtype not in (np.int32, np.int64):
+            raise ValueError(f"need (N,) classes and (4, N) int32/int64 apexes, got {apexes.dtype} {apexes.shape}")
+        if classes.size and classes.max() >= _CLASSES:
+            raise ValueError(f"half-tile classes must lie below {_CLASSES}")
+        classes.flags.writeable = apexes.flags.writeable = False
+        self.classes, self.apexes = classes, apexes
         self.generation = int(generation)
         self.scale_exp = int(scale_exp)
         self.provenance = provenance or {}
 
     def __len__(self) -> int:
-        return len(self.kinds)
+        return len(self.classes)
+
+    kinds = property(lambda self: _CLASS_KIND[self.classes], doc="(N,) uint8 HALF_KITE or HALF_DART")
+    chiralities = property(lambda self: _CLASS_CHIR[self.classes], doc="(N,) int8 RIGHT or LEFT")
+    coords = property(lambda self: _vertex_coords(self.classes, self.apexes),
+                      doc="(N, 3, 4) int64 ring coefficients of (wing, apex, axis_end), built on each access")
 
     @classmethod
     def single_tile(
@@ -250,17 +271,14 @@ class Patch:
         translation: CycloPoint | None = None,
     ) -> "Patch":
         base = np.array(_SEED_COORDS[(kind, chirality)], dtype=np.int64)
-        if translation is not None:
-            base = base + np.array(translation.coeffs, dtype=np.int64)
-        prov = {"seed_kind": KIND_NAMES[kind], "seed_chirality": chirality, "outline": base.copy()}
-        return cls(
-            np.array([kind]), np.array([chirality]), base[None, :, :],
-            generation=0, scale_exp=scale_exp, provenance=prov,
-        )
+        shift = np.array((translation or CycloPoint()).coeffs, dtype=np.int64)
+        prov = {"seed_kind": KIND_NAMES[kind], "seed_chirality": chirality, "outline": base + shift}
+        return cls.from_classes([_class_of(kind, chirality)], _apex_rows(shift[:, None]), 0, scale_exp, prov)
 
     def tile(self, i: int) -> HalfTile:
-        w, a, e = (CycloPoint(*map(int, row)) for row in self.coords[i])
-        return HalfTile(int(self.kinds[i]), int(self.chiralities[i]), w, a, e, self.generation)
+        c = int(self.classes[i])
+        w, a, e = (CycloPoint(*map(int, row)) for row in _vertex_coords(np.array([c]), self.apexes[:, [i]])[0])
+        return HalfTile(int(_CLASS_KIND[c]), int(_CLASS_CHIR[c]), w, a, e, self.generation)
 
     def embedded(self) -> np.ndarray:
         """Vertex coordinates in R**2, shape (N, 3, 2) float64."""
@@ -273,18 +291,21 @@ class Patch:
         ``generate_patch_covering`` (``square``, ``translation``) does not
         describe the moved patch, so it is dropped.
         """
-        turn = np.linalg.matrix_power(_MOMEGA, tenth_turns % 10)
+        turns = tenth_turns % 10
+        turn = np.linalg.matrix_power(_MOMEGA, turns)
         shift = np.array((translation or CycloPoint()).coeffs, dtype=np.int64)
-        coords = self.coords @ turn + shift
+        apexes = self.apexes.T.astype(np.int64) @ turn + shift
+        direction = self.classes % _DART_CLASSES // 2
+        classes = self.classes - 2 * direction + 2 * ((direction + turns) % 10)
         prov = {k: v for k, v in self.provenance.items() if k not in ("square", "translation")}
         if "outline" in prov:
             prov["outline"] = np.asarray(prov["outline"], dtype=np.int64) @ turn + shift
-        return Patch(self.kinds, self.chiralities, coords, self.generation, self.scale_exp, prov)
+        return Patch.from_classes(classes, _apex_rows(apexes.T), self.generation, self.scale_exp, prov)
 
 
 def census(p: Patch) -> TileCensus:
     """Exact half-tile counts of a patch."""
-    kites = int(np.count_nonzero(p.kinds == HALF_KITE))
+    kites = int(np.count_nonzero(p.classes < _DART_CLASSES))
     return TileCensus(kites, len(p) - kites)
 
 
@@ -349,81 +370,37 @@ def _times_phi(x: np.ndarray, out: np.ndarray) -> None:
     np.add(out[3], x1, out=out[2])
 
 
-def _times_inv_phi(x: np.ndarray, out: np.ndarray) -> None:
-    """Write ``x @ _MINV`` into ``out``, row by row; both are (4, n) coefficient rows."""
-    x0, x1, x2, x3 = x
-    np.subtract(x1, x0, out=out[2])
-    np.subtract(x2, x3, out=out[1])
-    np.subtract(out[2], x3, out=out[0])
-    np.subtract(out[1], x0, out=out[3])
-
-
-def _kite_children(kc: np.ndarray, dart: np.ndarray, flip: np.ndarray, kite: np.ndarray) -> None:
-    """Half-kites (a, b, c) -> dart(r, q, b'), flipped kite(q, a', r), kite(c', a', r)."""
-    _times_inv_phi(kc[1], dart[0])
-    dart[0] += kc[2]
-    _times_inv_phi(kc[0], dart[1])
-    dart[1] += kc[1]
-    _times_phi(kc[1], dart[2])
-    flip[0] = dart[1]
-    _times_phi(kc[0], flip[1])
-    flip[2] = dart[0]
-    _times_phi(kc[2], kite[0])
-    kite[1] = flip[1]
-    kite[2] = dart[0]
-
-
-def _dart_children(dc: np.ndarray, dart: np.ndarray, flip: np.ndarray) -> None:
-    """Half-darts (a, b, c) -> dart(b', p, a'), flipped kite(p, c', b')."""
-    _times_phi(dc[1], dart[0])
-    _times_inv_phi(dc[2], dart[1])
-    dart[1] += dc[0]
-    _times_phi(dc[0], dart[2])
-    flip[0] = dart[1]
-    _times_phi(dc[2], flip[1])
-    flip[2] = dart[0]
-
-
-def _parent_block(flat: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """(3, 4, m) rows of the increasing tiles ``idx`` of (12, N) rows: a view if they are consecutive."""
+def _parent_block(classes: np.ndarray, apexes: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Classes and (4, m) apexes of the increasing half-tiles ``idx``: views if they are consecutive."""
     if idx[-1] - idx[0] == len(idx) - 1:
-        return flat[:, idx[0]:idx[-1] + 1].reshape(3, 4, -1)
-    return np.take(flat, idx, axis=1).reshape(3, 4, -1)
+        return classes[idx[0]:idx[-1] + 1], apexes[:, idx[0]:idx[-1] + 1]
+    return classes[idx], np.take(apexes, idx, axis=1)
 
 
-def _deflate_once(kinds: np.ndarray, chir: np.ndarray, rows: np.ndarray):
-    """One round on (3, 4, N) coordinate rows, every child vertex written once.
+def _deflate_once(classes: np.ndarray, apexes: np.ndarray, dtype: type) -> tuple[np.ndarray, np.ndarray]:
+    """One round on ``classes`` and (4, N) ``apexes``: the children's, apexes in ``dtype``.
 
-    Children sit in the frame scaled by phi, where a parent vertex v becomes
-    v' = ``v @ _MPHI`` and the split point v + (w - v)/phi becomes
-    ``v @ _MINV + w`` (q, r and p in the module docstring).  A vertex shared
-    by two children is copied from the slot already written.  Parents are
-    read ``_DEFLATE_BLOCK`` tiles at a time, so the row writes of a block
-    stay in cache: a block of consecutive parents is a view of ``rows``,
-    and any other is gathered into contiguous (3, 4, m) rows.  Deflation
-    output holds each kind in two runs (the child order), so a round on it
-    gathers only the blocks that straddle a change of kind.  The children
-    come back as one C-contiguous (3, 4, M) buffer.
+    Children come by slot (dart, flipped kite, kite) over all kite parents,
+    then by slot (dart, flipped kite) over all dart parents.  Parents are
+    read ``_DEFLATE_BLOCK`` at a time, in place when consecutive.
     """
-    kite_idx = np.flatnonzero(kinds == HALF_KITE)
-    dart_idx = np.flatnonzero(kinds != HALF_KITE)
+    kite_idx = np.flatnonzero(classes < _DART_CLASSES)
+    dart_idx = np.flatnonzero(classes >= _DART_CLASSES)
     nk, nd = len(kite_idx), len(dart_idx)
-    flat = rows.reshape(12, -1)
-    new_rows = np.empty((3, 4, 3 * nk + 2 * nd), dtype=rows.dtype)
-    dart_k, flip_k, kite_k = new_rows[..., :nk], new_rows[..., nk:2 * nk], new_rows[..., 2 * nk:3 * nk]
-    dart_d, flip_d = new_rows[..., 3 * nk:3 * nk + nd], new_rows[..., 3 * nk + nd:]
-    for lo in range(0, nk, _DEFLATE_BLOCK):
-        b = slice(lo, lo + _DEFLATE_BLOCK)
-        _kite_children(_parent_block(flat, kite_idx[b]), dart_k[..., b], flip_k[..., b], kite_k[..., b])
-    for lo in range(0, nd, _DEFLATE_BLOCK):
-        b = slice(lo, lo + _DEFLATE_BLOCK)
-        _dart_children(_parent_block(flat, dart_idx[b]), dart_d[..., b], flip_d[..., b])
-
-    new_kinds = np.full(new_rows.shape[2], HALF_KITE, dtype=np.uint8)
-    new_kinds[:nk] = HALF_DART
-    new_kinds[3 * nk:3 * nk + nd] = HALF_DART
-    kx, dx = chir[kite_idx], chir[dart_idx]
-    return new_kinds, np.concatenate([kx, -kx, kx, dx, -dx]), new_rows
+    new_classes = np.empty(3 * nk + 2 * nd, dtype=np.uint8)
+    new_apexes = np.empty((4, len(new_classes)), dtype=dtype)
+    offsets = _CHILD_APEX_ROWS.astype(dtype)  # (3, 4, classes)
+    phi = np.empty((4, _DEFLATE_BLOCK), dtype=dtype)
+    for idx, start, slots in ((kite_idx, 0, 3), (dart_idx, 3 * nk, 2)):
+        for lo in range(0, len(idx), _DEFLATE_BLOCK):
+            cls, parents = _parent_block(classes, apexes, idx[lo:lo + _DEFLATE_BLOCK])
+            m = len(cls)
+            _times_phi(parents.astype(dtype, copy=False), phi[:, :m])
+            for slot in range(slots):
+                at = start + slot * len(idx) + lo
+                np.take(_CHILD_CLASSES[slot], cls, out=new_classes[at:at + m])
+                np.add(phi[:, :m], np.take(offsets[slot], cls, axis=1), out=new_apexes[:, at:at + m])
+    return new_classes, new_apexes
 
 
 def _bounding_boxes(emb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -445,35 +422,102 @@ def _embed(coords: np.ndarray, scale_exp: int = 0) -> np.ndarray:
     return flat.reshape(coords.shape[:-1] + (2,))
 
 
-def _deflate_rounds(p: Patch, rounds: int, near: tuple[np.ndarray, np.ndarray] | None = None):
-    """Kinds, chiralities and (N, 3, 4) coordinates of ``p`` after ``rounds`` rounds.
+def _vertex_bound(apexes: np.ndarray) -> int:
+    """The largest |vertex coefficient| half-tiles with these apexes can have: |apex| plus ``_REACH``."""
+    return max(int(apexes.max(initial=0)), -int(apexes.min(initial=0))) + _REACH
 
-    The rounds run on ``p``'s (3, 4, N) rows, and the coordinates returned
-    are the view of a C-contiguous row buffer, as ``Patch`` stores them.
-    With ``near = (lo, hi)``, every round drops the tiles whose bounding box
-    misses the box [lo, hi]; a tile's descendants lie inside it, so no
-    descendant of a dropped tile meets the box.  Raises ValueError before a
-    round that could overflow int64.
+
+def _apex_rows(apexes: np.ndarray) -> np.ndarray:
+    """(4, N) apex coefficients as a new C-contiguous buffer, int32 if every vertex coefficient fits it."""
+    apexes = np.asarray(apexes, dtype=np.int64)
+    return apexes.astype(np.int32 if _vertex_bound(apexes) <= _INT32_MAX else np.int64, order="C")
+
+
+def _vertex_coords(classes: np.ndarray, apexes: np.ndarray) -> np.ndarray:
+    """(N, 3, 4) int64 vertex coordinates of the half-tiles ``classes`` with (4, N) ``apexes``."""
+    coords = np.take(_VERTEX_OFFSETS, classes, axis=0)
+    coords += apexes.T[:, None, :]
+    return coords
+
+
+def _coord_blocks(p: Patch) -> Iterator[tuple[int, np.ndarray]]:
+    """(lo, ``p.coords[lo:lo + _COORD_BLOCK]``) for consecutive blocks, each built when it is reached."""
+    for lo in range(0, len(p), _COORD_BLOCK):
+        yield lo, _vertex_coords(p.classes[lo:lo + _COORD_BLOCK], p.apexes[:, lo:lo + _COORD_BLOCK])
+
+
+def _class_of(kind: int, chirality: int, direction: int = 0) -> int:
+    return _DART_CLASSES * kind + 2 * direction + (chirality == RIGHT)
+
+
+def _classify(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Classes (``_NO_CLASS`` where none fits) and (4, N) int64 apexes of (N, 3, 4) coordinates.
+
+    Each wing and axis end coefficient minus the apex's, plus 1, is a base-3
+    digit of the triangle's ``_SHAPE_CLASS`` code, and must be 0, 1 or 2.
     """
-    kinds, chir, rows = p.kinds, p.chiralities, p.coords.transpose(1, 2, 0)
-    # carry a bound on |coefficient| and rescan the array only when the
-    # bound alone can no longer rule out an int64 overflow in the next round
-    bound = _INT64_MAX  # unknown until the first round scans the array
+    rows = np.ascontiguousarray(coords.reshape(len(coords), 12).T)  # one row per coefficient
+    apexes, code, unit = rows[4:8], np.zeros(len(coords), dtype=np.int64), np.ones(len(coords), dtype=bool)
+    for k in (0, 1, 2, 3, 8, 9, 10, 11):
+        digit = rows[k] - apexes[k % 4] + 1
+        unit &= digit.view(np.uint64) <= 2
+        code = 3 * code + digit
+    if _vertex_bound(apexes) > _INT64_MAX:  # an apex at an end of int64: its offsets of +-1 could wrap
+        unit &= ((apexes < _INT64_MAX) & (apexes > -_INT64_MAX)).all(axis=0)
+    return np.where(unit, _SHAPE_CLASS[np.where(unit, code, 0)], _NO_CLASS), apexes
+
+
+def _child_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Child classes (3, 40) and apexes (3, 4, 40) by slot: ``deflate_tile`` at the origin, times phi."""
+    child_classes, child_apexes = np.zeros((3, _CLASSES), np.uint8), np.zeros((3, 4, _CLASSES), np.int64)
+    for c in range(_CLASSES):
+        parent = HalfTile(int(_CLASS_KIND[c]), int(_CLASS_CHIR[c]),
+                          *(CycloPoint(*map(int, v)) for v in _VERTEX_OFFSETS[c]))
+        for slot, child in enumerate(deflate_tile(parent)):
+            v = np.array([w.coeffs for w in child.vertices], dtype=np.int64) @ _MPHI
+            child_classes[slot, c], child_apexes[slot, :, c] = _classify(v[None])[0][0], v[1]
+    return child_classes, child_apexes
+
+
+_CLASS_KIND = (np.arange(_CLASSES) >= _DART_CLASSES).astype(np.uint8)
+_CLASS_CHIR = np.where(np.arange(_CLASSES) & 1, RIGHT, LEFT).astype(np.int8)
+# each class's vertices minus its apex, the seed turned ``direction`` tenths; coefficients in {-1, 0, 1}
+_VERTEX_OFFSETS = np.array([np.array(_SEED_COORDS[(int(_CLASS_KIND[c]), int(_CLASS_CHIR[c]))], dtype=np.int64)
+                            @ np.linalg.matrix_power(_MOMEGA, c % _DART_CLASSES // 2) for c in range(_CLASSES)])
+_SHAPE_CLASS = np.full(3 ** 8, _NO_CLASS, dtype=np.uint8)  # see _classify
+_SHAPE_CLASS[(_VERTEX_OFFSETS[:, ::2].reshape(_CLASSES, 8) + 1) @ 3 ** np.arange(7, -1, -1)] = np.arange(_CLASSES)
+_CHILD_CLASSES, _CHILD_APEX_ROWS = _child_tables()
+# a full tile's incenter minus its apex: kite apex + axis/phi, dart apex + axis - axis/phi
+_INCENTER_OFFSETS = np.where(_CLASS_KIND[:, None] == HALF_KITE, _VERTEX_OFFSETS[:, 2] @ _MINV,
+                             _VERTEX_OFFSETS[:, 2] - _VERTEX_OFFSETS[:, 2] @ _MINV)
+_CLASS_BOXES = _bounding_boxes(_embed(_VERTEX_OFFSETS))  # (40, 2) lower and upper corners at scale 0
+
+
+def _deflate_rounds(p: Patch, rounds: int, near: tuple[np.ndarray, np.ndarray] | None = None):
+    """Classes and (4, N) apexes of ``p`` after ``rounds`` rounds.
+
+    A round writes int32 while the carried bound on a vertex coefficient,
+    grown by one round, fits int32 (rescanned when it stops fitting the
+    current width), int64 otherwise; one that could overflow int64 is a
+    ValueError.  With ``near = (lo, hi)``, every round drops the tiles whose
+    box (embedded apex plus class box) misses [lo, hi], as their descendants do.
+    """
+    classes, apexes = p.classes, p.apexes
+    bound = _INT64_MAX  # unknown until the first round scans the apexes
     for done in range(1, rounds + 1):
-        if _GROWTH * bound > _INT64_MAX and len(kinds):
-            bound = max(int(rows.max()), -int(rows.min()))
+        if _GROWTH * bound > (_INT32_MAX if apexes.dtype == np.int32 else _INT64_MAX):
+            bound = _vertex_bound(apexes)
             if _GROWTH * bound > _INT64_MAX:
-                raise ValueError(
-                    f"deflation would overflow int64: a coefficient reaches {bound} "
-                    f"and one round can grow it {_GROWTH}-fold"
-                )
-        kinds, chir, rows = _deflate_once(kinds, chir, rows)
+                raise ValueError(f"deflation would overflow int64: a coefficient reaches {bound} "
+                                 f"and one round can grow it {_GROWTH}-fold")
         bound *= _GROWTH
+        classes, apexes = _deflate_once(classes, apexes, np.int32 if bound <= _INT32_MAX else np.int64)
         if near is not None:
-            bb_lo, bb_hi = _bounding_boxes(_embed(rows.transpose(2, 0, 1), p.scale_exp + done))
-            keep = ((bb_lo <= near[1]) & (bb_hi >= near[0])).all(axis=1)
-            kinds, chir, rows = kinds[keep], chir[keep], rows[..., keep]
-    return kinds, chir, rows.transpose(2, 0, 1)
+            at, scale = _embed(apexes.T, p.scale_exp + done), PHI_FLOAT ** -(p.scale_exp + done)
+            box_lo, box_hi = (box[classes] * scale + at for box in _CLASS_BOXES)
+            keep = ((box_lo <= near[1]) & (box_hi >= near[0])).all(axis=1)
+            classes, apexes = classes[keep], apexes[:, keep]
+    return classes, apexes
 
 
 def _check_cap(start: TileCensus, rounds: int, cap: int) -> None:
@@ -497,18 +541,13 @@ def deflate_patch(p: Patch, rounds: int, cap: int = DEFAULT_TILE_CAP) -> Patch:
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
     _check_cap(census(p), rounds, cap)
-    kinds, chir, coords = _deflate_rounds(p, rounds)
+    classes, apexes = _deflate_rounds(p, rounds)
     prov = dict(p.provenance)
     if "outline" in prov and rounds:
         # outline ring coordinates live at the patch scale, so they pick up
         # the same phi factor as the tiles
         prov["outline"] = np.asarray(prov["outline"], dtype=np.int64) @ np.linalg.matrix_power(_MPHI, rounds)
-    return Patch(
-        kinds, chir, coords,
-        generation=p.generation + rounds,
-        scale_exp=p.scale_exp + rounds,
-        provenance=prov,
-    )
+    return Patch.from_classes(classes, apexes, p.generation + rounds, p.scale_exp + rounds, prov)
 
 
 def _triangle_geometry(kind: int) -> tuple[tuple[float, float], float, float]:
@@ -615,15 +654,8 @@ def generate_patch_covering(
                          f"its seed translation needs coefficients beyond int64's {_INT64_MAX}")
 
     seed = Patch.single_tile(seed_kind, seed_chirality, scale_exp=-n, translation=t)
-    result = deflate_patch(seed, n, cap=cap)
-    prov = dict(result.provenance)
-    prov.update({
-        "rounds": n,
-        "translation": t.coeffs,
-        "square": tuple(square),
-    })
-    patch = Patch(result.kinds, result.chiralities, result.coords,
-                  result.generation, result.scale_exp, prov)
+    patch = deflate_patch(seed, n, cap=cap)
+    patch.provenance.update(rounds=n, translation=t.coeffs, square=tuple(square))  # a dict of its own
     if (_corner_margins(embedded_outline(patch)[None], seed.chiralities, square) < 0.25).any():
         raise RuntimeError(f"seed placement failed to cover the square with {COVER_SLACK} units of slack")
     return patch
@@ -716,22 +748,17 @@ def _format_rows(template: str, *columns: np.ndarray | tuple[Sequence, np.ndarra
     outside ``range(len(labels))``, are refused (ValueError).
 
     Every distinct value is formatted once, with the template's own
-    conversion, into a NUL-padded byte table.  A category's labels, and
-    every integer from the least to the greatest of a dense integer array
-    (one whose values span fewer integers than it holds, as ``_dense``
-    says: a tiling's 12 coordinate columns span a few hundred), are
-    formatted once per call, and a row takes its entry at ``code`` or
-    ``value - least``.  Any other array's values are formatted once per
-    block of ``_FORMAT_BLOCK`` rows, from the block's ``_distinct`` values;
-    floats are told apart by their bits, so -0.0 and 0.0 stay apart.  Each
-    table entry is one fixed-width item: the template's literal before its
-    value, then the value's text and its padding, so a column whose values
-    all follow one literal (the coordinates, after a space each) takes
-    every row's entries in one ``np.take``.  A row is its entries side by
-    side and the template's last literal, and dropping the padding leaves
-    the text ``%`` gives.  So NUL is refused (ValueError): in the template
-    or a label before anything is yielded, and in a formatted value before
-    its block is yielded.
+    conversion, into a NUL-padded byte table: a category's labels, and
+    every integer over the span of a dense integer array (``_dense``: a
+    tiling's coordinate columns), once per call, a row taking its entry at
+    ``code`` or ``value - least``; any other array's ``_distinct`` values
+    once per block of ``_FORMAT_BLOCK`` rows, floats told apart by their
+    bits (-0.0 is not 0.0).  An entry is one fixed-width item, the literal
+    before the value then its padded text, so a column whose values follow
+    one literal takes a block's entries in one ``np.take``; a row is its
+    entries and the last literal, less the padding.  So NUL is refused
+    (ValueError): in the template or a label before anything is yielded,
+    in a formatted value before its block is.
     """
     parts = _CONVERSION.split(template)
     convs = parts[1::2]
@@ -800,15 +827,12 @@ def _read_table(
     ValueError.
 
     The headers come from one read of the whole text; the rows from
-    ``np.loadtxt`` given the path, which it reads in chunks through its C
-    parser (a file handle it would read line by line in Python).  A path
-    ending in a suffix that np.loadtxt would decompress (``.gz``, ``.bz2``,
-    ``.xz``, ``.lzma``) is parsed from the text already read.  Any other
-    file is thus opened twice, so a file with rows must be a regular file, and
-    both reads must have seen the same device, inode, size and modification
-    time: a pipe, or a file replaced or rewritten between the reads, is a
-    ValueError rather than headers of one file checked against the rows of
-    another.
+    ``np.loadtxt`` given the path, which its C parser reads in chunks (a
+    handle it reads line by line in Python), or from the text already read
+    when the path ends in a suffix np.loadtxt would decompress.  A file
+    opened twice must be a regular file, the same device, inode, size and
+    modification time at both reads: a pipe, or a file replaced or
+    rewritten in between, is a ValueError.
     """
     with open(path, "r", encoding="ascii") as fh:
         scanned = os.fstat(fh.fileno())
@@ -873,10 +897,9 @@ def _decode(tokens: np.ndarray, codes: dict[str, int]) -> np.ndarray:
 def save_patch(p: Patch, path: str) -> None:
     """Write the line-oriented patch format.
 
-    Header carries the shared scale_exp; each tile line is
-    ``kind chirality generation`` followed by the 12 integer coordinates of
-    (wing, apex, axis_end).  The coordinates and the generation are dense
-    columns, so ``_format_rows`` formats their values once per file.
+    Header carries the shared scale_exp; each tile line is ``kind chirality
+    generation`` and the 12 integer coordinates of (wing, apex, axis_end),
+    built a block at a time: dense columns, formatted once per block.
     """
     c = census(p)
     with open(path, "w", encoding="ascii") as fh:
@@ -884,13 +907,15 @@ def save_patch(p: Patch, path: str) -> None:
         fh.write(f"# scale_exp {p.scale_exp}\n")
         fh.write(f"# generation {p.generation}\n")
         fh.write(f"# census {c.kites} {c.darts}\n")
-        fh.writelines(_format_rows(
-            "%s %s %d" + " %d" * 12 + "\n",
-            (("K", "D"), p.kinds),  # HALF_KITE 0, HALF_DART 1
-            (("L", "R"), (p.chiralities == RIGHT).view(np.uint8)),
-            np.broadcast_to(p.generation, len(p)),
-            p.coords.reshape(len(p), 12),
-        ))
+        for lo, coords in _coord_blocks(p):
+            classes = p.classes[lo:lo + len(coords)]
+            fh.writelines(_format_rows(
+                "%s %s %d" + " %d" * 12 + "\n",
+                (("K", "D"), _CLASS_KIND[classes]),  # HALF_KITE 0, HALF_DART 1
+                (("L", "R"), classes & 1),  # the chirality bit, 1 for RIGHT
+                np.broadcast_to(p.generation, len(coords)),
+                coords.reshape(len(coords), 12),
+            ))
 
 
 def load_patch(path: str) -> Patch:
@@ -900,9 +925,9 @@ def load_patch(path: str) -> Patch:
     ``scale_exp``, ``generation`` or ``census`` header whose fields are not
     one, one and two integers is a ValueError.  Every tile line must carry
     the header's generation, or the first tile's when there is no generation
-    header.  The file is ASCII and is read as ``_read_table`` says: the tile
-    lines by ``np.loadtxt`` from the path, so a file that is not one regular
-    file, unchanged between that read and the header read, is a ValueError.
+    header, and be a unit half-tile of its letters (``Patch``).  The ASCII
+    file is read as ``_read_table`` says, so one that is not one regular
+    file, unchanged between its two reads, is a ValueError.
     """
     values, rows = _read_table(path, _PATCH_ROW, _PATCH_HEADERS)
     kinds = _decode(rows["kind"], _LETTER_KIND)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import penrosenet
-from penrosenet import discrepancy
+from penrosenet import cli, discrepancy
 from penrosenet.cli import main
 from penrosenet.net import SEPARATION, Net, extract_net
 from penrosenet.tiling import SubstitutionRule, TileCensus, census, load_patch, substitution_counts
@@ -193,6 +193,21 @@ class TestAnalyze:
         assert code == 2
         assert "half-tiles, cap is" in stderr
         assert stdout == ""
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError(), "error: out of memory\n"),
+        (MemoryError("Unable to allocate 1.86 GiB for an array with shape (4, 124999999) and data type int32"),
+         "error: out of memory: Unable to allocate 1.86 GiB for an array with shape (4, 124999999)"
+         " and data type int32\n"),
+    ])
+    def test_memory_error_exits_two_with_one_line(self, error, line, monkeypatch, tmp_path, capsys):
+        def out_of_memory(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "generate_patch_covering", out_of_memory)
+        code, stdout, stderr = run(capsys, "analyze", "--i-min", "2", "--i-max", "3", "--out", str(tmp_path / "rep"))
+        assert (code, stdout, stderr) == (2, "", line)
         assert not (tmp_path / "rep").exists()
 
     def test_zero_cap_rejected(self, tmp_path, capsys):

@@ -887,3 +887,26 @@ class TestReport:
         assert discrepancy._CountGrid(net).points >= 9
         with pytest.raises(ValueError, match=r"^empty square at i=15$"):
             build_report(net, 15, 16)
+
+
+def test_certify_path_never_builds_the_patch_coordinates(monkeypatch):
+    """generate, extract, report and region analysis work on classes and apexes alone.
+
+    ``Patch.coords`` raises, and the vertex builder is only ever asked for
+    the supertiles near one square, never for the patch's half-tiles.
+    """
+    patch = generate_patch_covering(Square(-3.0, 5.0, 64.0))
+    asked, build = [], tiling._vertex_coords
+
+    def few_only(classes, apexes):
+        asked.append(len(classes))
+        assert len(classes) < len(patch) // 20, "vertex coordinates built for the patch"
+        return build(classes, apexes)
+
+    monkeypatch.setattr(tiling.Patch, "coords", property(lambda self: pytest.fail("Patch.coords was built")))
+    for module in (tiling, discrepancy):
+        monkeypatch.setattr(module, "_vertex_coords", few_only)
+    patch = generate_patch_covering(Square(-3.0, 5.0, 64.0))
+    report = build_report(extract_net(patch), 2, 5)
+    regions = [region_analysis(patch, Square(row.E_argmax_x, row.E_argmax_y, row.side)) for row in report.rows]
+    assert len(regions) == 4 and len(asked) == 4 and all(region.intersecting.total() for region in regions)

@@ -46,7 +46,6 @@ from penrosenet.tiling import (
     Square,
     _MINV,
     _embed,
-    _times_inv_phi,
     census,
     deflate_patch,
     embedded_outline,
@@ -279,8 +278,7 @@ def column_extract_net(p: Patch, window=None) -> Net:
 
     apex = coords[:, 1]
     ring = np.subtract(coords[:, 2], apex)
-    step = np.empty_like(ring)
-    _times_inv_phi(ring.T, step.T)  # the row kernel on (4, n) views
+    step = ring @ _MINV
     ring -= step
     ring -= step
     ring *= p.kinds[:, None]
@@ -654,10 +652,14 @@ class TestBlockedPass:
         (1, 0, 2**56), (2, 3, -(2**56)), (0, 3, -(2**56)), (0, 1, 2**62),
     ])
     def test_coordinate_limit_in_the_last_row(self, base, vertex, coeff, value):
-        # vertex 0 is the wing, which no incenter reads
-        coords = base.coords.copy()
-        coords[-1, vertex, coeff] = value
-        self.assert_both_raise(Patch(base.kinds, base.chiralities, coords), "coordinates must lie within")
+        # the last half-tile moved so that one coefficient of one of its
+        # vertices reaches the value; vertex 0 is the wing, which no incenter reads
+        last = rows_of(base, [len(base) - 1])
+        shift = [0, 0, 0, 0]
+        shift[coeff] = value - int(last.coords[0, vertex, coeff])
+        moved = tiles(first_rows(base, len(base) - 1), last.transformed(translation=CycloPoint(*shift)))
+        assert moved.coords[-1, vertex, coeff] == value
+        self.assert_both_raise(moved, "coordinates must lie within")
 
     def test_key_wider_than_63_bits_at_the_end(self, base):
         far = Patch.single_tile(HALF_KITE, translation=CycloPoint(*([2**50] * 4)))
@@ -669,7 +671,7 @@ class TestBlockedPass:
 
     def test_same_chirality_pair_at_the_end(self, base):
         full = full_tile(HALF_DART)
-        same = Patch(full.kinds, [LEFT, LEFT], full.coords).transformed(translation=FAR)
+        same = rows_of(full, [1, 1]).transformed(translation=FAR)  # the LEFT half twice
         self.assert_both_raise(tiles(base, same), "opposite chirality")
 
     def test_apex_mismatch_in_the_last_block_of_pairs(self, base):
@@ -680,62 +682,20 @@ class TestBlockedPass:
         self.assert_both_raise(tiles(base, right, turned), "share their apex")
 
 
-def apex_kites(steps, apex_shift=None) -> Patch:
-    """Mirror pairs of kite halves: pair j has incenter (j, 0, 0, 0) and incenter minus apex ``steps[j]``.
-
-    ``apex_shift = (j, e)`` moves the apex of pair j's LEFT half by e and
-    its axis end so that the half keeps its incenter.
-    """
-    halves = []
-    for j, d in enumerate(np.asarray(steps, dtype=np.int64)):
-        incenter = np.array([j, 0, 0, 0])
-        for chirality in (RIGHT, LEFT):
-            step = d
-            if apex_shift is not None and apex_shift[0] == j and chirality == LEFT:
-                step = d - np.array(apex_shift[1])
-            apex = incenter - step
-            axis_end = apex + step @ tiling._MPHI  # so that axis_end - apex = phi * step
-            halves.append((chirality, (apex + 1, apex, axis_end)))
-    return Patch(np.zeros(len(halves)), [c for c, _ in halves], [v for _, v in halves])
-
-
-def far_apex_kites(offsets, apex_shift=None, spread=2**40) -> Patch:
-    """``apex_kites`` with random steps below ``spread`` in each coefficient.
-
-    At the default spread the incenter minus the apex spans about 2**41 per
-    coefficient, far more than the one word of the apex check holds.
-    """
-    rng = np.random.default_rng(17)
-    return apex_kites(rng.integers(-spread, spread, size=(offsets, 4)), apex_shift)
-
-
 class TestApexWords:
-    """The apex check packs the incenter minus the apex into one int64 word."""
+    """Halves paired on (kind, incenter) share their apex exactly when their classes share a direction.
 
-    def test_wide_apex_offsets_are_refused(self):
-        patch = far_apex_kites(3)
-        steps = np.random.default_rng(17).integers(-(2**40), 2**40, size=(3, 4))
-        bits = sum((int(col.max()) - int(col.min())).bit_length() for col in steps.T)
-        assert bits > 63
-        with pytest.raises(ValueError, match=f"^apex offsets need {bits} bits, more than 63$"):
-            extract_net(patch)
-
-    def test_widest_accepted_apex_offsets(self):
-        # 16 + 16 + 16 + 15 bits, then one bit more in the last coefficient
-        wide = [0, 0, 0, 0], [2**16 - 1, 2**16 - 1, 2**16 - 1, 2**15 - 1]
-        net = assert_matches_columns(apex_kites(wide))
-        assert net.tile_ids.tolist() == [0, 2]
-        assert net.ring.tolist() == [[0, 0, 0, 0], [1, 0, 0, 0]]
-        wider = wide[0], [2**16 - 1, 2**16 - 1, 2**16 - 1, 2**15]
-        with pytest.raises(ValueError, match="apex offsets need 64 bits, more than 63"):
-            extract_net(apex_kites(wider))
+    The check once compared a packed word of the incenter minus the apex;
+    now a pair far out along any coefficient is checked through its classes.
+    """
 
     @pytest.mark.parametrize("coeff", range(4))
     def test_apex_mismatch_in_any_word(self, coeff):
-        # one coefficient of one apex differs, within the word's width
         shift = [0, 0, 0, 0]
-        shift[coeff] = 1
-        patch = far_apex_kites(3, apex_shift=(1, shift), spread=2**10)
+        shift[coeff] = 2**40
+        right = incenter_at_origin(HALF_DART, RIGHT)
+        turned = incenter_at_origin(HALF_DART, LEFT).transformed(tenth_turns=2)
+        patch = tiles(deflated(HALF_KITE, RIGHT, rounds=6), tiles(right, turned).transformed(translation=CycloPoint(*shift)))
         for extract in (extract_net, column_extract_net):
             with pytest.raises(ValueError, match="share their apex"):
                 extract(patch)
@@ -814,7 +774,7 @@ class TestStableOrder:
     def test_extraction_through_two_digits(self):
         base = deflated(HALF_DART, RIGHT)
         patch = tiles(base, base.transformed(translation=CycloPoint(2**30, 0, 0, 0)))
-        _, _, widths, _ = net_module._pairing_key(patch)
+        _, widths = net_module._pairing_key(patch)
         assert sort_passes(len(patch), 1 + sum(widths)) == 2
         assert_matches_columns(patch)
 
@@ -862,7 +822,7 @@ class TestPairingErrorPrecedence:
         full = full_tile(HALF_DART)
         pieces = {
             MORE_THAN_TWO: tiles(full_tile(HALF_KITE), Patch.single_tile(HALF_KITE, RIGHT)),
-            SAME_CHIRALITY: Patch(full.kinds, [LEFT, LEFT], full.coords),
+            SAME_CHIRALITY: rows_of(full, [1, 1]),  # the LEFT half twice
             APEX_MISMATCH: tiles(incenter_at_origin(HALF_DART, RIGHT),
                                  incenter_at_origin(HALF_DART, LEFT).transformed(tenth_turns=2)),
         }
@@ -877,7 +837,7 @@ class TestPairingErrorPrecedence:
         for k, msg in enumerate(expected):
             present = [faults[m] for m in expected[k:]]
             for patch in (tiles(base, *present), tiles(*present[::-1], base)):
-                _, _, widths, _ = net_module._pairing_key(patch)
+                _, widths = net_module._pairing_key(patch)
                 assert sort_passes(len(patch), 1 + sum(widths)) == passes
                 with pytest.raises(ValueError) as raised:
                     extract_net(patch)
@@ -898,7 +858,11 @@ class TestExtractionErrors:
         # median key of the base patch sits in the middle
         base = deflated(HALF_DART, RIGHT, rounds=6)
         if where == "middle":
-            ring = np.concatenate([pair[1].copy() for _, pair in net_module._incenter_blocks(base)], axis=1)
+            coords = base.coords
+            axis = coords[:, 2] - coords[:, 1]
+            step = axis @ _MINV
+            # every half's full-tile incenter: apex + step for a kite, apex + axis - step for a dart
+            ring = np.where((base.kinds == HALF_KITE)[:, None], coords[:, 1] + step, coords[:, 1] + axis - step).T
             order = np.lexsort((*ring[::-1], base.kinds))
             ranked = np.vstack([base.kinds, ring])[:, order]
             pairs = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).all(axis=0))
@@ -916,7 +880,7 @@ class TestExtractionErrors:
     @pytest.mark.parametrize("kind", [HALF_KITE, HALF_DART])
     def test_same_chirality_pair(self, kind):
         full = full_tile(kind)
-        same = Patch(full.kinds, [RIGHT, RIGHT], full.coords)
+        same = rows_of(full, [0, 0])  # the RIGHT half twice
         with pytest.raises(ValueError, match="opposite chirality"):
             extract_net(same)
 

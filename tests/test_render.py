@@ -60,10 +60,11 @@ def per_polygon_render(patch, net=None, overlay="none", stroke_width=0.03,
         'stroke-linejoin="round">',
     ]
     fills = {True: kite_fill, False: dart_fill}
+    kinds = patch.kinds  # built once, not per polygon
     for i in range(len(patch)):
         points = " ".join(pt(float(v[0]), float(v[1])) for v in emb[i])
         parts.append(
-            f'<polygon points="{points}" fill="{fills[bool(patch.kinds[i] == HALF_KITE)]}"/>'
+            f'<polygon points="{points}" fill="{fills[bool(kinds[i] == HALF_KITE)]}"/>'
         )
     parts.append("</g>")
     if overlay == "grid":

@@ -5,6 +5,7 @@ import os
 import pathlib
 import re
 import threading
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from penrosenet import tiling
 from penrosenet.cli import main as cli_main
+from penrosenet.net import extract_net
 from penrosenet.golden import _PHI_RING, PHI, CycloPoint, GoldenNum, PHI_FLOAT, orientation, squared_length
 from penrosenet.tiling import (
     DEFAULT_TILE_CAP,
@@ -250,19 +252,19 @@ class TestSubstitutionCounts:
 
 
 def exact_deflation(seed: Patch, rounds: int) -> np.ndarray:
-    """(N, 3, 4) coordinates after ``rounds`` rounds in Python integers (dtype=object), which cannot wrap."""
-    kinds, chir, rows = seed.kinds, seed.chiralities, seed.coords.transpose(1, 2, 0).astype(object)
+    """(N, 3, 4) coordinates after ``rounds`` reference rounds in Python integers (dtype=object), which cannot wrap."""
+    kinds, chir, coords = seed.kinds, seed.chiralities, seed.coords.astype(object)
     for _ in range(rounds):
-        kinds, chir, rows = tiling._deflate_once(kinds, chir, rows)
-    return rows.transpose(2, 0, 1)
+        kinds, chir, coords = matmul_deflate_once(kinds, chir, coords)
+    return coords
 
 
 def int64_deflation(seed: Patch, rounds: int) -> np.ndarray:
     """The same rounds in int64 without deflate_patch's overflow guard."""
-    kinds, chir, rows = seed.kinds, seed.chiralities, seed.coords.transpose(1, 2, 0)
+    classes, apexes = seed.classes, seed.apexes
     for _ in range(rounds):
-        kinds, chir, rows = tiling._deflate_once(kinds, chir, rows)
-    return rows.transpose(2, 0, 1)
+        classes, apexes = tiling._deflate_once(classes, apexes, np.int64)
+    return tiling._vertex_coords(classes, apexes)
 
 
 def matmul_deflate_once(kinds: np.ndarray, chir: np.ndarray, coords: np.ndarray):
@@ -297,25 +299,29 @@ def matmul_deflate_once(kinds: np.ndarray, chir: np.ndarray, coords: np.ndarray)
     return new_kinds, new_chir, new_coords
 
 
-def assert_kernel_matches_reference(kinds, chir, coords, rounds=1):
-    """Each of ``rounds`` rounds gives bitwise-equal arrays and dtypes to the reference.
+INT32_MAX = int(np.iinfo(np.int32).max)
 
-    The kernel runs on (3, 4, N) rows and returns a C-contiguous row
-    buffer; its (N, 3, 4) view is compared with the reference's coordinates.
+
+def assert_kernel_matches_reference(kinds, chir, coords, rounds=1, widths=(np.int64, np.int32)):
+    """Each of ``rounds`` rounds gives bitwise-equal kinds, chiralities and coordinates to the reference.
+
+    The kernel runs on the classes and (4, N) apexes of
+    ``Patch.from_coords`` and returns a C-contiguous apex buffer of each of
+    ``widths`` that holds the children's coordinates; their (N, 3, 4)
+    vertices are compared with the reference's coordinates.
     """
     for _ in range(rounds):
-        new_kinds, new_chir, rows = tiling._deflate_once(kinds, chir, np.ascontiguousarray(coords.transpose(1, 2, 0)))
-        assert rows.flags.c_contiguous
-        got = new_kinds, new_chir, rows.transpose(2, 0, 1)
         want = matmul_deflate_once(kinds, chir, coords)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and g.shape == w.shape
-            if g.dtype == object:
-                assert all(type(v) is int for v in g.ravel())
-                assert np.array_equal(g, w)
-            else:
+        p = Patch(kinds, chir, coords)
+        fits = np.abs(want[2]).max(initial=0) <= INT32_MAX
+        for dtype in [w for w in widths if fits or w == np.int64]:
+            classes, apexes = tiling._deflate_once(p.classes, p.apexes, dtype)
+            assert classes.dtype == np.uint8 and apexes.dtype == dtype and apexes.flags.c_contiguous
+            got = tiling._CLASS_KIND[classes], tiling._CLASS_CHIR[classes], tiling._vertex_coords(classes, apexes)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
                 assert g.tobytes() == w.tobytes()
-        kinds, chir, coords = got
+        kinds, chir, coords = want
 
 
 # the guard's per-round growth bound, the largest coefficient a round may start from
@@ -351,13 +357,13 @@ class TestDeflationKernel:
         """Run the kernel check for one round; whether each parent block was a view of the rows."""
         views, parent_block = [], tiling._parent_block
 
-        def spy(flat, idx):
-            block = parent_block(flat, idx)
-            views.append(np.shares_memory(block, flat))
+        def spy(classes, apexes, idx):
+            block = parent_block(classes, apexes, idx)
+            views.append(np.shares_memory(block[1], apexes))
             return block
 
         monkeypatch.setattr(tiling, "_parent_block", spy)
-        assert_kernel_matches_reference(kinds, chir, coords)
+        assert_kernel_matches_reference(kinds, chir, coords, widths=(np.int32,))
         return views
 
     @pytest.fixture(scope="class")
@@ -392,10 +398,16 @@ class TestDeflationKernel:
         assert views.count(False) == 1 and not views[1] and len(views) > 3
 
     def test_object_coordinates(self):
-        # coefficients past int64, which only Python integers can hold
-        seed = Patch.single_tile(HALF_KITE, RIGHT)
-        coords = seed.coords.astype(object) * 2**9 + np.array([2**70, -(2**66), 3, 1], dtype=object)
-        assert_kernel_matches_reference(seed.kinds, seed.chiralities, coords, rounds=4)
+        # Python-integer coordinates within int64 build the int64 patch and
+        # deflate as the exact reference does; past int64, which only Python
+        # integers can hold, they are refused rather than wrapped
+        seed = Patch.single_tile(HALF_KITE, RIGHT, translation=CycloPoint(2**40, -(2**36), 3, 1))
+        coords = seed.coords.astype(object)
+        p = Patch(seed.kinds, seed.chiralities, coords)
+        assert p.apexes.dtype == np.int64 and p.apexes.tobytes() == seed.apexes.tobytes()
+        assert np.array_equal(deflate_patch(p, 4).coords, exact_deflation(p, 4))
+        with pytest.raises(OverflowError):
+            Patch(seed.kinds, seed.chiralities, coords + np.array([2**70, -(2**66), 3, 1], dtype=object))
 
     def test_coefficients_just_under_the_guard_limit(self):
         big = GUARD_LIMIT - 1  # the seed's own coefficients add at most 1
@@ -406,9 +418,7 @@ class TestDeflationKernel:
                 assert_kernel_matches_reference(seed.kinds, seed.chiralities, seed.coords)
                 assert np.array_equal(deflate_patch(seed, 1).coords, exact_deflation(seed, 1))
 
-    @pytest.mark.parametrize("helper, matrix", [
-        (tiling._times_phi, tiling._MPHI), (tiling._times_inv_phi, tiling._MINV),
-    ])
+    @pytest.mark.parametrize("helper, matrix", [(tiling._times_phi, tiling._MPHI)])
     def test_column_helpers_are_the_ring_matrices(self, helper, matrix):
         rng = np.random.default_rng(11)
         x = rng.integers(-(2**40), 2**40, size=(1000, 4), dtype=np.int64)
@@ -417,9 +427,7 @@ class TestDeflationKernel:
         got = out[1, :, 200:1200].T
         assert got.dtype == np.int64 and got.tobytes() == (x @ matrix).tobytes()
 
-    @pytest.mark.parametrize("helper, matrix", [
-        (tiling._times_phi, tiling._MPHI), (tiling._times_inv_phi, tiling._MINV),
-    ])
+    @pytest.mark.parametrize("helper, matrix", [(tiling._times_phi, tiling._MPHI)])
     def test_column_helpers_stay_within_the_growth_bound(self, helper, matrix):
         # every sign pattern at the guard's limit: no partial sum wraps, and a
         # split point's added vertex keeps the total within _GROWTH times the limit
@@ -796,10 +804,11 @@ def per_line_save(p: Patch) -> str:
         f"# generation {p.generation}\n",
         f"# census {c.kites} {c.darts}\n",
     ]
+    kinds, chiralities, all_coords = p.kinds, p.chiralities, p.coords  # each built once, not per tile
     for i in range(len(p)):
-        coords = " ".join(str(int(x)) for x in p.coords[i].ravel())
+        coords = " ".join(str(int(x)) for x in all_coords[i].ravel())
         out.append(
-            f"{_KIND_LETTER[int(p.kinds[i])]} {_CHIR_LETTER[int(p.chiralities[i])]} "
+            f"{_KIND_LETTER[int(kinds[i])]} {_CHIR_LETTER[int(chiralities[i])]} "
             f"{p.generation} {coords}\n"
         )
     return "".join(out)
@@ -1223,6 +1232,17 @@ def _set_token(line: str, index: int, value: str) -> str:
     return " ".join(parts) + "\n"
 
 
+def _edit_coords(line: str, edit) -> str:
+    """``line`` with its (3, 4) coordinates replaced by ``edit`` of them."""
+    parts = line.split()
+    coords = np.array([int(x) for x in parts[3:]], dtype=np.int64).reshape(3, 4)
+    return " ".join(parts[:3] + [str(int(x)) for x in edit(coords).ravel()]) + "\n"
+
+
+def _first_line(tiles, letter: str) -> int:
+    return next(i for i, line in enumerate(tiles) if line.startswith(letter))
+
+
 def _edit(head, tiles, edits=None, head_edit=None):
     tiles = list(tiles)
     for i, fn in (edits or {}).items():
@@ -1252,6 +1272,24 @@ MALFORMED = {
     "no_tile_lines": lambda h, t: "".join(h),
     "empty_file": lambda h, t: "",
 }
+
+# tile lines whose triangle is not a unit half-tile of its letters: the
+# message each raises, and the edit
+TRIANGLE_LINES = {
+    "non_unit_triangle": ("half-tile 3 (half-kite, chirality -1) is not a unit half-kite or half-dart",
+                          lambda h, t: _edit(h, t, {3: lambda l: _edit_coords(l, lambda v: v + [[1, 0, 0, 0], [0] * 4, [0] * 4])})),
+    "triangle_scaled_by_phi": ("half-tile 3 (half-kite, chirality -1) is not a unit half-kite or half-dart",
+                               lambda h, t: _edit(h, t, {3: lambda l: _edit_coords(l, lambda v: v @ tiling._MPHI)})),
+    "chirality_letter_against_the_geometry": (
+        "half-tile 3 (half-kite, chirality +1) has the vertex order of the other chirality",
+        lambda h, t: _edit(h, t, {3: lambda l: _set_token(l, 1, "R")})),  # an L line
+    "kite_line_with_a_dart_shape": (
+        "half-tile 0 (half-kite, chirality -1) has the other kind's shape",
+        # without the census header, which the new letter would contradict first
+        lambda h, t: _edit(h, t, {_first_line(t, "D"): lambda l: "K" + l[1:]},
+                           head_edit=lambda hd: [l for l in hd if not l.startswith("# census")])),
+}
+MALFORMED.update({case: edit for case, (_, edit) in TRIANGLE_LINES.items()})
 
 ACCEPTED = {
     "blank_lines": lambda h, t: "".join(h + t[:3] + ["\n", "   \n"] + t[3:] + ["\n"]),
@@ -1294,6 +1332,18 @@ class TestPatchFileMatrix:
         for argv in _cli_commands(path, tmp_path):
             assert cli_main(argv) == 2
             assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", list(TRIANGLE_LINES))
+    def test_a_triangle_line_is_named(self, case, source, tmp_path, capsys):
+        _, (head, tiles) = source
+        message, edit = TRIANGLE_LINES[case]
+        path = tmp_path / "bad.txt"
+        path.write_text(edit(head, tiles), encoding="ascii")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}: "):
+            load_patch(str(path))
+        for argv in _cli_commands(path, tmp_path):
+            assert cli_main(argv) == 2
+            assert capsys.readouterr().err.startswith(f"error: {message}: ")
 
     def test_cli_commands_pass_on_the_unedited_file(self, source, tmp_path, capsys):
         _, (head, tiles) = source
@@ -1426,18 +1476,19 @@ class TestTransformAndTypes:
         assert DEFAULT_TILE_CAP >= 10_000_000
 
 
-def assert_row_layout(p: Patch) -> None:
-    """``coords`` is a read-only (N, 3, 4) int64 view of one C-contiguous (3, 4, N) buffer."""
-    assert p.coords.shape == (len(p), 3, 4) and p.coords.dtype == np.int64
-    assert not p.coords.flags.writeable
-    rows = p.coords.transpose(1, 2, 0)
-    assert rows.flags.c_contiguous and not rows.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        p.coords[0, 0, 0] = 1
+def assert_row_layout(p: Patch, dtype=np.int32) -> None:
+    """``classes`` is read-only uint8 (N,); ``apexes`` one read-only C-contiguous (4, N) buffer of ``dtype``."""
+    assert p.classes.shape == (len(p),) and p.classes.dtype == np.uint8 and p.classes.flags.c_contiguous
+    assert p.apexes.shape == (4, len(p)) and p.apexes.dtype == dtype and p.apexes.flags.c_contiguous
+    for arr in (p.classes, p.apexes):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[..., :1] = 1
+    assert p.coords.shape == (len(p), 3, 4) and p.coords.dtype == np.int64 and p.coords.flags.c_contiguous
 
 
 class TestRowLayout:
-    """Every way to build a patch stores its coordinates as (3, 4, N) rows."""
+    """Every way to build a patch stores classes and (4, N) apex rows, int32 where they fit."""
 
     def test_every_constructor(self, tmp_path):
         from penrosenet.discrepancy import _supertiles_near
@@ -1459,11 +1510,14 @@ class TestRowLayout:
         for p in patches.values():
             assert_row_layout(p)
         assert len(patches["region_analysis"]) > 0
+        far = generate_patch_covering(Square(3e9, 1e9, 16.0))
+        for p in (far, far.transformed(7, CycloPoint(1, 2, 3, 4)), Patch(far.kinds, far.chiralities, far.coords)):
+            assert_row_layout(p, np.int64)
 
     def test_deflation_output_is_not_copied(self):
-        kinds, chir, coords = tiling._deflate_rounds(Patch.single_tile(HALF_DART, scale_exp=-5), 5)
-        p = Patch(kinds, chir, coords)
-        assert np.shares_memory(p.coords, coords)
+        classes, apexes = tiling._deflate_rounds(Patch.single_tile(HALF_DART, scale_exp=-5), 5)
+        p = Patch.from_classes(classes, apexes)
+        assert np.shares_memory(p.classes, classes) and np.shares_memory(p.apexes, apexes)
 
     @pytest.mark.parametrize("layout", ["fortran", "negative_stride", "sliced", "object", "rows"])
     def test_any_input_layout_gives_the_same_patch(self, layout):
@@ -1486,6 +1540,7 @@ class TestRowLayout:
             coords = np.ascontiguousarray(c.transpose(1, 2, 0)).transpose(2, 0, 1)
         p = Patch(kinds, chir, coords, base.generation, base.scale_exp)
         assert_row_layout(p)
+        assert p.classes.tobytes() == base.classes.tobytes() and p.apexes.tobytes() == base.apexes.tobytes()
         assert p.coords.tobytes() == base.coords.tobytes() == c.tobytes()
         assert np.array_equal(p.kinds, base.kinds) and np.array_equal(p.chiralities, base.chiralities)
         assert deflate_patch(p, 2).coords.tobytes() == deflate_patch(base, 2).coords.tobytes()
@@ -1499,3 +1554,122 @@ class TestRowLayout:
             if scale_exp:
                 want = want * PHI_FLOAT ** (-scale_exp)
             assert tiling._embed(p.coords, scale_exp).tobytes() == want.tobytes()
+
+
+class TestHalfTileClasses:
+    """The 40 half-tile classes, their tables, and the int32/int64 apex rows."""
+
+    @staticmethod
+    def class_tile(c: int, apex=(0, 0, 0, 0)) -> HalfTile:
+        vertices = tiling._VERTEX_OFFSETS[c] + np.array(apex, dtype=np.int64)
+        return HalfTile(int(tiling._CLASS_KIND[c]), int(tiling._CLASS_CHIR[c]),
+                        *(CycloPoint(*map(int, v)) for v in vertices))
+
+    def test_forty_distinct_unit_half_tiles(self):
+        offsets = tiling._VERTEX_OFFSETS
+        assert offsets.shape == (40, 3, 4) and len({o.tobytes() for o in offsets}) == 40
+        assert np.abs(offsets).max() == tiling._REACH == 1  # the base-3 shape codes rely on it
+        assert not offsets[:, 1].any()  # offsets from the apex
+        for c in range(40):
+            t = self.class_tile(c)
+            assert is_well_formed(t)
+            short = t.wing - t.axis_end if t.kind == HALF_KITE else t.wing - t.apex
+            assert squared_length(short) == GoldenNum(1)
+            assert tiling._class_of(t.kind, t.chirality, c % 20 // 2) == c
+        # mirror partners share their axis end, so their full tile's incenter
+        assert np.array_equal(offsets[0::2, 2], offsets[1::2, 2])
+        assert np.array_equal(tiling._INCENTER_OFFSETS[0::2], tiling._INCENTER_OFFSETS[1::2])
+
+    def test_child_tables_are_deflate_tile_scaled_by_phi(self):
+        apex = (7, -3, 12, 5)
+        for c in range(40):
+            children = deflate_tile(self.class_tile(c, apex))
+            scaled_apex = np.array(apex, dtype=np.int64) @ tiling._MPHI
+            for slot, child in enumerate(children):
+                k = int(tiling._CHILD_CLASSES[slot, c])
+                table = self.class_tile(k, scaled_apex + tiling._CHILD_APEX_ROWS[slot, :, c])
+                want = [times_phi(v) for v in child.vertices]
+                assert (table.kind, table.chirality, list(table.vertices)) == (child.kind, child.chirality, want)
+
+    def test_every_class_occurs(self):
+        patches = [generate_patch_covering(Square(-20.0, 13.0, 64.0)),
+                   deflate_patch(Patch.single_tile(HALF_DART, LEFT, scale_exp=-9), 9)]
+        patches.append(patches[1].transformed(3, CycloPoint(5, -7, 2, 3)))
+        turn = np.linalg.matrix_power(tiling._MOMEGA, 3)
+        assert np.array_equal(patches[2].coords, patches[1].coords @ turn + np.array([5, -7, 2, 3]))
+        for p in patches:
+            assert np.array_equal(np.unique(p.classes), np.arange(40))
+            assert Patch(p.kinds, p.chiralities, p.coords).classes.tobytes() == p.classes.tobytes()
+
+    def test_rounds_switch_to_int64_when_the_bound_leaves_int32(self):
+        # a round writes int32 while 4 (|apex| + 1) of its parents fits int32:
+        # the apexes reach 2**29 + 5 in three rounds (int32) and 805306375 in four
+        seed = Patch.single_tile(HALF_KITE, LEFT, translation=CycloPoint(2**28, 0, 0, 0))
+        patches = [deflate_patch(seed, n) for n in range(6)]
+        assert [p.apexes.dtype for p in patches] == [np.int32] * 4 + [np.int64] * 2
+        bounds = [4 * (int(np.abs(p.apexes).max()) + 1) for p in patches]
+        assert bounds[2] <= INT32_MAX < bounds[3]
+        for n, p in enumerate(patches):
+            assert np.array_equal(p.coords, exact_deflation(seed, n))
+
+    def test_window_past_int32_coefficients(self):
+        patch = generate_patch_covering(Square(3e9, 1e9, 64.0), HALF_DART, LEFT)
+        assert patch.apexes.dtype == np.int64 and np.abs(patch.coords).max() > 2**31
+        seed = covering_seed(patch)
+        assert np.array_equal(patch.coords, exact_deflation(seed, -seed.scale_exp))
+        near = generate_patch_covering(Square(-3.0, 5.0, 64.0))
+        assert near.apexes.dtype == np.int32
+        for p in (patch, near):
+            wide = Patch.from_classes(p.classes, p.apexes.astype(np.int64), p.generation, p.scale_exp, p.provenance)
+            assert deflate_patch(wide, 1).coords.tobytes() == deflate_patch(p, 1).coords.tobytes()
+            assert extract_net(wide).ring.tobytes() == extract_net(p).ring.tobytes()
+
+    def test_generate_peaks_below_40_bytes_per_half_tile(self):
+        # the covering patch holds 17 bytes per half-tile; the last round's
+        # parents and index arrays come on top (98 and about 139 bytes with
+        # (N, 3, 4) int64 vertices)
+        generate_patch_covering(Square(0.0, 0.0, 16.0))
+        tracemalloc.start()
+        try:
+            patch = generate_patch_covering(Square(57.0, 16.0, 256.0))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(patch) == 317811
+        assert held < 18 * len(patch) and peak < 40 * len(patch)
+
+
+TRIANGLE_FAULTS = {
+    # (what is done to the half-kite seed's vertices and letters, the message)
+    "non_unit_triangle": ("is not a unit half-kite or half-dart",
+                          lambda k, c, v: (k, c, v + np.array([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]))),
+    "scaled_by_phi": ("is not a unit half-kite or half-dart", lambda k, c, v: (k, c, v @ tiling._MPHI)),
+    "chirality_against_the_geometry": ("has the vertex order of the other chirality", lambda k, c, v: (k, -c, v)),
+    "kite_letter_on_a_dart": ("has the other kind's shape",
+                              lambda k, c, v: (k, c, np.array(tiling._SEED_COORDS[(HALF_DART, c)]) + v[1])),
+}
+
+
+class TestTriangleCheck:
+    @pytest.mark.parametrize("fault", list(TRIANGLE_FAULTS))
+    def test_a_malformed_triangle_is_refused(self, fault):
+        message, edit = TRIANGLE_FAULTS[fault]
+        base = deflate_patch(Patch.single_tile(HALF_KITE, RIGHT, scale_exp=-3), 3)
+        kinds, chir, coords = base.kinds.copy(), base.chiralities.copy(), base.coords
+        i = int(np.flatnonzero(kinds == HALF_KITE)[2])
+        kinds[i], chir[i], coords[i] = edit(int(kinds[i]), int(chir[i]), coords[i])
+        with pytest.raises(ValueError, match=f"^half-tile {i} .* {re.escape(message)}: "):
+            Patch(kinds, chir, coords)
+
+    @pytest.mark.parametrize("kind, chirality, coeff, end", [
+        (HALF_KITE, RIGHT, 0, np.iinfo(np.int64).max), (HALF_DART, LEFT, 1, np.iinfo(np.int64).min),
+    ])
+    def test_an_apex_at_the_ends_of_int64_is_refused(self, kind, chirality, coeff, end):
+        # the apex's unit offsets wrap around int64, and so do their differences, back to the class's own
+        seed = np.array(tiling._SEED_COORDS[(kind, chirality)], dtype=np.int64)
+        apex = np.zeros(4, dtype=np.int64)
+        apex[coeff] = end
+        coords = seed + apex
+        assert np.array_equal(coords - coords[1], seed) and (coords[0, coeff] > 0) != (end > 0)
+        with pytest.raises(ValueError, match="is not a unit"):
+            Patch([kind], [chirality], coords[None])
