@@ -5,8 +5,11 @@ c1 (closest pair) and c2 (largest empty hole) certify that the pattern is
 uniformly separated and relatively dense. c1 has a closed form: the
 minimum is realized by two dart incenters facing each other across a
 shared edge, each one dart inradius (sin 36 / phi) from it, at distance
-2*sin(36 deg)/phi.  Both constants come from one Delaunay pass over the
-points near the window: c1 is its shortest edge.
+2*sin(36 deg)/phi.  On this covering net both constants come exactly from
+the tiling: a sun vertex in the window (five kites on one apex) and two
+darts on one axis end are the witnesses, and lemmas on the tiles do the
+rest (see ``Net``).  A net without them, one loaded from a file say, takes
+one Delaunay pass over the points near the window instead.
 """
 
 import math
@@ -37,12 +40,11 @@ def main() -> None:
     print(f"net:   {len(net)} points ({kites} kite, {len(net) - kites} dart)")
 
     closed_form = 2.0 * math.sin(math.radians(36.0)) / PHI_FLOAT
-    print(f"\nc1 measured    {net.c1:.12f}")
+    print(f"\nc1 of the net  {net.c1:.12f}")
     print(f"c1 closed form {closed_form:.12f}   (2 sin 36 / phi)")
 
-    # c2 is the largest empty circle centred in the window, found among the
-    # Delaunay circumcenters and the Voronoi-edge crossings of the window
-    # boundary; it is exact up to float rounding
+    # c2 is the largest empty circle centred in the window: 1, attained at
+    # the sun vertices, where five kite incenters sit at distance 1
     print(f"\nc2 exact       {net.c2:.6f}  (+/- {net.c2_error_bound:.0e})")
     print(f"c2 upper bound {COVERING_RADIUS_BOUND:.6f}  (dart circumradius, sqrt(3 - phi))")
 

@@ -27,15 +27,18 @@ from typing import Iterator
 
 import numpy as np
 
-from .golden import PHI_FLOAT, SIN36
+from .golden import PHI_FLOAT, SIN36, CycloPoint, GoldenNum, squared_length
 from .tiling import (
     _CLASS_KIND,
+    _CLASSES,
     _DART_CLASSES,
     _INCENTER_OFFSETS,
+    _VERTEX_OFFSETS,
     HALF_DART,
     HALF_KITE,
     Patch,
     Square,
+    _corner_margins,
     _decode,
     _embed,
     _format_rows,
@@ -57,6 +60,17 @@ COVERING_RADIUS_BOUND = math.sqrt(3.0 - PHI_FLOAT)
 # (sin 36 / phi) off each side of a shared edge, the closest approach
 SEPARATION = 2.0 * SIN36 / PHI_FLOAT
 
+# SEPARATION**2 = 4 sin**2 36 / phi**2 = (3 - phi)/phi**2, exactly
+_SEPARATION_SQUARED = GoldenNum(7, -4)
+# (D) and (W) reach a dart wing within 1/phi**3 of a point of R; a window
+# farther than this inside the outline keeps every such wing inside the patch
+_WITNESS_MARGIN = PHI_FLOAT ** -3
+# half the side of the box about a window's center searched for witnesses
+# before the whole window; every covering window tried held both in it
+_WITNESS_REACH = 8.0
+# a full tile's axis end minus its incenter, by the class of either half
+_AXIS_END_OFFSETS = _VERTEX_OFFSETS[:, 2] - _INCENTER_OFFSETS
+
 # |coordinate| < 2**56 keeps extract_net's incenters (at most 21 times the
 # largest coordinate) and its grid-line tests on them inside int64
 _COORD_LIMIT = 1 << 56
@@ -75,12 +89,44 @@ class Net:
     """Point set with provenance, a window square, and Delone statistics.
 
     ``c1`` (minimum pairwise distance near the analysis region) and ``c2``
-    (covering radius over it) come from one window-pruned Delaunay pass,
-    run on first access to either; only it imports ``scipy.spatial``, and
-    the big counting pipelines never need it.  c1 is the pass's shortest
-    Delaunay edge, c2 its largest empty circle, both exact up to float
-    rounding.  ``c2_error_bound`` is a fixed tolerance of 1e-9 for that
-    rounding, the same for every net; it is not derived from the pass.
+    (covering radius over it) come together, on first access to either, in
+    one of two ways.
+
+    Exact, from the tiling: a net that ``extract_net`` built from a patch
+    with an ``outline`` (one deflated from a seed half-tile, possibly moved
+    by ``Patch.transformed``) carries each point's tile class and exact
+    ring incenter.  Premise: such a patch tiles its outline, as every seed
+    deflation does; a caller who hands ``Patch.from_classes`` an outline
+    the tiles do not fill breaks it.  When the window lies more than 1/phi**3
+    inside the outline (so it is c2's region R; ``generate_patch_covering``
+    keeps 0.25 of margin) and two witnesses are found in integer ring
+    arithmetic, c1 is ``SEPARATION`` and c2 is 1.0, with no Delaunay pass:
+
+    - a sun vertex inside R, the apex of five kites 72 degrees apart.  Their
+      incenters are at distance exactly 1 and the five kites cover the disk
+      of radius phi cos 18 about it, so no other incenter is nearer: c2 >= 1;
+    - two dart incenters within 1.5 of R, so inside the pass's first box,
+      at squared distance exactly 7 - 4 phi = (2 sin36/phi)**2 (two darts
+      sharing their axis end, 72 degrees apart).  Distinct tiles have
+      disjoint incircles (S), so no pair is nearer: c1 = 2 sin36/phi.
+
+    c2 <= 1 holds on every such R by lemmas the tests prove exactly: every
+    point of a half-kite is within 1 of its kite's incenter (K); a point of
+    a half-dart farther than 1 from its incenter is within 1/phi**3 of the
+    half's wing (D); every dart wing is the axis end of some tile, whose
+    incenter is 1/phi from it (W), and that wing lies inside the patch by
+    the margin.  So every point of R is within max(1, 1/phi**3 + 1/phi) = 1
+    of the net.
+
+    The float pass, for every other net (loaded from a file, built by hand,
+    a window near or off the outline, or one with no witness): one
+    window-pruned Delaunay pass (``_delone_pass``), which alone imports
+    ``scipy.spatial``; the big counting pipelines never need it.  c1 is the
+    pass's shortest Delaunay edge, c2 its largest empty circle, both exact
+    up to float rounding.
+
+    ``c2_error_bound`` is a fixed tolerance of 1e-9 for that rounding, the
+    same for every net, exact or not; it is not derived from the pass.
     """
 
     def __init__(
@@ -91,16 +137,20 @@ class Net:
         window: Square,
         ring: np.ndarray | None = None,
         outline: np.ndarray | None = None,
+        classes: np.ndarray | None = None,
     ) -> None:
         self.xy = np.ascontiguousarray(xy, dtype=np.float64)
         self.source_kinds = np.ascontiguousarray(source_kinds, dtype=np.uint8)
         self.tile_ids = np.ascontiguousarray(tile_ids, dtype=np.int64)
+        self.classes = None if classes is None else np.ascontiguousarray(classes, dtype=np.uint8)
         if self.xy.ndim != 2 or self.xy.shape[1] != 2:
             raise ValueError("xy must have shape (M, 2)")
         if len(self.source_kinds) != len(self.xy) or len(self.tile_ids) != len(self.xy):
             raise ValueError("parallel arrays must have equal length")
         if len(self.xy) == 0:
             raise ValueError("empty net")
+        if self.classes is not None and (self.classes.shape != (len(self.xy),) or self.classes.max() >= _CLASSES):
+            raise ValueError(f"classes must be one half-tile class below {_CLASSES} per point")
         if not np.isfinite(self.xy).all():
             raise ValueError("net coordinates must be finite")
         self.window = Square(*window)
@@ -108,7 +158,7 @@ class Net:
             raise ValueError("net window must be finite with a positive side")
         self.ring = None if ring is None else np.ascontiguousarray(ring, dtype=np.int64)
         self.outline = None if outline is None else np.asarray(outline, dtype=np.float64)
-        for arr in (self.xy, self.source_kinds, self.tile_ids, self.ring):
+        for arr in (self.xy, self.source_kinds, self.tile_ids, self.ring, self.classes):
             if arr is not None:
                 arr.flags.writeable = False
 
@@ -144,8 +194,49 @@ class Net:
             yield pad, near if keep.all() else near[keep]
             pad *= 2.0
 
+    def _witnessed(self) -> bool:
+        """Whether the tiling gives c1 = ``SEPARATION`` and c2 = 1 exactly (see ``Net``).
+
+        Needs the points' classes and ring incenters, an outline, and a
+        window more than 1/phi**3 inside it.  The witnesses are looked for
+        among the points within 1.5 of a box, first one of side
+        ``2 * _WITNESS_REACH`` about the window's center, then the whole
+        window: a sun vertex strictly inside the box, whose kites are within
+        1 of it, and a dart pair, which is then inside the pass's first box
+        (pad 2) whatever the rounding.  The float comparisons keep a margin
+        of 1e-12 times the window's magnitude, over a thousand times the
+        rounding of the embedded points and the outline.
+        """
+        if self.classes is None or self.ring is None or self.outline is None:
+            return False
+        x, y, side = self.window
+        slack = 1e-12 * (1.0 + abs(x) + abs(y) + side)
+        tri = self.outline
+        turn = np.sign(_cross(tri[1] - tri[0], tri[2] - tri[0]))
+        if (_corner_margins(tri[None], turn[None], self.window) <= _WITNESS_MARGIN + slack).any():
+            return False
+        boxes = [(np.array([x, y]), np.array([x + side, y + side]))]
+        if side > 2.0 * _WITNESS_REACH:
+            center = np.array(self.window.center)
+            boxes.insert(0, (center - _WITNESS_REACH, center + _WITNESS_REACH))
+        px, py = self.xy.T
+        for lo, hi in boxes:
+            near = np.flatnonzero((px >= lo[0] - 1.5) & (px <= hi[0] + 1.5)
+                                  & (py >= lo[1] - 1.5) & (py <= hi[1] + 1.5))
+            classes, ring = self.classes[near], self.ring[near]
+            suns = _embed(_sun_vertices(classes, ring))
+            if ((suns > lo + slack) & (suns < hi - slack)).all(axis=1).any() and _has_separation_pair(classes, ring):
+                return True
+        return False
+
     @cached_property
     def _delone(self) -> tuple[float | None, float]:
+        """(c1, c2): (``SEPARATION``, 1.0) when ``_witnessed``, else ``_delone_pass``."""
+        if self._witnessed():
+            return SEPARATION, 1.0
+        return self._delone_pass()
+
+    def _delone_pass(self) -> tuple[float | None, float]:
         """(c1, c2) from one Delaunay pass; c1 is None for a one-point net.
 
         The pass runs in the window's own frame: its origin is the window's
@@ -189,10 +280,12 @@ class Net:
     def c1(self) -> float:
         """Minimum pairwise distance over the points of c2's pass.
 
-        Those are the net points within ``pad`` (2 or more) of the bounding
-        box of c2's region R.  When R is empty, or the pass kept fewer than
-        two points, the pad around R, or around the window if R is empty,
-        doubles until it holds two.  c1 is the shortest edge of the pass's
+        On a net with the tiling's witnesses (see ``Net``) this is
+        ``SEPARATION`` exactly, from a witness pair and lemma (S), with no
+        pass.  Otherwise the points are the net points within ``pad`` (2 or
+        more) of the bounding box of c2's region R.  When R is empty, or the
+        pass kept fewer than two points, the pad around R, or around the
+        window if R is empty, doubles until it holds two.  c1 is the shortest edge of the pass's
         Delaunay triangulation: the closest pair has an empty diametral
         circle, so it is an edge of every Delaunay triangulation (Shamos &
         Hoey 1975).  When the pass has no triangle with a finite
@@ -204,8 +297,8 @@ class Net:
         tree decides instead.
         Pairs farther out are not looked at, so c1 is at least the
         separation of the whole net; on Penrose incenter nets both equal
-        ``SEPARATION``.  Exact up to float rounding; a one-point net is a
-        ValueError.
+        ``SEPARATION``.  The float pass is exact up to float rounding; a
+        one-point net is a ValueError.
         """
         c1 = self._delone[0]
         if c1 is None:
@@ -218,8 +311,11 @@ class Net:
 
         R is the window, clipped to the patch outline triangle when the net
         has one, since locations outside the patch union are not covered.
-        The points within ``pad`` of R's bounding box are triangulated and
-        the largest empty circle centred in R is found among its classical
+        On a net with the tiling's witnesses (see ``Net``) R is the window
+        and this is 1.0 exactly: a sun vertex in R and lemmas (K), (D) and
+        (W), with no pass.  Otherwise the points within ``pad`` of R's
+        bounding box are triangulated and the largest empty circle centred
+        in R is found among its classical
         candidates (``_largest_gap``): circumcenters in R, crossings of
         Voronoi edges with R's boundary, and R's vertices.  Only those that
         can set the maximum are measured with the k-d tree.  A crossing of
@@ -243,7 +339,9 @@ class Net:
 
         A constant, the same for every net: it is not a bound derived from
         the candidates' rounding, and no proof shows the rounding stays
-        below it.
+        below it.  An exact c2 from the tiling's witnesses (see ``Net``) has
+        no rounding, and keeps the same 1e-9, so the CLI and net files print
+        the same text for either path.
         """
         return 1e-9
 
@@ -398,6 +496,43 @@ def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (diff * diff).sum(axis=1)
 
 
+def _sun_vertices(classes: np.ndarray, ring: np.ndarray) -> np.ndarray:
+    """(k, 4) ring points that are the apex of five of these kites, 72 degrees apart.
+
+    ``classes`` and ``ring`` are points' tile classes and incenters.  A
+    kite's apex is its incenter minus its class's offset, and its direction
+    is ``class >> 1``: five kites on one apex whose directions step by 2
+    (72 degrees) fill the turn around it.
+    """
+    kites = classes < _DART_CLASSES
+    c = classes[kites]
+    apexes, turns = ring[kites] - _INCENTER_OFFSETS[c], c >> 1
+    order = np.lexsort((turns, *apexes.T[::-1]))
+    apexes, turns = apexes[order], turns[order]
+    step = (apexes[1:] == apexes[:-1]).all(axis=1) & (turns[1:] - turns[:-1] == 2)
+    return apexes[:-4][step[:-3] & step[1:-2] & step[2:-1] & step[3:]]
+
+
+def _has_separation_pair(classes: np.ndarray, ring: np.ndarray) -> bool:
+    """Whether two of these darts share their axis end 72 degrees apart, at distance ``SEPARATION``.
+
+    The pair is found by integer equality of axis ends and a direction
+    step of 2 (or 8, around the turn); its squared distance is then checked
+    to be 7 - 4 phi exactly in Q(phi).
+    """
+    darts = classes >= _DART_CLASSES
+    c, centers = classes[darts], ring[darts]
+    ends, turns = centers + _AXIS_END_OFFSETS[c], c >> 1
+    order = np.lexsort((turns, *ends.T[::-1]))
+    ends, turns, centers = ends[order], turns[order], centers[order]
+    apart = turns[1:] - turns[:-1]
+    pairs = np.flatnonzero((ends[1:] == ends[:-1]).all(axis=1) & ((apart == 2) | (apart == 8)))
+    if not len(pairs):
+        return False
+    j = pairs[0]
+    return squared_length(CycloPoint(*map(int, centers[j + 1] - centers[j]))) == _SEPARATION_SQUARED
+
+
 def _pairing_key(p: Patch) -> tuple[np.ndarray, list[int]]:
     """(key, widths): each half's key packing its kind and its full tile's incenter.
 
@@ -543,7 +678,7 @@ def extract_net(p: Patch, window: Square | tuple | None = None) -> Net:
         lo = xy.min(axis=0)
         extent = float((xy.max(axis=0) - lo).max())
         window = Square(float(lo[0]) - 1.0, float(lo[1]) - 1.0, extent + 2.0)
-    return Net(xy, _CLASS_KIND[classes], tile_ids, window, ring=ring, outline=outline)
+    return Net(xy, _CLASS_KIND[classes], tile_ids, window, ring=ring, outline=outline, classes=classes)
 
 
 def count_in_square(net: Net, square: Square | tuple) -> tuple[int, int]:
@@ -566,16 +701,20 @@ def count_in_square(net: Net, square: Square | tuple) -> tuple[int, int]:
 
 
 def export_net(net: Net, path: str) -> None:
-    """Write one point per line (x, y, source_kind, tile_id) with a stats header."""
+    """Write one point per line (x, y, source_kind, tile_id) with a stats header.
+
+    The header is built before ``path`` is opened, so a net whose c1 or c2
+    raises (a one-point net has no c1) leaves no file and an existing one
+    untouched.
+    """
     names = (SOURCE_NAMES[HALF_KITE], SOURCE_NAMES[HALF_DART])  # HALF_KITE 0, HALF_DART 1
+    header = (
+        f"# penrosenet net v1\n# points {len(net)}\n# c1 {net.c1:.12g}\n"
+        f"# c2 {net.c2:.12g} error_bound {net.c2_error_bound:.12g}\n"
+        f"# window {net.window.x:.12g} {net.window.y:.12g} {net.window.side:.12g}\n"
+    )
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("# penrosenet net v1\n")
-        fh.write(f"# points {len(net)}\n")
-        fh.write(f"# c1 {net.c1:.12g}\n")
-        fh.write(f"# c2 {net.c2:.12g} error_bound {net.c2_error_bound:.12g}\n")
-        fh.write(
-            f"# window {net.window.x:.12g} {net.window.y:.12g} {net.window.side:.12g}\n"
-        )
+        fh.write(header)
         fh.writelines(_format_rows("%.12g %.12g %s %d\n", net.xy, (names, net.source_kinds), net.tile_ids))
 
 

@@ -350,7 +350,8 @@ print("clean")
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "clean"
 
-    def test_verify_loads_it_for_c1_and_c2(self):
+    def test_verify_leaves_it_unloaded_on_the_covering_net(self):
+        # the covering net's c1 and c2 come from the tiling's witnesses
         done = _fresh_python(
             "import sys\n"
             "from penrosenet.cli import main\n"
@@ -359,6 +360,6 @@ print("clean")
         )
         assert done.returncode == 0, done.stderr
         lines = done.stdout.splitlines()
-        assert lines[-1] == "True 0"
+        assert lines[-1] == "False 0"
         assert any(line.startswith("net: c1 = ") and "PASS" in line for line in lines)
         assert any(line.startswith("net: covering radius ") and line.endswith("PASS") for line in lines)

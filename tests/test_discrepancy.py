@@ -386,11 +386,22 @@ def square_in_triangle(square, tri, margin=0.0):
     return True
 
 
-def full_layer_region_analysis(monkeypatch, patch, square, layer=None):
-    """region_analysis on the whole supertile layer: the reference for the pruned one."""
+def full_layer_region_analysis(monkeypatch, patch, square, layer=None, layer_emb=None):
+    """region_analysis on the whole supertile layer: the reference for the pruned one.
+
+    ``layer_emb``, when given, is ``layer.embedded()``, built once by the
+    caller: region_analysis gets it in place of building and embedding the
+    layer's vertices again.
+    """
     with monkeypatch.context() as m:
         m.setattr(discrepancy, "_supertiles_near",
                   lambda patch, half, square: supertiles(patch, half) if layer is None else layer)
+        if layer_emb is not None:
+            build, embed = discrepancy._vertex_coords, discrepancy._embed
+            m.setattr(discrepancy, "_vertex_coords",
+                      lambda classes, apexes: layer if classes is layer.classes else build(classes, apexes))
+            m.setattr(discrepancy, "_embed",
+                      lambda coords, scale_exp=0: layer_emb if coords is layer else embed(coords, scale_exp))
         return region_analysis(patch, square)
 
 
@@ -421,13 +432,20 @@ def _segment_intersect(p1, p2, q1, q2, eps=1e-9):
     )
 
 
-def scalar_censuses(tiles, square, eps=1e-9):
+def embedded_layer(tiles):
+    """(vertices, bounding-box lower corners, upper corners) of a layer, embedded, for ``scalar_censuses``."""
+    emb = tiles.embedded()
+    return emb, emb.min(axis=1), emb.max(axis=1)
+
+
+def scalar_censuses(tiles, square, eps=1e-9, layer=None):
     """Contained and intersecting censuses by per-tile scalar geometry.
 
     A tile meets the square when a vertex lies in it, a square corner lies
     in the tile, or two edges cross, each test closed with tolerance eps.
+    ``layer`` is ``embedded_layer(tiles)``, built here when not given.
     """
-    emb = tiles.embedded()
+    emb, bb_lo, bb_hi = embedded_layer(tiles) if layer is None else layer
     x1, y1, l = square
     x2, y2 = x1 + l, y1 + l
     inside = (
@@ -435,7 +453,6 @@ def scalar_censuses(tiles, square, eps=1e-9):
         & (emb[:, :, 1] >= y1 - eps) & (emb[:, :, 1] <= y2 + eps)
     )
     contained = inside.all(axis=1)
-    bb_lo, bb_hi = emb.min(axis=1), emb.max(axis=1)
     candidate = (
         (bb_lo[:, 0] <= x2 + eps) & (bb_hi[:, 0] >= x1 - eps)
         & (bb_lo[:, 1] <= y2 + eps) & (bb_hi[:, 1] >= y1 - eps)
@@ -561,9 +578,11 @@ class TestRegionAnalysis:
         for x, y in ((0, 0), (w - l, 0), (0, w - l), (w - l, w - l)):
             squares.append(Square(wx + x, wy + y, l))
         # squares with a corner on a supertile vertex or edge, or 1e-7
-        # beyond it, where the 1e-9 tolerance decides
+        # beyond it, where the 1e-9 tolerance decides.  The layer's vertices
+        # are embedded once, for the picks and for both oracles
         tiles = supertiles(patch256, half)
-        emb = tiles.embedded()
+        layer = embedded_layer(tiles)
+        emb = layer[0]
         inside = np.flatnonzero(((emb > (wx, wy)) & (emb < (wx + w, wy + w))).all(axis=(1, 2)))
         t = rng.choice(inside, 4, replace=False)
         k = rng.integers(0, 3, 4)
@@ -582,8 +601,8 @@ class TestRegionAnalysis:
         for square in squares:
             result = region_analysis(patch256, square)
             assert result.supertile_rounds == half
-            assert (result.contained, result.intersecting) == scalar_censuses(tiles, square), square
-            assert result == full_layer_region_analysis(monkeypatch, patch256, square, tiles), square
+            assert (result.contained, result.intersecting) == scalar_censuses(tiles, square, layer=layer), square
+            assert result == full_layer_region_analysis(monkeypatch, patch256, square, tiles, emb), square
 
     @pytest.mark.parametrize("half", [0, 2, 4])
     def test_pruned_layer_is_the_full_layer_near_the_square(self, patch256, half):

@@ -17,12 +17,15 @@ from penrosenet import net as net_module, tiling
 from penrosenet.cli import main
 from penrosenet.discrepancy import _CountGrid
 from penrosenet.golden import (
+    INV_PHI,
+    PHI,
     CycloPoint,
     GoldenNum,
     PHI_FLOAT,
     SIN36,
     cross_s72,
     dot,
+    squared_length,
 )
 from penrosenet.net import (
     COVERING_RADIUS_BOUND,
@@ -1014,7 +1017,7 @@ class TestDeloneStatistics:
         net = extract_net(generate_patch_covering(Square(-20.0, 13.0, 64.0)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert abs(net.c2 - 1.0) <= net.c2_error_bound
+            assert abs(net._delone_pass()[1] - 1.0) <= net.c2_error_bound
 
     def test_c2_against_sampler_covering_patch(self):
         assert_c2_matches_sampler(extract_net(generate_patch_covering(Square(0.0, 0.0, 16.0))))
@@ -1126,27 +1129,37 @@ class TestDelonePass:
 
     @pytest.mark.parametrize("window, kind, chirality", COVERING_NETS)
     def test_covering_nets(self, window, kind, chirality, delaunay_calls):
+        # the float pass, run through its own entry; the net itself takes
+        # the tiling's exact constants and triangulates nothing
         net = extract_net(generate_patch_covering(window, kind, chirality))
-        c1, c2 = net.c1, net.c2
+        assert (net.c1, net.c2) == (SEPARATION, 1.0)
+        assert delaunay_calls == []
+        c1, c2 = net._delone_pass()
         assert len(delaunay_calls) == 1
         assert c1 == brute_c1(delaunay_calls[0])
         assert abs(c1 - SEPARATION) <= 1e-12
         assert c2.hex() == reference_c2(net).hex()
+        assert abs(c2 - net.c2) <= 1e-12
 
     @pytest.mark.parametrize("first, second", [("c1", "c2"), ("c2", "c1")])
-    @pytest.mark.parametrize("make", [
-        lambda: extract_net(generate_patch_covering(Square(-3.0, 5.0, 16.0))),
-        lambda: extract_net(deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-3), 3),
-                            window=Square(100.0, 100.0, 4.0)),
+    @pytest.mark.parametrize("make, passes", [
+        # the covering net's constants come from the tiling, with no pass
+        (lambda: extract_net(generate_patch_covering(Square(-3.0, 5.0, 16.0))), 0),
+        (lambda: extract_net(deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-3), 3),
+                             window=Square(100.0, 100.0, 4.0)), 1),
     ], ids=["covering_16", "off_outline"])
-    def test_either_access_order_one_triangulation(self, make, first, second, delaunay_calls):
+    def test_either_access_order_one_triangulation(self, make, passes, first, second, delaunay_calls):
         net = make()
         values = {first: getattr(net, first), second: getattr(net, second)}
-        assert len(delaunay_calls) == 1
+        assert len(delaunay_calls) == passes
         assert (net.c1, net.c2) == (values["c1"], values["c2"])
-        assert len(delaunay_calls) == 1
+        assert len(delaunay_calls) == passes
         other = make()
         assert (other.c2, other.c1) == (values["c2"], values["c1"])
+        if passes == 0:
+            c1, c2 = net._delone_pass()
+            assert len(delaunay_calls) == 1
+            assert abs(c1 - values["c1"]) <= 1e-12 and abs(c2 - values["c2"]) <= 1e-12
 
     def test_window_off_the_outline(self, delaunay_calls):
         # c2's region is empty, so c1 takes the window's box and widens it
@@ -1407,12 +1420,286 @@ class TestPrunedCandidates:
                 return super().query(x, *args, **kwargs)
 
         monkeypatch.setattr(scipy.spatial, "cKDTree", Counted)
-        c2 = net.c2
+        assert net.c2 == 1.0  # from the tiling: no pass, no query
+        assert queried == []
+        c2 = net._delone_pass()[1]
         monkeypatch.undo()
         # every bisector crossing of the boundary and every circumcenter
         # inside the window would be about 27,000 points
         assert 0 < sum(queried) <= 2000
         assert c2.hex() == reference_c2(net).hex()
+        assert abs(c2 - net.c2) <= 1e-12
+
+
+def ring_point(row) -> CycloPoint:
+    return CycloPoint(*map(int, row))
+
+
+def class_corners(c: int) -> tuple[CycloPoint, CycloPoint, CycloPoint, CycloPoint]:
+    """Wing, apex, axis end and full-tile incenter of class ``c``'s half-tile with its apex at 0."""
+    wing, apex, end = (ring_point(v) for v in tiling._VERTEX_OFFSETS[c])
+    return wing, apex, end, ring_point(tiling._INCENTER_OFFSETS[c])
+
+
+def over_phi(p: CycloPoint, k: int) -> CycloPoint:
+    for _ in range(k):
+        p = p.times_inv_phi()
+    return p
+
+
+def line_distance_squared(a: CycloPoint, b: CycloPoint, p: CycloPoint) -> GoldenNum:
+    """Exact squared distance from ``p`` to the line through ``a`` and ``b``; sin**2 72 = (2 + phi)/4."""
+    return cross_s72(b - a, p - a) ** 2 * (2 + PHI) / 4 / squared_length(b - a)
+
+
+KITE_CLASSES, DART_CLASSES = range(0, 20), range(20, 40)
+WING, APEX, AXIS_END = 0, 1, 2
+# a half-tile's corner at each vertex role, in tenths of a turn
+CORNER_TENTHS = {(HALF_KITE, WING): 2, (HALF_KITE, APEX): 1, (HALF_KITE, AXIS_END): 2,
+                 (HALF_DART, WING): 1, (HALF_DART, APEX): 3, (HALF_DART, AXIS_END): 1}
+
+
+def vertex_stars(patch: Patch) -> dict[tuple, int]:
+    """Canonical vertex stars of a patch's complete vertices, with how often each occurs.
+
+    A star is the cyclic sequence of (kind, role, chirality) of the
+    half-tile corners around the vertex, ordered by angle; its canonical
+    form is the least over every rotation of it and of its mirror image
+    (reversed, chiralities flipped).  A vertex is complete when its corners
+    fill the turn.
+    """
+    coords, emb = patch.coords, patch.embedded()
+    centroids = emb.mean(axis=1)
+    corners: dict[tuple, list] = {}
+    for i, (kind, chirality) in enumerate(zip(patch.kinds.tolist(), patch.chiralities.tolist())):
+        for role in (WING, APEX, AXIS_END):
+            toward = centroids[i] - emb[i, role]
+            corners.setdefault(tuple(coords[i, role].tolist()), []).append(
+                (math.atan2(toward[1], toward[0]), (kind, role, chirality)))
+    stars: dict[tuple, int] = {}
+    for around in corners.values():
+        if sum(CORNER_TENTHS[label[:2]] for _, label in around) != 10:
+            continue
+        seq = [label for _, label in sorted(around)]
+        mirror = [(kind, role, -chirality) for kind, role, chirality in reversed(seq)]
+        canon = min(tuple(t[j:] + t[:j]) for t in (seq, mirror) for j in range(len(t)))
+        stars[canon] = stars.get(canon, 0) + 1
+    return stars
+
+
+class TestTilingLemmas:
+    """The exact facts behind a covering net's tiling constants (see ``Net``)."""
+
+    @pytest.mark.parametrize("c", KITE_CLASSES)
+    def test_k_a_half_kite_lies_within_one_of_its_incenter(self, c):
+        # its vertices are at 1, 1 and 1/phi, and the closed unit disk is convex
+        wing, apex, end, center = class_corners(c)
+        assert [squared_length(v - center) for v in (wing, apex, end)] == [1, 1, INV_PHI * INV_PHI]
+
+    @pytest.mark.parametrize("c", DART_CLASSES)
+    def test_d_a_half_dart_reaches_past_one_only_near_its_wing(self, c):
+        # with A the wing, B the apex (|AB| = 1) and C the axis end
+        # (|AC| = phi): P = A + (B - A)/phi**3 and Q = A + (C - A)/phi**4 are
+        # 1/phi**3 from A and, with B and C, in the closed unit disk about
+        # the incenter.  The half-dart is the triangle (A, P, Q) and the
+        # convex hull of P, B, C and Q, which the disk holds, so a point
+        # farther than 1 from the incenter is within 1/phi**3 of the wing
+        wing, apex, end, center = class_corners(c)
+        p, q = wing + over_phi(apex - wing, 3), wing + over_phi(end - wing, 4)
+        assert squared_length(p - wing) == squared_length(q - wing) == PHI ** -6
+        for v in (p, q, apex, end):
+            assert squared_length(v - center) <= 1
+        assert squared_length(wing - center) == 3 - PHI > 1
+
+    def test_w_every_axis_end_is_one_over_phi_from_its_incenter(self):
+        for c in range(40):
+            _, _, end, center = class_corners(c)
+            assert squared_length(end - center) == INV_PHI * INV_PHI
+        # so a point within 1/phi**3 of a dart wing is within 1 of the net
+        assert PHI ** -3 + INV_PHI < 1
+
+    @pytest.mark.parametrize("seed, chirality", [(HALF_KITE, RIGHT), (HALF_DART, LEFT)])
+    def test_w_seven_vertex_stars_and_every_dart_wing_on_an_axis_end(self, seed, chirality):
+        # the kite/dart vertex stars (Grunbaum & Shephard 10.3): sun, star,
+        # ace, deuce, jack, queen and king, up to rotation and reflection
+        stars = vertex_stars(generate_patch_covering(Square(0.0, 0.0, 16.0), seed, chirality))
+        assert len(stars) == 7
+        assert set(stars) == set(vertex_stars(generate_patch_covering(Square(40.0, -9.0, 16.0))))
+        for star in stars:
+            if (HALF_DART, WING) in {label[:2] for label in star}:
+                assert AXIS_END in {role for _, role, _ in star}, star
+
+    @pytest.mark.parametrize("c", KITE_CLASSES)
+    def test_a_sun_covers_a_disk_wider_than_one(self, c):
+        # five kites 72 degrees apart on one apex: their wings and axis ends
+        # are the corners of a regular decagon of circumradius phi, 36
+        # degrees apart; its inradius, the distance from the apex to the
+        # side (wing, axis_end), is phi cos 18 > 1
+        wing, apex, end, _ = class_corners(c)
+        assert squared_length(wing - apex) == squared_length(end - apex) == PHI * PHI
+        assert dot(wing - apex, end - apex) == PHI ** 3 / 2  # cos 36 = phi/2
+        inradius_sq = line_distance_squared(wing, end, apex)
+        assert inradius_sq == PHI * PHI * (2 + PHI) / 4 > 1
+        assert abs(math.sqrt(float(inradius_sq)) - PHI_FLOAT * math.cos(math.radians(18.0))) < 1e-12
+
+    @pytest.mark.parametrize("direction", range(10))
+    def test_two_darts_on_one_axis_end_72_degrees_apart_are_at_the_separation(self, direction):
+        ends = [tiling._class_of(HALF_DART, RIGHT, d % 10) for d in (direction, direction + 2)]
+        a, b = (ring_point(-net_module._AXIS_END_OFFSETS[c]) for c in ends)  # incenters, axis ends at 0
+        assert squared_length(a - b) == net_module._SEPARATION_SQUARED == GoldenNum(7, -4)
+        assert abs(math.sqrt(float(net_module._SEPARATION_SQUARED)) - SEPARATION) < 1e-15
+
+    def test_s_the_separation_is_twice_the_dart_inradius(self):
+        # distinct tiles have disjoint incircles, so incenters are at least
+        # the two inradii apart, and the dart's is the smaller
+        sin36_sq = (3 - PHI) / 4
+        for c in range(40):
+            wing, apex, end, center = class_corners(c)
+            inradius_sq = sin36_sq if c in KITE_CLASSES else sin36_sq / PHI ** 2
+            for a, b in ((wing, apex), (wing, end)):  # the full tile's sides
+                assert line_distance_squared(a, b, center) == inradius_sq
+        assert 4 * sin36_sq / PHI ** 2 == net_module._SEPARATION_SQUARED
+        assert sin36_sq > sin36_sq / PHI ** 2
+
+    def test_the_witnesses_of_a_covering_net(self):
+        net = extract_net(generate_patch_covering(Square(-20.0, 13.0, 64.0)))
+        suns = tiling._embed(net_module._sun_vertices(net.classes, net.ring))
+        assert len(suns) > 100
+        # five incenters at 1, the next beyond the decagon's inradius
+        dist = cKDTree(net.xy).query(suns, k=6)[0]
+        assert np.abs(dist[:, :5] - 1.0).max() < 1e-12
+        assert dist[:, 5].min() > PHI_FLOAT * math.cos(math.radians(18.0))
+        assert net_module._has_separation_pair(net.classes, net.ring)
+
+
+def moved_square(square: Square, turns: int, shift: CycloPoint) -> Square:
+    """The square of ``square``'s side about the image of its center under ``transformed(turns, shift)``."""
+    angle = math.radians(36.0 * turns)
+    cx, cy = square.center
+    sx, sy = tiling._embed(np.array(shift.coeffs, dtype=np.int64)).tolist()
+    x = cx * math.cos(angle) - cy * math.sin(angle) + sx
+    y = cx * math.sin(angle) + cy * math.cos(angle) + sy
+    return Square(x - square.side / 2.0, y - square.side / 2.0, square.side)
+
+
+def window_inside_edge(net: Net, side: float, margin: float) -> Square:
+    """A window of ``side`` about the middle of the outline's first edge, its nearest corner ``margin`` inside."""
+    a, b, c = net.outline
+    normal = np.array([a[1] - b[1], b[0] - a[0]]) / math.dist(a, b)
+    if normal @ (c - a) < 0:
+        normal = -normal
+    center = (a + b) / 2.0 + normal * (margin + side / 2.0 * np.abs(normal).sum())
+    return Square(float(center[0] - side / 2.0), float(center[1] - side / 2.0), side)
+
+
+def min_outline_margin(net: Net) -> float:
+    tri = net.outline
+    turn = np.sign(_cross(tri[1] - tri[0], tri[2] - tri[0]))
+    return float(tiling._corner_margins(tri[None], turn[None], net.window).min())
+
+
+def assert_tiling_constants(net: Net, delaunay_calls: list) -> None:
+    """c1 and c2 exact from the tiling, with no pass, and within 1e-12 of the float pass."""
+    c1, c2 = net.c1, net.c2
+    assert delaunay_calls == []
+    assert (c1, c2) == (SEPARATION, 1.0)
+    f1, f2 = net._delone_pass()
+    assert len(delaunay_calls) == 1
+    assert abs(f1 - c1) <= 1e-12 and abs(f2 - c2) <= 1e-12
+
+
+COVER_64 = (Square(-20.0, 13.0, 64.0), HALF_KITE, LEFT)
+
+
+def cover_64_net(window=None) -> Net:
+    return extract_net(generate_patch_covering(*COVER_64), window=window)
+
+
+def net_with_no_sun() -> Net:
+    # the square holds a kite apex but no sun vertex, and a dart pair at
+    # the separation lies within reach; its covering radius is about 0.79
+    return extract_net(generate_patch_covering(Square(0.0, 0.0, 64.0)), window=Square(55.0, 50.0, 1.0))
+
+
+def hand_built_cover_64_net() -> Net:
+    """The covering net's arrays, ring and outline in a ``Net`` built without classes."""
+    net = cover_64_net()
+    return Net(net.xy, net.source_kinds, net.tile_ids, net.window, ring=net.ring, outline=net.outline)
+
+
+def loaded_cover_64_net(tmp_path) -> Net:
+    path = str(tmp_path / "net.txt")
+    export_net(cover_64_net(), path)
+    return load_net(path)
+
+
+class TestTilingConstants:
+    """Covering nets take c1 and c2 from the tiling; every other net takes the float pass."""
+
+    # with COVERING_NETS (sides 4 to 64, both seeds and chiralities), which
+    # TestDelonePass checks against the brute-force and reference passes
+    @pytest.mark.parametrize("window, kind, chirality", [
+        (Square(0.0, 0.0, 16.0), HALF_KITE, LEFT),
+        (Square(-700.5, 300.25, 16.0), HALF_DART, LEFT),
+        (Square(-20.0, 13.0, 64.0), HALF_DART, RIGHT),
+        (Square(57.0, 16.0, 256.0), HALF_KITE, RIGHT),
+    ])
+    def test_covering_nets(self, window, kind, chirality, delaunay_calls):
+        assert_tiling_constants(extract_net(generate_patch_covering(window, kind, chirality)), delaunay_calls)
+
+    @pytest.mark.parametrize("window", [Square(-10.5, 20.25, 16.0), Square(30.0, 60.0, 4.0)])
+    def test_window_inside_a_covering_patch(self, window, delaunay_calls):
+        assert_tiling_constants(cover_64_net(window), delaunay_calls)
+
+    @pytest.mark.parametrize("turns, shift, kind, chirality", [
+        (3, (40, -7, 2, 5), HALF_KITE, RIGHT),
+        (7, (-12, 0, 9, -3), HALF_DART, LEFT),
+    ])
+    def test_transformed_patches(self, turns, shift, kind, chirality, delaunay_calls):
+        square, shift = Square(10.0, -3.0, 16.0), CycloPoint(*shift)
+        patch = generate_patch_covering(square, kind, chirality).transformed(turns, shift)
+        assert_tiling_constants(extract_net(patch, window=moved_square(square, turns, shift)), delaunay_calls)
+
+    def test_the_margin_decides(self, delaunay_calls):
+        # 0.3 inside the outline the tiling decides; the same window 0.2
+        # inside, less than 1/phi**3, where a dart wing near the window could
+        # lie outside the patch, takes the float pass (the fallback cases)
+        outline_net = cover_64_net()
+        for margin in (0.3, 0.2):
+            assert abs(min_outline_margin(cover_64_net(window_inside_edge(outline_net, 16.0, margin))) - margin) < 1e-9
+        assert_tiling_constants(cover_64_net(window_inside_edge(outline_net, 16.0, 0.3)), delaunay_calls)
+
+    def test_a_window_with_no_sun_vertex(self, delaunay_calls):
+        # a kite apex is no sun: every witness but the sun is here, and c2
+        # is well below 1
+        net = net_with_no_sun()
+        x, y, side = net.window
+        kites = net.classes < 20
+        apexes = tiling._embed(net.ring[kites] - tiling._INCENTER_OFFSETS[net.classes[kites]])
+        assert ((apexes > (x, y)) & (apexes < (x + side, y + side))).all(axis=1).any()
+        near = ((net.xy > (x - 1.5, y - 1.5)) & (net.xy < (x + side + 1.5, y + side + 1.5))).all(axis=1)
+        assert net_module._has_separation_pair(net.classes[near], net.ring[near])
+        c2 = net.c2
+        assert len(delaunay_calls) == 1
+        assert c2 < 0.9
+        assert abs(net.c1 - SEPARATION) <= 1e-12
+
+    @pytest.mark.parametrize("make", [
+        lambda tmp_path: loaded_cover_64_net(tmp_path),
+        lambda tmp_path: hand_built_cover_64_net(),
+        lambda tmp_path: extract_net(deflate_patch(Patch.single_tile(HALF_DART, LEFT, scale_exp=-6), 6)),
+        lambda tmp_path: extract_net(deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-3), 3),
+                                     window=Square(100.0, 100.0, 4.0)),
+        lambda tmp_path: cover_64_net(window_inside_edge(cover_64_net(), 16.0, 0.2)),
+        lambda tmp_path: net_with_no_sun(),
+    ], ids=["loaded", "hand_built", "window_crossing_the_outline", "window_off_the_outline",
+            "margin_below_phi_cubed", "no_sun_vertex"])
+    def test_every_other_net_takes_one_float_pass(self, make, tmp_path, delaunay_calls):
+        net = make(tmp_path)
+        delaunay_calls.clear()
+        c1, c2 = net.c1, net.c2
+        assert len(delaunay_calls) == 1
+        assert (c1, c2) == net._delone_pass()
 
 
 class TestCounting:
@@ -1666,6 +1953,17 @@ class TestSerialization:
         stats = "# points 2\n# c1 7.0710678\n# c2 inf error_bound 1e-09\n# window"
         path.write_text(NET_LINES.replace("# window", stats), encoding="ascii")
         assert_nets_identical(load_net(str(path)), per_line_load_net(str(path)))
+
+    def test_a_net_without_c1_leaves_the_path_untouched(self, tmp_path):
+        # c1 and c2 are computed before the file is opened
+        net = small_net([[0.3, 0.4]], Square(0.0, 0.0, 2.0))
+        existing, fresh = tmp_path / "old.txt", tmp_path / "new.txt"
+        existing.write_text("kept\n")
+        for path in (existing, fresh):
+            with pytest.raises(ValueError, match="two points"):
+                export_net(net, str(path))
+        assert existing.read_text() == "kept\n"
+        assert not fresh.exists()
 
     def test_missing_window_rejected(self, tmp_path):
         path = str(tmp_path / "broken.txt")
