@@ -2,7 +2,8 @@
 the contraction that pins the kite/dart ratio to phi.
 
 Everything in this script runs on integers and rationals. The only
-floats appear at the end, in the power-iteration eigendata.
+floats appear at the end, in the eigendata ``dominant_eigen`` takes from
+LAPACK (``np.linalg.eig``).
 """
 
 from fractions import Fraction

@@ -71,8 +71,9 @@ _WITNESS_REACH = 8.0
 # a full tile's axis end minus its incenter, by the class of either half
 _AXIS_END_OFFSETS = _VERTEX_OFFSETS[:, 2] - _INCENTER_OFFSETS
 
-# |coordinate| < 2**56 keeps extract_net's incenters (at most 21 times the
-# largest coordinate) and its grid-line tests on them inside int64
+# |coordinate| < 2**56 keeps extract_net's incenters (an apex plus an
+# _INCENTER_OFFSETS row within +-2) and its grid-line tests on them (at most
+# 3 times a coefficient) far inside int64
 _COORD_LIMIT = 1 << 56
 _EXTRACT_BLOCK = 8192  # half-tiles per block of extract_net's key pass
 # a pair closer than this times the largest |coordinate| is within reach of
@@ -188,9 +189,9 @@ class Net:
         while True:
             low, high = lo - pad, hi + pad
             slack = 4.0 * np.spacing(np.maximum(np.abs(low), np.abs(high)) + np.abs(origin))
-            near = self.xy[np.all((self.xy >= low + origin - slack) & (self.xy <= high + origin + slack), axis=1)]
+            near = self.xy[_in_box(self.xy, low + origin - slack, high + origin + slack)]
             near -= origin
-            keep = np.all((near >= low) & (near <= high), axis=1)
+            keep = _in_box(near, low, high)
             yield pad, near if keep.all() else near[keep]
             pad *= 2.0
 
@@ -219,10 +220,8 @@ class Net:
         if side > 2.0 * _WITNESS_REACH:
             center = np.array(self.window.center)
             boxes.insert(0, (center - _WITNESS_REACH, center + _WITNESS_REACH))
-        px, py = self.xy.T
         for lo, hi in boxes:
-            near = np.flatnonzero((px >= lo[0] - 1.5) & (px <= hi[0] + 1.5)
-                                  & (py >= lo[1] - 1.5) & (py <= hi[1] + 1.5))
+            near = np.flatnonzero(_in_box(self.xy, lo - 1.5, hi + 1.5))
             classes, ring = self.classes[near], self.ring[near]
             suns = _embed(_sun_vertices(classes, ring))
             if ((suns > lo + slack) & (suns < hi - slack)).all(axis=1).any() and _has_separation_pair(classes, ring):
@@ -339,11 +338,20 @@ class Net:
 
         A constant, the same for every net: it is not a bound derived from
         the candidates' rounding, and no proof shows the rounding stays
-        below it.  An exact c2 from the tiling's witnesses (see ``Net``) has
-        no rounding, and keeps the same 1e-9, so the CLI and net files print
-        the same text for either path.
+        below it.  Far from the origin it does not: the float pass's c2 on
+        the covering net of ``Square(3e9, 1e9, 64)`` was measured 1e-7 off,
+        a hundred times this tolerance, and a net loaded from a file still
+        takes that pass.  An exact c2 from the tiling's witnesses (see
+        ``Net``) has no rounding, and keeps the same 1e-9, so the CLI and net
+        files print the same text for either path.
         """
         return 1e-9
+
+
+def _in_box(xy: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """Mask of the (M, 2) points ``xy`` in the closed box [low, high]; column tests beat ``np.all`` over rows."""
+    x, y = xy[:, 0], xy[:, 1]
+    return (x >= low[0]) & (x <= high[0]) & (y >= low[1]) & (y <= high[1])
 
 
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:

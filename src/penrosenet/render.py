@@ -14,8 +14,9 @@ from typing import Iterator
 
 import numpy as np
 
+from . import tiling
 from .net import Net
-from .tiling import _CLASS_KIND, _COORD_BLOCK, Patch, _coord_blocks, _embed, _format_rows
+from .tiling import _CLASS_KIND, Patch, _coord_blocks, _embed, _format_rows
 
 __all__ = ["render_svg"]
 
@@ -92,7 +93,7 @@ def _svg_document(
     if not len(patch):
         raise ValueError("cannot draw an empty patch")
     blocks = lambda: ((start, _embed(coords, patch.scale_exp)) for start, coords in _coord_blocks(patch))
-    kept = list(blocks()) if len(patch) <= _COORD_BLOCK else None
+    kept = list(blocks()) if len(patch) <= tiling._COORD_BLOCK else None
     lo, hi = np.full(2, np.inf), np.full(2, -np.inf)
     for _, emb in kept or blocks():
         # one whole-array reduction per axis is far faster than an axis-0 one

@@ -675,39 +675,6 @@ _CONVERSION = re.compile(r"(%[-+ #0]*\d*(?:\.\d+)?[diouxXeEfFgGrsa])")
 _DATA_LINE = re.compile(r"^[^\S\n]*[^\s#]", re.M)  # a line that is neither blank nor a comment
 
 
-def _dense(keys: np.ndarray) -> tuple[np.generic, int] | None:
-    """``(least key, span)`` of integer keys that span fewer values than there are keys, else None."""
-    if keys.dtype.kind in "iu" and keys.size:
-        lo = keys.min()
-        span = int(keys.max()) - int(lo) + 1
-        if span < keys.size:
-            return lo, span
-    return None
-
-
-def _offsets(keys: np.ndarray, lo: np.generic) -> np.ndarray:
-    """``keys - lo`` of dense keys, taken modulo the key width: exact, because the span fits."""
-    return (keys - lo).view(f"u{keys.itemsize}")
-
-
-def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(keys, return_inverse=True)`` of a 1-d array, inverse flat.
-
-    Dense integer keys (see ``_dense``) are found without a sort: a boolean
-    table over their span marks the values present and its running count
-    ranks them.
-    """
-    dense = _dense(keys)
-    if dense is not None:
-        lo, span = dense
-        offsets = _offsets(keys, lo)
-        seen = np.zeros(span, dtype=bool)
-        seen[offsets] = True
-        return np.flatnonzero(seen).astype(keys.dtype) + lo, (np.cumsum(seen) - 1)[offsets]
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    return distinct, inverse.ravel()  # numpy versions differ in its shape
-
-
 def _format_table(conv: str, values: list) -> np.ndarray:
     """``conv % value`` of each value in UTF-8, one NUL-padded byte row each.
 
@@ -748,17 +715,19 @@ def _format_rows(template: str, *columns: np.ndarray | tuple[Sequence, np.ndarra
     outside ``range(len(labels))``, are refused (ValueError).
 
     Every distinct value is formatted once, with the template's own
-    conversion, into a NUL-padded byte table: a category's labels, and
-    every integer over the span of a dense integer array (``_dense``: a
-    tiling's coordinate columns), once per call, a row taking its entry at
-    ``code`` or ``value - least``; any other array's ``_distinct`` values
-    once per block of ``_FORMAT_BLOCK`` rows, floats told apart by their
-    bits (-0.0 is not 0.0).  An entry is one fixed-width item, the literal
-    before the value then its padded text, so a column whose values follow
-    one literal takes a block's entries in one ``np.take``; a row is its
-    entries and the last literal, less the padding.  So NUL is refused
-    (ValueError): in the template or a label before anything is yielded,
-    in a formatted value before its block is.
+    conversion, into a NUL-padded byte table, by one of two rules.  A
+    category's labels, and every integer over the span of an integer array
+    that spans fewer integers than it holds values (a tiling's coordinate
+    columns), are formatted once per call, a row taking its entry at
+    ``code`` or ``value - least``.  Any other array's values are formatted
+    once per block of ``_FORMAT_BLOCK`` rows, from the block's
+    ``np.unique``, floats told apart by their bits (-0.0 is not 0.0).  An
+    entry is one fixed-width item, the literal before the value then its
+    padded text, so a column whose values follow one literal takes a
+    block's entries in one ``np.take``; a row is its entries and the last
+    literal, less the padding.  So NUL is refused (ValueError): in the
+    template or a label before anything is yielded, in a formatted value
+    before its block is.
     """
     parts = _CONVERSION.split(template)
     convs = parts[1::2]
@@ -785,9 +754,11 @@ def _format_rows(template: str, *columns: np.ndarray | tuple[Sequence, np.ndarra
     tables, bases = [], []  # per column: its tables for the whole call, and a dense array's least value
     for names, c, (conv,), pre in zip(labels, cols, col_convs, prefixes):
         base = None
-        if names is None and (dense := _dense(c)) is not None:
-            base, span = dense
-            names = range(int(base), int(base) + span)
+        if names is None and c.dtype.kind in "iu":
+            least = c.min()
+            span = int(c.max()) - int(least) + 1
+            if span < c.size:  # dense: fewer integers in its span than it holds values
+                base, names = least, range(int(least), int(least) + span)
         tables.append(None if names is None else _prefixed(_format_table(conv, list(names)), pre))
         bases.append(base)
     for lo in range(0, n, _FORMAT_BLOCK):
@@ -796,12 +767,13 @@ def _format_rows(template: str, *columns: np.ndarray | tuple[Sequence, np.ndarra
         for c, (conv,), tabs, base, pre in zip(cols, col_convs, tables, bases, prefixes):
             codes = c[lo:hi]
             if base is not None:  # a dense array: its values index the whole-call tables
-                codes = _offsets(codes, base)
+                # value - least, taken modulo the key width: exact, because the span fits
+                codes = (codes - base).view(f"u{codes.itemsize}")
             elif tabs is None:  # any other array: its codes index the block's own distinct values
                 keys = codes.view(f"u{codes.itemsize}") if codes.dtype.kind == "f" else codes
-                distinct, inverse = _distinct(keys.ravel())
+                distinct, inverse = np.unique(keys, return_inverse=True)
                 tabs = _prefixed(_format_table(conv, distinct.view(codes.dtype).tolist()), pre)
-                codes = inverse.reshape(keys.shape)
+                codes = inverse.reshape(keys.shape)  # numpy versions differ in its shape
             if all(t is tabs[0] for t in tabs):  # one table: all of the column's values in one take
                 fields.append(np.take(tabs[0], codes).view(np.uint8))
             else:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from penrosenet import cli, tiling
+from penrosenet import cli, render, tiling
 from penrosenet.cli import main
 from penrosenet.golden import CycloPoint
 from penrosenet.net import Net, extract_net
@@ -140,6 +140,28 @@ def test_format_blocks_cover_every_polygon(monkeypatch):
     net = extract_net(patch)
     assert len(patch) % 4 and len(net) % 4
     assert render_svg(patch, net=net, overlay="net") == per_polygon_render(patch, net, "net")
+
+
+@pytest.mark.parametrize("overlay", ["none", "net", "grid"])
+def test_coordinate_blocks_are_embedded_twice_not_kept(overlay, monkeypatch):
+    # a patch of several coordinate blocks, the last one ragged: the bounds pass and the
+    # polygons each walk every block once, in order, and no block is kept between them
+    patch = deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-3), 3)
+    net = extract_net(patch)
+    monkeypatch.setattr(tiling, "_COORD_BLOCK", 4)
+    assert len(patch) > 8 and len(patch) % 4
+    walks, coord_blocks = [], render._coord_blocks
+
+    def spy(p):
+        walks.append([])
+        for lo, coords in coord_blocks(p):
+            walks[-1].append(lo)
+            yield lo, coords
+
+    monkeypatch.setattr(render, "_coord_blocks", spy)
+    assert render_svg(patch, net=net, overlay=overlay) == per_polygon_render(patch, net, overlay)
+    starts = list(range(0, len(patch), 4))
+    assert walks == [starts, starts]
 
 
 @pytest.mark.parametrize("overlay", ["none", "net", "grid"])
