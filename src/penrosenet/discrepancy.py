@@ -224,8 +224,6 @@ class _CountGrid:
         if not all(float(v).is_integer() for v in net.window):
             raise ValueError("square enumeration needs an integer-cornered window")
         self.x0, self.y0, self.side = (int(v) for v in net.window)
-        if self.side < 1:
-            raise ValueError("window too small")
         # drop the points off the window while their cells are floats, so
         # no far point meets the int64 cast
         fx = np.floor(net.xy[:, 0] - float(self.x0))

@@ -252,17 +252,17 @@ class Net:
         if len(region):
             for pad, pts in near:
                 if len(pts):
-                    edges, merged, centers, radii = _delaunay(pts)
-                    c2 = _largest_gap(pts, edges, centers, radii, region)
+                    edges, merged, centers = _delaunay(pts)
+                    c2 = _largest_gap(pts, edges, centers, region)
                     if c2 < pad or len(pts) == len(self):
                         break
         if len(pts) < 2 <= len(self):
             # c2's pass kept fewer than two points: widen it for c1
             pts = next(p for _, p in near if len(p) >= 2)
-            edges, merged, centers, _ = _delaunay(pts)
+            edges, merged, centers = _delaunay(pts)
         if len(pts) < 2:
             return None, c2
-        pairs = np.concatenate([edges[:, :2], merged])
+        pairs = np.concatenate([edges, merged])
         lengths = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
         c1 = float(lengths.min())
         if not len(centers) or lengths[len(edges):].any() or c1 < _QHULL_RESOLUTION * float(np.abs(pts).max()):
@@ -314,18 +314,13 @@ class Net:
         and this is 1.0 exactly: a sun vertex in R and lemmas (K), (D) and
         (W), with no pass.  Otherwise the points within ``pad`` of R's
         bounding box are triangulated and the largest empty circle centred
-        in R is found among its classical
-        candidates (``_largest_gap``): circumcenters in R, crossings of
-        Voronoi edges with R's boundary, and R's vertices.  Only those that
-        can set the maximum are measured with the k-d tree.  A crossing of
-        a Delaunay edge's bisector that is nearer a third point than the
-        edge's ends lies off the Voronoi edge, so it is no candidate and
-        cannot exceed the maximum; a circumcenter is no farther from the net
-        than its radius, so one whose radius falls short of the largest
-        distance found cannot set it.  The result is the maximum over every
-        candidate.  If it is below ``pad``, every location of R has its
-        nearest net point among them, so it is the covering radius of the
-        whole net; otherwise ``pad`` doubles.
+        in R is found among its classical candidates (``_largest_gap``):
+        circumcenters in R, crossings of every Delaunay edge's bisector with
+        R's boundary, and R's vertices, all measured in one k-d tree query.
+        A crossing off its Voronoi edge is nearer a third point, so it
+        cannot exceed the maximum.  If the maximum is below ``pad``, every
+        location of R has its nearest net point among them, so it is the
+        covering radius of the whole net; otherwise ``pad`` doubles.
         Exact up to the float rounding of the candidate positions, for which
         ``c2_error_bound`` allows a fixed 1e-9.  An empty R gives 0.  c1 comes
         from the same triangulation.
@@ -373,23 +368,15 @@ def _clip_convex(poly: np.ndarray, clip: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=np.float64).reshape(-1, 2)
 
 
-def _delaunay(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Delaunay edges of ``pts``, the points Qhull merged, the circumcenters and their radii.
+def _delaunay(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Delaunay edges of ``pts``, the points Qhull merged, and the circumcenters.
 
-    Each edge is one row (i, j, r, s): its two ends, then the vertex
-    opposite it in each of its two triangles.  Where there is no such
-    vertex, or it is not to be trusted, i stands in for it.  A hull edge
-    has one triangle, so s is i.  Fewer than three points, or points all on
-    one line, have no triangulation: consecutive points in lexicographic
-    order stand in for its edges, as rows (i, j, i, i), and there are no
+    Each edge is one row (i, j) of its two ends, once.  Fewer than three
+    points, or points all on one line, have no triangulation: consecutive
+    points in lexicographic order stand in for its edges, and there are no
     circumcenters.  Qhull leaves out a point it finds coincident with a
     vertex; ``merged`` pairs each such point with that vertex.  Degenerate
-    triangles' circumcenters, which are not finite, are dropped.  A radius
-    is the distance from the float circumcenter to one of its vertices.
-    Once Qhull has left out a point that is not at its vertex's position
-    (it does so when the coordinates are large next to the spacing), the
-    triangulation need not be Delaunay: every edge is then (i, j, i, i) and
-    every radius inf, so ``_largest_gap`` measures every candidate.
+    triangles' circumcenters, which are not finite, are dropped.
     """
     from scipy.spatial import Delaunay, QhullError
 
@@ -401,66 +388,37 @@ def _delaunay(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
             pass
     if tri is None:
         order = np.lexsort(pts.T[::-1])
-        no_pairs = np.empty((0, 2), dtype=np.intp)
-        edges = np.column_stack([order[:-1], order[1:], order[:-1], order[:-1]])
-        return edges, no_pairs, np.empty((0, 2)), np.empty(0)
+        return np.column_stack([order[:-1], order[1:]]), np.empty((0, 2), dtype=np.intp), np.empty((0, 2))
     simplices, neighbors = tri.simplices, tri.neighbors
     # the side of simplex j opposite its vertex m, once: from the lower
     # numbered of its two simplices, or from its only one on the hull
     j, m = np.nonzero((neighbors < 0) | (neighbors > np.arange(len(simplices))[:, None]))
-    far, i, k = np.take_along_axis(simplices[j], (m[:, None] + np.arange(3)) % 3, axis=1).T
-    other = neighbors[j, m]
-    far_too = np.where(other < 0, i, simplices[other].sum(axis=1) - i - k)
-    edges = np.column_stack([i, k, far, far_too])
+    edges = np.take_along_axis(simplices[j], (m[:, None] + np.arange(1, 3)) % 3, axis=1)
     a = pts[simplices[:, 0]]
     b = pts[simplices[:, 1]] - a
     c = pts[simplices[:, 2]] - a
     w = (b * b).sum(axis=1)[:, None] * c - (c * c).sum(axis=1)[:, None] * b
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         centers = a + np.column_stack([w[:, 1], -w[:, 0]]) / (2.0 * _cross(b, c))[:, None]
-    finite = np.isfinite(centers).all(axis=1)
-    centers = centers[finite]
-    offsets = centers - a[finite]
-    radii = np.hypot(offsets[:, 0], offsets[:, 1])
-    merged = tri.coplanar[:, [0, 2]]
-    if (pts[merged[:, 0]] != pts[merged[:, 1]]).any():
-        edges[:, 2:] = edges[:, :1]
-        radii[:] = np.inf
-    return edges, merged, centers, radii
+    return edges, tri.coplanar[:, [0, 2]], centers[np.isfinite(centers).all(axis=1)]
 
 
-def _largest_gap(pts: np.ndarray, edges: np.ndarray, centers: np.ndarray, radii: np.ndarray,
-                 region: np.ndarray) -> float:
+def _largest_gap(pts: np.ndarray, edges: np.ndarray, centers: np.ndarray, region: np.ndarray) -> float:
     """max over x in the convex polygon ``region`` of the distance from x to ``pts``.
 
-    ``edges``, ``centers`` and ``radii`` come from ``_delaunay(pts)``.  On
-    each Voronoi cell clipped to the region the distance to the cell's site
-    is convex, so the maximum sits at a vertex of some clipped cell: a
-    Voronoi vertex inside the region, a crossing of a Voronoi edge with the
+    ``edges`` and ``centers`` come from ``_delaunay(pts)``.  On each
+    Voronoi cell clipped to the region the distance to the cell's site is
+    convex, so the maximum sits at a vertex of some clipped cell: a Voronoi
+    vertex inside the region, a crossing of a Voronoi edge with the
     region's boundary, or a region vertex (Toussaint 1983, largest empty
     circle with location constraints).  Voronoi vertices are the Delaunay
     circumcenters, and every Voronoi edge lies on the bisector of a
-    Delaunay edge (p, q).  Only the candidates that can set the maximum get
-    a k-d tree distance, in two rounds:
-
-    - A bisector crossing x of a region side goes in the first round when
-      neither vertex opposite (p, q) is nearer x than p, up to a relative
-      1e-9 of the squared distances.  Every crossing of a Voronoi edge has
-      p and q among its nearest points, so it passes whatever the
-      triangulation.  One that fails is nearer a third point: it is no
-      vertex of a clipped cell, and its exact distance is at most the
-      maximum.  Its float distance can still round above that of a
-      candidate at the same place (mirror-image pairs share a bisector), so
-      the failed crossings within 1e-9 of a side's length of a first-round
-      crossing or region vertex at the largest distance go in the second.
-    - A circumcenter is no farther from ``pts`` than from its own vertices,
-      its radius.  The ones inside the region within a relative 1e-9 of the
-      largest radius go in the first round, the others in the second when
-      their radius, plus a relative 1e-9, reaches the first round's maximum.
-
-    The region's vertices go in the first round.  Every queried candidate
-    gets its true distance, so a false crossing that passes is harmless,
-    and the result is the maximum over all the classical candidates.
+    Delaunay edge.  One k-d tree query measures every candidate: the
+    circumcenters inside the region, every crossing of an edge's bisector
+    with a side of the region, and the region's vertices.  A crossing off
+    its Voronoi edge is nearer a third point, so its true distance cannot
+    exceed the maximum, and the result is the maximum over every candidate
+    whatever the triangulation.
     """
     from scipy.spatial import cKDTree
 
@@ -468,7 +426,6 @@ def _largest_gap(pts: np.ndarray, edges: np.ndarray, centers: np.ndarray, radii:
     sides = np.roll(region, -1, axis=0) - region
     lengths = np.hypot(sides[:, 0], sides[:, 1])
     inside = (_cross(sides, centers[:, None, :] - region) >= -1e-10 * lengths).all(axis=1)
-    centers, radii = centers[inside], radii[inside]
 
     # where the bisector {x : (x - m).d = 0} of each edge crosses each side
     p, q = pts[edges[:, 0]], pts[edges[:, 1]]
@@ -477,31 +434,8 @@ def _largest_gap(pts: np.ndarray, edges: np.ndarray, centers: np.ndarray, radii:
         t = (((p + q) / 2.0 * d).sum(axis=1)[:, None] - d @ region.T) / (d @ sides.T)
     e, k = np.nonzero((t >= 0.0) & (t <= 1.0))
     crossings = region[k] + t[e, k, None] * sides[k]
-    nearest = _squared_distances(crossings, pts[edges[e, 0]])
-    passed = np.ones(len(e), dtype=bool)
-    for col in (2, 3):
-        passed &= nearest <= _squared_distances(crossings, pts[edges[e, col]]) * (1.0 + 1e-9)
-
-    tree = cKDTree(pts)
-    top = radii >= radii.max(initial=0.0) * (1.0 - 1e-9)
-    rim = tree.query(np.concatenate([region, crossings[passed]]), k=1)[0]
-    gap = max(rim.max(), tree.query(centers[top], k=1)[0].max(initial=0.0))
-    # positions along the boundary, where side k runs from k to k + 1
-    place = k + t[e, k]
-    rim_place = np.concatenate([np.arange(len(region)), place[passed]])
-    hot = rim_place[rim >= gap - 1e-9 * (gap + lengths.max())]
-    marks = np.sort(np.concatenate([hot - len(region), hot, hot + len(region), [-np.inf, np.inf]]))
-    after = np.searchsorted(marks, place)
-    twins = ~passed & (np.minimum(marks[after] - place, place - marks[after - 1]) <= 1e-9)
-    rest = np.concatenate([centers[~top & (radii * (1.0 + 1e-9) >= gap)], crossings[twins]])
-    if len(rest):
-        gap = max(gap, tree.query(rest, k=1)[0].max())
-    return float(gap)
-
-
-def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a - b
-    return (diff * diff).sum(axis=1)
+    candidates = np.concatenate([centers[inside], crossings, region])
+    return float(cKDTree(pts).query(candidates, k=1)[0].max())
 
 
 def _sun_vertices(classes: np.ndarray, ring: np.ndarray) -> np.ndarray:

@@ -14,7 +14,16 @@ import penrosenet
 from penrosenet import cli, discrepancy
 from penrosenet.cli import main
 from penrosenet.net import SEPARATION, Net, extract_net
-from penrosenet.tiling import SubstitutionRule, TileCensus, census, load_patch, substitution_counts
+from penrosenet.tiling import (
+    HALF_KITE,
+    Patch,
+    SubstitutionRule,
+    TileCensus,
+    census,
+    load_patch,
+    save_patch,
+    substitution_counts,
+)
 
 
 def run(capsys, *argv):
@@ -254,6 +263,14 @@ class TestRender:
         tree = ET.parse(svg_file)
         lines = [e for e in tree.iter() if e.tag.endswith("line")]
         assert len(lines) >= 4
+
+    def test_net_overlay_of_a_patch_not_at_final_scale_exit_two(self, tmp_path, capsys):
+        patch_file, svg_file = str(tmp_path / "p.txt"), tmp_path / "n.svg"
+        save_patch(Patch.single_tile(HALF_KITE, scale_exp=-3), patch_file)
+        code, _, stderr = run(capsys, "render", "--patch", patch_file, "--overlay", "net", "--out", str(svg_file))
+        assert code == 2
+        assert stderr == "error: net overlay requires a final-scale patch (scale_exp 0)\n"
+        assert not svg_file.exists()
 
     def test_missing_patch_exit_two(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "render", "--patch",

@@ -243,6 +243,11 @@ class TestERho:
         with pytest.raises(ValueError, match="empty square"):
             e_rho(0, 10.0, 0.76)
 
+    @pytest.mark.parametrize("count, area, rho", [(1, -1.0, 1.0), (1, 0.0, 1.0), (1, 1.0, -1.0), (-1, 1.0, 1.0)])
+    def test_negative_count_or_non_positive_area_or_rho_rejected(self, count, area, rho):
+        with pytest.raises(ValueError, match="area, rho positive"):
+            e_rho(count, area, rho)
+
 
 class TestEstimateERho:
     def test_single_square_window_equals_direct(self, net64):
@@ -283,6 +288,19 @@ class TestEstimateERho:
         )
         with pytest.raises(ValueError, match="empty square"):
             build_report(lone, 0, 0)
+
+    def test_empty_square_found_by_the_scan(self):
+        # one point in each corner cell: four points for the four squares of
+        # side 2, and no margin, get past the refusal before the scan, which
+        # finds [1, 3)**2 empty
+        corners = Net(
+            np.array([[0.5, 0.5], [3.5, 0.5], [0.5, 3.5], [3.5, 3.5]]), np.full(4, HALF_KITE), np.arange(4),
+            Square(0.0, 0.0, 4.0),
+        )
+        grid = discrepancy._CountGrid(corners)
+        assert grid.points == (grid.side // 2) ** 2 and grid.margin == 0
+        with pytest.raises(ValueError, match=r"^empty square at i=1$"):
+            build_report(corners, 1, 2)
 
     def test_non_integer_window_rejected(self):
         skew = Net(

@@ -72,6 +72,18 @@ class TestGoldenField:
     def test_worked_square(self):
         assert (1 + PHI) * (1 + PHI) == GoldenNum(2, 3)
 
+    def test_integer_on_the_left(self):
+        assert 2 / PHI == 2 * INV_PHI
+        assert 3 * CycloPoint(1, 0, 0, 0) == CycloPoint(3, 0, 0, 0)
+
+    @pytest.mark.parametrize("operate", [
+        lambda x: x + 1.5, lambda x: 1.5 + x, lambda x: x * 1.5, lambda x: 1.5 * x, lambda x: x < 1.5,
+    ], ids=["add", "radd", "mul", "rmul", "lt"])
+    @pytest.mark.parametrize("x", [PHI, CycloPoint(1, 0, 0, 0)], ids=["golden", "cyclo"])
+    def test_a_float_operand_is_refused(self, operate, x):
+        with pytest.raises(TypeError):
+            operate(x)
+
     def test_pow_negative(self):
         assert PHI**-1 == INV_PHI
         assert PHI**-3 * PHI**3 == GoldenNum(1)
@@ -278,6 +290,9 @@ class TestCycloPoint:
         cx, cy = embed(p.conj())
         assert abs(cx - x) < 1e-12
         assert abs(cy + y) < 1e-12
+
+    def test_repr(self):
+        assert repr(CycloPoint(1, 2, 3, 4)) == "CycloPoint(1, 2, 3, 4)"
 
     def test_integer_coeffs_required(self):
         with pytest.raises(TypeError):

@@ -509,6 +509,10 @@ class TestExtraction:
         with pytest.raises(ValueError, match="scale_exp"):
             extract_net(Patch.single_tile(HALF_KITE, scale_exp=-1))
 
+    def test_empty_patch_refused(self):
+        with pytest.raises(ValueError, match="empty net"):
+            extract_net(Patch.from_classes(np.empty(0, dtype=np.uint8), np.empty((4, 0), dtype=np.int32)))
+
     def test_window_override(self):
         patch = deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-3), 3)
         net = extract_net(patch, window=Square(-1.0, -1.0, 4.0))
@@ -1101,6 +1105,17 @@ class TestDeloneStatistics:
             Net(np.array([[0.0, np.nan]]), np.array([HALF_KITE]), np.array([0]),
                 Square(0.0, 0.0, 1.0))
 
+    @pytest.mark.parametrize("xy, kinds, ids, classes, match", [
+        (np.zeros((2, 3)), [0, 0], [0, 1], None, "shape"),
+        (np.zeros(2), [0, 0], [0, 1], None, "shape"),
+        (np.zeros((2, 2)), [0], [0, 1], None, "equal length"),
+        (np.zeros((2, 2)), [0, 0], [0], None, "equal length"),
+        (np.zeros((2, 2)), [0, 0], [0, 1], [0, 40], "below 40"),
+    ], ids=["three_columns", "one_dimensional", "short_kinds", "short_ids", "class_40"])
+    def test_malformed_arrays_rejected(self, xy, kinds, ids, classes, match):
+        with pytest.raises(ValueError, match=match):
+            Net(xy, np.array(kinds), np.array(ids), Square(0.0, 0.0, 1.0), classes=classes)
+
     @pytest.mark.parametrize("window", [
         Square(np.nan, 0.0, 8.0), Square(0.0, np.inf, 8.0), Square(0.0, 0.0, 0.0),
         Square(0.0, 0.0, -1.0),
@@ -1338,8 +1353,21 @@ def hostile_point_sets(draw):
     return small_net(xy + shift, window)
 
 
-class TestPrunedCandidates:
-    """c2 asks the k-d tree only about candidates that can set the maximum."""
+def counted_queries(monkeypatch) -> list[int]:
+    """The number of points of every ``cKDTree.query`` made through ``scipy.spatial`` while patched."""
+    queried = []
+
+    class Counted(cKDTree):
+        def query(self, x, *args, **kwargs):
+            queried.append(len(x))
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", Counted)
+    return queried
+
+
+class TestEveryCandidate:
+    """c2 measures every classical candidate in one k-d tree query per pass; c1 and c2 match the oracles."""
 
     @settings(max_examples=400, deadline=None)
     @given(hostile_point_sets())
@@ -1410,25 +1438,26 @@ class TestPrunedCandidates:
         assert np.abs(delaunay_calls[0]).max() < 400.0
         assert net.c2.hex() == reference_c2(in_pass_frame(net)).hex()
 
-    def test_side_64_covering_net_queries_few_points(self, monkeypatch):
+    def test_side_64_covering_net_float_pass(self, monkeypatch):
         net = extract_net(generate_patch_covering(Square(-20.0, 13.0, 64.0)))
-        queried = []
-
-        class Counted(cKDTree):
-            def query(self, x, *args, **kwargs):
-                queried.append(len(x))
-                return super().query(x, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.spatial, "cKDTree", Counted)
+        queried = counted_queries(monkeypatch)
         assert net.c2 == 1.0  # from the tiling: no pass, no query
         assert queried == []
-        c2 = net._delone_pass()[1]
         monkeypatch.undo()
-        # every bisector crossing of the boundary and every circumcenter
-        # inside the window would be about 27,000 points
-        assert 0 < sum(queried) <= 2000
+        c2 = net._delone_pass()[1]
         assert c2.hex() == reference_c2(net).hex()
         assert abs(c2 - net.c2) <= 1e-12
+
+    @pytest.mark.parametrize("step, passes", [(2.5, 1), (5.0, 2)])
+    def test_one_query_per_pass(self, step, passes, monkeypatch, delaunay_calls):
+        # a square lattice's gap is step / sqrt(2): below the first pad of
+        # 2, or above it, which takes a second pass
+        grid = np.arange(0.0, 40.0 + step, step)
+        net = small_net(np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2), Square(11.0, 11.0, 8.0))
+        queried = counted_queries(monkeypatch)
+        c2 = net._delone_pass()[1]
+        assert len(queried) == len(delaunay_calls) == passes
+        assert c2.hex() == reference_c2(net).hex()
 
 
 def ring_point(row) -> CycloPoint:
@@ -1621,6 +1650,17 @@ def net_with_no_sun() -> Net:
     return extract_net(generate_patch_covering(Square(0.0, 0.0, 64.0)), window=Square(55.0, 50.0, 1.0))
 
 
+def kite_only_net() -> Net:
+    """The kites of the side-16 covering net, with its window and outline: 73 sun vertices, no dart pair."""
+    net = extract_net(generate_patch_covering(Square(0.0, 0.0, 16.0)))
+    kites = net.classes < 20
+    kite_net = Net(net.xy[kites], net.source_kinds[kites], net.tile_ids[kites], net.window, ring=net.ring[kites],
+                   outline=net.outline, classes=net.classes[kites])
+    assert len(net_module._sun_vertices(kite_net.classes, kite_net.ring)) == 73
+    assert not net_module._has_separation_pair(kite_net.classes, kite_net.ring)
+    return kite_net
+
+
 def hand_built_cover_64_net() -> Net:
     """The covering net's arrays, ring and outline in a ``Net`` built without classes."""
     net = cover_64_net()
@@ -1692,8 +1732,9 @@ class TestTilingConstants:
                                      window=Square(100.0, 100.0, 4.0)),
         lambda tmp_path: cover_64_net(window_inside_edge(cover_64_net(), 16.0, 0.2)),
         lambda tmp_path: net_with_no_sun(),
+        lambda tmp_path: kite_only_net(),
     ], ids=["loaded", "hand_built", "window_crossing_the_outline", "window_off_the_outline",
-            "margin_below_phi_cubed", "no_sun_vertex"])
+            "margin_below_phi_cubed", "no_sun_vertex", "no_separation_pair"])
     def test_every_other_net_takes_one_float_pass(self, make, tmp_path, delaunay_calls):
         net = make(tmp_path)
         delaunay_calls.clear()

@@ -196,6 +196,17 @@ def test_cli_refuses_a_non_ascii_fill_before_loading_the_patch(flag, tmp_path, c
     assert loaded == [] and not svg_file.exists()
 
 
+@pytest.mark.parametrize("patch, overlay, message", [
+    (full_tile(HALF_KITE), "bogus", "unknown overlay 'bogus'"),
+    (full_tile(HALF_KITE), "net", "net overlay requires a net"),
+    (Patch.from_classes(np.empty(0, dtype=np.uint8), np.empty((4, 0), dtype=np.int32)), "none",
+     "cannot draw an empty patch"),
+], ids=["unknown_overlay", "net_overlay_without_a_net", "empty_patch"])
+def test_a_drawing_that_cannot_be_made_is_refused(patch, overlay, message):
+    with pytest.raises(ValueError, match=message):
+        render_svg(patch, overlay=overlay)
+
+
 def test_nul_in_a_fill_is_refused():
     patch = PATCHES["deflated_half_dart"]()
     with pytest.raises(ValueError, match="NUL"):

@@ -1620,3 +1620,33 @@ class TestTriangleCheck:
         assert np.array_equal(coords - coords[1], seed) and (coords[0, coeff] > 0) != (end > 0)
         with pytest.raises(ValueError, match="is not a unit"):
             Patch([kind], [chirality], coords[None])
+
+
+SEED_COORDS = np.array(tiling._SEED_COORDS[(HALF_KITE, RIGHT)], dtype=np.int64)
+REFUSALS = {
+    # (the exception, its message, the call)
+    "coords_of_two_vertices": (ValueError, "coords (N, 3, 4)",
+                               lambda: Patch([HALF_KITE], [RIGHT], SEED_COORDS[None, :2])),
+    "kind_2": (ValueError, "kinds must be", lambda: Patch([2], [RIGHT], SEED_COORDS[None])),
+    "apexes_3_by_1": (ValueError, "(4, N) int32/int64 apexes",
+                      lambda: Patch.from_classes(np.zeros(1, dtype=np.uint8), np.zeros((3, 1), dtype=np.int64))),
+    "class_40": (ValueError, "below 40",
+                 lambda: Patch.from_classes(np.array([40], dtype=np.uint8), np.zeros((4, 1), dtype=np.int64))),
+    "ragged_matrix": (ValueError, "must be square", lambda: SubstitutionRule(("a", "b"), ((1, 1), (1,)))),
+    "negative_matrix": (ValueError, ">= 0", lambda: SubstitutionRule(("a", "b"), ((1, -1), (1, 0)))),
+    "negative_rounds": (ValueError, "rounds must be >= 0", lambda: deflate_patch(Patch.single_tile(HALF_KITE), -1)),
+}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("case", list(REFUSALS))
+    def test_malformed_arguments_are_refused(self, case):
+        error, message, call = REFUSALS[case]
+        with pytest.raises(error, match=re.escape(message)):
+            call()
+
+    def test_a_loaded_patch_has_no_outline(self, tmp_path):
+        path = str(tmp_path / "patch.txt")
+        save_patch(deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-2), 2), path)
+        with pytest.raises(KeyError, match="no recorded outline"):
+            tiling.patch_outline(load_patch(path))
