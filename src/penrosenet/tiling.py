@@ -669,10 +669,42 @@ _PATCH_ROW = np.dtype([
 _PATCH_HEADERS = {"scale_exp": ("N",), "generation": ("N",), "census": ("N", "N")}  # see _read_table
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")  # np.loadtxt decompresses a path with one
 _FORMAT_BLOCK = 8192  # rows per block of _format_rows; its temporaries grow with it
+_FORMAT_SEEN = 1 << 16  # most distinct keys a column keeps formatted for the rest of one _format_rows call
 # one printf conversion: flags, width, precision and a type that never
 # turns a number into NUL (no %c)
 _CONVERSION = re.compile(r"(%[-+ #0]*\d*(?:\.\d+)?[diouxXeEfFgGrsa])")
 _DATA_LINE = re.compile(r"^[^\S\n]*[^\s#]", re.M)  # a line that is neither blank nor a comment
+# "%d" of an integer in base-1000 groups: its leading group signed (-999..999 at
+# _LEAD + g), each lower group zero-padded (000..999 at _LOWER + g), and
+# _ABOVE, the empty entry, in every place above the leading group
+_LEAD, _LOWER, _ABOVE = 999, 1999, 2999
+_DIGIT_GROUPS = np.array([b"%d" % g for g in range(-999, 1000)] + [b"%03d" % g for g in range(1000)] + [b""],
+                         dtype="S4")
+
+
+def _digit_groups(values: np.ndarray) -> np.ndarray:
+    """The bytes of ``"%d" % v`` for every integer v of ``values``, NUL-padded: shape (*values.shape, 4 g).
+
+    g is the number of base-1000 groups of the widest value; each value is
+    its ``_DIGIT_GROUPS`` entries, most significant place first.
+    """
+    if values.dtype.kind == "u":
+        rest, sign = values.astype(np.uint64), 1
+    else:
+        signed = values.astype(np.int64)
+        # |int64 min| wraps to itself, whose unsigned view is its magnitude 2^63
+        rest, sign = np.abs(signed).view(np.uint64), np.where(signed < 0, -1, 1)
+    places = (len(str(int(rest.max()))) + 2) // 3
+    index = np.empty((*values.shape, places), dtype=np.int64)
+    for k in range(places - 1, -1, -1):  # least significant place first; rest is the value's groups from k up
+        higher = rest // np.uint64(1000)
+        group = (rest - higher * np.uint64(1000)).astype(np.int64)
+        lead = _LEAD + sign * group
+        if k < places - 1:  # only the last place writes a 0 lead
+            lead[rest == 0] = _ABOVE
+        index[..., k] = np.where(higher > 0, _LOWER + group, lead)
+        rest = higher
+    return _DIGIT_GROUPS[index].view(np.uint8).reshape(*values.shape, -1)
 
 
 def _format_table(conv: str, values: list) -> np.ndarray:
@@ -703,6 +735,31 @@ def _prefixed(table: np.ndarray, prefixes: list[bytes]) -> list[np.ndarray]:
     return [made[s] for s in prefixes]
 
 
+def _known_rows(seen: list, conv: str, distinct: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """The NUL-padded byte rows of ``conv % v`` for the sorted keys ``distinct`` of a column of ``dtype``.
+
+    ``seen`` is the column's [sorted keys, their byte rows] for one call:
+    only keys it lacks are formatted, and they join it while it then holds
+    at most ``_FORMAT_SEEN`` keys.
+    """
+    keys, text = seen
+    at = np.searchsorted(keys, distinct)
+    old = at < len(keys)
+    old[old] = keys[at[old]] == distinct[old]
+    new = ~old
+    if not new.any():
+        return text[at]
+    fresh = _format_table(conv, distinct[new].view(dtype).tolist())
+    rows = np.zeros((len(distinct), max(text.shape[1], fresh.shape[1])), dtype=np.uint8)
+    rows[old, :text.shape[1]] = text[at[old]]
+    rows[new, :fresh.shape[1]] = fresh
+    if len(keys) + len(fresh) <= _FORMAT_SEEN:
+        if text.shape[1] < rows.shape[1]:
+            text = np.pad(text, ((0, 0), (0, rows.shape[1] - text.shape[1])))
+        seen[:] = np.insert(keys, at[new], distinct[new]), np.insert(text, at[new], rows[new], axis=0)
+    return rows
+
+
 def _format_rows(template: str, *columns: np.ndarray | tuple[Sequence, np.ndarray]) -> Iterator[str]:
     """Yield ``template % row`` for every row, joined into one string per block.
 
@@ -714,20 +771,29 @@ def _format_rows(template: str, *columns: np.ndarray | tuple[Sequence, np.ndarra
     spliced into the template.  Columns of unequal length, and codes
     outside ``range(len(labels))``, are refused (ValueError).
 
-    Every distinct value is formatted once, with the template's own
-    conversion, into a NUL-padded byte table, by one of two rules.  A
-    category's labels, and every integer over the span of an integer array
-    that spans fewer integers than it holds values (a tiling's coordinate
-    columns), are formatted once per call, a row taking its entry at
-    ``code`` or ``value - least``.  Any other array's values are formatted
-    once per block of ``_FORMAT_BLOCK`` rows, from the block's
-    ``np.unique``, floats told apart by their bits (-0.0 is not 0.0).  An
-    entry is one fixed-width item, the literal before the value then its
-    padded text, so a column whose values follow one literal takes a
-    block's entries in one ``np.take``; a row is its entries and the last
-    literal, less the padding.  So NUL is refused (ValueError): in the
-    template or a label before anything is yielded, in a formatted value
-    before its block is.
+    The rows are built a block of ``_FORMAT_BLOCK`` rows at a time, each
+    column by the first of four rules that takes it:
+
+    - a category's labels are formatted once per call, a row taking its
+      entry at ``code``;
+    - an integer array that spans fewer integers than it holds values (a
+      tiling's coordinate columns) has every integer of its span formatted
+      once per call, a row taking its entry at ``value - least``;
+    - any other integer array under a plain ``%d`` (a net's tile ids) is
+      spelled from ``_DIGIT_GROUPS``, one fixed table of base-1000 groups,
+      with no value formatted at all;
+    - any other array has its block's ``np.unique`` keys, floats told apart
+      by their bits (-0.0 is not 0.0, NaN payloads differ), looked up in a
+      sorted table of the keys the call has formatted, and only the keys
+      the table lacks are formatted.  The table keeps at most
+      ``_FORMAT_SEEN`` keys per column, so past that, new keys are
+      formatted once per block.
+
+    A formatted value is a NUL-padded byte entry with the literal before
+    it, so a column whose values follow one literal takes a block's entries
+    in one ``np.take``; a row is its entries and the last literal, less the
+    padding.  So NUL is refused (ValueError): in the template or a label
+    before anything is yielded, in a formatted value before its block is.
     """
     parts = _CONVERSION.split(template)
     convs = parts[1::2]
@@ -751,29 +817,43 @@ def _format_rows(template: str, *columns: np.ndarray | tuple[Sequence, np.ndarra
         return
     prefixes = [literals[a:b] for a, b in zip(starts, starts[1:])]  # the literal before each value
     tail = np.frombuffer(literals[-1], dtype=np.uint8)
-    tables, bases = [], []  # per column: its tables for the whole call, and a dense array's least value
+    # per column, one of: its tables for the whole call (and a dense array's
+    # least value), its literals as NUL-padded rows before its digit groups,
+    # or its table of formatted keys
+    tables, bases, literal_rows, seens = [], [], [], []
     for names, c, (conv,), pre in zip(labels, cols, col_convs, prefixes):
-        base = None
+        base = before = seen = None
         if names is None and c.dtype.kind in "iu":
             least = c.min()
             span = int(c.max()) - int(least) + 1
             if span < c.size:  # dense: fewer integers in its span than it holds values
                 base, names = least, range(int(least), int(least) + span)
+            elif conv == "%d":
+                before = np.array(pre).view(np.uint8).reshape(len(pre), -1)  # bytes, NUL-padded
+        if names is None and before is None:
+            key = np.dtype(f"u{c.itemsize}") if c.dtype.kind == "f" else c.dtype
+            seen = [np.empty(0, dtype=key), np.empty((0, 0), dtype=np.uint8)]
         tables.append(None if names is None else _prefixed(_format_table(conv, list(names)), pre))
         bases.append(base)
+        literal_rows.append(before)
+        seens.append(seen)
     for lo in range(0, n, _FORMAT_BLOCK):
         hi = min(lo + _FORMAT_BLOCK, n)
         fields = []
-        for c, (conv,), tabs, base, pre in zip(cols, col_convs, tables, bases, prefixes):
+        for c, (conv,), tabs, base, before, seen, pre in zip(
+                cols, col_convs, tables, bases, literal_rows, seens, prefixes):
             codes = c[lo:hi]
+            if before is not None:  # a sparse %d array: each value's literal, then its digit groups
+                fields.append(np.concatenate(
+                    [np.broadcast_to(before, (hi - lo, *before.shape)), _digit_groups(codes)], axis=2))
+                continue
             if base is not None:  # a dense array: its values index the whole-call tables
                 # value - least, taken modulo the key width: exact, because the span fits
                 codes = (codes - base).view(f"u{codes.itemsize}")
-            elif tabs is None:  # any other array: its codes index the block's own distinct values
-                keys = codes.view(f"u{codes.itemsize}") if codes.dtype.kind == "f" else codes
-                distinct, inverse = np.unique(keys, return_inverse=True)
-                tabs = _prefixed(_format_table(conv, distinct.view(codes.dtype).tolist()), pre)
-                codes = inverse.reshape(keys.shape)  # numpy versions differ in its shape
+            elif seen is not None:  # any other array: its codes index the block's own distinct values
+                distinct, inverse = np.unique(codes.view(seen[0].dtype), return_inverse=True)
+                tabs = _prefixed(_known_rows(seen, conv, distinct, codes.dtype), pre)
+                codes = inverse.reshape(codes.shape)  # numpy versions differ in its shape
             if all(t is tabs[0] for t in tabs):  # one table: all of the column's values in one take
                 fields.append(np.take(tabs[0], codes).view(np.uint8))
             else:

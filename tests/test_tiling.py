@@ -916,6 +916,14 @@ def per_row_format(template: str, *columns: np.ndarray) -> str:
                    for i in range(len(columns[0])))
 
 
+def formatted_tables(monkeypatch) -> list:
+    """Every (conv, values) that tiling._format_table is handed from now on."""
+    calls, format_table = [], tiling._format_table
+    monkeypatch.setattr(tiling, "_format_table", lambda conv, values: calls.append(
+        (conv, values)) or format_table(conv, values))
+    return calls
+
+
 class TestFormatRows:
     """_format_rows formats each distinct value once and gives the per-line bytes."""
 
@@ -969,6 +977,57 @@ class TestFormatRows:
         assert next(rows) == "a\nb\n"
         with pytest.raises(ValueError, match="NUL"):
             next(rows)
+
+    @pytest.mark.parametrize("block", [3, 16384])
+    @pytest.mark.parametrize("dtype", ["i1", "i4", "i8", "u1", "u8"])
+    def test_sparse_d_columns_are_spelled_from_digit_groups(self, dtype, block, monkeypatch):
+        info = np.iinfo(dtype)
+        edges = [0, 1, 999, 1000, 1001] + [v for k in range(1, 19) for v in (10**k - 1, 10**k)]
+        edges += [-v for v in edges] + [int(info.min), int(info.max), int(np.iinfo(np.int64).min),
+                                        int(np.iinfo(np.int64).max), int(np.iinfo(np.uint64).max)]
+        values = np.array(sorted({v for v in edges if info.min <= v <= info.max}), dtype=dtype)
+        column = np.column_stack([values, values[::-1]])  # small and wide values share blocks
+        tables = formatted_tables(monkeypatch)
+        monkeypatch.setattr(tiling, "_FORMAT_BLOCK", block)
+        template = "<%d|%d>\n"
+        assert "".join(tiling._format_rows(template, column)) == per_row_format(template, column)
+        assert tables == []
+
+    def test_a_sparse_d_column_is_never_formatted(self, monkeypatch):
+        tables = formatted_tables(monkeypatch)
+        monkeypatch.setattr(tiling, "_FORMAT_BLOCK", 4)
+        sparse = np.arange(20) * 1000
+        assert "".join(tiling._format_rows("%d\n", sparse)) == per_row_format("%d\n", sparse)
+        assert tables == []
+
+    def test_floats_repeated_across_blocks_are_formatted_once_per_call(self, monkeypatch):
+        tables = formatted_tables(monkeypatch)
+        monkeypatch.setattr(tiling, "_FORMAT_BLOCK", 3)
+        bits = np.array([0x0000000000000000, 0x8000000000000000,  # 0.0 and -0.0
+                         0x7FF8000000000000, 0x7FF8000000000001,  # two NaN payloads
+                         0x3FF8000000000000], dtype=np.uint64)  # 1.5
+        values = bits[np.random.default_rng(3).integers(0, len(bits), size=(40, 2))].view(np.float64)
+        template = "%.12g,%.12g\n"
+        for _ in range(2):  # the table lives for one call
+            tables.clear()
+            assert "".join(tiling._format_rows(template, values)) == per_row_format(template, values)
+            assert sum(len(v) for _, v in tables) == len(np.unique(values.view(np.uint64))) == len(bits)
+
+    def test_the_table_of_formatted_keys_holds_at_most_the_cap(self, monkeypatch):
+        sizes, known_rows = [], tiling._known_rows
+
+        def spy(seen, *args):
+            rows = known_rows(seen, *args)
+            sizes.append(len(seen[0]))
+            return rows
+
+        monkeypatch.setattr(tiling, "_known_rows", spy)
+        monkeypatch.setattr(tiling, "_FORMAT_BLOCK", 3)
+        monkeypatch.setattr(tiling, "_FORMAT_SEEN", 5)
+        values = np.random.default_rng(4).normal(size=(20, 2))  # all distinct, 7 blocks
+        template = "%.12g %.12g\n"
+        assert "".join(tiling._format_rows(template, values)) == per_row_format(template, values)
+        assert len(sizes) == 7 and 0 < max(sizes) <= 5
 
 
 
