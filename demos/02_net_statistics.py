@@ -8,8 +8,9 @@ shared edge, each one dart inradius (sin 36 / phi) from it, at distance
 2*sin(36 deg)/phi.  On this covering net both constants come exactly from
 the tiling: a sun vertex in the window (five kites on one apex) and two
 darts on one axis end are the witnesses, and lemmas on the tiles do the
-rest (see ``Net``).  A net without them, one loaded from a file say, takes
-one Delaunay pass over the points near the window instead.
+rest (see ``Net``).  The net file written here carries each point's tile
+class and exact ring incenter, so ``load_net`` gives the same net back, with
+the same exact constants.
 """
 
 import math

@@ -16,8 +16,7 @@ Subcommands:
     at most the dart circumradius; writes no files.  The covering net's
     constants come exactly from the tiling (c1 = 2 sin36/phi and c2 = 1,
     from a sun vertex and a dart pair as witnesses and the lemmas in
-    ``Net``), with no Delaunay pass and no ``scipy.spatial``; any other net
-    takes the float pass.  The printed lines are the same for either.
+    ``Net``); a net without them is refused (exit 2).
 
 Exit codes: 0 success; 1 a hard exact assertion failed (the ratio-bound
 suite or an arithmetic contract); 2 operational errors (bad paths, tile

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
@@ -34,23 +33,21 @@ from .tiling import (
     _DART_CLASSES,
     _INCENTER_OFFSETS,
     _VERTEX_OFFSETS,
-    HALF_DART,
     HALF_KITE,
     Patch,
     Square,
     _corner_margins,
-    _decode,
     _embed,
     _format_rows,
     _read_table,
-    embedded_outline,
+    patch_outline,
 )
 
-SOURCE_NAMES = {HALF_KITE: "kite", HALF_DART: "dart"}
-_NET_ROW = np.dtype([("xy", np.float64, (2,)), ("kind", "U5"), ("tile_id", np.int64)])
+# one point line of a net file: its class, its ring incenter and its tile id
+_NET_ROW = np.dtype([("class", np.int64), ("ring", np.int64, (4,)), ("tile_id", np.int64)])
 # header key -> the fields export_net writes after it (see tiling._read_table)
 _NET_HEADERS = {
-    "points": ("N",), "c1": ("C1",), "c2": ("C2", "error_bound", "BOUND"), "window": ("X", "Y", "SIDE"),
+    "penrosenet": ("net", "v2"), "points": ("N",), "window": ("X", "Y", "SIDE"), "outline": ("N",) * 12,
 }
 
 # max distance from the in-point to a vertex, over both prototile shapes
@@ -66,7 +63,8 @@ _SEPARATION_SQUARED = GoldenNum(7, -4)
 # farther than this inside the outline keeps every such wing inside the patch
 _WITNESS_MARGIN = PHI_FLOAT ** -3
 # half the side of the box about a window's center searched for witnesses
-# before the whole window; every covering window tried held both in it
+# before the whole window (c2) or net (c1); every covering window tried
+# held both in it
 _WITNESS_REACH = 8.0
 # a full tile's axis end minus its incenter, by the class of either half
 _AXIS_END_OFFSETS = _VERTEX_OFFSETS[:, 2] - _INCENTER_OFFSETS
@@ -76,40 +74,31 @@ _AXIS_END_OFFSETS = _VERTEX_OFFSETS[:, 2] - _INCENTER_OFFSETS
 # 3 times a coefficient) far inside int64
 _COORD_LIMIT = 1 << 56
 _EXTRACT_BLOCK = 8192  # half-tiles per block of extract_net's key pass
-# a pair closer than this times the largest |coordinate| is within reach of
-# Qhull's rounding, which can leave it out of the triangulation
-_QHULL_RESOLUTION = 1e-6
-# the Delone pass's origin is the window's corner rounded to a multiple of
-# this.  Far from the origin Qhull can return a triangulation that is not
-# Delaunay; a small step keeps the pass's coordinates small (on a 2**16
-# grid Qhull merged distinct points about 2.3e4 from the pass's origin)
-_FRAME_STEP = 1024.0
 
 
 class Net:
     """Point set with provenance, a window square, and Delone statistics.
 
-    ``c1`` (minimum pairwise distance near the analysis region) and ``c2``
-    (covering radius over it) come together, on first access to either, in
-    one of two ways.
+    ``c1`` (minimum pairwise distance) and ``c2`` (covering radius over the
+    window) come exactly from the tiling, for a net that ``extract_net``
+    built (or ``load_net`` read back): it carries each point's tile class
+    and exact ring incenter, and the ring ``outline`` of a patch deflated
+    from a seed half-tile, possibly moved by ``Patch.transformed``.
+    Premise: the tiles do not overlap, and such a patch tiles its outline,
+    as every seed deflation does; a caller who hands ``Patch.from_classes``
+    an outline the tiles do not fill, or ``Net`` arrays of its own, breaks
+    it.  The witnesses are found in integer ring arithmetic:
 
-    Exact, from the tiling: a net that ``extract_net`` built from a patch
-    with an ``outline`` (one deflated from a seed half-tile, possibly moved
-    by ``Patch.transformed``) carries each point's tile class and exact
-    ring incenter.  Premise: such a patch tiles its outline, as every seed
-    deflation does; a caller who hands ``Patch.from_classes`` an outline
-    the tiles do not fill breaks it.  When the window lies more than 1/phi**3
-    inside the outline (so it is c2's region R; ``generate_patch_covering``
-    keeps 0.25 of margin) and two witnesses are found in integer ring
-    arithmetic, c1 is ``SEPARATION`` and c2 is 1.0, with no Delaunay pass:
-
-    - a sun vertex inside R, the apex of five kites 72 degrees apart.  Their
+    - two dart incenters at squared distance exactly 7 - 4 phi =
+      (2 sin36/phi)**2 (two darts sharing their axis end, 72 degrees
+      apart).  Distinct tiles have disjoint incircles (S), so no pair is
+      nearer: c1 = 2 sin36/phi, whatever the window;
+    - a sun vertex inside the window R, the apex of five kites 72 degrees
+      apart, when R lies more than 1/phi**3 inside the outline
+      (``generate_patch_covering`` keeps 0.25 of margin).  The five
       incenters are at distance exactly 1 and the five kites cover the disk
-      of radius phi cos 18 about it, so no other incenter is nearer: c2 >= 1;
-    - two dart incenters within 1.5 of R, so inside the pass's first box,
-      at squared distance exactly 7 - 4 phi = (2 sin36/phi)**2 (two darts
-      sharing their axis end, 72 degrees apart).  Distinct tiles have
-      disjoint incircles (S), so no pair is nearer: c1 = 2 sin36/phi.
+      of radius phi cos 18 about it, so no other incenter is nearer:
+      c2 >= 1.
 
     c2 <= 1 holds on every such R by lemmas the tests prove exactly: every
     point of a half-kite is within 1 of its kite's incenter (K); a point of
@@ -117,17 +106,7 @@ class Net:
     half's wing (D); every dart wing is the axis end of some tile, whose
     incenter is 1/phi from it (W), and that wing lies inside the patch by
     the margin.  So every point of R is within max(1, 1/phi**3 + 1/phi) = 1
-    of the net.
-
-    The float pass, for every other net (loaded from a file, built by hand,
-    a window near or off the outline, or one with no witness): one
-    window-pruned Delaunay pass (``_delone_pass``), which alone imports
-    ``scipy.spatial``; the big counting pipelines never need it.  c1 is the
-    pass's shortest Delaunay edge, c2 its largest empty circle, both exact
-    up to float rounding.
-
-    ``c2_error_bound`` is a fixed tolerance of 1e-9 for that rounding, the
-    same for every net, exact or not; it is not derived from the pass.
+    of the net.  Any other net has no c1 or c2: asking is a ValueError.
     """
 
     def __init__(
@@ -140,6 +119,7 @@ class Net:
         outline: np.ndarray | None = None,
         classes: np.ndarray | None = None,
     ) -> None:
+        """``outline`` is the seed triangle's (3, 4) ring coordinates at scale 0, as ``patch_outline`` gives."""
         self.xy = np.ascontiguousarray(xy, dtype=np.float64)
         self.source_kinds = np.ascontiguousarray(source_kinds, dtype=np.uint8)
         self.tile_ids = np.ascontiguousarray(tile_ids, dtype=np.int64)
@@ -158,187 +138,78 @@ class Net:
         if not (np.isfinite(self.window).all() and self.window.side > 0):
             raise ValueError("net window must be finite with a positive side")
         self.ring = None if ring is None else np.ascontiguousarray(ring, dtype=np.int64)
-        self.outline = None if outline is None else np.asarray(outline, dtype=np.float64)
-        for arr in (self.xy, self.source_kinds, self.tile_ids, self.ring, self.classes):
+        self.outline = None if outline is None else np.asarray(outline)
+        if self.outline is not None:
+            if self.outline.shape != (3, 4) or self.outline.dtype.kind not in "iu":
+                raise ValueError(f"outline must be (3, 4) ring coordinates, got {self.outline.dtype} "
+                                 f"{self.outline.shape}")
+            self.outline = self.outline.astype(np.int64)
+        for arr in (self.xy, self.source_kinds, self.tile_ids, self.ring, self.outline, self.classes):
             if arr is not None:
                 arr.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.xy)
 
-    def _c2_region(self, window: Square, origin: np.ndarray) -> np.ndarray:
-        """Counter-clockwise vertices of ``window``, clipped to the outline moved by ``-origin``."""
-        region = np.array(window.corners())
-        if self.outline is None:
-            return region
-        tri = self.outline - origin
-        if _cross(tri[1] - tri[0], tri[2] - tri[0]) < 0:
-            tri = tri[::-1]
-        return _clip_convex(region, tri)
-
-    def _points_near(self, box: np.ndarray, origin: np.ndarray) -> Iterator[tuple[float, np.ndarray]]:
-        """Yield (pad, the points within pad of ``box``'s bounding box) for pad 2, 4, 8, ...
-
-        ``box`` and the points yielded lie in the frame whose origin is
-        ``origin``.  The points are picked from ``xy`` against bounds a few
-        ulps wider, then moved and picked again exactly, so only the points
-        near the box are ever copied.
-        """
-        lo, hi = box.min(axis=0), box.max(axis=0)
-        pad = 2.0
-        while True:
-            low, high = lo - pad, hi + pad
-            slack = 4.0 * np.spacing(np.maximum(np.abs(low), np.abs(high)) + np.abs(origin))
-            near = self.xy[_in_box(self.xy, low + origin - slack, high + origin + slack)]
-            near -= origin
-            keep = _in_box(near, low, high)
-            yield pad, near if keep.all() else near[keep]
-            pad *= 2.0
-
-    def _witnessed(self) -> bool:
-        """Whether the tiling gives c1 = ``SEPARATION`` and c2 = 1 exactly (see ``Net``).
-
-        Needs the points' classes and ring incenters, an outline, and a
-        window more than 1/phi**3 inside it.  The witnesses are looked for
-        among the points within 1.5 of a box, first one of side
-        ``2 * _WITNESS_REACH`` about the window's center, then the whole
-        window: a sun vertex strictly inside the box, whose kites are within
-        1 of it, and a dart pair, which is then inside the pass's first box
-        (pad 2) whatever the rounding.  The float comparisons keep a margin
-        of 1e-12 times the window's magnitude, over a thousand times the
-        rounding of the embedded points and the outline.
-        """
-        if self.classes is None or self.ring is None or self.outline is None:
-            return False
+    def _boxes(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The boxes searched for witnesses: side ``2 * _WITNESS_REACH`` about the window's center, then the window."""
         x, y, side = self.window
-        slack = 1e-12 * (1.0 + abs(x) + abs(y) + side)
-        tri = self.outline
-        turn = np.sign(_cross(tri[1] - tri[0], tri[2] - tri[0]))
-        if (_corner_margins(tri[None], turn[None], self.window) <= _WITNESS_MARGIN + slack).any():
-            return False
         boxes = [(np.array([x, y]), np.array([x + side, y + side]))]
         if side > 2.0 * _WITNESS_REACH:
             center = np.array(self.window.center)
             boxes.insert(0, (center - _WITNESS_REACH, center + _WITNESS_REACH))
-        for lo, hi in boxes:
-            near = np.flatnonzero(_in_box(self.xy, lo - 1.5, hi + 1.5))
-            classes, ring = self.classes[near], self.ring[near]
-            suns = _embed(_sun_vertices(classes, ring))
-            if ((suns > lo + slack) & (suns < hi - slack)).all(axis=1).any() and _has_separation_pair(classes, ring):
-                return True
-        return False
+        return boxes
+
+    def _near(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Classes and ring incenters of the points within 1.5 of the box [lo, hi]."""
+        near = np.flatnonzero(_in_box(self.xy, lo - 1.5, hi + 1.5))
+        return self.classes[near], self.ring[near]
 
     @cached_property
-    def _delone(self) -> tuple[float | None, float]:
-        """(c1, c2): (``SEPARATION``, 1.0) when ``_witnessed``, else ``_delone_pass``."""
-        if self._witnessed():
-            return SEPARATION, 1.0
-        return self._delone_pass()
-
-    def _delone_pass(self) -> tuple[float | None, float]:
-        """(c1, c2) from one Delaunay pass; c1 is None for a one-point net.
-
-        The pass runs in the window's own frame: its origin is the window's
-        corner rounded to a multiple of ``_FRAME_STEP``, which is 0 for
-        every window within 512 of the origin.  Near the window, moving a
-        point by it is exact.
-        """
-        x, y, side = self.window
-        origin = np.round(np.array([x, y], dtype=np.float64) / _FRAME_STEP) * _FRAME_STEP
-        window = Square(x - origin[0], y - origin[1], side)
-        region = self._c2_region(window, origin)
-        near = self._points_near(region if len(region) else np.array(window.corners()), origin)
-        pts, c2 = np.empty((0, 2)), 0.0
-        if len(region):
-            for pad, pts in near:
-                if len(pts):
-                    edges, merged, centers = _delaunay(pts)
-                    c2 = _largest_gap(pts, edges, centers, region)
-                    if c2 < pad or len(pts) == len(self):
-                        break
-        if len(pts) < 2 <= len(self):
-            # c2's pass kept fewer than two points: widen it for c1
-            pts = next(p for _, p in near if len(p) >= 2)
-            edges, merged, centers = _delaunay(pts)
-        if len(pts) < 2:
-            return None, c2
-        pairs = np.concatenate([edges, merged])
-        lengths = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
-        c1 = float(lengths.min())
-        if not len(centers) or lengths[len(edges):].any() or c1 < _QHULL_RESOLUTION * float(np.abs(pts).max()):
-            # no triangle, a point Qhull merged into a vertex elsewhere, or a
-            # pair within reach of Qhull's rounding: any of them can leave
-            # the closest pair out, so pair every point with its nearest one
-            from scipy.spatial import cKDTree
-
-            partner = cKDTree(pts).query(pts, k=2)[1][:, 1]
-            c1 = min(c1, float(np.linalg.norm(pts - pts[partner], axis=1).min()))
-        return c1, c2
-
-    @property
     def c1(self) -> float:
-        """Minimum pairwise distance over the points of c2's pass.
+        """Minimum pairwise distance: ``SEPARATION`` exactly, from a dart pair and lemma (S) (see ``Net``).
 
-        On a net with the tiling's witnesses (see ``Net``) this is
-        ``SEPARATION`` exactly, from a witness pair and lemma (S), with no
-        pass.  Otherwise the points are the net points within ``pad`` (2 or
-        more) of the bounding box of c2's region R.  When R is empty, or the
-        pass kept fewer than two points, the pad around R, or around the
-        window if R is empty, doubles until it holds two.  c1 is the shortest edge of the pass's
-        Delaunay triangulation: the closest pair has an empty diametral
-        circle, so it is an edge of every Delaunay triangulation (Shamos &
-        Hoey 1975).  When the pass has no triangle with a finite
-        circumcenter (fewer than three points, or all on one line to Qhull),
-        Qhull merged a point into a vertex at another position, or the
-        shortest edge is below 1e-6 times the largest |coordinate| in the
-        pass's frame, within reach of Qhull's rounding, any of which can
-        leave the closest pair out, each point's nearest neighbour in a k-d
-        tree decides instead.
-        Pairs farther out are not looked at, so c1 is at least the
-        separation of the whole net; on Penrose incenter nets both equal
-        ``SEPARATION``.  The float pass is exact up to float rounding; a
-        one-point net is a ValueError.
+        The pair is looked for near the window's center (the first of
+        ``_boxes``), then among all points.  A net without classes and ring
+        incenters, or with no such pair (a one-point net, say), is a
+        ValueError.
         """
-        c1 = self._delone[0]
-        if c1 is None:
-            raise ValueError("c1 needs at least two points")
-        return c1
+        if self.classes is not None and self.ring is not None:
+            if _has_separation_pair(*self._near(*self._boxes()[0])) or _has_separation_pair(self.classes, self.ring):
+                return SEPARATION
+        raise ValueError("c1 needs a net extracted from a tiling, with two darts on one axis end as its witness")
 
-    @property
+    @cached_property
     def c2(self) -> float:
-        """Covering radius over the region R: max over x in R of d(x, net).
+        """Covering radius over the window R: max over x in R of d(x, net), 1.0 exactly (see ``Net``).
 
-        R is the window, clipped to the patch outline triangle when the net
-        has one, since locations outside the patch union are not covered.
-        On a net with the tiling's witnesses (see ``Net``) R is the window
-        and this is 1.0 exactly: a sun vertex in R and lemmas (K), (D) and
-        (W), with no pass.  Otherwise the points within ``pad`` of R's
-        bounding box are triangulated and the largest empty circle centred
-        in R is found among its classical candidates (``_largest_gap``):
-        circumcenters in R, crossings of every Delaunay edge's bisector with
-        R's boundary, and R's vertices, all measured in one k-d tree query.
-        A crossing off its Voronoi edge is nearer a third point, so it
-        cannot exceed the maximum.  If the maximum is below ``pad``, every
-        location of R has its nearest net point among them, so it is the
-        covering radius of the whole net; otherwise ``pad`` doubles.
-        Exact up to the float rounding of the candidate positions, for which
-        ``c2_error_bound`` allows a fixed 1e-9.  An empty R gives 0.  c1 comes
-        from the same triangulation.
+        Needs the points' classes and ring incenters, an outline, R more
+        than 1/phi**3 inside it, and a sun vertex strictly inside one of
+        ``_boxes``, found among the points within 1.5 of the box (its kites
+        are within 1 of it).  The float comparisons keep a margin of 1e-12
+        times the window's magnitude, over a thousand times the rounding of
+        the embedded points and the outline.  Any other net is a ValueError.
         """
-        return self._delone[1]
+        if self.classes is not None and self.ring is not None and self.outline is not None:
+            x, y, side = self.window
+            slack = 1e-12 * (1.0 + abs(x) + abs(y) + side)
+            tri = _embed(self.outline)
+            (ux, uy), (vx, vy) = tri[1] - tri[0], tri[2] - tri[0]
+            turn = np.sign(ux * vy - uy * vx)
+            if (_corner_margins(tri[None], turn[None], self.window) > _WITNESS_MARGIN + slack).all():
+                for lo, hi in self._boxes():
+                    suns = _embed(_sun_vertices(*self._near(lo, hi)))
+                    if ((suns > lo + slack) & (suns < hi - slack)).all(axis=1).any():
+                        return 1.0
+        raise ValueError("c2 needs a net extracted from a tiling, its window more than 1/phi**3 inside the "
+                         "outline and holding a sun vertex as its witness")
 
     @property
     def c2_error_bound(self) -> float:
-        """The fixed tolerance 1e-9 allowed on |c2 - covering radius| for float rounding.
+        """The tolerance 1e-9 that ``verify`` prints beside c2.
 
-        A constant, the same for every net: it is not a bound derived from
-        the candidates' rounding, and no proof shows the rounding stays
-        below it.  Far from the origin it does not: the float pass's c2 on
-        the covering net of ``Square(3e9, 1e9, 64)`` was measured 1e-7 off,
-        a hundred times this tolerance, and a net loaded from a file still
-        takes that pass.  An exact c2 from the tiling's witnesses (see
-        ``Net``) has no rounding, and keeps the same 1e-9, so the CLI and net
-        files print the same text for either path.
+        c2 is exact, so it meets this trivially; the constant stays so that
+        the printed lines do not change.
         """
         return 1e-9
 
@@ -347,95 +218,6 @@ def _in_box(xy: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
     """Mask of the (M, 2) points ``xy`` in the closed box [low, high]; column tests beat ``np.all`` over rows."""
     x, y = xy[:, 0], xy[:, 1]
     return (x >= low[0]) & (x <= high[0]) & (y >= low[1]) & (y <= high[1])
-
-
-def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-
-
-def _clip_convex(poly: np.ndarray, clip: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman: ``poly`` cut to the counter-clockwise convex ``clip``."""
-    out = list(poly)
-    for a, b in zip(clip, np.roll(clip, -1, axis=0)):
-        pts, out = out, []
-        sides = [float(_cross(b - a, p - a)) for p in pts]
-        for k in range(len(pts)):
-            p, q, sp, sq = pts[k - 1], pts[k], sides[k - 1], sides[k]
-            if (sp < 0) != (sq < 0):
-                out.append(p + (q - p) * (sp / (sp - sq)))
-            if sq >= 0:
-                out.append(q)
-    return np.array(out, dtype=np.float64).reshape(-1, 2)
-
-
-def _delaunay(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Delaunay edges of ``pts``, the points Qhull merged, and the circumcenters.
-
-    Each edge is one row (i, j) of its two ends, once.  Fewer than three
-    points, or points all on one line, have no triangulation: consecutive
-    points in lexicographic order stand in for its edges, and there are no
-    circumcenters.  Qhull leaves out a point it finds coincident with a
-    vertex; ``merged`` pairs each such point with that vertex.  Degenerate
-    triangles' circumcenters, which are not finite, are dropped.
-    """
-    from scipy.spatial import Delaunay, QhullError
-
-    tri = None
-    if len(pts) >= 3:
-        try:
-            tri = Delaunay(pts)
-        except QhullError:  # all on one line
-            pass
-    if tri is None:
-        order = np.lexsort(pts.T[::-1])
-        return np.column_stack([order[:-1], order[1:]]), np.empty((0, 2), dtype=np.intp), np.empty((0, 2))
-    simplices, neighbors = tri.simplices, tri.neighbors
-    # the side of simplex j opposite its vertex m, once: from the lower
-    # numbered of its two simplices, or from its only one on the hull
-    j, m = np.nonzero((neighbors < 0) | (neighbors > np.arange(len(simplices))[:, None]))
-    edges = np.take_along_axis(simplices[j], (m[:, None] + np.arange(1, 3)) % 3, axis=1)
-    a = pts[simplices[:, 0]]
-    b = pts[simplices[:, 1]] - a
-    c = pts[simplices[:, 2]] - a
-    w = (b * b).sum(axis=1)[:, None] * c - (c * c).sum(axis=1)[:, None] * b
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        centers = a + np.column_stack([w[:, 1], -w[:, 0]]) / (2.0 * _cross(b, c))[:, None]
-    return edges, tri.coplanar[:, [0, 2]], centers[np.isfinite(centers).all(axis=1)]
-
-
-def _largest_gap(pts: np.ndarray, edges: np.ndarray, centers: np.ndarray, region: np.ndarray) -> float:
-    """max over x in the convex polygon ``region`` of the distance from x to ``pts``.
-
-    ``edges`` and ``centers`` come from ``_delaunay(pts)``.  On each
-    Voronoi cell clipped to the region the distance to the cell's site is
-    convex, so the maximum sits at a vertex of some clipped cell: a Voronoi
-    vertex inside the region, a crossing of a Voronoi edge with the
-    region's boundary, or a region vertex (Toussaint 1983, largest empty
-    circle with location constraints).  Voronoi vertices are the Delaunay
-    circumcenters, and every Voronoi edge lies on the bisector of a
-    Delaunay edge.  One k-d tree query measures every candidate: the
-    circumcenters inside the region, every crossing of an edge's bisector
-    with a side of the region, and the region's vertices.  A crossing off
-    its Voronoi edge is nearer a third point, so its true distance cannot
-    exceed the maximum, and the result is the maximum over every candidate
-    whatever the triangulation.
-    """
-    from scipy.spatial import cKDTree
-
-    # signed distance to each side line is at least -1e-10
-    sides = np.roll(region, -1, axis=0) - region
-    lengths = np.hypot(sides[:, 0], sides[:, 1])
-    inside = (_cross(sides, centers[:, None, :] - region) >= -1e-10 * lengths).all(axis=1)
-
-    # where the bisector {x : (x - m).d = 0} of each edge crosses each side
-    p, q = pts[edges[:, 0]], pts[edges[:, 1]]
-    d = q - p
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t = (((p + q) / 2.0 * d).sum(axis=1)[:, None] - d @ region.T) / (d @ sides.T)
-    e, k = np.nonzero((t >= 0.0) & (t <= 1.0))
-    crossings = region[k] + t[e, k, None] * sides[k]
-    candidates = np.concatenate([centers[inside], crossings, region])
-    return float(cKDTree(pts).query(candidates, k=1)[0].max())
 
 
 def _sun_vertices(classes: np.ndarray, ring: np.ndarray) -> np.ndarray:
@@ -572,6 +354,20 @@ def _first_halves(key: np.ndarray, key_bits: int, classes: np.ndarray) -> np.nda
     return np.flatnonzero(first)
 
 
+def _ring_xy(ring: np.ndarray) -> np.ndarray:
+    """(M, 2) float points of (M, 4) ring incenters: ``_embed``, exact where a point lies on a grid line.
+
+    x is the integer or half-integer ``(2 c0 - c1) / 2`` when ``c1 - c2 - c3
+    == 0`` and y is 0 when ``c1 == 0`` and ``c2 == c3``; every other
+    coordinate is irrational.
+    """
+    xy = _embed(ring)
+    on_x = ring[:, 1] - ring[:, 2] == ring[:, 3]
+    xy[on_x, 0] = (2 * ring[on_x, 0] - ring[on_x, 1]) / 2.0
+    xy[(ring[:, 1] == 0) & (ring[:, 2] == ring[:, 3]), 1] = 0.0
+    return xy
+
+
 def extract_net(p: Patch, window: Square | tuple | None = None) -> Net:
     """Pair mirror halves of a final-scale patch and emit tile incenters.
 
@@ -584,9 +380,7 @@ def extract_net(p: Patch, window: Square | tuple | None = None) -> Net:
     bits is a ValueError.  Points are ordered by the patch index of their
     first contributing half-tile.
 
-    Net coordinates that lie on a grid line are exact: x is the integer or
-    half-integer ``(2 c0 - c1) / 2`` when ``c1 - c2 - c3 == 0`` and y is 0
-    when ``c1 == 0`` and ``c2 == c3``; every other coordinate is irrational.
+    Net coordinates come from ``_ring_xy``, exact on grid lines.
 
     ``window`` overrides the net's counting window; by default it is the
     covering square recorded by the patch generator, or a padded bounding
@@ -605,13 +399,10 @@ def extract_net(p: Patch, window: Square | tuple | None = None) -> Net:
     classes = p.classes[tile_ids]
     ring = np.take(_INCENTER_OFFSETS, classes, axis=0)
     ring += np.take(p.apexes, tile_ids, axis=1).T
-    xy = _embed(ring)
-    on_x = ring[:, 1] - ring[:, 2] == ring[:, 3]
-    xy[on_x, 0] = (2 * ring[on_x, 0] - ring[on_x, 1]) / 2.0
-    xy[(ring[:, 1] == 0) & (ring[:, 2] == ring[:, 3]), 1] = 0.0
+    xy = _ring_xy(ring)
 
     prov = p.provenance
-    outline = embedded_outline(p) if "outline" in prov else None
+    outline = patch_outline(p) if "outline" in prov else None
     if window is not None:
         window = Square(*window)
     elif "square" in prov:
@@ -643,39 +434,53 @@ def count_in_square(net: Net, square: Square | tuple) -> tuple[int, int]:
 
 
 def export_net(net: Net, path: str) -> None:
-    """Write one point per line (x, y, source_kind, tile_id) with a stats header.
+    """Write the v2 net file: one line per point, its class, four ring coefficients and tile id.
 
-    The header is built before ``path`` is opened, so a net whose c1 or c2
-    raises (a one-point net has no c1) leaves no file and an existing one
-    untouched.
+    The headers are the format version, ``points``, the ``window`` at full
+    float precision (``%.17g``, so it reads back exactly) and, when the net
+    has one, the ``outline`` as its 12 ring integers.  A net without classes
+    and ring incenters (one not built by ``extract_net`` or ``load_net``) is
+    a ValueError, raised before ``path`` is opened.
     """
-    names = (SOURCE_NAMES[HALF_KITE], SOURCE_NAMES[HALF_DART])  # HALF_KITE 0, HALF_DART 1
-    header = (
-        f"# penrosenet net v1\n# points {len(net)}\n# c1 {net.c1:.12g}\n"
-        f"# c2 {net.c2:.12g} error_bound {net.c2_error_bound:.12g}\n"
-        f"# window {net.window.x:.12g} {net.window.y:.12g} {net.window.side:.12g}\n"
-    )
+    if net.classes is None or net.ring is None:
+        raise ValueError("export_net needs a net with tile classes and ring incenters, as extract_net builds")
+    x, y, side = net.window
+    header = f"# penrosenet net v2\n# points {len(net)}\n# window {x:.17g} {y:.17g} {side:.17g}\n"
+    if net.outline is not None:
+        header += f"# outline {' '.join(map(str, net.outline.ravel().tolist()))}\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(header)
-        fh.writelines(_format_rows("%.12g %.12g %s %d\n", net.xy, (names, net.source_kinds), net.tile_ids))
+        fh.writelines(_format_rows("%d %d %d %d %d %d\n", net.classes, net.ring, net.tile_ids))
 
 
 def load_net(path: str) -> Net:
-    """Read the export_net format (positions are the rounded floats).
+    """Read the v2 format export_net writes; ``xy`` is rebuilt from the ring by ``_ring_xy``.
 
-    The ``window`` header is required.  A ``points``, ``c1``, ``c2`` or
-    ``window`` header whose fields do not match what export_net writes (a
-    number where it writes one) is a ValueError, and so is a ``points``
-    count that differs from the number of point lines.  Headers may repeat;
-    the last one counts.  The file is ASCII and is read as
-    ``tiling._read_table`` says: the point lines by ``np.loadtxt`` from the
-    path, so a file that is not one regular file, unchanged between that
-    read and the header read, is a ValueError.
+    Premise: the file is ``export_net`` output of an extracted net, the
+    trust ``Patch.from_classes`` takes; c1 and c2 rest on its tiles not
+    overlapping.  What is checked: the ``penrosenet net v2`` and ``window``
+    headers are required (a v1 file is refused); a ``points``, ``window``
+    or ``outline`` header whose fields do not match what export_net writes
+    is a ValueError, and so are a ``points`` count that differs from the
+    number of point lines, a class outside 0..39, and a ring or outline
+    coefficient beyond +-2**56, past any incenter extract_net builds.
+    Headers may repeat; the last one counts.  The file is ASCII and is read
+    as ``tiling._read_table`` says: the point lines by ``np.loadtxt`` from
+    the path, so a file that is not one regular file, unchanged between
+    that read and the header read, is a ValueError.
     """
     values, rows = _read_table(path, _NET_ROW, _NET_HEADERS)
-    kinds = _decode(rows["kind"], {name: code for code, name in SOURCE_NAMES.items()})
-    if "window" not in values:
-        raise ValueError("net file missing window header")
+    for key in ("penrosenet", "window"):
+        if key not in values:
+            raise ValueError(f"net file missing its {key} header")
     if "points" in values and values["points"][0] != len(rows):
         raise ValueError(f"points header {values['points'][0]} does not match {len(rows)} point lines")
-    return Net(rows["xy"], kinds, rows["tile_id"], Square(*values["window"]))
+    classes, ring = rows["class"], np.ascontiguousarray(rows["ring"])
+    if classes.min(initial=0) < 0 or classes.max(initial=0) >= _CLASSES:
+        raise ValueError(f"net file classes must lie in 0..{_CLASSES - 1}")
+    outline = values.get("outline")
+    for name, coeffs in (("ring", ring), ("outline", np.array(outline or [], dtype=object))):
+        if ((coeffs > _COORD_LIMIT) | (coeffs < -_COORD_LIMIT)).any():
+            raise ValueError(f"net file {name} coefficients must lie within +-2**{_COORD_LIMIT.bit_length() - 1}")
+    return Net(_ring_xy(ring), _CLASS_KIND[classes], rows["tile_id"], Square(*values["window"]),
+               ring=ring, outline=None if outline is None else np.reshape(outline, (3, 4)), classes=classes)

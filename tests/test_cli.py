@@ -333,6 +333,13 @@ class TestVerify:
         assert "FAIL: equals 2 sin36/phi within 1e-9)" in stdout
         assert stdout.splitlines()[-1] == "FAILED: net separation"
 
+    def test_a_window_too_small_for_its_squares_exits_two(self, capsys):
+        # the side-2 window holds an empty unit square, and no sun vertex
+        code, stdout, stderr = run(capsys, "verify", "--i-min", "0", "--i-max", "0")
+        assert code == 2
+        assert stderr == "error: empty square at i=0\n"
+        assert "net: c1" not in stdout
+
     def test_c1_within_tolerance_passes(self, capsys, monkeypatch):
         monkeypatch.setattr(Net, "c1", property(lambda self: SEPARATION + 5e-10))
         code, stdout, _ = run(capsys, "verify", "--i-min", "2", "--i-max", "2")
@@ -362,6 +369,10 @@ assert main(["generate", "--rounds", "4", "--out", patch]) == 0 and not loaded()
 assert main(["analyze", "--i-min", "2", "--i-max", "3", "--out", out]) == 0 and not loaded(), "analyze"
 assert main(["render", "--patch", patch, "--overlay", "net", "--out", out + "/p.svg"]) == 0
 assert not loaded(), "render"
+net = penrosenet.extract_net(penrosenet.generate_patch_covering(penrosenet.Square(-37, 21, 64)))
+penrosenet.export_net(net, out + "/net.txt")
+back = penrosenet.load_net(out + "/net.txt")
+assert (back.c1, back.c2) == (net.c1, net.c2) and not loaded(), "net file"
 print("clean")
 """)
         assert done.returncode == 0, done.stderr
