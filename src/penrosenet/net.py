@@ -77,16 +77,17 @@ _EXTRACT_BLOCK = 8192  # half-tiles per block of extract_net's key pass
 
 
 class Net:
-    """Point set with provenance, a window square, and Delone statistics.
+    """Tile incenters with provenance, a window square, and Delone statistics.
 
-    ``c1`` (minimum pairwise distance) and ``c2`` (covering radius over the
-    window) come exactly from the tiling, for a net that ``extract_net``
-    built (or ``load_net`` read back): it carries each point's tile class
-    and exact ring incenter, and the ring ``outline`` of a patch deflated
-    from a seed half-tile, possibly moved by ``Patch.transformed``.
-    Premise: the tiles do not overlap, and such a patch tiles its outline,
-    as every seed deflation does; a caller who hands ``Patch.from_classes``
-    an outline the tiles do not fill, or ``Net`` arrays of its own, breaks
+    A net is its tiles: each point's half-tile class and exact ring
+    incenter, from which ``xy`` (``_ring_xy``) and ``source_kinds`` are
+    derived.  ``c1`` (minimum pairwise distance) and ``c2`` (covering radius
+    over the window) come exactly from the tiling; ``c2`` also needs the
+    ring ``outline`` of a patch deflated from a seed half-tile, possibly
+    moved by ``Patch.transformed``.  Premise: the tiles do not overlap, and
+    such a patch tiles its outline, as every seed deflation does; a caller
+    who hands ``Patch.from_classes`` an outline the tiles do not fill, or
+    ``Net`` classes and incenters that are not one patch's tiles, breaks
     it.  The witnesses are found in integer ring arithmetic:
 
     - two dart incenters at squared distance exactly 7 - 4 phi =
@@ -111,40 +112,45 @@ class Net:
 
     def __init__(
         self,
-        xy: np.ndarray,
-        source_kinds: np.ndarray,
+        classes: np.ndarray,
+        ring: np.ndarray,
         tile_ids: np.ndarray,
         window: Square,
-        ring: np.ndarray | None = None,
         outline: np.ndarray | None = None,
-        classes: np.ndarray | None = None,
     ) -> None:
-        """``outline`` is the seed triangle's (3, 4) ring coordinates at scale 0, as ``patch_outline`` gives."""
-        self.xy = np.ascontiguousarray(xy, dtype=np.float64)
-        self.source_kinds = np.ascontiguousarray(source_kinds, dtype=np.uint8)
-        self.tile_ids = np.ascontiguousarray(tile_ids, dtype=np.int64)
-        self.classes = None if classes is None else np.ascontiguousarray(classes, dtype=np.uint8)
-        if self.xy.ndim != 2 or self.xy.shape[1] != 2:
-            raise ValueError("xy must have shape (M, 2)")
-        if len(self.source_kinds) != len(self.xy) or len(self.tile_ids) != len(self.xy):
-            raise ValueError("parallel arrays must have equal length")
-        if len(self.xy) == 0:
+        """Each point's half-tile class and (M, 4) ring incenter; ``xy`` and ``source_kinds`` follow from them.
+
+        ``outline`` is the seed triangle's (3, 4) ring coordinates at scale
+        0, as ``patch_outline`` gives.  A ring coefficient beyond +-2**56
+        (``_COORD_LIMIT``, past any incenter ``extract_net`` builds) is
+        refused, so ``_ring_xy``'s integer arithmetic cannot wrap.
+        """
+        ring, classes = np.asarray(ring), np.asarray(classes)
+        if ring.dtype.kind not in "iu" or ring.ndim != 2 or ring.shape[1] != 4:
+            raise ValueError(f"ring must be (M, 4) integer ring coordinates, got {ring.dtype} {ring.shape}")
+        if classes.shape != (len(ring),) or np.shape(tile_ids) != (len(ring),):
+            raise ValueError("classes, ring and tile_ids must have equal length")
+        if len(ring) == 0:
             raise ValueError("empty net")
-        if self.classes is not None and (self.classes.shape != (len(self.xy),) or self.classes.max() >= _CLASSES):
-            raise ValueError(f"classes must be one half-tile class below {_CLASSES} per point")
-        if not np.isfinite(self.xy).all():
-            raise ValueError("net coordinates must be finite")
+        if classes.dtype.kind not in "iu" or classes.min() < 0 or classes.max() >= _CLASSES:
+            raise ValueError(f"classes must lie in 0..{_CLASSES - 1}")
+        if ring.max() > _COORD_LIMIT or ring.min() < -_COORD_LIMIT:
+            raise ValueError(f"ring coefficients must lie within +-2**{_COORD_LIMIT.bit_length() - 1}")
         self.window = Square(*window)
         if not (np.isfinite(self.window).all() and self.window.side > 0):
             raise ValueError("net window must be finite with a positive side")
-        self.ring = None if ring is None else np.ascontiguousarray(ring, dtype=np.int64)
         self.outline = None if outline is None else np.asarray(outline)
         if self.outline is not None:
             if self.outline.shape != (3, 4) or self.outline.dtype.kind not in "iu":
                 raise ValueError(f"outline must be (3, 4) ring coordinates, got {self.outline.dtype} "
                                  f"{self.outline.shape}")
             self.outline = self.outline.astype(np.int64)
-        for arr in (self.xy, self.source_kinds, self.tile_ids, self.ring, self.outline, self.classes):
+        self.classes = np.ascontiguousarray(classes, dtype=np.uint8)
+        self.ring = np.ascontiguousarray(ring, dtype=np.int64)
+        self.tile_ids = np.ascontiguousarray(tile_ids, dtype=np.int64)
+        self.xy = _ring_xy(self.ring)
+        self.source_kinds = _CLASS_KIND[self.classes]
+        for arr in (self.classes, self.ring, self.tile_ids, self.xy, self.source_kinds, self.outline):
             if arr is not None:
                 arr.flags.writeable = False
 
@@ -170,27 +176,24 @@ class Net:
         """Minimum pairwise distance: ``SEPARATION`` exactly, from a dart pair and lemma (S) (see ``Net``).
 
         The pair is looked for near the window's center (the first of
-        ``_boxes``), then among all points.  A net without classes and ring
-        incenters, or with no such pair (a one-point net, say), is a
-        ValueError.
+        ``_boxes``), then among all points.  A net with no such pair (a
+        one-point net, say) is a ValueError.
         """
-        if self.classes is not None and self.ring is not None:
-            if _has_separation_pair(*self._near(*self._boxes()[0])) or _has_separation_pair(self.classes, self.ring):
-                return SEPARATION
+        if _has_separation_pair(*self._near(*self._boxes()[0])) or _has_separation_pair(self.classes, self.ring):
+            return SEPARATION
         raise ValueError("c1 needs a net extracted from a tiling, with two darts on one axis end as its witness")
 
     @cached_property
     def c2(self) -> float:
         """Covering radius over the window R: max over x in R of d(x, net), 1.0 exactly (see ``Net``).
 
-        Needs the points' classes and ring incenters, an outline, R more
-        than 1/phi**3 inside it, and a sun vertex strictly inside one of
-        ``_boxes``, found among the points within 1.5 of the box (its kites
-        are within 1 of it).  The float comparisons keep a margin of 1e-12
+        Needs an outline, R more than 1/phi**3 inside it, and a sun vertex
+        strictly inside one of ``_boxes``, found among the points within 1.5
+        of the box (its kites are within 1 of it).  The float comparisons keep a margin of 1e-12
         times the window's magnitude, over a thousand times the rounding of
         the embedded points and the outline.  Any other net is a ValueError.
         """
-        if self.classes is not None and self.ring is not None and self.outline is not None:
+        if self.outline is not None:
             x, y, side = self.window
             slack = 1e-12 * (1.0 + abs(x) + abs(y) + side)
             tri = _embed(self.outline)
@@ -289,54 +292,42 @@ def _pairing_key(p: Patch) -> tuple[np.ndarray, list[int]]:
     return key, widths
 
 
-def _stable_order(key: np.ndarray, key_bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """(order, key[order]) with order = ``np.argsort(key, kind="stable")``, for 0 <= key < 2**key_bits.
+def _sorted_keys(key: np.ndarray, key_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(order, key[order]) with the keys, 0 <= key < 2**key_bits, ascending; ties come in any order.
 
-    Sorts values, not indices: each int64 word packs a digit of the key
-    above ``idx_bits`` bits holding an index, so one value sort orders the
-    digits and breaks their ties by index.  When the whole key fits beside
-    the index, one sort does it, and the sorted keys are the words shifted
-    back.  Otherwise the digits are sorted least significant first, each
-    word carrying its position in the previous pass's order, so every pass
-    is stable and their composition is the stable order.  All passes write
-    one words buffer, the indices a block at a time.  The gathers use
-    ``mode="clip"`` on indices that are in range by construction, since
-    ``np.take`` buffers ``out`` in its default mode.
+    Where a key fits beside its index in 63 bits, one value sort of int64
+    words packing the key above the index does it, about twice as fast as
+    ``np.argsort``, and the sorted keys are the words shifted back.  The
+    words are packed a block at a time.  Wider keys go to ``np.argsort``.
     """
     n = len(key)
     idx_bits = max(n - 1, 0).bit_length()
-    digit_bits = 63 - idx_bits
-    passes = range(0, max(key_bits, 1), digit_bits)
+    if key_bits + idx_bits > 63:
+        order = np.argsort(key)
+        return order, key[order]
     words = np.empty(n, dtype=np.int64)
-    order = None
-    for shift in passes:
-        source = key if order is None else np.take(key, order, out=words, mode="clip")
-        for lo in range(0, n, _EXTRACT_BLOCK):
-            block = words[lo:lo + _EXTRACT_BLOCK]
-            np.right_shift(source[lo:lo + _EXTRACT_BLOCK], shift, out=block)
-            block &= (1 << digit_bits) - 1  # so the shift below stays under 2**63
-            block <<= idx_bits
-            block |= np.arange(lo, lo + len(block))
-        words.sort()
-        if len(passes) == 1:
-            sorted_key = words >> idx_bits
-            words &= (1 << idx_bits) - 1
-            return words, sorted_key
-        words &= (1 << idx_bits) - 1
-        order = words.copy() if order is None else np.take(order, words, mode="clip")
-    return order, np.take(key, order, out=words, mode="clip")
+    for lo in range(0, n, _EXTRACT_BLOCK):
+        block = words[lo:lo + _EXTRACT_BLOCK]
+        np.left_shift(key[lo:lo + _EXTRACT_BLOCK], idx_bits, out=block)
+        block |= np.arange(lo, lo + len(block))
+    words.sort()
+    sorted_key = words >> idx_bits
+    words &= (1 << idx_bits) - 1
+    return words, sorted_key
 
 
 def _first_halves(key: np.ndarray, key_bits: int, classes: np.ndarray) -> np.ndarray:
     """Sorted patch indices of the first half of every tile; halves pair on equal keys.
 
-    The keys, below 2**key_bits, are ordered by ``_stable_order``.  Paired
+    The keys, below 2**key_bits, are ordered by ``_sorted_keys``; the
+    checks below are symmetric in a pair's halves, and the later half of
+    each pair is dropped, so the order of tied keys does not matter.  Paired
     halves share kind and incenter, so they share their apex exactly when
     their classes share a direction (``class >> 1``).  A key shared by more
     than two halves, or a pair without opposite chirality and a shared
     apex, is a ValueError.
     """
-    order, sk = _stable_order(key, key_bits)
+    order, sk = _sorted_keys(key, key_bits)
     same = sk[1:] == sk[:-1]  # sorted positions j and j + 1 share a key
     del sk
     if np.any(same[1:] & same[:-1]):
@@ -380,7 +371,7 @@ def extract_net(p: Patch, window: Square | tuple | None = None) -> Net:
     bits is a ValueError.  Points are ordered by the patch index of their
     first contributing half-tile.
 
-    Net coordinates come from ``_ring_xy``, exact on grid lines.
+    Net coordinates come from ``_ring_xy`` (in ``Net``), exact on grid lines.
 
     ``window`` overrides the net's counting window; by default it is the
     covering square recorded by the patch generator, or a padded bounding
@@ -399,19 +390,18 @@ def extract_net(p: Patch, window: Square | tuple | None = None) -> Net:
     classes = p.classes[tile_ids]
     ring = np.take(_INCENTER_OFFSETS, classes, axis=0)
     ring += np.take(p.apexes, tile_ids, axis=1).T
-    xy = _ring_xy(ring)
 
     prov = p.provenance
     outline = patch_outline(p) if "outline" in prov else None
-    if window is not None:
-        window = Square(*window)
-    elif "square" in prov:
-        window = Square(*prov["square"])
-    else:
-        lo = xy.min(axis=0)
-        extent = float((xy.max(axis=0) - lo).max())
-        window = Square(float(lo[0]) - 1.0, float(lo[1]) - 1.0, extent + 2.0)
-    return Net(xy, _CLASS_KIND[classes], tile_ids, window, ring=ring, outline=outline, classes=classes)
+    if window is None and "square" in prov:
+        window = prov["square"]
+    # with no window, a unit stand-in until Net has derived the points whose padded box replaces it
+    net = Net(classes, ring, tile_ids, (0.0, 0.0, 1.0) if window is None else window, outline)
+    if window is None:
+        lo = net.xy.min(axis=0)
+        extent = float((net.xy.max(axis=0) - lo).max())
+        net.window = Square(float(lo[0]) - 1.0, float(lo[1]) - 1.0, extent + 2.0)
+    return net
 
 
 def count_in_square(net: Net, square: Square | tuple) -> tuple[int, int]:
@@ -438,12 +428,8 @@ def export_net(net: Net, path: str) -> None:
 
     The headers are the format version, ``points``, the ``window`` at full
     float precision (``%.17g``, so it reads back exactly) and, when the net
-    has one, the ``outline`` as its 12 ring integers.  A net without classes
-    and ring incenters (one not built by ``extract_net`` or ``load_net``) is
-    a ValueError, raised before ``path`` is opened.
+    has one, the ``outline`` as its 12 ring integers.
     """
-    if net.classes is None or net.ring is None:
-        raise ValueError("export_net needs a net with tile classes and ring incenters, as extract_net builds")
     x, y, side = net.window
     header = f"# penrosenet net v2\n# points {len(net)}\n# window {x:.17g} {y:.17g} {side:.17g}\n"
     if net.outline is not None:
@@ -454,7 +440,7 @@ def export_net(net: Net, path: str) -> None:
 
 
 def load_net(path: str) -> Net:
-    """Read the v2 format export_net writes; ``xy`` is rebuilt from the ring by ``_ring_xy``.
+    """Read the v2 format export_net writes; ``Net`` rebuilds ``xy`` from the ring.
 
     Premise: the file is ``export_net`` output of an extracted net, the
     trust ``Patch.from_classes`` takes; c1 and c2 rest on its tiles not
@@ -475,12 +461,9 @@ def load_net(path: str) -> Net:
             raise ValueError(f"net file missing its {key} header")
     if "points" in values and values["points"][0] != len(rows):
         raise ValueError(f"points header {values['points'][0]} does not match {len(rows)} point lines")
-    classes, ring = rows["class"], np.ascontiguousarray(rows["ring"])
-    if classes.min(initial=0) < 0 or classes.max(initial=0) >= _CLASSES:
-        raise ValueError(f"net file classes must lie in 0..{_CLASSES - 1}")
     outline = values.get("outline")
-    for name, coeffs in (("ring", ring), ("outline", np.array(outline or [], dtype=object))):
-        if ((coeffs > _COORD_LIMIT) | (coeffs < -_COORD_LIMIT)).any():
-            raise ValueError(f"net file {name} coefficients must lie within +-2**{_COORD_LIMIT.bit_length() - 1}")
-    return Net(_ring_xy(ring), _CLASS_KIND[classes], rows["tile_id"], Square(*values["window"]),
-               ring=ring, outline=None if outline is None else np.reshape(outline, (3, 4)), classes=classes)
+    if outline is not None and max(map(abs, outline)) > _COORD_LIMIT:
+        raise ValueError(f"net file outline coefficients must lie within +-2**{_COORD_LIMIT.bit_length() - 1}")
+    # Net refuses a class outside 0..39 and a ring coefficient beyond +-2**56
+    return Net(rows["class"], rows["ring"], rows["tile_id"], values["window"],
+               None if outline is None else np.reshape(outline, (3, 4)))

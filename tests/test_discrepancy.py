@@ -45,6 +45,7 @@ from penrosenet.tiling import (
     generate_patch_covering,
     substitution_counts,
 )
+from test_net import small_net
 from test_tiling import point_in_triangle
 
 # regression anchors measured on this 64-sided window by the enumeration
@@ -282,10 +283,7 @@ class TestEstimateERho:
             build_report(net, 7, 7)
 
     def test_empty_square_detected(self):
-        lone = Net(
-            np.array([[0.25, 0.25]]), np.array([HALF_KITE]), np.array([0]),
-            Square(0.0, 0.0, 4.0),
-        )
+        lone = small_net([[0.25, 0.25]], Square(0.0, 0.0, 4.0))
         with pytest.raises(ValueError, match="empty square"):
             build_report(lone, 0, 0)
 
@@ -293,20 +291,14 @@ class TestEstimateERho:
         # one point in each corner cell: four points for the four squares of
         # side 2, and no margin, get past the refusal before the scan, which
         # finds [1, 3)**2 empty
-        corners = Net(
-            np.array([[0.5, 0.5], [3.5, 0.5], [0.5, 3.5], [3.5, 3.5]]), np.full(4, HALF_KITE), np.arange(4),
-            Square(0.0, 0.0, 4.0),
-        )
+        corners = small_net([[0.5, 0.5], [3.5, 0.5], [0.5, 3.5], [3.5, 3.5]], Square(0.0, 0.0, 4.0))
         grid = discrepancy._CountGrid(corners)
         assert grid.points == (grid.side // 2) ** 2 and grid.margin == 0
         with pytest.raises(ValueError, match=r"^empty square at i=1$"):
             build_report(corners, 1, 2)
 
     def test_non_integer_window_rejected(self):
-        skew = Net(
-            np.array([[0.5, 0.5]]), np.array([HALF_KITE]), np.array([0]),
-            Square(0.25, 0.0, 4.0),
-        )
+        skew = small_net([[0.5, 0.5]], Square(0.25, 0.0, 4.0))
         with pytest.raises(ValueError, match="integer"):
             build_report(skew, 1, 1)
 
@@ -339,7 +331,7 @@ class TestProp22:
     def test_dart_free_squares_skipped(self):
         xy = np.array([[0.5, 0.5], [2.5, 0.5], [2.6, 0.6], [1.5, 1.5]])
         kinds = np.array([HALF_DART, HALF_KITE, HALF_KITE, HALF_KITE])
-        net = Net(xy, kinds, np.arange(4), Square(0.0, 0.0, 3.0))
+        net = small_net(xy, Square(0.0, 0.0, 3.0), kinds)
         row = build_report(net, 1, 1).rows[0]
         assert row.squares_total == 4
         assert row.squares_dart_free == 3
@@ -348,7 +340,7 @@ class TestProp22:
 
     def test_all_dart_free_gap_is_nan(self):
         xy = np.array([[0.5, 0.5], [1.5, 0.5], [0.5, 1.5], [1.5, 1.5]])
-        net = Net(xy, np.full(4, HALF_KITE), np.arange(4), Square(0.0, 0.0, 2.0))
+        net = small_net(xy, Square(0.0, 0.0, 2.0))
         row = build_report(net, 0, 0).rows[0]
         assert row.squares_dart_free == row.squares_total == 4
         assert math.isnan(row.ratio_gap_max)
@@ -839,7 +831,7 @@ class TestReport:
 
     @staticmethod
     def moved(net, window):
-        return Net(net.xy, net.source_kinds, net.tile_ids, window)
+        return Net(net.classes, net.ring, net.tile_ids, window)
 
     def test_windows_far_past_the_net_fail_in_order(self, net64):
         # no side**2 array is built: at side 1e10 it would need 1e20 cells

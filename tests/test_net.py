@@ -65,16 +65,15 @@ def full_tile_incenter(kind: int, apex: CycloPoint, axis_end: CycloPoint) -> Cyc
 class NetPoint(NamedTuple):
     x: float
     y: float
-    origin: CycloPoint | None
+    origin: CycloPoint
     source_kind: int
     tile_id: int
 
 
 def net_point(net: Net, i: int) -> NetPoint:
-    """Point ``i`` of a net as scalars, with its exact ring point when the net has one."""
-    origin = None if net.ring is None else CycloPoint(*map(int, net.ring[i]))
+    """Point ``i`` of a net as scalars, with its exact ring point."""
     return NetPoint(float(net.xy[i, 0]), float(net.xy[i, 1]),
-                    origin, int(net.source_kinds[i]), int(net.tile_ids[i]))
+                    CycloPoint(*map(int, net.ring[i])), int(net.source_kinds[i]), int(net.tile_ids[i]))
 
 
 def line_distance(pt, a, b):
@@ -84,19 +83,19 @@ def line_distance(pt, a, b):
     return abs(ex * (pt[1] - ay) - ey * (pt[0] - ax)) / math.hypot(ex, ey)
 
 
-def sampled_c2(net, h):
-    """Grid-sampled covering radius: a lower estimate within h*sqrt(2).
+def sampled_c2(xy, window, outline=None, h=0.02):
+    """Grid-sampled covering radius of the points ``xy``: a lower estimate within h*sqrt(2).
 
     Samples the window on a grid of step h, keeping the samples inside the
-    outline triangle when the net has one.
+    (3, 4) ring ``outline`` triangle when there is one.
     """
-    x0, y0, side = net.window
+    x0, y0, side = window
     xs = np.arange(x0, x0 + side + h / 2, h)
     ys = np.arange(y0, y0 + side + h / 2, h)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    if net.outline is not None:
-        tri = _embed(net.outline)
+    if outline is not None:
+        tri = _embed(outline)
         keep = np.ones(len(pts), dtype=bool)
         for i in range(3):
             a, b, c = tri[i], tri[(i + 1) % 3], tri[(i + 2) % 3]
@@ -104,12 +103,12 @@ def sampled_c2(net, h):
             orient = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
             keep &= cross * np.sign(orient) >= -1e-9
         pts = pts[keep]
-    d, _ = cKDTree(net.xy).query(pts, k=1)
+    d, _ = cKDTree(xy).query(pts, k=1)
     return float(d.max())
 
 
 def assert_c2_matches_sampler(net, h=0.02):
-    oracle = sampled_c2(net, h)
+    oracle = sampled_c2(net.xy, net.window, net.outline, h)
     assert oracle - 1e-9 <= net.c2 <= oracle + h * math.sqrt(2.0)
 
 
@@ -172,16 +171,17 @@ def reference_largest_gap(pts, region):
     return float(dist.max())
 
 
-def reference_c2(net):
-    """The covering radius over the window clipped to the outline, by a float Delaunay pass.
+def reference_c2(xy, window, outline=None):
+    """The covering radius of the points ``xy`` over the window clipped to the outline, by a float Delaunay pass.
 
     The points within a pad of the region's bounding box are searched; the
     pad doubles from 2 until the radius found is below it.
     """
-    x0, y0, side = net.window
+    xy = np.asarray(xy, dtype=np.float64)
+    x0, y0, side = window
     region = np.array([[x0, y0], [x0 + side, y0], [x0 + side, y0 + side], [x0, y0 + side]])
-    if net.outline is not None:
-        tri = _embed(net.outline)
+    if outline is not None:
+        tri = _embed(outline)
         if _cross(tri[1] - tri[0], tri[2] - tri[0]) < 0:
             tri = tri[::-1]
         region = clip_convex(region, tri)
@@ -190,9 +190,9 @@ def reference_c2(net):
     lo, hi = region.min(axis=0), region.max(axis=0)
     pad = 2.0
     while True:
-        near = np.all((net.xy >= lo - pad) & (net.xy <= hi + pad), axis=1)
+        near = np.all((xy >= lo - pad) & (xy <= hi + pad), axis=1)
         if near.any():
-            radius = reference_largest_gap(net.xy[near], region)
+            radius = reference_largest_gap(xy[near], region)
             if radius < pad or near.all():
                 return radius
         pad *= 2.0
@@ -210,9 +210,41 @@ def near_window(net: Net, pad: float = 2.0, reach: float = 32.0) -> np.ndarray:
     return net.xy[(np.abs(net.xy - net.window.center) <= half).all(axis=1)]
 
 
-def small_net(xy, window):
-    xy = np.array(xy, dtype=np.float64)
-    return Net(xy, np.full(len(xy), HALF_KITE), np.arange(len(xy)), window)
+def reference_c2_of(net: Net) -> float:
+    """``reference_c2`` of a net's points, window and outline."""
+    return reference_c2(net.xy, net.window, net.outline)
+
+
+# offsets of c1, c2 and c3 that ring_points_in_cells tries
+_CELL_SEARCH = np.stack(np.meshgrid(*[np.arange(-6, 7)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def ring_points_in_cells(xy) -> np.ndarray:
+    """(M, 4) ring points, each in the unit cell of a point of ``xy`` and the nearest to it of a small search.
+
+    c1 starts at y / sin 72 and c1..c3 move by up to 6 from there; c0 puts
+    x nearest.  A float point set becomes a net this way, cell for cell.
+    """
+    rows = []
+    for x, y in np.asarray(xy, dtype=np.float64).reshape(-1, 2).tolist():
+        c = _CELL_SEARCH + [round(y / math.sin(math.radians(72.0))), 0, 0]
+        rest = _embed(np.column_stack([np.zeros(len(c), dtype=np.int64), c]))
+        c0 = np.round(x - rest[:, 0])
+        pts = rest + np.column_stack([c0, np.zeros(len(c))])
+        d = np.where((np.floor(pts) == np.floor([x, y])).all(axis=1), np.hypot(pts[:, 0] - x, pts[:, 1] - y), np.inf)
+        k = int(np.argmin(d))
+        assert np.isfinite(d[k])
+        rows.append([int(c0[k]), *c[k].tolist()])
+    ring = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    assert np.array_equal(np.floor(net_module._ring_xy(ring)), np.floor(np.reshape(xy, (-1, 2))))
+    return ring
+
+
+def small_net(xy, window, kinds=None):
+    """A net of kites (or ``kinds``) at ring points in the unit cells of the float points ``xy``."""
+    ring = ring_points_in_cells(xy)
+    kinds = np.broadcast_to(HALF_KITE if kinds is None else kinds, len(ring))
+    return Net(np.where(kinds == HALF_DART, 20, 0), ring, np.arange(len(ring)), window)
 
 
 C1_REFUSED = "c1 needs a net extracted from a tiling"
@@ -235,7 +267,18 @@ def full_tile_outline(kind):
     return [embed(v) for v in (right.wing, right.apex, left.wing, right.axis_end)]
 
 
-def lexsort_extract_net(p: Patch, window=None) -> Net:
+class Extracted(NamedTuple):
+    """An oracle extractor's net: its arrays, named and typed as ``Net``'s."""
+
+    xy: np.ndarray
+    source_kinds: np.ndarray
+    tile_ids: np.ndarray
+    window: Square
+    ring: np.ndarray
+    outline: np.ndarray | None
+
+
+def lexsort_extract_net(p: Patch, window=None) -> Extracted:
     """The 9-column (kind, apex, axis_end) lexsort extractor extract_net replaced."""
     n = len(p)
     keys = np.empty((n, 9), dtype=np.int64)
@@ -279,10 +322,10 @@ def lexsort_extract_net(p: Patch, window=None) -> Net:
         lo = xy.min(axis=0)
         extent = float((xy.max(axis=0) - lo).max())
         window = Square(float(lo[0]) - 1.0, float(lo[1]) - 1.0, extent + 2.0)
-    return Net(xy, kinds[out], tile_ids[out], window, ring=ring[out], outline=outline)
+    return Extracted(xy, kinds[out], tile_ids[out], window, ring[out], outline)
 
 
-def column_extract_net(p: Patch, window=None) -> Net:
+def column_extract_net(p: Patch, window=None) -> Extracted:
     """The extract_net the blocked incenter pass replaced: whole-array (n, 4) column views."""
     if len(p) == 0:
         raise ValueError("empty net")
@@ -354,7 +397,7 @@ def column_extract_net(p: Patch, window=None) -> Net:
         lo = xy.min(axis=0)
         extent = float((xy.max(axis=0) - lo).max())
         window = Square(float(lo[0]) - 1.0, float(lo[1]) - 1.0, extent + 2.0)
-    return Net(xy, p.kinds[tile_ids], tile_ids, window, ring=ring, outline=outline)
+    return Extracted(xy, p.kinds[tile_ids], tile_ids, window, ring, outline)
 
 
 def assert_matches_columns(patch: Patch, window=None) -> Net:
@@ -664,7 +707,7 @@ class TestBlockedPass:
     def base(self):
         """Three full blocks and a part, and more pairs than one block."""
         patch = deflated(HALF_DART, RIGHT)
-        assert len(patch) > 3 * self.B and len(patch) - len(column_extract_net(patch)) > self.B
+        assert len(patch) > 3 * self.B and len(patch) - len(column_extract_net(patch).xy) > self.B
         return patch
 
     def assert_both_raise(self, patch, match):
@@ -738,53 +781,63 @@ class TestSavedPatchNet:
         assert net.source_kinds.tobytes() == loaded.source_kinds.tobytes()
 
 
-def sort_passes(n: int, key_bits: int) -> int:
-    """How many value sorts ``_stable_order`` makes: one per digit beside the index bits."""
-    digit_bits = 63 - max(n - 1, 0).bit_length()
-    return -(-max(key_bits, 1) // digit_bits)
+def packed_words(n: int, key_bits: int) -> int:
+    """1 where a key fits beside its index in one 63-bit word, so ``_sorted_keys`` makes one value sort; else 2."""
+    return 1 if key_bits + max(n - 1, 0).bit_length() <= 63 else 2
 
 
-def assert_stable_order(key: np.ndarray, key_bits: int) -> None:
-    """The packed value sort gives np.argsort's stable order and the keys in that order."""
-    order, sorted_key = net_module._stable_order(key, key_bits)
-    want = np.argsort(key, kind="stable")
-    assert order.dtype == np.int64 and order.tobytes() == want.astype(np.int64).tobytes()
-    assert sorted_key.dtype == np.int64 and sorted_key.tobytes() == key[want].tobytes()
+def assert_sorted_keys(key: np.ndarray, key_bits: int) -> None:
+    """``_sorted_keys`` gives a permutation under which the keys ascend, so equal keys are adjacent."""
+    order, sorted_key = net_module._sorted_keys(key, key_bits)
+    assert order.dtype == np.int64 and np.array_equal(np.sort(order), np.arange(len(key)))
+    assert sorted_key.dtype == np.int64 and sorted_key.tobytes() == key[order].tobytes() == np.sort(key).tobytes()
+
+
+def ties_reversed(sorted_keys):
+    """``sorted_keys`` with the order of every run of equal keys reversed."""
+    def reversed_ties(key, key_bits):
+        order, sorted_key = sorted_keys(key, key_bits)
+        flip = np.lexsort((-np.arange(len(order)), sorted_key))
+        return order[flip], sorted_key[flip]
+    return reversed_ties
 
 
 class TestStableOrder:
-    """``_stable_order`` against ``np.argsort(key, kind="stable")``."""
+    """``_sorted_keys``: the one packed value sort where a key fits beside its index, else ``np.argsort``.
+
+    The order of equal keys is not fixed; ``_first_halves`` does not depend on it.
+    """
 
     def test_one_digit(self):
         key = np.random.default_rng(3).integers(0, 2**30, size=5000)
-        assert sort_passes(len(key), 30) == 1
-        assert_stable_order(key, 30)
+        assert packed_words(len(key), 30) == 1
+        assert_sorted_keys(key, 30)
 
     @pytest.mark.parametrize("key_bits", [53, 60, 63])
     def test_two_digits(self, key_bits):
         key = np.random.default_rng(key_bits).integers(0, 2**key_bits, size=2000)
-        assert sort_passes(len(key), key_bits) == 2
-        assert_stable_order(key, key_bits)
+        assert packed_words(len(key), key_bits) == 2
+        assert_sorted_keys(key, key_bits)
 
     @pytest.mark.parametrize("key_bits", [20, 60])
     def test_many_duplicates(self, key_bits):
-        # few distinct keys, which agree in the low digit and differ in the high one
+        # few distinct keys, which agree in the low bits and differ in the high ones
         rng = np.random.default_rng(8)
         pool = np.array([0, 1, 5, 2**(key_bits - 1), 2**(key_bits - 1) + 1, 2**key_bits - 1])
         key = pool[rng.integers(0, len(pool), size=3 * net_module._EXTRACT_BLOCK + 5)]
-        assert sort_passes(len(key), key_bits) == (1 if key_bits == 20 else 2)
-        assert_stable_order(key, key_bits)
+        assert packed_words(len(key), key_bits) == (1 if key_bits == 20 else 2)
+        assert_sorted_keys(key, key_bits)
 
     @pytest.mark.parametrize("key", [[5], [0], [7, 7], [9, 3], [2**63 - 1, 2**63 - 1], [2**63 - 1, 0]])
     def test_one_and_two_keys(self, key):
-        assert_stable_order(np.array(key, dtype=np.int64), 63)
-        assert_stable_order(np.array(key, dtype=np.int64), max(key).bit_length())
+        assert_sorted_keys(np.array(key, dtype=np.int64), 63)
+        assert_sorted_keys(np.array(key, dtype=np.int64), max(key).bit_length())
 
     def test_keys_that_use_all_63_bits(self):
         top = 2**63 - 1
         key = np.array([top, 0, 2**62, top, 1, 2**62 + 1, 2**62, 0, top - 1] * 250, dtype=np.int64)
-        assert sort_passes(len(key), 63) == 2
-        assert_stable_order(key, 63)
+        assert packed_words(len(key), 63) == 2
+        assert_sorted_keys(key, 63)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -793,14 +846,29 @@ class TestStableOrder:
         bits = data.draw(st.integers(0, 63))
         pool = data.draw(st.lists(st.integers(0, 2**bits - 1), min_size=1, max_size=8))
         key = data.draw(st.lists(st.sampled_from(pool), max_size=300))
-        assert_stable_order(np.array(key, dtype=np.int64), bits)
+        assert_sorted_keys(np.array(key, dtype=np.int64), bits)
 
     def test_extraction_through_two_digits(self):
         base = deflated(HALF_DART, RIGHT)
         patch = tiles(base, base.transformed(translation=CycloPoint(2**30, 0, 0, 0)))
         _, widths = net_module._pairing_key(patch)
-        assert sort_passes(len(patch), 1 + sum(widths)) == 2
+        assert packed_words(len(patch), 1 + sum(widths)) == 2
         assert_matches_columns(patch)
+
+    @pytest.mark.parametrize("shift, words", [(0, 1), (2**30, 2)])
+    def test_first_halves_ignore_the_order_of_ties(self, shift, words, monkeypatch):
+        # each tile's two halves share a key; with every tie reversed the
+        # other half of each pair comes first in the sorted order
+        base = deflated(HALF_DART, RIGHT, rounds=9)
+        patch = tiles(base, base.transformed(translation=CycloPoint(shift, 0, 0, 0))) if shift else base
+        key, widths = net_module._pairing_key(patch)
+        bits = 1 + sum(widths)
+        assert packed_words(len(patch), bits) == words
+        reverse = ties_reversed(net_module._sorted_keys)
+        assert not np.array_equal(net_module._sorted_keys(key, bits)[0], reverse(key, bits)[0])
+        want = net_module._first_halves(key, bits, patch.classes)
+        monkeypatch.setattr(net_module, "_sorted_keys", reverse)
+        assert net_module._first_halves(key, bits, patch.classes).tobytes() == want.tobytes()
 
 
 class TestTileOrder:
@@ -853,8 +921,8 @@ class TestPairingErrorPrecedence:
         return {msg: piece.transformed(translation=CycloPoint((k + 1) * spread, 0, 0, 0))
                 for k, (msg, piece) in enumerate(pieces.items())}
 
-    @pytest.mark.parametrize("spread, passes", [(1000, 1), (2**40, 2)])
-    def test_messages_and_precedence(self, spread, passes):
+    @pytest.mark.parametrize("spread, words", [(1000, 1), (2**40, 2)])
+    def test_messages_and_precedence(self, spread, words):
         base = deflated(HALF_DART, RIGHT, rounds=6)
         faults = self.faults(spread)
         expected = list(faults)
@@ -862,7 +930,7 @@ class TestPairingErrorPrecedence:
             present = [faults[m] for m in expected[k:]]
             for patch in (tiles(base, *present), tiles(*present[::-1], base)):
                 _, widths = net_module._pairing_key(patch)
-                assert sort_passes(len(patch), 1 + sum(widths)) == passes
+                assert packed_words(len(patch), 1 + sum(widths)) == words
                 with pytest.raises(ValueError) as raised:
                     extract_net(patch)
                 assert str(raised.value) == msg
@@ -916,7 +984,7 @@ class TestExtractionErrors:
         assert not np.array_equal(patch.coords[0, 1], patch.coords[1, 1])
         # the lexsort extractor kept them apart: two points at one place
         old = lexsort_extract_net(patch)
-        assert len(old) == 2 and np.array_equal(old.ring[0], old.ring[1])
+        assert len(old.xy) == 2 and np.array_equal(old.ring[0], old.ring[1])
         with pytest.raises(ValueError, match="share their apex"):
             extract_net(patch)
 
@@ -996,6 +1064,26 @@ class TestGridLines:
                     expected[HALF_KITE, cx, cy], expected[HALF_DART, cx, cy])
 
 
+_TWO = np.zeros((2, 4), dtype=np.int64)
+# arrays a Net refuses with one line; from float_ring on, inputs a Net once
+# took as they came (truncating, wrapping, or failing later)
+MALFORMED_ARRAYS = {
+    "three_columns": ([0, 0], np.zeros((2, 3), dtype=np.int64), [0, 1], r"ring must be \(M, 4\)"),
+    "one_dimensional": ([0, 0], np.zeros(8, dtype=np.int64), [0, 1], r"ring must be \(M, 4\)"),
+    "short_kinds": ([0], _TWO, [0, 1], "equal length"),
+    "short_ids": ([0, 0], _TWO, [0], "equal length"),
+    "class_40": ([0, 40], _TWO, [0, 1], r"classes must lie in 0\.\.39"),
+    "float_ring": ([0, 0], np.array([[0.5, 0.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0]]), [0, 1], "integer ring coordinates"),
+    "ring_3_by_3_for_2_points": ([0, 0], np.zeros((3, 3), dtype=np.int64), [0, 1], r"ring must be \(M, 4\)"),
+    "class_256": ([256], [[0, 0, 0, 0]], [0], r"classes must lie in 0\.\.39"),
+    "class_minus_1": ([-1], [[0, 0, 0, 0]], [0], r"classes must lie in 0\.\.39"),
+    "float_class": ([20.0], [[0, 0, 0, 0]], [0], r"classes must lie in 0\.\.39"),
+    "ring_past_2_56": ([20], [[2**56 + 1, 0, 0, 0]], [0], r"ring coefficients must lie within \+-2\*\*56"),
+    "ring_below_2_56": ([20], [[0, 0, 0, -(2**56) - 1]], [0], r"ring coefficients must lie within \+-2\*\*56"),
+    "uint64_ring_past_int64": ([20], np.array([[2**63, 0, 0, 0]], dtype=np.uint64), [0], "must lie within"),
+}
+
+
 class TestDeloneStatistics:
     def test_c1_matches_brute_force(self):
         patch = deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-5), 5)
@@ -1044,7 +1132,7 @@ class TestDeloneStatistics:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert net.c2 == 1.0
-            assert abs(reference_c2(net) - 1.0) <= 1e-9
+            assert abs(reference_c2_of(net) - 1.0) <= 1e-9
 
     def test_c2_against_sampler_covering_patch(self):
         assert_c2_matches_sampler(extract_net(generate_patch_covering(Square(0.0, 0.0, 16.0))))
@@ -1056,8 +1144,8 @@ class TestDeloneStatistics:
         net = extract_net(deflate_patch(Patch.single_tile(kind, scale_exp=-5), 5))
         assert net.outline is not None
         assert_refused(net, c1=False)
-        oracle = sampled_c2(net, 0.02)
-        assert oracle - 1e-9 <= reference_c2(net) <= oracle + 0.02 * math.sqrt(2.0)
+        oracle = sampled_c2(net.xy, net.window, net.outline)
+        assert oracle - 1e-9 <= reference_c2_of(net) <= oracle + 0.02 * math.sqrt(2.0)
 
     def test_c2_against_sampler_loaded_net(self, tmp_path):
         path = str(tmp_path / "net.txt")
@@ -1075,7 +1163,7 @@ class TestDeloneStatistics:
         net = extract_net(load_patch(path), window=Square(-2.0, -2.0, 12.0))
         assert net.outline is None
         assert_refused(net, c1=False)
-        oracle, reference = sampled_c2(net, 0.02), reference_c2(net)
+        oracle, reference = sampled_c2(net.xy, net.window, net.outline), reference_c2_of(net)
         assert reference > 2.0
         assert oracle - 1e-9 <= reference <= oracle + 0.02 * math.sqrt(2.0)
 
@@ -1087,10 +1175,10 @@ class TestDeloneStatistics:
     def test_c2_degenerate_nets(self, xy):
         # too few or collinear points for a triangulation: refused, and the
         # oracle still meets the sampler
-        net = small_net(xy, Square(0.0, 0.0, 2.0))
-        assert_refused(net)
-        oracle = sampled_c2(net, 0.02)
-        assert oracle - 1e-9 <= reference_c2(net) <= oracle + 0.02 * math.sqrt(2.0)
+        window = Square(0.0, 0.0, 2.0)
+        assert_refused(small_net(xy, window))
+        oracle = sampled_c2(xy, window)
+        assert oracle - 1e-9 <= reference_c2(xy, window) <= oracle + 0.02 * math.sqrt(2.0)
 
     @pytest.mark.parametrize("xy, window, expected", [
         # the farthest location is where the bisector x = 1 crosses the top side
@@ -1104,10 +1192,10 @@ class TestDeloneStatistics:
          math.hypot(1e-4, 1.0 - 1e-4)),
     ])
     def test_c2_exact_on_small_nets(self, xy, window, expected):
-        # the oracle that checks the exact path, on sets whose answer is known
-        net = small_net(xy, window)
-        assert abs(reference_c2(net) - expected) <= 1e-12
-        assert_refused(net)
+        # the oracle that checks the exact path, on sets whose answer is known;
+        # a net of ring points in the same cells is refused
+        assert abs(reference_c2(xy, window) - expected) <= 1e-12
+        assert_refused(small_net(xy, window))
 
     def test_c2_on_net_past_int32_edge_keys(self):
         # the oracle's edge keys i * n + j over 51,304 points, more than the
@@ -1119,39 +1207,44 @@ class TestDeloneStatistics:
         jitter = np.random.default_rng(1).uniform(-0.1, 0.1, (230 * 230, 2))
         xy = np.column_stack([gx.ravel(), gy.ravel()]) + jitter
         xy = xy[np.hypot(xy[:, 0] - 115.0, xy[:, 1] - 224.5) > 1.8]
-        net = small_net(xy, Square(0.0, 0.0, 224.0))
         # away from the hole every location is within 0.86 of a lattice
         # point, so the sampler need only cover the window's top centre
-        oracle = sampled_c2(small_net(xy, Square(105.0, 204.0, 20.0)), 0.02)
-        assert oracle - 1e-9 <= reference_c2(net) <= oracle + 0.02 * math.sqrt(2.0)
+        oracle = sampled_c2(xy, Square(105.0, 204.0, 20.0))
+        assert oracle - 1e-9 <= reference_c2(xy, Square(0.0, 0.0, 224.0)) <= oracle + 0.02 * math.sqrt(2.0)
 
     def test_c2_of_window_off_the_outline_is_zero(self):
         # the covering radius over an empty region is 0; the net refuses it
         net = extract_net(deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-3), 3),
                           window=Square(100.0, 100.0, 4.0))
-        assert reference_c2(net) == 0.0
+        assert reference_c2_of(net) == 0.0
         assert_refused(net, c1=False)
 
     def test_non_finite_points_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            Net(np.array([[0.0, np.nan]]), np.array([HALF_KITE]), np.array([0]),
-                Square(0.0, 0.0, 1.0))
+        # a net point is a ring point: a float (here a NaN) coordinate is refused
+        with pytest.raises(ValueError, match=r"ring must be \(M, 4\) integer ring coordinates"):
+            Net([0], np.array([[0.0, np.nan, 0.0, 0.0]]), [0], Square(0.0, 0.0, 1.0))
 
-    @pytest.mark.parametrize("xy, kinds, ids, classes, match", [
-        (np.zeros((2, 3)), [0, 0], [0, 1], None, "shape"),
-        (np.zeros(2), [0, 0], [0, 1], None, "shape"),
-        (np.zeros((2, 2)), [0], [0, 1], None, "equal length"),
-        (np.zeros((2, 2)), [0, 0], [0], None, "equal length"),
-        (np.zeros((2, 2)), [0, 0], [0, 1], [0, 40], "below 40"),
-    ], ids=["three_columns", "one_dimensional", "short_kinds", "short_ids", "class_40"])
-    def test_malformed_arrays_rejected(self, xy, kinds, ids, classes, match):
-        with pytest.raises(ValueError, match=match):
-            Net(xy, np.array(kinds), np.array(ids), Square(0.0, 0.0, 1.0), classes=classes)
+    @pytest.mark.parametrize("case", list(MALFORMED_ARRAYS))
+    def test_malformed_arrays_rejected(self, case):
+        classes, ring, ids, match = MALFORMED_ARRAYS[case]
+        with pytest.raises(ValueError, match=match) as raised:
+            Net(classes, ring, ids, Square(0.0, 0.0, 1.0))
+        assert "\n" not in str(raised.value)
+
+    def test_xy_and_kinds_follow_from_the_tiles(self):
+        ring = np.array([[0, 0, 0, 0], [2**56, -(2**56), 0, 0], [1, 2, 0, 2], [-3, 1, 4, -1]])
+        net = Net([0, 20, 19, 39], ring, [4, 3, 2, 1], Square(0.0, 0.0, 1.0))
+        assert net.xy.tobytes() == net_module._ring_xy(ring).tobytes()
+        assert net.source_kinds.tolist() == [HALF_KITE, HALF_DART, HALF_KITE, HALF_DART]
+        assert (net.classes.dtype, net.ring.dtype, net.tile_ids.dtype) == (np.uint8, np.int64, np.int64)
+        for name in ("xy", "source_kinds", "classes", "ring", "tile_ids"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(net, name)[0] = 1
 
     @pytest.mark.parametrize("outline", [np.zeros((3, 2)), np.zeros(12, dtype=np.int64), np.full((3, 4), 0.5)])
     def test_outline_must_be_ring_coordinates(self, outline):
         with pytest.raises(ValueError, match=r"outline must be \(3, 4\) ring coordinates"):
-            Net(np.zeros((1, 2)), np.array([HALF_KITE]), np.array([0]), Square(0.0, 0.0, 1.0), outline=outline)
+            Net([0], [[0, 0, 0, 0]], [0], Square(0.0, 0.0, 1.0), outline=outline)
 
     @pytest.mark.parametrize("window", [
         Square(np.nan, 0.0, 8.0), Square(0.0, np.inf, 8.0), Square(0.0, 0.0, 0.0),
@@ -1159,7 +1252,7 @@ class TestDeloneStatistics:
     ])
     def test_bad_window_rejected(self, window):
         with pytest.raises(ValueError, match="window"):
-            Net(np.array([[0.5, 0.5]]), np.array([HALF_KITE]), np.array([0]), window)
+            Net([0], [[0, 0, 0, 0]], [0], window)
 
     def test_single_point_c1_raises(self):
         net = extract_net(Patch.single_tile(HALF_KITE))
@@ -1188,7 +1281,7 @@ class TestDelonePass:
         net = extract_net(generate_patch_covering(window, kind, chirality))
         assert (net.c1, net.c2) == (SEPARATION, 1.0)
         assert abs(brute_c1(near_window(net)) - SEPARATION) <= 1e-13
-        assert abs(reference_c2(net) - 1.0) <= 1e-9
+        assert abs(reference_c2_of(net) - 1.0) <= 1e-9
 
     def test_window_off_the_outline(self):
         # the window holds no point and lies off the outline: c1 is the
@@ -1205,7 +1298,7 @@ class TestDelonePass:
         with pytest.raises(ValueError, match=C1_REFUSED if first == "c1" else C2_REFUSED):
             getattr(net, first)
         assert_refused(net)
-        assert reference_c2(net).hex() == math.hypot(1.7, 1.6).hex()
+        assert reference_c2([[0.3, 0.4]], net.window).hex() == math.hypot(1.7, 1.6).hex()
 
     @pytest.mark.parametrize("xy, window", [
         ([[0.3, 0.4], [1.5, 1.1]], Square(0.0, 0.0, 2.0)),
@@ -1270,15 +1363,14 @@ class TestEveryCandidate:
                    [0, 4], [4, 3], [5, 0], [3, 4], [1, 5]]) + (1e7 + 0.1), Square(10000001.6, 10000000.1, 5.0)),
     ], ids=["hull_ray", "shared_bisector", "far_from_origin"])
     def test_c2_on_sets_that_need_every_rule(self, xy, window):
-        net = small_net(xy, window)
-        oracle = sampled_c2(net, 0.02)
-        assert oracle - 1e-9 <= reference_c2(net) <= oracle + 0.02 * math.sqrt(2.0)
-        assert_refused(net)
+        oracle = sampled_c2(xy, window)
+        assert oracle - 1e-9 <= reference_c2(xy, window) <= oracle + 0.02 * math.sqrt(2.0)
+        assert_refused(small_net(xy, window))
 
     def test_side_64_covering_net_float_pass(self):
         net = extract_net(generate_patch_covering(Square(-20.0, 13.0, 64.0)))
         assert net.c2 == 1.0
-        assert abs(reference_c2(net) - net.c2) <= 1e-9
+        assert abs(reference_c2_of(net) - net.c2) <= 1e-9
 
 
 def ring_point(row) -> CycloPoint:
@@ -1452,7 +1544,7 @@ def assert_tiling_constants(net: Net) -> None:
     """c1 and c2 exact from the tiling, and within reach of the oracles."""
     assert (net.c1, net.c2) == (SEPARATION, 1.0)
     assert abs(brute_c1(near_window(net)) - SEPARATION) <= 1e-13
-    assert abs(reference_c2(net) - 1.0) <= 1e-9
+    assert abs(reference_c2_of(net) - 1.0) <= 1e-9
 
 
 COVER_64 = (Square(-20.0, 13.0, 64.0), HALF_KITE, LEFT)
@@ -1472,17 +1564,16 @@ def kite_only_net() -> Net:
     """The kites of the side-16 covering net, with its window and outline: 73 sun vertices, no dart pair."""
     net = extract_net(generate_patch_covering(Square(0.0, 0.0, 16.0)))
     kites = net.classes < 20
-    kite_net = Net(net.xy[kites], net.source_kinds[kites], net.tile_ids[kites], net.window, ring=net.ring[kites],
-                   outline=net.outline, classes=net.classes[kites])
+    kite_net = Net(net.classes[kites], net.ring[kites], net.tile_ids[kites], net.window, net.outline)
     assert len(net_module._sun_vertices(kite_net.classes, kite_net.ring)) == 73
     assert not net_module._has_separation_pair(kite_net.classes, kite_net.ring)
     return kite_net
 
 
 def hand_built_cover_64_net() -> Net:
-    """The covering net's arrays, ring and outline in a ``Net`` built without classes."""
+    """The covering net's classes and incenters in a ``Net`` built without its outline."""
     net = cover_64_net()
-    return Net(net.xy, net.source_kinds, net.tile_ids, net.window, ring=net.ring, outline=net.outline)
+    return Net(net.classes, net.ring, net.tile_ids, net.window)
 
 
 def loaded_cover_64_net(tmp_path) -> Net:
@@ -1542,11 +1633,11 @@ class TestTilingConstants:
         near = ((net.xy > (x - 1.5, y - 1.5)) & (net.xy < (x + side + 1.5, y + side + 1.5))).all(axis=1)
         assert net_module._has_separation_pair(net.classes[near], net.ring[near])
         assert_refused(net, c1=False)
-        assert reference_c2(net) < 0.9
+        assert reference_c2_of(net) < 0.9
         assert net.c1 == SEPARATION
 
     @pytest.mark.parametrize("make, c1, c2", [
-        (lambda: hand_built_cover_64_net(), None, None),
+        (lambda: hand_built_cover_64_net(), SEPARATION, None),
         (lambda: extract_net(deflate_patch(Patch.single_tile(HALF_DART, LEFT, scale_exp=-6), 6)), SEPARATION, None),
         (lambda: extract_net(deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-3), 3),
                              window=Square(100.0, 100.0, 4.0)), SEPARATION, None),
@@ -1566,19 +1657,20 @@ class TestTilingConstants:
 
 class TestCounting:
     def synthetic(self):
-        xy = np.array(
-            [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [1.0, 1.0]]
-        )
-        kinds = np.array([HALF_KITE, HALF_DART, HALF_KITE, HALF_DART, HALF_KITE])
-        ids = np.arange(5)
-        return Net(xy, kinds, ids, Square(0.0, 0.0, 2.0))
+        # (0, 0) kite, (1, 0) dart, (0, 0.7265) kite, (0.3090, 0.9511) dart,
+        # (1, 0.7265) kite; no ring point has y = 1 (sin 72 is irrational
+        # over Q(sqrt 5)), so the edges crossed are x = 1 and y = 0
+        ring = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [1, 2, 0, 2], [0, 1, 0, 0], [2, 2, 0, 2]])
+        return Net([0, 20, 0, 20, 0], ring, np.arange(5), Square(0.0, -1.0, 2.0))
 
     def test_half_open_membership(self):
         net = self.synthetic()
-        assert count_in_square(net, Square(0.0, 0.0, 1.0)) == (1, 1)
-        assert count_in_square(net, Square(1.0, 1.0, 1.0)) == (1, 0)
-        assert count_in_square(net, Square(1.0, 0.0, 1.0)) == (0, 1)
-        assert count_in_square(net, Square(0.0, 0.0, 2.0)) == (3, 2)
+        assert net.xy[[0, 1, 2, 4], 0].tolist() == [0.0, 1.0, 0.0, 1.0] and net.xy[[0, 1], 1].tolist() == [0.0, 0.0]
+        assert count_in_square(net, Square(0.0, 0.0, 1.0)) == (2, 1)
+        assert count_in_square(net, Square(1.0, 0.0, 1.0)) == (1, 1)
+        assert count_in_square(net, Square(0.0, -1.0, 1.0)) == (0, 0)
+        assert count_in_square(net, Square(1.0, -1.0, 1.0)) == (0, 0)
+        assert count_in_square(net, Square(0.0, -1.0, 2.0)) == (3, 2)
 
     def test_unit_translates_partition_window(self):
         patch = generate_patch_covering(Square(0.0, 0.0, 8.0))
@@ -1618,7 +1710,7 @@ def per_line_export_net(net: Net, path: str) -> None:
 
 
 def per_line_load_net(path: str) -> Net:
-    """A line-at-a-time reader of the v2 format; xy comes from the ring through ``_ring_xy``."""
+    """A line-at-a-time reader of the v2 format."""
     headers, rows = {}, []
     with open(path, "r", encoding="ascii") as fh:
         for line in fh:
@@ -1641,8 +1733,7 @@ def per_line_load_net(path: str) -> Net:
     outline = None
     if "outline" in headers:
         outline = np.array([int(c) for c in headers["outline"]], dtype=np.int64).reshape(3, 4)
-    return Net(net_module._ring_xy(ring), tiling._CLASS_KIND[classes], rows[:, 5],
-               Square(*map(float, headers["window"])), ring=ring, outline=outline, classes=classes)
+    return Net(classes, ring, rows[:, 5], Square(*map(float, headers["window"])), outline)
 
 
 def assert_nets_identical(a: Net, b: Net) -> None:
@@ -1867,17 +1958,13 @@ class TestSerialization:
         path.write_text(NET_LINES.replace("# window", stats), encoding="ascii")
         assert_nets_identical(load_net(str(path)), per_line_load_net(str(path)))
 
-    def test_a_net_without_c1_leaves_the_path_untouched(self, tmp_path):
-        # a net without classes and ring incenters, which has no c1 either,
-        # is refused before the file is opened
-        net = small_net([[0.3, 0.4], [1.5, 1.1]], Square(0.0, 0.0, 2.0))
-        existing, fresh = tmp_path / "old.txt", tmp_path / "new.txt"
-        existing.write_text("kept\n")
-        for path in (existing, fresh):
-            with pytest.raises(ValueError, match="export_net needs a net with tile classes and ring incenters"):
-                export_net(net, str(path))
-        assert existing.read_text() == "kept\n"
-        assert not fresh.exists()
+    def test_a_net_without_c1_round_trips(self, tmp_path):
+        # every net has classes and ring incenters, so every net is written,
+        # one without c1 or c2 too
+        net = small_net([[0.3, 0.4], [1.5, 1.1]], Square(0.0, 0.0, 2.0), kinds=[HALF_KITE, HALF_DART])
+        assert_refused(net)
+        export_net(net, str(tmp_path / "net.txt"))
+        assert_nets_identical(load_net(str(tmp_path / "net.txt")), net)
 
     def test_missing_window_rejected(self, tmp_path):
         path = str(tmp_path / "broken.txt")
@@ -1898,8 +1985,7 @@ def tiny_and_signed_zero_net(tmp_path):
     ring = np.array([[0, 0, 0, 0], [-1, 2, -3, 4], [2**56, -(2**56), 7, 0], [999, -1000, 1001, -999],
                      [5, 0, 0, -5], [10**15, -(10**15) + 1, 0, 1], [0, 0, 0, -0]], dtype=np.int64)
     classes = np.array([0, 39, 20, 1, 19, 21, 2], dtype=np.uint8)
-    return Net(net_module._ring_xy(ring), tiling._CLASS_KIND[classes], np.array([0, 7, 2**40, 3, 4, 5, 6]),
-               Square(-0.0, 1e-7, 2.5e-3), ring=ring, classes=classes)
+    return Net(classes, ring, np.array([0, 7, 2**40, 3, 4, 5, 6]), Square(-0.0, 1e-7, 2.5e-3))
 
 
 class TestExportOracle:

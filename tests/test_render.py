@@ -120,14 +120,13 @@ def test_custom_stroke_and_fills_with_format_characters(patch_and_net):
 
 
 def test_exact_negative_zero_prints_as_zero():
-    # this translation puts the leftmost vertex at x = 0.5, so lo[0] is exactly +0.0
-    # and a net point at x = -0.0 gives -0.0 - 0.0 = -0.0 before formatting
+    # this translation puts the leftmost vertex at x = 0.5, so lo[0] is exactly +0.0;
+    # the kite point at exact x = 0 (ring point (-1, -2, 0, -2)) is drawn at cx = 0
     patch = Patch.single_tile(HALF_KITE, RIGHT, translation=CycloPoint(-1, -3, -3, 0))
     lo_x = patch.embedded()[:, :, 0].min() - 0.5
     assert lo_x == 0.0
-    net = Net(np.array([[-0.0, -1.0], [1.0, -2.0]]), np.array([HALF_KITE, HALF_DART]),
-              np.array([0, 0]), Square(0.0, -5.0, 2.0))
-    assert math.copysign(1.0, net.xy[0, 0] - lo_x) < 0
+    net = Net([0, 20], [[-1, -2, 0, -2], [0, -2, -1, -1]], [0, 0], Square(0.0, -5.0, 2.0))
+    assert net.xy[:, 0].tolist() == [0.0, 1.0] and math.copysign(1.0, net.xy[0, 0] - lo_x) > 0
     svg = render_svg(patch, net=net, overlay="net")
     assert svg == per_polygon_render(patch, net, "net")
     assert '<circle cx="0" ' in svg and "-0" not in svg.replace("e-0", "")
