@@ -38,6 +38,8 @@ from .tiling import (
     Patch,
     Square,
     TileCensus,
+    _INT32_MAX,
+    _INT64_MAX,
     _SEED_GEOMETRY,
     _bounding_boxes,
     _corner_margins,
@@ -211,62 +213,166 @@ def decay_bound(i: int) -> float:
     return 10.0 * PHI_FLOAT ** (-i / 3.0)
 
 
+_BIN_BLOCK = 1 << 16  # net points per block of _CountGrid's binning
+_SCAN_SQUARES = 1 << 16  # squares per band of _CountGrid.scan; its temporaries grow with it
+
+
+class _Scan(NamedTuple):
+    """What ``_CountGrid.scan`` keeps of the squares of one side.
+
+    Positions are row-major indices into the (n, n) squares, row a and
+    column b being the square at offset (a, b) from the window's corner.
+    """
+
+    n_min: int  # the least total count of a square
+    at_min: int  # the first position with that total
+    n_max: int  # the largest total
+    at_max: int  # the first position with that total
+    counts: np.ndarray  # counts[k]: the squares whose total is n_min + k
+    dart_free: int  # the squares with no dart point
+    gap_max: float  # the largest |kites/darts - phi| over the other squares; NaN if there are none
+
+
 class _CountGrid:
     """Per-unit-cell prefix sums of net points over an integer window.
 
     Point binning is half-open per cell, so counts over integer-corner
     squares from these prefix sums agree exactly with count_in_square.
-    Construction keeps the ``points`` that fall in the window; the side**2
-    prefix sums are built on the first ``square_counts``.
+    Construction bins the net a block at a time, keeping the number of
+    ``points`` in the window and each one's cell code (kind, then x cell,
+    then y cell); the (side+1)**2 int32 prefix sums are built from the
+    codes on the first ``scan``.
     """
 
     def __init__(self, net: Net) -> None:
         if not all(float(v).is_integer() for v in net.window):
             raise ValueError("square enumeration needs an integer-cornered window")
         self.x0, self.y0, self.side = (int(v) for v in net.window)
-        # drop the points off the window while their cells are floats, so
-        # no far point meets the int64 cast
-        fx = np.floor(net.xy[:, 0] - float(self.x0))
-        fy = np.floor(net.xy[:, 1] - float(self.y0))
-        keep = (fx >= 0) & (fx < float(self.side)) & (fy >= 0) & (fy < float(self.side))
-        self._cells = fx[keep], fy[keep], net.source_kinds[keep]
-        self.points = len(self._cells[2])
+        side = self.side
+        # no code is formed when the codes would not fit int64: no such grid could be allocated
+        coded = 2 * side * side <= _INT64_MAX
+        code_type = np.int32 if 2 * side * side <= _INT32_MAX + 1 else np.int64
+        self._codes = [] if coded else None
+        self.points = 0
+        low, high = np.full(2, float(side)), np.full(2, -1.0)  # the kept points' cell bounding box
+        for lo in range(0, len(net), _BIN_BLOCK):
+            xy = net.xy[lo:lo + _BIN_BLOCK]
+            # drop the points off the window while their cells are floats, so
+            # no far point meets the int cast
+            fx = np.floor(xy[:, 0] - float(self.x0))
+            fy = np.floor(xy[:, 1] - float(self.y0))
+            keep = (fx >= 0) & (fx < float(side)) & (fy >= 0) & (fy < float(side))
+            fx, fy = fx[keep], fy[keep]
+            if not len(fx):
+                continue
+            self.points += len(fx)
+            low = np.minimum(low, (fx.min(), fy.min()))
+            high = np.maximum(high, (fx.max(), fy.max()))
+            if coded:
+                code = net.source_kinds[lo:lo + _BIN_BLOCK][keep].astype(code_type)
+                code *= side
+                code += fx.astype(code_type)
+                code *= side
+                code += fy.astype(code_type)
+                self._codes.append(code)
         # cells between the window's edge and the kept points' cell bounding
         # box, on the side where there are most
-        self.margin = self.side
-        if self.points:
-            fx, fy, _ = self._cells
-            last = float(self.side - 1)
-            self.margin = int(max(fx.min(), fy.min(), last - fx.max(), last - fy.max()))
+        self.margin = int(max(*low, *(side - 1 - high))) if self.points else side
 
     @cached_property
     def _cums(self) -> tuple[np.ndarray, np.ndarray]:
-        """Prefix sums of the kite and the dart points per cell, (side+1)**2 each."""
-        fx, fy, kinds = self._cells
-        flat = fx.astype(np.int64) * self.side + fy.astype(np.int64)
-        ncell = self.side * self.side
-        kite_cells = np.bincount(flat[kinds == HALF_KITE], minlength=ncell)
-        dart_cells = np.bincount(flat[kinds == HALF_DART], minlength=ncell)
-        return (self._cumulate(kite_cells.reshape(self.side, self.side)),
-                self._cumulate(dart_cells.reshape(self.side, self.side)))
+        """int32 prefix sums of the kite and the dart points per cell, (side+1)**2 each, from the cell codes.
 
-    @staticmethod
-    def _cumulate(cells: np.ndarray) -> np.ndarray:
-        side = cells.shape[0]
-        cum = np.zeros((side + 1, side + 1), dtype=np.int64)
-        cum[1:, 1:] = cells.cumsum(axis=0).cumsum(axis=1)
-        return cum
+        More than 2**31 - 1 points in the window is a ValueError: a square's
+        total could wrap int32.
+        """
+        if self.points > _INT32_MAX:
+            raise ValueError(f"{self.points} points in the window, more than int32 prefix sums can count")
+        if self._codes is None:
+            raise ValueError(f"a window of side {self.side} is too wide for a cell grid")
+        side = self.side
+        cells = np.zeros(2 * side * side, dtype=np.int32)  # the kite cells (HALF_KITE 0), then the dart cells
+        while self._codes:
+            np.add.at(cells, self._codes.pop(), np.int32(1))  # an int32 one keeps add.at on its fast path
+        return tuple(_cumulate(kind.reshape(side, side)) for kind in cells.reshape(2, -1))
 
-    def square_counts(self, side: int) -> tuple[np.ndarray, np.ndarray]:
-        """Counts over every [a, a+side) x [b, b+side) square; arrays indexed by offset."""
+    def scan(self, side: int) -> _Scan:
+        """The totals' extremes and histogram, dart-free count and ratio gap over every square of ``side``.
+
+        Squares [a, a+side) x [b, b+side) are counted in int32, in bands of
+        rows of a that hold about ``_SCAN_SQUARES`` squares (at least one
+        row); no array of every square is built.  The ratio gap is taken
+        square by square, as ``|kites / darts - phi|`` in float64.
+        """
         if side < 1 or side > self.side:
             raise ValueError(f"window of side {self.side} cannot host squares of side {side}")
-        out = []
-        for cum in self._cums:
-            out.append(
-                cum[side:, side:] - cum[:-side, side:] - cum[side:, :-side] + cum[:-side, :-side]
-            )
-        return out[0], out[1]
+        kite_cum, dart_cum = self._cums
+        n = self.side - side + 1
+        rows = min(max(1, _SCAN_SQUARES // n), n)
+        kites, darts, totals = (np.empty((rows, n), dtype=np.int32) for _ in range(3))
+        n_min = n_max = at_min = at_max = None
+        hists = []  # per band: its least total, and the bincount of its totals less that
+        dart_free, gap_max = 0, -math.inf
+        for a in range(0, n, rows):
+            m = min(rows, n - a)
+            k, d, t = kites[:m], darts[:m], totals[:m]
+            for cum, out in ((kite_cum, k), (dart_cum, d)):
+                np.subtract(cum[a + side:a + m + side, side:], cum[a:a + m, side:], out=out)
+                out -= cum[a + side:a + m + side, :n]
+                out += cum[a:a + m, :n]
+            np.add(k, d, out=t)
+            j, J = int(t.argmin()), int(t.argmax())  # the first of each, in row-major order
+            low, high = int(t.flat[j]), int(t.flat[J])
+            if n_min is None or low < n_min:
+                n_min, at_min = low, a * n + j
+            if n_max is None or high > n_max:
+                n_max, at_max = high, a * n + J
+            hists.append((low, np.bincount((t - low).ravel())))
+            ok = d > 0
+            free = ok.size - int(np.count_nonzero(ok))
+            dart_free += free
+            if free < ok.size:
+                gaps = np.abs((k[ok] / d[ok] if free else k / d) - PHI_FLOAT)
+                gap_max = max(gap_max, float(gaps.max()))
+        gap_max = gap_max if dart_free < n * n else math.nan
+        counts = np.zeros(n_max - n_min + 1, dtype=np.int64)
+        for low, hist in hists:
+            counts[low - n_min:low - n_min + len(hist)] += hist
+        return _Scan(n_min, at_min, n_max, at_max, counts, dart_free, gap_max)
+
+
+def _discrepancies(scan: _Scan, expected: float) -> tuple[float, int, float, float]:
+    """(E, the first position where e reaches E, e_min, e_mean) over the squares that ``scan`` summarizes.
+
+    e(n) = max(expected/n, n/expected) is taken once per total n that
+    occurs, the float64 that each square with that total had elementwise,
+    so E and e_min are exact.  e_mean is the histogram's weighted sum over
+    the squares, so it can differ from the mean of every square's e in the
+    last place.  Float division is monotone, so e is the max of a
+    non-increasing and a non-decreasing function of n, and E is
+    e(n_min) or e(n_max); no other total ties them, as two totals below
+    2**31 never round to one quotient.  Needs n_min > 0.
+    """
+    occurring = np.flatnonzero(scan.counts)
+    totals = scan.n_min + occurring
+    e = np.maximum(expected / totals, totals / expected)
+    E = float(e.max())
+    at = min(pos for pos, e_n in ((scan.at_min, e[0]), (scan.at_max, e[-1])) if e_n == E)
+    return E, at, float(e.min()), float((e * scan.counts[occurring]).sum() / scan.counts.sum())
+
+
+def _square_count(cum: np.ndarray, a: int, b: int, side: int) -> int:
+    """The points [a, a+side) x [b, b+side) cells from the window's corner, from their prefix sums ``cum``."""
+    return int(cum[a + side, b + side]) - int(cum[a, b + side]) - int(cum[a + side, b]) + int(cum[a, b])
+
+
+def _cumulate(cells: np.ndarray) -> np.ndarray:
+    """(side+1)**2 int32 prefix sums of (side, side) cell counts whose sum fits int32, with a zero first row and column."""
+    side = cells.shape[0]
+    cum = np.zeros((side + 1, side + 1), dtype=np.int32)
+    np.cumsum(cells, axis=0, out=cum[1:, 1:])
+    np.cumsum(cum[1:, 1:], axis=1, out=cum[1:, 1:])
+    return cum
 
 
 @dataclass(frozen=True)
@@ -413,6 +519,14 @@ def region_analysis(patch: Patch, square: Square | tuple) -> RegionCounts:
 
 @dataclass(frozen=True)
 class ReportRow:
+    """The statistics of one side 2**i over its squares.
+
+    ``e_mean`` is summed over the histogram of the squares' totals, one
+    e(n) times its count per total n, so its float may differ in the last
+    place from the mean of every square's e; its 12-digit text in
+    ``report.*`` matched that mean on every window compared.
+    """
+
     i: int
     side: int
     E_rho: float
@@ -459,6 +573,13 @@ class DiscrepancyReport:
 def build_report(net: Net, i_min: int, i_max: int) -> DiscrepancyReport:
     """Enumerate all integer-corner squares of sides 2**i_min .. 2**i_max.
 
+    Each side's squares are counted in int32 bands of rows
+    (``_CountGrid.scan``), keeping only the totals' extremes with their
+    first row-major positions, the histogram of the totals, the dart-free
+    count and the largest ratio gap; no array of every square is built.
+    E_rho, its argmax and e_min are the float64 values an elementwise pass
+    gives; e_mean comes from the histogram (``_discrepancies``), so its
+    float may differ in the last place from the mean of every square's e.
     Squares with no dart point are skipped by the ratio gap; when every
     square of a side is dart-free its ``ratio_gap_max`` is NaN and
     ``ratio_holds`` is False.
@@ -485,18 +606,12 @@ def build_report(net: Net, i_min: int, i_max: int) -> DiscrepancyReport:
     running_sum = 0.0
     for i in range(i_min, i_max + 1):
         side = 2**i
-        kites, darts = grid.square_counts(side)
-        total = kites + darts
-        if int(total.min()) == 0:
+        scan = grid.scan(side)
+        if scan.n_min == 0:
             raise ValueError(f"empty square at i={i}")
-        expected = model.rho * float(side) * float(side)
-        e = np.maximum(expected / total, total / expected)
-        flat_arg = int(np.argmax(e))
-        ax, by = divmod(flat_arg, e.shape[1])
-        E = float(e[ax, by])
-        ok = darts > 0
-        gaps = np.abs(kites[ok] / darts[ok] - PHI_FLOAT)
-        gap_max = float(gaps.max()) if gaps.size else float("nan")
+        E, at, e_min, e_mean = _discrepancies(scan, model.rho * float(side) * float(side))
+        ax, by = divmod(at, grid.side - side + 1)
+        E_kites, E_darts = (_square_count(cum, ax, by, side) for cum in grid._cums)
         running_product *= E
         running_sum += E - 1.0
         if math.log(running_product) > running_sum + 1e-12:
@@ -506,19 +621,19 @@ def build_report(net: Net, i_min: int, i_max: int) -> DiscrepancyReport:
                 i=i,
                 side=side,
                 E_rho=E,
-                e_min=float(e.min()),
-                e_mean=float(e.mean()),
-                ratio_gap_max=gap_max,
+                e_min=e_min,
+                e_mean=e_mean,
+                ratio_gap_max=scan.gap_max,
                 ratio_bound=ratio_bound(i),
-                ratio_holds=bool(gap_max <= ratio_bound(i)),
+                ratio_holds=bool(scan.gap_max <= ratio_bound(i)),
                 decay_bound=decay_bound(i),
                 decay_holds=bool(E - 1.0 <= decay_bound(i)),
-                squares_total=int(e.size),
-                squares_dart_free=int(darts.size - ok.sum()),
-                E_argmax_x=grid.x0 + int(ax),
-                E_argmax_y=grid.y0 + int(by),
-                E_argmax_kites=int(kites[ax, by]),
-                E_argmax_darts=int(darts[ax, by]),
+                squares_total=(grid.side - side + 1) ** 2,
+                squares_dart_free=scan.dart_free,
+                E_argmax_x=grid.x0 + ax,
+                E_argmax_y=grid.y0 + by,
+                E_argmax_kites=E_kites,
+                E_argmax_darts=E_darts,
                 partial_product=running_product,
                 partial_log_sum=running_sum,
             )

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .tiling import (
     _CLASSES,
     _DART_CLASSES,
     _INCENTER_OFFSETS,
+    _INT64_MAX,
     _VERTEX_OFFSETS,
     HALF_KITE,
     Patch,
@@ -73,7 +75,8 @@ _AXIS_END_OFFSETS = _VERTEX_OFFSETS[:, 2] - _INCENTER_OFFSETS
 # _INCENTER_OFFSETS row within +-2) and its grid-line tests on them (at most
 # 3 times a coefficient) far inside int64
 _COORD_LIMIT = 1 << 56
-_EXTRACT_BLOCK = 8192  # half-tiles per block of extract_net's key pass
+_EXTRACT_BLOCK = 8192  # half-tiles, or net points, per block of extract_net's passes
+_WORD_BITS = 63  # the bits of an int64 pairing word: a key and, where it fits beside it, an index
 
 
 class Net:
@@ -125,15 +128,17 @@ class Net:
         (``_COORD_LIMIT``, past any incenter ``extract_net`` builds) is
         refused, so ``_ring_xy``'s integer arithmetic cannot wrap.
         """
-        ring, classes = np.asarray(ring), np.asarray(classes)
+        ring, classes, tile_ids = np.asarray(ring), np.asarray(classes), np.asarray(tile_ids)
         if ring.dtype.kind not in "iu" or ring.ndim != 2 or ring.shape[1] != 4:
             raise ValueError(f"ring must be (M, 4) integer ring coordinates, got {ring.dtype} {ring.shape}")
-        if classes.shape != (len(ring),) or np.shape(tile_ids) != (len(ring),):
+        if classes.shape != (len(ring),) or tile_ids.shape != (len(ring),):
             raise ValueError("classes, ring and tile_ids must have equal length")
         if len(ring) == 0:
             raise ValueError("empty net")
         if classes.dtype.kind not in "iu" or classes.min() < 0 or classes.max() >= _CLASSES:
             raise ValueError(f"classes must lie in 0..{_CLASSES - 1}")
+        if tile_ids.dtype.kind not in "iu" or tile_ids.min() < 0 or tile_ids.max() > _INT64_MAX:
+            raise ValueError("tile_ids must be non-negative int64 integers")
         if ring.max() > _COORD_LIMIT or ring.min() < -_COORD_LIMIT:
             raise ValueError(f"ring coefficients must lie within +-2**{_COORD_LIMIT.bit_length() - 1}")
         self.window = Square(*window)
@@ -144,15 +149,13 @@ class Net:
             if self.outline.shape != (3, 4) or self.outline.dtype.kind not in "iu":
                 raise ValueError(f"outline must be (3, 4) ring coordinates, got {self.outline.dtype} "
                                  f"{self.outline.shape}")
-            self.outline = self.outline.astype(np.int64)
-        self.classes = np.ascontiguousarray(classes, dtype=np.uint8)
-        self.ring = np.ascontiguousarray(ring, dtype=np.int64)
-        self.tile_ids = np.ascontiguousarray(tile_ids, dtype=np.int64)
-        self.xy = _ring_xy(self.ring)
-        self.source_kinds = _CLASS_KIND[self.classes]
-        for arr in (self.classes, self.ring, self.tile_ids, self.xy, self.source_kinds, self.outline):
-            if arr is not None:
-                arr.flags.writeable = False
+            self.outline = _frozen(self.outline.astype(np.int64))
+        # read-only views: a caller's own array, kept without a copy, stays writeable to the caller
+        self.classes, self.ring, self.tile_ids = (
+            _frozen(np.ascontiguousarray(a, dtype=t)) for a, t in ((classes, np.uint8), (ring, np.int64),
+                                                                   (tile_ids, np.int64)))
+        self.xy = _frozen(_ring_xy(self.ring))
+        self.source_kinds = _frozen(_CLASS_KIND[self.classes])
 
     def __len__(self) -> int:
         return len(self.xy)
@@ -217,6 +220,13 @@ class Net:
         return 1e-9
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of ``arr``; ``arr`` itself keeps its flags."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
 def _in_box(xy: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
     """Mask of the (M, 2) points ``xy`` in the closed box [low, high]; column tests beat ``np.all`` over rows."""
     x, y = xy[:, 0], xy[:, 1]
@@ -260,89 +270,122 @@ def _has_separation_pair(classes: np.ndarray, ring: np.ndarray) -> bool:
     return squared_length(CycloPoint(*map(int, centers[j + 1] - centers[j]))) == _SEPARATION_SQUARED
 
 
-def _pairing_key(p: Patch) -> tuple[np.ndarray, list[int]]:
-    """(key, widths): each half's key packing its kind and its full tile's incenter.
+def _key_layout(p: Patch) -> tuple[np.ndarray, list[int]]:
+    """(low, widths) of the pairing key that packs each half's kind and its full tile's incenter.
 
-    The incenter is the apex plus the class's ``_INCENTER_OFFSETS``; each
-    coefficient k is packed as its offset from a lower bound, taken from
-    the apexes' range and the table's, in ``widths[k]`` bits, in one pass a
-    block at a time.  An apex coefficient within 1 of +-2**56 (a vertex may
-    reach it), or a key wider than 63 bits, is a ValueError.
+    The incenter is the apex plus the class's ``_INCENTER_OFFSETS`` row; its
+    coefficient k is packed as its offset from ``low[k]`` (the apexes'
+    least) plus the table's least, in ``widths[k]`` bits, from the apexes'
+    range and the table's.  An apex coefficient within 1 of +-2**56 (a
+    vertex may reach it), or a key wider than 63 bits, is a ValueError.
     """
     low, high = p.apexes.min(axis=1).astype(np.int64), p.apexes.max(axis=1).astype(np.int64)
     if high.max() >= _COORD_LIMIT - 1 or low.min() <= -(_COORD_LIMIT - 1):
         raise ValueError(f"tile coordinates must lie within +-2**{_COORD_LIMIT.bit_length() - 1}")
-    offsets = low + _INCENTER_OFFSETS.min(axis=0)
-    widths = [(int(t) - int(o)).bit_length() for t, o in zip(high + _INCENTER_OFFSETS.max(axis=0), offsets)]
-    if 1 + sum(widths) > 63:
+    spans = _INCENTER_OFFSETS.max(axis=0) - _INCENTER_OFFSETS.min(axis=0)
+    widths = [(int(h) - int(lo) + int(t)).bit_length() for h, lo, t in zip(high, low, spans)]
+    if 1 + sum(widths) > _WORD_BITS:
         raise ValueError(f"tile key needs {1 + sum(widths)} bits, more than 63")
-    key = np.empty(len(p), dtype=np.int64)
-    rows = np.empty((4, _EXTRACT_BLOCK), dtype=np.int64)
-    for lo in range(0, len(p), _EXTRACT_BLOCK):
-        classes = p.classes[lo:lo + _EXTRACT_BLOCK]
-        block = rows[:, :len(classes)]
-        np.take(_INCENTER_OFFSETS.T, classes, axis=1, out=block)
-        block += p.apexes[:, lo:lo + _EXTRACT_BLOCK]
-        block -= offsets[:, None]
-        packed = key[lo:lo + len(classes)]
-        packed[:] = classes >= _DART_CLASSES
-        for row, width in zip(block, widths):
-            packed <<= width
-            packed += row
-    return key, widths
+    return low, widths
 
 
-def _sorted_keys(key: np.ndarray, key_bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """(order, key[order]) with the keys, 0 <= key < 2**key_bits, ascending; ties come in any order.
+def _pairing_words(p: Patch, low: np.ndarray, widths: list[int], idx_bits: int) -> np.ndarray:
+    """One int64 word per half: its pairing key (see ``_key_layout``) above ``idx_bits`` bits of its patch index.
 
-    Where a key fits beside its index in 63 bits, one value sort of int64
-    words packing the key above the index does it, about twice as fast as
-    ``np.argsort``, and the sorted keys are the words shifted back.  The
-    words are packed a block at a time.  Wider keys go to ``np.argsort``.
+    A word is its class's table entry (the kind bit and the class's
+    incenter offsets less their least, each in its field), plus each apex
+    coefficient less ``low`` shifted into its field, plus the index; no
+    field can carry into the next.  With ``idx_bits`` 0 the word is the key
+    alone.  Written a block at a time.
     """
-    n = len(key)
-    idx_bits = max(n - 1, 0).bit_length()
-    if key_bits + idx_bits > 63:
-        order = np.argsort(key)
-        return order, key[order]
-    words = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, _EXTRACT_BLOCK):
+    shifts = [idx_bits + sum(widths[k + 1:]) for k in range(4)]
+    fields = _INCENTER_OFFSETS - _INCENTER_OFFSETS.min(axis=0)
+    table = np.array([(int(kind) << (idx_bits + sum(widths))) + sum(int(f) << s for f, s in zip(row, shifts))
+                      for kind, row in zip(_CLASS_KIND, fields)], dtype=np.int64)
+    words = np.empty(len(p), dtype=np.int64)
+    part = np.empty(_EXTRACT_BLOCK, dtype=np.int64)
+    for lo in range(0, len(p), _EXTRACT_BLOCK):
         block = words[lo:lo + _EXTRACT_BLOCK]
-        np.left_shift(key[lo:lo + _EXTRACT_BLOCK], idx_bits, out=block)
-        block |= np.arange(lo, lo + len(block))
-    words.sort()
-    sorted_key = words >> idx_bits
-    words &= (1 << idx_bits) - 1
-    return words, sorted_key
+        np.take(table, p.classes[lo:lo + _EXTRACT_BLOCK], out=block)
+        coeff = part[:len(block)]
+        for row, least, shift in zip(p.apexes[:, lo:lo + len(block)], low, shifts):
+            np.subtract(row, least, out=coeff, dtype=np.int64)
+            coeff <<= shift
+            block += coeff
+        if idx_bits:
+            block += np.arange(lo, lo + len(block))
+    return words
 
 
-def _first_halves(key: np.ndarray, key_bits: int, classes: np.ndarray) -> np.ndarray:
+# the pairing faults, in the order _first_halves reports them
+_PAIRING_FAULTS = (
+    "more than two half-tiles share one tile incenter; invalid patch",
+    "paired half-tiles must have opposite chirality",
+    "paired half-tiles must share their apex; overlapping tiles",
+)
+
+
+def _sorted_blocks(words: np.ndarray, idx_bits: int,
+                   order: np.ndarray | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(keys, patch indices) at sorted positions lo .. lo + ``_EXTRACT_BLOCK`` + 1, for each block start lo.
+
+    ``words`` ascend by key: packed words, each a key above ``idx_bits``
+    bits of its half's index (``_pairing_words``), sorted; or, with
+    ``order``, keys that ``order`` (``np.argsort``) sorts.  A block reads
+    two entries past its end, so that every run of three sorted positions
+    lies in one block.
+    """
+    mask = (1 << idx_bits) - 1
+    for lo in range(0, len(words), _EXTRACT_BLOCK):
+        if order is None:
+            block = words[lo:lo + _EXTRACT_BLOCK + 2]
+            yield block >> idx_bits, block & mask
+        else:
+            idx = order[lo:lo + _EXTRACT_BLOCK + 2]
+            yield words[idx], idx
+
+
+def _first_halves(words: np.ndarray, idx_bits: int, classes: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
     """Sorted patch indices of the first half of every tile; halves pair on equal keys.
 
-    The keys, below 2**key_bits, are ordered by ``_sorted_keys``; the
-    checks below are symmetric in a pair's halves, and the later half of
-    each pair is dropped, so the order of tied keys does not matter.  Paired
+    The sorted keys are read a block at a time (``_sorted_blocks``).  The
+    checks are symmetric in a pair's halves, and the later half of each
+    pair is dropped, so the order of tied keys does not matter.  Paired
     halves share kind and incenter, so they share their apex exactly when
     their classes share a direction (``class >> 1``).  A key shared by more
     than two halves, or a pair without opposite chirality and a shared
-    apex, is a ValueError.
+    apex, is a ValueError: the first of ``_PAIRING_FAULTS`` found anywhere.
     """
-    order, sk = _sorted_keys(key, key_bits)
-    same = sk[1:] == sk[:-1]  # sorted positions j and j + 1 share a key
-    del sk
-    if np.any(same[1:] & same[:-1]):
-        raise ValueError("more than two half-tiles share one tile incenter; invalid patch")
-    pairs = np.flatnonzero(same)
-    a, b = order[pairs], order[pairs + 1]
-    del order, same, pairs
-    ca, cb = classes[a], classes[b]
-    if np.any((ca ^ cb) & 1 == 0):
-        raise ValueError("paired half-tiles must have opposite chirality")
-    if np.any(ca >> 1 != cb >> 1):
-        raise ValueError("paired half-tiles must share their apex; overlapping tiles")
-    first = np.ones(len(key), dtype=bool)
-    first[np.maximum(a, b)] = False
+    first = np.ones(len(classes), dtype=bool)
+    fault = len(_PAIRING_FAULTS)
+    for key, idx in _sorted_blocks(words, idx_bits, order):
+        same = key[1:] == key[:-1]  # block positions j and j + 1 share a key
+        if np.any(same[1:] & same[:-1]):
+            fault = 0
+        pairs = np.flatnonzero(same[:_EXTRACT_BLOCK])  # a pair that starts in this block
+        a, b = idx[pairs], idx[pairs + 1]
+        ca, cb = classes[a], classes[b]
+        if np.any((ca ^ cb) & 1 == 0):
+            fault = min(fault, 1)
+        if np.any(ca >> 1 != cb >> 1):
+            fault = min(fault, 2)
+        first[np.maximum(a, b)] = False
+    if fault < len(_PAIRING_FAULTS):
+        raise ValueError(_PAIRING_FAULTS[fault])
     return np.flatnonzero(first)
+
+
+def _blocks(n: int) -> Iterator[slice]:
+    """Consecutive slices of ``_EXTRACT_BLOCK`` rows covering ``range(n)``, none of one row unless n is 1.
+
+    A lone last row joins the block before it: ``_embed`` of one row takes
+    another BLAS path than of many, and its bits can differ.
+    """
+    ends = list(range(_EXTRACT_BLOCK, n, _EXTRACT_BLOCK))
+    if ends and n - ends[-1] == 1:
+        ends.pop()
+    for lo, hi in zip([0] + ends, ends + [n]):
+        yield slice(lo, hi)
 
 
 def _ring_xy(ring: np.ndarray) -> np.ndarray:
@@ -350,13 +393,29 @@ def _ring_xy(ring: np.ndarray) -> np.ndarray:
 
     x is the integer or half-integer ``(2 c0 - c1) / 2`` when ``c1 - c2 - c3
     == 0`` and y is 0 when ``c1 == 0`` and ``c2 == c3``; every other
-    coordinate is irrational.
+    coordinate is irrational.  Embedded a block at a time (``_blocks``),
+    with the same bits as one ``_embed`` of the whole.
     """
-    xy = _embed(ring)
-    on_x = ring[:, 1] - ring[:, 2] == ring[:, 3]
-    xy[on_x, 0] = (2 * ring[on_x, 0] - ring[on_x, 1]) / 2.0
-    xy[(ring[:, 1] == 0) & (ring[:, 2] == ring[:, 3]), 1] = 0.0
+    xy = np.empty((len(ring), 2))
+    for rows in _blocks(len(ring)):
+        r, out = ring[rows], xy[rows]
+        out[:] = _embed(r)
+        on_x = np.flatnonzero(r[:, 1] - r[:, 2] == r[:, 3])
+        out[on_x, 0] = (2 * r[on_x, 0] - r[on_x, 1]) / 2.0
+        out[np.flatnonzero((r[:, 1] == 0) & (r[:, 2] == r[:, 3])), 1] = 0.0
     return xy
+
+
+def _tile_ids(p: Patch) -> np.ndarray:
+    """``_first_halves`` of a patch: one packed word per half where key and index fit 63 bits, else ``np.argsort``."""
+    low, widths = _key_layout(p)
+    idx_bits = (len(p) - 1).bit_length()
+    if 1 + sum(widths) + idx_bits <= _WORD_BITS:
+        words = _pairing_words(p, low, widths, idx_bits)
+        words.sort()
+        return _first_halves(words, idx_bits, p.classes)
+    key = _pairing_words(p, low, widths, 0)
+    return _first_halves(key, 0, p.classes, np.argsort(key))
 
 
 def extract_net(p: Patch, window: Square | tuple | None = None) -> Net:
@@ -365,13 +424,16 @@ def extract_net(p: Patch, window: Square | tuple | None = None) -> Net:
     Pre: ``p.scale_exp == 0`` (tile edge lengths 1 and phi).  A half's full
     tile has its exact incenter at the half's apex plus its class's offset,
     the same for mirror halves, and halves pair on one int64 key packing
-    (kind, incenter), since distinct tiles have distinct incenters.  More
-    than two halves on a key, a pair without opposite chirality and a
-    shared apex, coordinates that could wrap int64 or a key wider than 63
-    bits is a ValueError.  Points are ordered by the patch index of their
-    first contributing half-tile.
+    (kind, incenter), since distinct tiles have distinct incenters: sorted
+    as one word per half with its index where both fit 63 bits, by
+    ``np.argsort`` otherwise (``_tile_ids``).  More than two halves on a
+    key, a pair without opposite chirality and a shared apex, coordinates
+    that could wrap int64 or a key wider than 63 bits is a ValueError.
+    Points are ordered by the patch index of their first contributing
+    half-tile.
 
-    Net coordinates come from ``_ring_xy`` (in ``Net``), exact on grid lines.
+    Net coordinates come from ``_ring_xy`` (in ``Net``), exact on grid
+    lines; the ring and the points are built a block at a time.
 
     ``window`` overrides the net's counting window; by default it is the
     covering square recorded by the patch generator, or a padded bounding
@@ -383,13 +445,14 @@ def extract_net(p: Patch, window: Square | tuple | None = None) -> Net:
         raise ValueError(
             f"net extraction requires final-scale tiles (scale_exp 0), got {p.scale_exp}"
         )
-    key, widths = _pairing_key(p)
-    tile_ids = _first_halves(key, 1 + sum(widths), p.classes)
-    del key
+    tile_ids = _tile_ids(p)
     # the chosen tiles' incenters: apex plus their class's incenter offset
     classes = p.classes[tile_ids]
-    ring = np.take(_INCENTER_OFFSETS, classes, axis=0)
-    ring += np.take(p.apexes, tile_ids, axis=1).T
+    ring = np.empty((len(tile_ids), 4), dtype=np.int64)
+    for rows in _blocks(len(ring)):
+        block = ring[rows]
+        np.take(_INCENTER_OFFSETS, classes[rows], axis=0, out=block)
+        block += p.apexes[:, tile_ids[rows]].T
 
     prov = p.provenance
     outline = patch_outline(p) if "outline" in prov else None

@@ -389,17 +389,18 @@ def _deflate_once(classes: np.ndarray, apexes: np.ndarray, dtype: type) -> tuple
     nk, nd = len(kite_idx), len(dart_idx)
     new_classes = np.empty(3 * nk + 2 * nd, dtype=np.uint8)
     new_apexes = np.empty((4, len(new_classes)), dtype=dtype)
-    offsets = _CHILD_APEX_ROWS.astype(dtype)  # (3, 4, classes)
+    offsets = _CHILD_APEX_ROWS.astype(dtype)  # (3, classes, 4)
     phi = np.empty((4, _DEFLATE_BLOCK), dtype=dtype)
     for idx, start, slots in ((kite_idx, 0, 3), (dart_idx, 3 * nk, 2)):
         for lo in range(0, len(idx), _DEFLATE_BLOCK):
             cls, parents = _parent_block(classes, apexes, idx[lo:lo + _DEFLATE_BLOCK])
-            m = len(cls)
+            cls, m = cls.astype(np.intp), len(cls)
             _times_phi(parents.astype(dtype, copy=False), phi[:, :m])
             for slot in range(slots):
                 at = start + slot * len(idx) + lo
                 np.take(_CHILD_CLASSES[slot], cls, out=new_classes[at:at + m])
-                np.add(phi[:, :m], np.take(offsets[slot], cls, axis=1), out=new_apexes[:, at:at + m])
+                # whole (4,) rows of the class-major table, which a take along axis 0 copies at once
+                np.add(phi[:, :m], np.take(offsets[slot], cls, axis=0).T, out=new_apexes[:, at:at + m])
     return new_classes, new_apexes
 
 
@@ -468,14 +469,14 @@ def _classify(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _child_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Child classes (3, 40) and apexes (3, 4, 40) by slot: ``deflate_tile`` at the origin, times phi."""
-    child_classes, child_apexes = np.zeros((3, _CLASSES), np.uint8), np.zeros((3, 4, _CLASSES), np.int64)
+    """Child classes (3, 40) and apexes (3, 40, 4) by slot: ``deflate_tile`` at the origin, times phi."""
+    child_classes, child_apexes = np.zeros((3, _CLASSES), np.uint8), np.zeros((3, _CLASSES, 4), np.int64)
     for c in range(_CLASSES):
         parent = HalfTile(int(_CLASS_KIND[c]), int(_CLASS_CHIR[c]),
                           *(CycloPoint(*map(int, v)) for v in _VERTEX_OFFSETS[c]))
         for slot, child in enumerate(deflate_tile(parent)):
             v = np.array([w.coeffs for w in child.vertices], dtype=np.int64) @ _MPHI
-            child_classes[slot, c], child_apexes[slot, :, c] = _classify(v[None])[0][0], v[1]
+            child_classes[slot, c], child_apexes[slot, c] = _classify(v[None])[0][0], v[1]
     return child_classes, child_apexes
 
 

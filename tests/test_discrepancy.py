@@ -45,7 +45,7 @@ from penrosenet.tiling import (
     generate_patch_covering,
     substitution_counts,
 )
-from test_net import small_net
+from test_net import small_net, square_counts
 from test_tiling import point_in_triangle
 
 # regression anchors measured on this 64-sided window by the enumeration
@@ -870,7 +870,7 @@ class TestReport:
             assert grid.points == sum(count_in_square(window_net, window_net.window))
             if grid.points < (side // 2**i_min) ** 2:
                 refused += 1
-                kites, darts = grid.square_counts(2**i_min)
+                kites, darts = square_counts(grid, 2**i_min)
                 assert (kites + darts).min() == 0
                 with pytest.raises(ValueError, match=f"^empty square at i={i_min}$"):
                     build_report(window_net, i_min, i_min)
@@ -890,7 +890,7 @@ class TestReport:
             i_min = int(rng.integers(0, side.bit_length()))
             window_net = self.moved(net, Square(float(x), float(y), float(side)))
             grid = discrepancy._CountGrid(window_net)
-            kites, darts = grid.square_counts(1)
+            kites, darts = square_counts(grid, 1)
             filled = np.argwhere(kites + darts)
             if len(filled):
                 assert grid.margin == max(*filled.min(axis=0), *(side - 1 - filled.max(axis=0)))
@@ -899,7 +899,7 @@ class TestReport:
             if grid.margin >= 2**i_min:
                 refused += 1
                 by_margin_only += grid.points >= (side // 2**i_min) ** 2
-                kites, darts = grid.square_counts(2**i_min)
+                kites, darts = square_counts(grid, 2**i_min)
                 assert (kites + darts).min() == 0
                 with pytest.raises(ValueError, match=f"^empty square at i={i_min}$"):
                     build_report(window_net, i_min, i_min)
@@ -916,6 +916,139 @@ class TestReport:
         assert discrepancy._CountGrid(net).points >= 9
         with pytest.raises(ValueError, match=r"^empty square at i=15$"):
             build_report(net, 15, 16)
+
+    def test_window_too_wide_for_cell_codes(self):
+        # 2 * side**2 cell codes would not fit int64: the points are counted, no code is formed
+        net = extract_net(deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-8), 8),
+                          Square(0.0, 0.0, float(2**32)))
+        grid = discrepancy._CountGrid(net)
+        assert grid.points == len(net) and grid.margin >= 2**31
+        with pytest.raises(ValueError, match=r"^empty square at i=31$"):
+            build_report(net, 31, 32)
+        with pytest.raises(ValueError, match=r"^a window of side 4294967296 is too wide for a cell grid$"):
+            grid._cums
+
+
+def grid_of(kites, darts) -> discrepancy._CountGrid:
+    """A count grid over the window [0, n)**2 whose (n, n) kite and dart cell counts are these."""
+    grid = discrepancy._CountGrid.__new__(discrepancy._CountGrid)
+    grid.x0 = grid.y0 = 0
+    grid.side = len(kites)
+    grid.__dict__["_cums"] = tuple(discrepancy._cumulate(np.asarray(cells, dtype=np.int32)) for cells in (kites, darts))
+    return grid
+
+
+def banded_scan(grid, side: int, rows: int | None):
+    """``grid.scan(side)`` in bands of ``rows`` rows of squares (the default band where None)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if rows is not None:
+            patch.setattr(discrepancy, "_SCAN_SQUARES", rows * (grid.side - side + 1))
+        return grid.scan(side)
+
+
+def full_scan(grid, side: int) -> dict:
+    """What ``_CountGrid.scan`` keeps, from full arrays of every square's counts."""
+    kites, darts = square_counts(grid, side)
+    total = kites + darts
+    ok = darts > 0
+    gaps = np.abs(kites[ok] / darts[ok] - PHI_FLOAT)
+    counts = np.bincount(total.ravel())
+    return {"n_min": int(total.min()), "at_min": int(np.argmin(total)), "n_max": int(total.max()),
+            "at_max": int(np.argmax(total)), "hist": {int(n): int(counts[n]) for n in np.flatnonzero(counts)},
+            "dart_free": int(np.count_nonzero(~ok)), "gap": float(gaps.max()) if gaps.size else math.nan}
+
+
+def as_dict(scan) -> dict:
+    return {"n_min": scan.n_min, "at_min": scan.at_min, "n_max": scan.n_max, "at_max": scan.at_max,
+            "hist": {scan.n_min + int(k): int(scan.counts[k]) for k in np.flatnonzero(scan.counts)},
+            "dart_free": scan.dart_free, "gap": scan.gap_max}
+
+
+def assert_same_scan(got: dict, want: dict) -> None:
+    gap, want_gap = got.pop("gap"), want.pop("gap")
+    assert got == want
+    assert gap == want_gap or (math.isnan(gap) and math.isnan(want_gap))
+
+
+def full_discrepancies(grid, side: int, expected: float) -> tuple[float, int, float, float]:
+    """(E, argmax, e_min, e_mean) from every square's e, elementwise as one full-array pass takes them."""
+    kites, darts = square_counts(grid, side)
+    total = (kites + darts).astype(np.int64)
+    e = np.maximum(expected / total, total / expected)
+    return float(e.max()), int(np.argmax(e)), float(e.min()), float(e.mean())
+
+
+class TestBandedScan:
+    """``_CountGrid.scan`` keeps, band by band, what the full arrays of every square give."""
+
+    @pytest.mark.parametrize("rows", [1, 7, 10**6, None])
+    @pytest.mark.parametrize("window", [Square(-37.0, 21.0, 64.0), Square(-30.0, 25.0, 37.0)])
+    def test_band_sizes(self, net64, rows, window):
+        _, net = net64
+        grid = discrepancy._CountGrid(Net(net.classes, net.ring, net.tile_ids, window))
+        for side in (1, 2, 3, 4, 16, 32, grid.side):
+            assert_same_scan(as_dict(banded_scan(grid, side, rows)), full_scan(grid, side))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_banded_statistics_equal_the_full_arrays(self, data):
+        n = data.draw(st.integers(1, 9))
+        cells = st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+        grid = grid_of(data.draw(cells), data.draw(cells))
+        side = data.draw(st.integers(1, n))
+        rows = data.draw(st.integers(1, n + 2))
+        scan = banded_scan(grid, side, rows)
+        assert_same_scan(as_dict(scan), full_scan(grid, side))
+        if scan.n_min > 0:
+            # an expected count that ties e(n_min) and e(n_max) exactly, or any other
+            tie = math.sqrt(scan.n_min * scan.n_max)
+            expected = data.draw(st.sampled_from([tie, 0.7, 2.5, 4.0 * side * side]) | st.floats(0.1, 50.0))
+            E, at, e_min, e_mean = discrepancy._discrepancies(scan, expected)
+            want = full_discrepancies(grid, side, expected)
+            assert (E, at, e_min) == want[:3]
+            assert e_mean == pytest.approx(want[3], rel=1e-14)
+
+    @pytest.mark.parametrize("totals, at, E", [
+        ([[9, 5], [4, 6]], 0, 1.5),  # n_max first: the tie goes to its square
+        ([[5, 4], [9, 6]], 1, 1.5),  # n_min first
+        ([[6, 6], [6, 6]], 0, 1.0),  # n_min == n_max
+    ])
+    def test_tie_between_the_least_and_the_largest_total(self, totals, at, E, monkeypatch):
+        # e(4) = 6/4 = 1.5 = 9/6 = e(9) exactly: a density of 6 per unit square
+        xy = [[a + 0.1 + 0.8 * k / 10, b + 0.5] for a, row in enumerate(totals) for b, t in enumerate(row)
+              for k in range(t)]
+        net = small_net(xy, Square(0.0, 0.0, 2.0))
+        psi = PHI_FLOAT**2 / ((1 + PHI_FLOAT**2) * 6.0)
+        monkeypatch.setattr(discrepancy, "default_density", lambda: DensityModel(psi, 6.0))
+        row = build_report(net, 0, 0).rows[0]
+        grid = discrepancy._CountGrid(net)
+        assert (row.E_rho, at) == full_discrepancies(grid, 1, 6.0)[:2] == (E, at)
+        assert (row.E_argmax_x, row.E_argmax_y) == divmod(at, 2)
+        assert row.E_argmax_kites == totals[at // 2][at % 2]
+
+    @pytest.mark.parametrize("rows", [1, 2, None])
+    def test_a_dart_free_band(self, rows):
+        # row a = 0 of the squares of side 1 holds no dart
+        grid = grid_of([[1, 2, 1], [1, 0, 2], [3, 1, 1]], [[0, 0, 0], [2, 1, 0], [1, 1, 0]])
+        scan = banded_scan(grid, 1, rows)
+        assert_same_scan(as_dict(scan), full_scan(grid, 1))
+        assert scan.dart_free == 5 and scan.gap_max == PHI_FLOAT  # the square with no kite and one dart
+        free = banded_scan(grid_of([[1, 2], [1, 1]], [[0, 0], [0, 0]]), 1, rows)
+        assert free.dart_free == 4 and math.isnan(free.gap_max)
+
+    def test_int32_guard(self, net64):
+        _, net = net64
+        grid = discrepancy._CountGrid(net)
+        points, grid.points = grid.points, 2**31
+        with pytest.raises(ValueError, match=r"^2147483648 points in the window, more than int32 prefix sums"):
+            grid._cums
+        grid.points = 2**31 - 1  # the real points, counted as if there were this many: no wrap is possible
+        kites, darts = grid._cums
+        assert kites.dtype == darts.dtype == np.int32 and kites[-1, -1] + darts[-1, -1] == points
+
+    def test_prefix_sums_at_the_int32_limit(self):
+        cum = discrepancy._cumulate(np.array([[2**31 - 2, 1], [0, 0]], dtype=np.int32))
+        assert cum.dtype == np.int32 and cum[-1, -1] == 2**31 - 1
 
 
 def test_certify_path_never_builds_the_patch_coordinates(monkeypatch):

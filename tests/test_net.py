@@ -240,6 +240,16 @@ def ring_points_in_cells(xy) -> np.ndarray:
     return ring
 
 
+def square_counts(grid: _CountGrid, side: int) -> tuple[np.ndarray, np.ndarray]:
+    """Kite and dart counts of every [a, a+side) x [b, b+side) square of the grid, indexed (a, b).
+
+    The full-array oracle of ``_CountGrid.scan``, from the same prefix sums.
+    """
+    assert 1 <= side <= grid.side
+    return tuple(cum[side:, side:] - cum[:-side, side:] - cum[side:, :-side] + cum[:-side, :-side]
+                 for cum in grid._cums)
+
+
 def small_net(xy, window, kinds=None):
     """A net of kites (or ``kinds``) at ring points in the unit cells of the float points ``xy``."""
     ring = ring_points_in_cells(xy)
@@ -749,6 +759,63 @@ class TestBlockedPass:
         self.assert_both_raise(tiles(base, right, turned), "share their apex")
 
 
+class TestBlockedEmbedding:
+    """``_ring_xy`` embeds a block at a time with the bits of one ``_embed`` of the whole."""
+
+    B = net_module._EXTRACT_BLOCK
+
+    @staticmethod
+    def whole(ring: np.ndarray) -> np.ndarray:
+        """One ``_embed`` of every row, then the exact grid-line coordinates, by masks over the whole."""
+        xy = _embed(ring)
+        on_x = ring[:, 1] - ring[:, 2] == ring[:, 3]
+        xy[on_x, 0] = (2 * ring[on_x, 0] - ring[on_x, 1]) / 2.0
+        xy[(ring[:, 1] == 0) & (ring[:, 2] == ring[:, 3]), 1] = 0.0
+        return xy
+
+    @pytest.fixture(scope="class")
+    def ring(self):
+        ring = extract_net(generate_patch_covering(Square(-37.0, 21.0, 64.0))).ring
+        assert len(ring) > 2 * self.B + 1
+        return ring
+
+    @pytest.mark.parametrize("n", [1, 2, B - 1, B + 1, 2 * B + 1])
+    def test_same_bits_as_one_embed(self, ring, n):
+        for rows in (ring[:n], ring[len(ring) - n:]):
+            assert net_module._ring_xy(rows).tobytes() == self.whole(rows).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, B + 2, 2 * B, 2 * B + 1, 3 * B + 5])
+    def test_no_block_of_one_row(self, n):
+        blocks = list(net_module._blocks(n))
+        assert [rows.start for rows in blocks[1:]] == [rows.stop for rows in blocks[:-1]]
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(2 <= rows.stop - rows.start <= self.B + 1 for rows in blocks) or n == 1
+
+
+class TestPairingRoutes:
+    """The packed words and the ``np.argsort`` route give one net."""
+
+    @pytest.mark.parametrize("square", [Square(-37.0, 21.0, 64.0), Square(5.0, -40.0, 128.0)])
+    def test_same_tile_ids(self, square, monkeypatch):
+        patch = generate_patch_covering(square)
+        _, widths = net_module._key_layout(patch)
+        assert packed_words(len(patch), 1 + sum(widths)) == 1
+        routes, first_halves = [], net_module._first_halves
+
+        def spy(words, idx_bits, classes, order=None):
+            routes.append(order is not None)
+            return first_halves(words, idx_bits, classes, order)
+
+        monkeypatch.setattr(net_module, "_first_halves", spy)
+        packed = extract_net(patch)
+        # a word one bit too narrow for key and index: the key alone, sorted by np.argsort
+        monkeypatch.setattr(net_module, "_WORD_BITS", 1 + sum(widths) + (len(patch) - 1).bit_length() - 1)
+        wide = extract_net(patch)
+        assert routes == [False, True]
+        for name in ("tile_ids", "classes", "ring", "xy"):
+            assert getattr(wide, name).tobytes() == getattr(packed, name).tobytes()
+
+
 class TestApexWords:
     """Halves paired on (kind, incenter) share their apex exactly when their classes share a direction.
 
@@ -782,28 +849,49 @@ class TestSavedPatchNet:
 
 
 def packed_words(n: int, key_bits: int) -> int:
-    """1 where a key fits beside its index in one 63-bit word, so ``_sorted_keys`` makes one value sort; else 2."""
+    """1 where a key fits beside its index in one 63-bit word, so ``extract_net`` sorts one word per half; else 2."""
     return 1 if key_bits + max(n - 1, 0).bit_length() <= 63 else 2
 
 
+def sorted_route(key: np.ndarray, key_bits: int) -> tuple[np.ndarray, int, np.ndarray | None]:
+    """(words, idx_bits, order) as ``extract_net`` hands them to ``_sorted_blocks`` for these keys.
+
+    Where a key fits beside its index, each word is the key above the
+    index, as ``_pairing_words`` packs it, sorted in place; else the keys
+    and their ``np.argsort``.
+    """
+    idx_bits = max(len(key) - 1, 0).bit_length()
+    if packed_words(len(key), key_bits) == 1:
+        words = (key << idx_bits) | np.arange(len(key))
+        words.sort()
+        return words, idx_bits, None
+    return key, 0, np.argsort(key)
+
+
 def assert_sorted_keys(key: np.ndarray, key_bits: int) -> None:
-    """``_sorted_keys`` gives a permutation under which the keys ascend, so equal keys are adjacent."""
-    order, sorted_key = net_module._sorted_keys(key, key_bits)
+    """``_sorted_blocks`` reads a permutation under which the keys ascend, so equal keys are adjacent.
+
+    Each block's first ``_EXTRACT_BLOCK`` entries, joined, are that
+    permutation, and its two entries past them are the next block's first two.
+    """
+    B = net_module._EXTRACT_BLOCK
+    blocks = list(net_module._sorted_blocks(*sorted_route(key, key_bits)))
+    for (keys, idx), (next_keys, next_idx) in zip(blocks, blocks[1:]):
+        assert len(keys) == B + 2 and keys[B:].tobytes() == next_keys[:2].tobytes()
+        assert idx[B:].tobytes() == next_idx[:2].tobytes()
+    order = np.concatenate([idx[:B] for _, idx in blocks]) if blocks else np.empty(0, dtype=np.int64)
+    sorted_key = np.concatenate([keys[:B] for keys, _ in blocks]) if blocks else np.empty(0, dtype=np.int64)
     assert order.dtype == np.int64 and np.array_equal(np.sort(order), np.arange(len(key)))
     assert sorted_key.dtype == np.int64 and sorted_key.tobytes() == key[order].tobytes() == np.sort(key).tobytes()
 
 
-def ties_reversed(sorted_keys):
-    """``sorted_keys`` with the order of every run of equal keys reversed."""
-    def reversed_ties(key, key_bits):
-        order, sorted_key = sorted_keys(key, key_bits)
-        flip = np.lexsort((-np.arange(len(order)), sorted_key))
-        return order[flip], sorted_key[flip]
-    return reversed_ties
+def ties_reversed(sorted_key: np.ndarray) -> np.ndarray:
+    """The permutation of sorted positions that reverses every run of equal ``sorted_key``."""
+    return np.lexsort((-np.arange(len(sorted_key)), sorted_key))
 
 
 class TestStableOrder:
-    """``_sorted_keys``: the one packed value sort where a key fits beside its index, else ``np.argsort``.
+    """``_sorted_blocks``: one packed word per key where a key fits beside its index, else ``np.argsort``.
 
     The order of equal keys is not fixed; ``_first_halves`` does not depend on it.
     """
@@ -851,24 +939,32 @@ class TestStableOrder:
     def test_extraction_through_two_digits(self):
         base = deflated(HALF_DART, RIGHT)
         patch = tiles(base, base.transformed(translation=CycloPoint(2**30, 0, 0, 0)))
-        _, widths = net_module._pairing_key(patch)
+        _, widths = net_module._key_layout(patch)
         assert packed_words(len(patch), 1 + sum(widths)) == 2
         assert_matches_columns(patch)
 
     @pytest.mark.parametrize("shift, words", [(0, 1), (2**30, 2)])
-    def test_first_halves_ignore_the_order_of_ties(self, shift, words, monkeypatch):
+    def test_first_halves_ignore_the_order_of_ties(self, shift, words):
         # each tile's two halves share a key; with every tie reversed the
         # other half of each pair comes first in the sorted order
         base = deflated(HALF_DART, RIGHT, rounds=9)
         patch = tiles(base, base.transformed(translation=CycloPoint(shift, 0, 0, 0))) if shift else base
-        key, widths = net_module._pairing_key(patch)
+        low, widths = net_module._key_layout(patch)
         bits = 1 + sum(widths)
         assert packed_words(len(patch), bits) == words
-        reverse = ties_reversed(net_module._sorted_keys)
-        assert not np.array_equal(net_module._sorted_keys(key, bits)[0], reverse(key, bits)[0])
-        want = net_module._first_halves(key, bits, patch.classes)
-        monkeypatch.setattr(net_module, "_sorted_keys", reverse)
-        assert net_module._first_halves(key, bits, patch.classes).tobytes() == want.tobytes()
+        key = net_module._pairing_words(patch, low, widths, 0)
+        sorted_words, idx_bits, order = sorted_route(key, bits)
+        want = net_module._first_halves(sorted_words, idx_bits, patch.classes, order)
+        if order is None:
+            assert np.sort(net_module._pairing_words(patch, low, widths, idx_bits)).tobytes() == sorted_words.tobytes()
+            flip = ties_reversed(sorted_words >> idx_bits)
+            assert not np.array_equal(flip, np.arange(len(flip)))
+            got = net_module._first_halves(sorted_words[flip], idx_bits, patch.classes)
+        else:
+            flip = ties_reversed(key[order])
+            assert not np.array_equal(flip, np.arange(len(flip)))
+            got = net_module._first_halves(key, 0, patch.classes, order[flip])
+        assert got.tobytes() == want.tobytes() == extract_net(patch).tile_ids.tobytes()
 
 
 class TestTileOrder:
@@ -929,7 +1025,7 @@ class TestPairingErrorPrecedence:
         for k, msg in enumerate(expected):
             present = [faults[m] for m in expected[k:]]
             for patch in (tiles(base, *present), tiles(*present[::-1], base)):
-                _, widths = net_module._pairing_key(patch)
+                _, widths = net_module._key_layout(patch)
                 assert packed_words(len(patch), 1 + sum(widths)) == words
                 with pytest.raises(ValueError) as raised:
                     extract_net(patch)
@@ -1054,7 +1150,7 @@ class TestGridLines:
                 expected[point.source_kind, cx - x0, cy - y0] += 1
         assert expected.sum() > 0
 
-        kites, darts = _CountGrid(net).square_counts(1)
+        kites, darts = square_counts(_CountGrid(net), 1)
         assert np.array_equal(kites, expected[HALF_KITE])
         assert np.array_equal(darts, expected[HALF_DART])
         for cx in (0, side - 1):
@@ -1081,6 +1177,10 @@ MALFORMED_ARRAYS = {
     "ring_past_2_56": ([20], [[2**56 + 1, 0, 0, 0]], [0], r"ring coefficients must lie within \+-2\*\*56"),
     "ring_below_2_56": ([20], [[0, 0, 0, -(2**56) - 1]], [0], r"ring coefficients must lie within \+-2\*\*56"),
     "uint64_ring_past_int64": ([20], np.array([[2**63, 0, 0, 0]], dtype=np.uint64), [0], "must lie within"),
+    "float_tile_id": ([0], [[0, 0, 0, 0]], [0.7], "tile_ids must be non-negative int64 integers"),
+    "negative_tile_id": ([0, 20], _TWO, [0, -1], "tile_ids must be non-negative int64 integers"),
+    "uint64_tile_id_past_int64": ([0], [[0, 0, 0, 0]], np.array([2**63], dtype=np.uint64),
+                                  "tile_ids must be non-negative int64 integers"),
 }
 
 
@@ -1240,6 +1340,17 @@ class TestDeloneStatistics:
         for name in ("xy", "source_kinds", "classes", "ring", "tile_ids"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(net, name)[0] = 1
+
+    def test_the_callers_arrays_stay_writeable(self):
+        # Net keeps the caller's C-contiguous arrays without a copy, behind read-only views
+        classes, ring, ids = np.zeros(1, dtype=np.uint8), np.zeros((1, 4), dtype=np.int64), np.zeros(1, dtype=np.int64)
+        outline = np.zeros((3, 4), dtype=np.int64)
+        net = Net(classes, ring, ids, (0, 0, 1), outline)
+        for mine, its in ((classes, net.classes), (ring, net.ring), (ids, net.tile_ids), (outline, net.outline)):
+            assert mine.flags.writeable and not its.flags.writeable
+        assert np.shares_memory(ring, net.ring) and np.shares_memory(ids, net.tile_ids)
+        ring[0, 0] = 7  # the caller may still write its own array, and the net sees it
+        assert net.ring[0, 0] == 7
 
     @pytest.mark.parametrize("outline", [np.zeros((3, 2)), np.zeros(12, dtype=np.int64), np.full((3, 4), 0.5)])
     def test_outline_must_be_ring_coordinates(self, outline):

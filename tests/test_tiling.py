@@ -1593,7 +1593,7 @@ class TestHalfTileClasses:
             scaled_apex = np.array(apex, dtype=np.int64) @ tiling._MPHI
             for slot, child in enumerate(children):
                 k = int(tiling._CHILD_CLASSES[slot, c])
-                table = self.class_tile(k, scaled_apex + tiling._CHILD_APEX_ROWS[slot, :, c])
+                table = self.class_tile(k, scaled_apex + tiling._CHILD_APEX_ROWS[slot, c])
                 want = [times_phi(v) for v in child.vertices]
                 assert (table.kind, table.chirality, list(table.vertices)) == (child.kind, child.chirality, want)
 
