@@ -95,7 +95,7 @@ _GROWTH = max(int(np.abs(_MPHI).sum(axis=0).max()), int(np.abs(_MINV).sum(axis=0
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _INT32_MAX = int(np.iinfo(np.int32).max)
 _DEFLATE_BLOCK = 4096  # parent tiles per block of one deflation round
-_COORD_BLOCK = 1 << 18  # half-tiles per block of vertex coordinates built for a writer
+_COORD_BLOCK = 1 << 18  # half-tiles per block of vertex coordinates built for the SVG writer
 
 _CLASSES, _DART_CLASSES = 40, 20  # 2 kinds x 2 chiralities x 10 directions; darts from class 20
 _NO_CLASS = 255
@@ -662,12 +662,10 @@ def generate_patch_covering(
     return patch
 
 
-_LETTER_KIND = {"K": HALF_KITE, "D": HALF_DART}
-_LETTER_CHIR = {"R": RIGHT, "L": LEFT}
-_PATCH_ROW = np.dtype([
-    ("kind", "U2"), ("chirality", "U2"), ("generation", np.int64), ("coords", np.int64, (12,)),
-])
-_PATCH_HEADERS = {"scale_exp": ("N",), "generation": ("N",), "census": ("N", "N")}  # see _read_table
+# one half-tile line of a patch file: its class and its apex's four ring coefficients
+_PATCH_ROW = np.dtype([("class", np.int64), ("apex", np.int64, (4,))])
+# header key -> the fields save_patch writes after it (see _read_table)
+_PATCH_HEADERS = {"penrosenet": ("patch", "v2"), "scale_exp": ("N",), "generation": ("N",), "census": ("N", "N")}
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")  # np.loadtxt decompresses a path with one
 _FORMAT_BLOCK = 8192  # rows per block of _format_rows; its temporaries grow with it
 _FORMAT_SEEN = 1 << 16  # most distinct keys a column keeps formatted for the rest of one _format_rows call
@@ -934,76 +932,51 @@ def _parse_rows(source: str | io.StringIO, row: np.dtype) -> np.ndarray:
         return np.loadtxt(source, dtype=row, comments="#", ndmin=1, encoding="ascii")
 
 
-def _decode(tokens: np.ndarray, codes: dict[str, int]) -> np.ndarray:
-    """Map a column of tokens through ``codes``; an unknown token raises KeyError."""
-    out = np.zeros(len(tokens), dtype=np.int64)
-    known = np.zeros(len(tokens), dtype=bool)
-    for token, code in codes.items():
-        hit = tokens == token
-        out[hit] = code
-        known |= hit
-    if not known.all():
-        raise KeyError(str(tokens[np.argmin(known)]))
-    return out
-
-
 def save_patch(p: Patch, path: str) -> None:
-    """Write the line-oriented patch format.
+    """Write the v2 patch file: one line per half-tile, its class and its apex's four ring coefficients.
 
-    Header carries the shared scale_exp; each tile line is ``kind chirality
-    generation`` and the 12 integer coordinates of (wing, apex, axis_end),
-    built a block at a time: dense columns, formatted once per block.
+    The headers are the format version, ``scale_exp``, ``generation`` and
+    ``census K D``.  A line is the half-tile's class (0..39: ``20 kind + 2
+    direction + (chirality == RIGHT)``) and its apex (1, zeta, zeta**2,
+    zeta**3) coefficients, the patch's own arrays, formatted with no vertex
+    built.
     """
     c = census(p)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("# penrosenet patch v1\n")
-        fh.write(f"# scale_exp {p.scale_exp}\n")
-        fh.write(f"# generation {p.generation}\n")
-        fh.write(f"# census {c.kites} {c.darts}\n")
-        for lo, coords in _coord_blocks(p):
-            classes = p.classes[lo:lo + len(coords)]
-            fh.writelines(_format_rows(
-                "%s %s %d" + " %d" * 12 + "\n",
-                (("K", "D"), _CLASS_KIND[classes]),  # HALF_KITE 0, HALF_DART 1
-                (("L", "R"), classes & 1),  # the chirality bit, 1 for RIGHT
-                np.broadcast_to(p.generation, len(coords)),
-                coords.reshape(len(coords), 12),
-            ))
+        fh.write(f"# penrosenet patch v2\n# scale_exp {p.scale_exp}\n# generation {p.generation}\n"
+                 f"# census {c.kites} {c.darts}\n")
+        fh.writelines(_format_rows("%d %d %d %d %d\n", p.classes, p.apexes.T))
 
 
 def load_patch(path: str) -> Patch:
-    """Read the format written by save_patch, validating exact round-trip fields.
+    """Read the v2 format save_patch writes into classes and apexes, with no vertex built.
 
-    Header lines may repeat (the last one counts) and may sit anywhere; a
-    ``scale_exp``, ``generation`` or ``census`` header whose fields are not
-    one, one and two integers is a ValueError.  Every tile line must carry
-    the header's generation, or the first tile's when there is no generation
-    header, and be a unit half-tile of its letters (``Patch``).  The ASCII
-    file is read as ``_read_table`` says, so one that is not one regular
-    file, unchanged between its two reads, is a ValueError.
+    The ``penrosenet patch v2``, ``scale_exp`` and ``generation`` headers
+    are required (a v1 file is refused); a header whose fields do not match
+    what save_patch writes is a ValueError, and so are a ``census`` that
+    differs from the lines, no half-tile line, a class outside 0..39 and an
+    apex whose vertices could wrap int64 (the bound deflation guards).
+    Headers may repeat and sit anywhere; the last one counts.  The file is
+    ASCII and is read as ``_read_table`` says: the lines by ``np.loadtxt``
+    from the path, so a file that is not one regular file, unchanged between
+    that read and the header read, is a ValueError.  Premise: the file is
+    save_patch output, the trust ``Patch.from_classes`` takes; the loader
+    does not check that the tiles fit together without overlap.
     """
     values, rows = _read_table(path, _PATCH_ROW, _PATCH_HEADERS)
-    kinds = _decode(rows["kind"], _LETTER_KIND)
-    chirs = _decode(rows["chirality"], _LETTER_CHIR)
-    gens = rows["generation"]
-    if "generation" in values:
-        generation = values["generation"][0]
-    else:
-        generation = int(gens[0]) if len(gens) else 0
-    if np.any(gens != generation):
-        raise ValueError("mixed generations in patch file")
-    if "scale_exp" not in values:
-        raise ValueError("patch file missing scale_exp header")
-    scale_exp = values["scale_exp"][0]
+    for key in ("penrosenet", "scale_exp", "generation"):
+        if key not in values:
+            raise ValueError(f"patch file missing its {key} header")
     if not len(rows):
         raise ValueError("patch file contains no tiles")
+    classes, apexes = rows["class"], _apex_rows(rows["apex"].T)
+    if classes.min() < 0 or classes.max() >= _CLASSES:
+        raise ValueError(f"half-tile classes must lie in 0..{_CLASSES - 1}")
+    if apexes.dtype == np.int64 and _vertex_bound(apexes) > _INT64_MAX:
+        raise ValueError(f"apex coefficients must lie within +-{_INT64_MAX - _REACH}, so that no vertex wraps int64")
     if "census" in values:
-        kites = int(np.count_nonzero(kinds == HALF_KITE))
-        actual = (kites, len(kinds) - kites)
+        kites = int(np.count_nonzero(classes < _DART_CLASSES))
+        actual = (kites, len(classes) - kites)
         if actual != tuple(values["census"]):
             raise ValueError(f"census header {tuple(values['census'])} does not match tile lines {actual}")
-    return Patch(
-        kinds, chirs, rows["coords"].reshape(len(rows), 3, 4),
-        generation=generation, scale_exp=scale_exp,
-        provenance={"source": path},
-    )
+    return Patch.from_classes(classes, apexes, values["generation"][0], values["scale_exp"][0], {"source": path})

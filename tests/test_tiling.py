@@ -713,11 +713,8 @@ class TestSerialization:
         path = str(tmp_path / "patch.txt")
         save_patch(patch, path)
         back = load_patch(path)
+        assert_same_tiles(back, patch)
         assert np.array_equal(back.coords, patch.coords)
-        assert np.array_equal(back.kinds, patch.kinds)
-        assert np.array_equal(back.chiralities, patch.chiralities)
-        assert back.scale_exp == patch.scale_exp
-        assert back.generation == patch.generation
 
     def test_census_header_checked(self, tmp_path):
         patch = deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-2), 2)
@@ -734,6 +731,8 @@ class TestSerialization:
         "generation 2 2",
         # the right count of fields that are not integers
         "scale_exp 1.5", "scale_exp -0.0", "generation two", "census 5 3.0", "census 5e0 3",
+        # another version, or no version
+        "penrosenet patch", "penrosenet patch v3", "penrosenet net v2",
     ])
     def test_known_header_with_wrong_field_count(self, header, tmp_path, capsys):
         patch = deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-2), 2)
@@ -752,9 +751,9 @@ class TestSerialization:
     def test_malformed_line_rejected(self, tmp_path):
         path = str(tmp_path / "bad.txt")
         with open(path, "w") as fh:
-            fh.write("# penrosenet patch v1\n# scale_exp 0\n# generation 0\n")
+            fh.write("# penrosenet patch v2\n# scale_exp 0\n# generation 0\n")
             fh.write("# census 1 0\n")
-            fh.write("K R 0 1 2 3\n")
+            fh.write("1 0 0\n")
         with pytest.raises(ValueError):
             load_patch(path)
 
@@ -764,7 +763,7 @@ class TestSerialization:
         path = str(tmp_path / "patch.txt")
         save_patch(patch, path)
         lines = pathlib.Path(path).read_text().splitlines(keepends=True)
-        lines[5] = _set_token(lines[5], 7, token)
+        lines[5] = _set_token(lines[5], 2, token)
         pathlib.Path(path).write_text("".join(lines))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -796,7 +795,7 @@ _LETTER_CHIR = {"R": RIGHT, "L": LEFT}
 
 
 def per_line_save(p: Patch) -> str:
-    """The one-tile-per-iteration writer save_patch replaced; returns the file text."""
+    """The one-tile-per-iteration writer of the v1 format, which spelled out every vertex; returns the text."""
     c = census(p)
     out = [
         "# penrosenet patch v1\n",
@@ -815,7 +814,7 @@ def per_line_save(p: Patch) -> str:
 
 
 def per_line_load(path: str) -> Patch:
-    """The one-line-per-iteration reader load_patch replaced."""
+    """The one-line-per-iteration reader of the v1 format: letters and vertices, classified by ``Patch``."""
     scale_exp = None
     generation = None
     header_census = None
@@ -858,11 +857,60 @@ def per_line_load(path: str) -> Patch:
                  generation=generation or 0, scale_exp=scale_exp, provenance={"source": path})
 
 
+def per_line_save_v2(p: Patch) -> str:
+    """A one-tile-per-iteration writer of the v2 format; returns the file text."""
+    c = census(p)
+    out = [f"# penrosenet patch v2\n# scale_exp {p.scale_exp}\n# generation {p.generation}\n"
+           f"# census {c.kites} {c.darts}\n"]
+    for cls, apex in zip(p.classes.tolist(), p.apexes.T.tolist()):
+        out.append(f"{cls} {apex[0]} {apex[1]} {apex[2]} {apex[3]}\n")
+    return "".join(out)
+
+
+def per_line_load_v2(path: str) -> Patch:
+    """A one-line-per-iteration reader of the v2 format."""
+    headers, rows = {}, []
+    with open(path, "r", encoding="ascii") as fh:
+        for line in fh:
+            line = line.strip()
+            if line.startswith("#"):
+                parts = line[1:].split()
+                if parts and parts[0] in ("penrosenet", "scale_exp", "generation", "census"):
+                    headers[parts[0]] = parts[1:]
+            elif line:
+                fields = line.split()
+                if len(fields) != 5:
+                    raise ValueError(f"half-tile line needs 5 fields: {line!r}")
+                rows.append([int(f) for f in fields])
+    if headers.get("penrosenet") != ["patch", "v2"] or "scale_exp" not in headers or "generation" not in headers:
+        raise ValueError("patch file needs its penrosenet patch v2, scale_exp and generation headers")
+    if not rows:
+        raise ValueError("patch file contains no tiles")
+    classes = [r[0] for r in rows]
+    if not all(0 <= c < 40 for c in classes):
+        raise ValueError("class out of range")
+    if "census" in headers:
+        kites = sum(c < 20 for c in classes)
+        if (kites, len(rows) - kites) != tuple(int(f) for f in headers["census"]):
+            raise ValueError("census mismatch")
+    reach = max(abs(x) for r in rows for x in r[1:]) + 1  # a vertex is its apex plus offsets in {-1, 0, 1}
+    if reach > 2**63 - 1:
+        raise ValueError("apex out of range")
+    apexes = np.array([r[1:] for r in rows], dtype=np.int64).T.astype(np.int32 if reach <= 2**31 - 1 else np.int64)
+    return Patch.from_classes(classes, apexes, int(headers["generation"][0]), int(headers["scale_exp"][0]),
+                              {"source": path})
+
+
+def assert_same_tiles(a: Patch, b: Patch) -> None:
+    """Equal classes and apexes, bit for bit and in dtype, generation and scale."""
+    for x, y in ((a.classes, b.classes), (a.apexes, b.apexes)):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+    assert (a.generation, a.scale_exp) == (b.generation, b.scale_exp)
+
+
 def assert_patches_identical(a: Patch, b: Patch) -> None:
-    for x, y in ((a.kinds, b.kinds), (a.chiralities, b.chiralities), (a.coords, b.coords)):
-        assert x.dtype == y.dtype and x.shape == y.shape
-        assert np.array_equal(x, y)
-    assert (a.generation, a.scale_exp, a.provenance) == (b.generation, b.scale_exp, b.provenance)
+    assert_same_tiles(a, b)
+    assert a.provenance == b.provenance
 
 
 SERIAL_CASES = {
@@ -881,15 +929,22 @@ class TestSerializationOracle:
     def test_save_bytes_match_per_line_writer(self, serial_patch, tmp_path):
         path = tmp_path / "patch.txt"
         save_patch(serial_patch, str(path))
-        assert path.read_bytes() == per_line_save(serial_patch).encode("ascii")
+        assert path.read_bytes() == per_line_save_v2(serial_patch).encode("ascii")
 
     def test_load_matches_per_line_reader(self, serial_patch, tmp_path):
         path = str(tmp_path / "patch.txt")
         save_patch(serial_patch, path)
         back = load_patch(path)
-        assert_patches_identical(back, per_line_load(path))
-        assert np.array_equal(back.coords, serial_patch.coords)
-        assert back.generation == serial_patch.generation
+        assert_patches_identical(back, per_line_load_v2(path))
+        assert_same_tiles(back, serial_patch)
+
+    def test_v2_round_trip_equals_the_v1_reader(self, serial_patch, tmp_path):
+        # the v1 file spelled out vertices and letters, which Patch classified
+        # back into the classes and apexes the v2 file carries
+        v1, v2 = tmp_path / "v1.txt", tmp_path / "v2.txt"
+        v1.write_text(per_line_save(serial_patch), encoding="ascii")
+        save_patch(serial_patch, str(v2))
+        assert_same_tiles(load_patch(str(v2)), per_line_load(str(v1)))
 
     def test_format_blocks_cover_every_row(self, tmp_path, monkeypatch):
         # blocks smaller than the patch, with a ragged last block
@@ -898,16 +953,50 @@ class TestSerializationOracle:
         path = tmp_path / "patch.txt"
         save_patch(patch, str(path))
         assert len(patch) % 4
-        assert path.read_bytes() == per_line_save(patch).encode("ascii")
+        assert path.read_bytes() == per_line_save_v2(patch).encode("ascii")
 
-    def test_coordinate_blocks_cover_every_row(self, tmp_path, monkeypatch):
-        # several coordinate blocks, the last one ragged, each written once and in order
+    def test_coordinate_blocks_cover_every_row(self, monkeypatch):
+        # the SVG writer's vertex blocks: several, the last one ragged, each once and in order
         monkeypatch.setattr(tiling, "_COORD_BLOCK", 5)
         patch = deflate_patch(Patch.single_tile(HALF_DART, RIGHT, scale_exp=-3), 3)
-        path = tmp_path / "patch.txt"
-        save_patch(patch, str(path))
+        blocks = list(tiling._coord_blocks(patch))
         assert len(patch) > 10 and len(patch) % 5
-        assert path.read_bytes() == per_line_save(patch).encode("ascii")
+        assert [lo for lo, _ in blocks] == list(range(0, len(patch), 5))
+        assert np.array_equal(np.concatenate([coords for _, coords in blocks]), patch.coords)
+
+
+ROUND_TRIP_CASES = {
+    "transformed": lambda: deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-6), 6).transformed(
+        tenth_turns=3, translation=CycloPoint(5, -2, 7, 1)),
+    # apexes beyond int32, so the buffer is int64 in memory and on load
+    "far_translated": lambda: deflate_patch(
+        Patch.single_tile(HALF_DART, LEFT, scale_exp=-4, translation=CycloPoint(2**40, -3, 2**35, -(2**41))), 4),
+    # the widest apex whose vertices still fit int64
+    "apex_at_the_int64_edge": lambda: Patch.single_tile(
+        HALF_KITE, translation=CycloPoint(2**63 - 2, -(2**63 - 2), 0, 0)),
+}
+
+
+class TestRoundTripProperty:
+    """load_patch(save_patch(p)) has p's classes, apexes and apex dtype, bit for bit."""
+
+    @pytest.mark.parametrize("chirality", [RIGHT, LEFT])
+    @pytest.mark.parametrize("kind", [HALF_KITE, HALF_DART])
+    def test_both_seeds_and_chiralities_at_rounds_0_to_12(self, kind, chirality, tmp_path):
+        path = str(tmp_path / "patch.txt")
+        for rounds in range(13):
+            patch = deflate_patch(Patch.single_tile(kind, chirality, scale_exp=-rounds), rounds)
+            save_patch(patch, path)
+            assert_same_tiles(load_patch(path), patch)
+
+    @pytest.mark.parametrize("case", list(ROUND_TRIP_CASES))
+    def test_moved_patches(self, case, tmp_path):
+        patch = ROUND_TRIP_CASES[case]()
+        path = str(tmp_path / "patch.txt")
+        save_patch(patch, path)
+        back = load_patch(path)
+        assert_same_tiles(back, patch)
+        assert back.apexes.dtype == (np.int32 if case == "transformed" else np.int64)
 
 
 def per_row_format(template: str, *columns: np.ndarray) -> str:
@@ -933,7 +1022,7 @@ class TestFormatRows:
         monkeypatch.setattr(tiling, "_FORMAT_BLOCK", len(patch) + extra)
         path = tmp_path / "patch.txt"
         save_patch(patch, str(path))
-        assert path.read_bytes() == per_line_save(patch).encode("ascii")
+        assert path.read_bytes() == per_line_save_v2(patch).encode("ascii")
 
     def test_zero_rows_yield_nothing(self):
         empty = np.empty((0, 3), dtype=np.float64)
@@ -1214,9 +1303,11 @@ class TestColumnLengths:
         patch = deflate_patch(Patch.single_tile(HALF_DART, LEFT, scale_exp=-3), 3)
         path = tmp_path / "patch.txt"
         save_patch(patch, str(path))
-        assert path.read_bytes() == per_line_save(patch).encode("ascii")
+        assert path.read_bytes() == per_line_save_v2(patch).encode("ascii")
+        # the generation is a header; the columns are the patch's own buffers
         (columns,) = seen
-        assert columns[2].shape == (len(patch),) and columns[2].strides == (0,)
+        assert f"# generation {patch.generation}\n" in path.read_text()
+        assert len(columns) == 2 and columns[0] is patch.classes and columns[1].base is patch.apexes
 
 
 def _tile_lines(text: str) -> tuple[list[str], list[str]]:
@@ -1238,17 +1329,6 @@ def _set_token(line: str, index: int, value: str) -> str:
     return " ".join(parts) + "\n"
 
 
-def _edit_coords(line: str, edit) -> str:
-    """``line`` with its (3, 4) coordinates replaced by ``edit`` of them."""
-    parts = line.split()
-    coords = np.array([int(x) for x in parts[3:]], dtype=np.int64).reshape(3, 4)
-    return " ".join(parts[:3] + [str(int(x)) for x in edit(coords).ravel()]) + "\n"
-
-
-def _first_line(tiles, letter: str) -> int:
-    return next(i for i, line in enumerate(tiles) if line.startswith(letter))
-
-
 def _edit(head, tiles, edits=None, head_edit=None):
     tiles = list(tiles)
     for i, fn in (edits or {}).items():
@@ -1257,45 +1337,56 @@ def _edit(head, tiles, edits=None, head_edit=None):
     return "".join(head + tiles)
 
 
+def _without(key: str):
+    """A head edit that drops the ``key`` header."""
+    return lambda hd: [l for l in hd if not l.startswith(f"# {key} ")]
+
+
+def _v1_width(tokens: int):
+    """A line edit that pads a line's five fields with 7s to ``tokens`` fields (a v1 line had 15)."""
+    return lambda line: " ".join(line.split() + ["7"] * (tokens - 5)) + "\n"
+
+
 MALFORMED = {
-    "14_tokens": lambda h, t: _edit(h, t, {2: _drop_token}),
-    "16_tokens": lambda h, t: _edit(h, t, {2: _extra_token}),
+    "14_tokens": lambda h, t: _edit(h, t, {2: _v1_width(14)}),
+    "16_tokens": lambda h, t: _edit(h, t, {2: _v1_width(16)}),
     "short_then_long": lambda h, t: _edit(h, t, {1: _drop_token, 2: _extra_token}),
-    "every_line_14_tokens": lambda h, t: _edit(h, t, {i: _drop_token for i in range(len(t))}),
-    "every_line_16_tokens": lambda h, t: _edit(h, t, {i: _extra_token for i in range(len(t))}),
-    "letter_in_coordinate": lambda h, t: _edit(h, t, {3: lambda l: _set_token(l, 7, "x")}),
-    "float_coordinate": lambda h, t: _edit(h, t, {3: lambda l: _set_token(l, 7, "1.0")}),
+    "every_line_14_tokens": lambda h, t: _edit(h, t, {i: _v1_width(14) for i in range(len(t))}),
+    "every_line_16_tokens": lambda h, t: _edit(h, t, {i: _v1_width(16) for i in range(len(t))}),
+    "letter_in_coordinate": lambda h, t: _edit(h, t, {3: lambda l: _set_token(l, 2, "x")}),
+    "float_coordinate": lambda h, t: _edit(h, t, {3: lambda l: _set_token(l, 2, "1.0")}),
+    # a v1 kind letter where the class belongs
     "unknown_kind": lambda h, t: _edit(h, t, {0: lambda l: _set_token(l, 0, "X")}),
     "two_letter_kind": lambda h, t: _edit(h, t, {0: lambda l: _set_token(l, 0, "KK")}),
-    "unknown_chirality": lambda h, t: _edit(h, t, {5: lambda l: _set_token(l, 1, "Q")}),
     "hash_in_kind": lambda h, t: _edit(h, t, {4: lambda l: _set_token(l, 0, "K#")}),
     "trailing_comment": lambda h, t: _edit(h, t, {4: lambda l: l[:-1] + " # note\n"}),
-    "mixed_generations": lambda h, t: _edit(h, t, {6: lambda l: _set_token(l, 2, "1")}),
     "census_mismatch": lambda h, t: _edit(h, t, head_edit=lambda hd: [
         "# census 5 2\n" if l.startswith("# census") else l for l in hd]),
-    "missing_scale_exp": lambda h, t: _edit(h, t, head_edit=lambda hd: [
-        l for l in hd if not l.startswith("# scale_exp")]),
+    "missing_scale_exp": lambda h, t: _edit(h, t, head_edit=_without("scale_exp")),
     "no_tile_lines": lambda h, t: "".join(h),
     "empty_file": lambda h, t: "",
 }
 
-# tile lines whose triangle is not a unit half-tile of its letters: the
-# message each raises, and the edit
-TRIANGLE_LINES = {
-    "non_unit_triangle": ("half-tile 3 (half-kite, chirality -1) is not a unit half-kite or half-dart",
-                          lambda h, t: _edit(h, t, {3: lambda l: _edit_coords(l, lambda v: v + [[1, 0, 0, 0], [0] * 4, [0] * 4])})),
-    "triangle_scaled_by_phi": ("half-tile 3 (half-kite, chirality -1) is not a unit half-kite or half-dart",
-                               lambda h, t: _edit(h, t, {3: lambda l: _edit_coords(l, lambda v: v @ tiling._MPHI)})),
-    "chirality_letter_against_the_geometry": (
-        "half-tile 3 (half-kite, chirality +1) has the vertex order of the other chirality",
-        lambda h, t: _edit(h, t, {3: lambda l: _set_token(l, 1, "R")})),  # an L line
-    "kite_line_with_a_dart_shape": (
-        "half-tile 0 (half-kite, chirality -1) has the other kind's shape",
-        # without the census header, which the new letter would contradict first
-        lambda h, t: _edit(h, t, {_first_line(t, "D"): lambda l: "K" + l[1:]},
-                           head_edit=lambda hd: [l for l in hd if not l.startswith("# census")])),
+# files only the v2 reader meets: the one-line message each raises, and the edit
+HOSTILE = {
+    "class_40": (r"classes must lie in 0\.\.39", lambda h, t: _edit(h, t, {3: lambda l: _set_token(l, 0, "40")})),
+    "class_minus_1": (r"classes must lie in 0\.\.39",
+                      lambda h, t: _edit(h, t, {3: lambda l: _set_token(l, 0, "-1")})),
+    "float_class": ("could not convert string '3.0'", lambda h, t: _edit(h, t, {3: lambda l: _set_token(l, 0, "3.0")})),
+    # |apex| + 1 past int64: the apex's vertex offsets of +-1 could wrap
+    "apex_at_int64_max": ("apex coefficients must lie within",
+                          lambda h, t: _edit(h, t, {3: lambda l: _set_token(l, 1, str(2**63 - 1))})),
+    "apex_at_int64_min": ("apex coefficients must lie within",
+                          lambda h, t: _edit(h, t, {3: lambda l: _set_token(l, 4, str(-2**63))})),
+    "apex_past_int64": ("could not convert string",
+                        lambda h, t: _edit(h, t, {3: lambda l: _set_token(l, 2, str(2**63))})),
+    "4_tokens": ("requires 5 columns but 4 were found", lambda h, t: _edit(h, t, {2: _drop_token})),
+    "6_tokens": ("requires 5 columns but 6 were found", lambda h, t: _edit(h, t, {2: _extra_token})),
+    "missing_generation": ("missing its generation header", lambda h, t: _edit(h, t, head_edit=_without("generation"))),
+    "missing_version": ("missing its penrosenet header", lambda h, t: _edit(h, t, head_edit=_without("penrosenet"))),
+    "v1_file": ("header 'penrosenet' needs patch v2, got 'penrosenet patch v1'",
+                lambda h, t: per_line_save(deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-2), 2))),
 }
-MALFORMED.update({case: edit for case, (_, edit) in TRIANGLE_LINES.items()})
 
 ACCEPTED = {
     "blank_lines": lambda h, t: "".join(h + t[:3] + ["\n", "   \n"] + t[3:] + ["\n"]),
@@ -1320,7 +1411,7 @@ class TestPatchFileMatrix:
     @pytest.fixture(scope="class")
     def source(self):
         patch = deflate_patch(Patch.single_tile(HALF_KITE, scale_exp=-2), 2)
-        return patch, _tile_lines(per_line_save(patch))
+        return patch, _tile_lines(per_line_save_v2(patch))
 
     @pytest.mark.parametrize("case", list(MALFORMED))
     def test_malformed_fails_as_before(self, case, source, tmp_path, capsys):
@@ -1328,10 +1419,10 @@ class TestPatchFileMatrix:
         path = tmp_path / "bad.txt"
         path.write_bytes(MALFORMED[case](head, tiles).encode("ascii"))
         with pytest.raises((ValueError, KeyError)) as old:
-            per_line_load(str(path))
+            per_line_load_v2(str(path))
         with pytest.raises((ValueError, KeyError)) as new:
             load_patch(str(path))
-        if case == "hash_in_kind":  # the old reader failed on the token K#
+        if case == "hash_in_kind":  # the per-line reader fails on the token K#
             assert new.type is ValueError and "'#' inside a data line" in str(new.value)
         else:
             assert new.type is old.type
@@ -1339,17 +1430,20 @@ class TestPatchFileMatrix:
             assert cli_main(argv) == 2
             assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("case", list(TRIANGLE_LINES))
-    def test_a_triangle_line_is_named(self, case, source, tmp_path, capsys):
+    @pytest.mark.parametrize("case", list(HOSTILE))
+    def test_hostile_files_are_refused_in_one_line(self, case, source, tmp_path, capsys):
         _, (head, tiles) = source
-        message, edit = TRIANGLE_LINES[case]
+        match, edit = HOSTILE[case]
         path = tmp_path / "bad.txt"
         path.write_text(edit(head, tiles), encoding="ascii")
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}: "):
+        with pytest.raises(ValueError):
+            per_line_load_v2(str(path))
+        with pytest.raises(ValueError, match=match) as raised:
             load_patch(str(path))
+        assert "\n" not in str(raised.value)
         for argv in _cli_commands(path, tmp_path):
             assert cli_main(argv) == 2
-            assert capsys.readouterr().err.startswith(f"error: {message}: ")
+            assert capsys.readouterr().err == f"error: {raised.value}\n"
 
     def test_cli_commands_pass_on_the_unedited_file(self, source, tmp_path, capsys):
         _, (head, tiles) = source
@@ -1365,8 +1459,8 @@ class TestPatchFileMatrix:
         path = tmp_path / "ok.txt"
         path.write_bytes(ACCEPTED[case](head, tiles).encode("ascii"))
         back = load_patch(str(path))
-        assert_patches_identical(back, per_line_load(str(path)))
-        assert np.array_equal(back.coords, patch.coords)
+        assert_patches_identical(back, per_line_load_v2(str(path)))
+        assert_same_tiles(back, patch)
 
     @pytest.mark.parametrize("byte", [b"\xe9", b"\xc3\xa9", b"\x80", b"\xff"])
     @pytest.mark.parametrize("where", ["tile_line", "comment"])
@@ -1400,7 +1494,7 @@ class TestTwoReads:
         path, _ = files
         seen, loadtxt = [], np.loadtxt
         monkeypatch.setattr(np, "loadtxt", lambda fname, **kw: seen.append(fname) or loadtxt(fname, **kw))
-        assert_patches_identical(load_patch(str(path)), per_line_load(str(path)))
+        assert_patches_identical(load_patch(str(path)), per_line_load_v2(str(path)))
         assert seen == [str(path)]
 
     @pytest.mark.parametrize("change", ["replaced", "rewritten"])
@@ -1444,7 +1538,7 @@ class TestTwoReads:
         path, _ = files
         named = tmp_path / f"p.txt{suffix}"
         named.write_bytes(path.read_bytes())
-        assert_patches_identical(load_patch(str(named)), per_line_load(str(named)))
+        assert_patches_identical(load_patch(str(named)), per_line_load_v2(str(named)))
 
 
 class TestTransformAndTypes:
